@@ -10,7 +10,11 @@ JSON/CSV formats used throughout the package.
     learn-fg   factor graph + weights    -> factorgraph.json
     evaluate   uncertainty for one explanation against a factor graph -> CSV
     verify     full retrain-and-compare pipeline -> results.csv etc.
-    report     regenerate CSV reports from a saved bundle
+    report     rewrite every file verify wrote from its bundle.json
+
+Options default to their config dataclass fields, and the staged commands
+derive sub-seeds from --seed as verify does (relex.pipeline.seeded), so
+the staged chain run with verify's seed and flags repeats verify.
 
 Exit codes: 0 success, 2 validation error, 3 pipeline-stage failure.
 """
@@ -24,8 +28,6 @@ from pathlib import Path
 
 from relex.boolfact import (CreGenerationFailed, EmptyCreSet, RankSearchConfig,
                             generate_cres, load_creset, save_creset)
-from relex.datasets import (generate_ba_community, generate_ba_shapes,
-                            generate_tree_motif)
 from relex.explainer import (ExplainConfig, SingleNodeExplanation, explain,
                              load_explanation, save_explanation)
 from relex.factorgraph import (BpConfig, build_factor_graph, learn_weights,
@@ -35,19 +37,24 @@ from relex.gcn import TrainConfig, TrainingDiverged, load_model, save_model, tra
 from relex.graphs import GraphFormatError, load_graph, save_graph, split_nodes
 from relex.pipeline import (GENERATORS, DatasetSpec, PipelineConfig,
                             PipelineStageError, bundle_from_dict, emit_report,
-                            run_verification)
+                            run_verification, seeded)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 
 
-def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", required=True,
-                   help=f"one of {', '.join(GENERATORS)} or a graph.json path")
-    p.add_argument("--base-nodes", type=int, default=25)
-    p.add_argument("--motifs", type=int, default=5)
-    p.add_argument("--height", type=int, default=4)
+def _add_dataset_args(p: argparse.ArgumentParser, **dataset_kwargs) -> None:
+    p.add_argument("--dataset", required=True, **dataset_kwargs)
+    p.add_argument("--base-nodes", type=int, default=DatasetSpec.base_nodes)
+    p.add_argument("--motifs", type=int, default=DatasetSpec.motif_count)
+    p.add_argument("--height", type=int, default=DatasetSpec.height)
+
+
+def _add_explain_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hops", type=int, default=ExplainConfig.hops)
+    p.add_argument("--steps", type=int, default=ExplainConfig.mask_steps)
+    p.add_argument("--top-k", type=int, default=ExplainConfig.top_k)
 
 
 def _dataset_spec(args) -> DatasetSpec:
@@ -57,6 +64,10 @@ def _dataset_spec(args) -> DatasetSpec:
     return DatasetSpec(kind="file", path=args.dataset)
 
 
+def _explain_config(args) -> ExplainConfig:
+    return ExplainConfig(hops=args.hops, mask_steps=args.steps, top_k=args.top_k)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relex",
@@ -64,74 +75,67 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic benchmark graph")
-    p.add_argument("--dataset", required=True, choices=GENERATORS)
-    p.add_argument("--base-nodes", type=int, default=25)
-    p.add_argument("--motifs", type=int, default=5)
-    p.add_argument("--height", type=int, default=4)
-    p.add_argument("--motif", choices=("cycle", "grid"), default=None,
-                   help="tree motif override; implied by the dataset name")
-    p.add_argument("--seed", type=int, default=0)
+    _add_dataset_args(p, choices=GENERATORS)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the GCN on a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=10000)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--patience", type=int, default=200)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("explain", help="explain one node prediction")
     p.add_argument("--graph", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--hops", type=int, default=2)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--top-k", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    _add_explain_args(p)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cres", help="generate the counterfactual explanation set")
     p.add_argument("--graph", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--hops", type=int, default=2)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--top-k", type=int, default=6)
-    p.add_argument("--max-rank", type=int, default=64)
-    p.add_argument("--solver-iterations", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_explain_args(p)
+    p.add_argument("--max-rank", type=int, default=RankSearchConfig.max_rank)
+    p.add_argument("--solver-iterations", type=int,
+                   default=RankSearchConfig.solver_iterations)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("learn-fg", help="build and train the factor graph")
     p.add_argument("--cres", required=True)
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--lr", type=float, default=PipelineConfig.learn_rate)
+    p.add_argument("--epochs", type=int, default=PipelineConfig.learn_epochs)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate",
                        help="quantify an explanation's uncertainty against a factor graph")
     p.add_argument("--fg", required=True)
     p.add_argument("--explanation", required=True)
-    p.add_argument("--bp-iters", type=int, default=200)
-    p.add_argument("--bp-tol", type=float, default=1e-6)
-    p.add_argument("--bp-damping", type=float, default=0.5)
+    p.add_argument("--bp-iters", type=int, default=BpConfig.max_iters)
+    p.add_argument("--bp-tol", type=float, default=BpConfig.tol)
+    p.add_argument("--bp-damping", type=float, default=BpConfig.damping)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
-    _add_dataset_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--hops", type=int, default=2)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--top-k", type=int, default=6)
-    p.add_argument("--scorer", choices=("bp", "is", "both"), default="both")
-    p.add_argument("--g-max", type=int, default=1)
-    p.add_argument("--max-targets", type=int, default=None)
-    p.add_argument("--min-class-count", type=int, default=10)
-    p.add_argument("--test-fraction", type=float, default=0.1)
+    _add_dataset_args(p, help=f"one of {', '.join(GENERATORS)} or a graph.json path")
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    _add_explain_args(p)
+    p.add_argument("--scorer", choices=("bp", "is", "both"),
+                   default=PipelineConfig.scorer)
+    p.add_argument("--g-max", type=int, default=PipelineConfig.g_max)
+    p.add_argument("--max-targets", type=int, default=PipelineConfig.max_targets)
+    p.add_argument("--min-class-count", type=int,
+                   default=PipelineConfig.min_class_count)
+    p.add_argument("--test-fraction", type=float,
+                   default=PipelineConfig.split_fractions[2])
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="regenerate CSV reports from a bundle")
@@ -141,13 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    if args.dataset == "ba-shapes":
-        g = generate_ba_shapes(args.base_nodes, args.motifs, args.seed)
-    elif args.dataset == "ba-community":
-        g = generate_ba_community(args.base_nodes, args.motifs, args.seed)
-    else:
-        motif = args.motif or ("cycle" if args.dataset == "tree-cycles" else "grid")
-        g = generate_tree_motif(args.height, motif, args.motifs, args.seed)
+    g = _dataset_spec(args).build(args.seed)
     save_graph(g, args.out)
     print(f"wrote {args.out}: {g.node_count} nodes, {g.edge_count} edges, "
           f"{g.class_count} classes")
@@ -156,25 +154,20 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     g = load_graph(args.graph)
-    split = split_nodes(g, args.seed)
+    split = split_nodes(g, args.seed, PipelineConfig.split_fractions)
     cfg = TrainConfig(hidden_dim=args.hidden_dim, max_epochs=args.epochs,
-                      learning_rate=args.lr, seed=args.seed,
-                      patience=args.patience)
-    model = train_gcn(g, split, cfg)
+                      learning_rate=args.lr, patience=args.patience)
+    model = train_gcn(g, split, seeded(cfg, args.seed))
     save_model(model, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _explain_config(args) -> ExplainConfig:
-    return ExplainConfig(hops=args.hops, mask_steps=args.steps,
-                         top_k=args.top_k, seed=args.seed)
-
-
 def _cmd_explain(args) -> int:
     g = load_graph(args.graph)
     model = load_model(args.model, graph=g)
-    e = explain(model, g, args.target, _explain_config(args))
+    ecfg = seeded(_explain_config(args), args.seed, args.target)
+    e = explain(model, g, args.target, ecfg)
     save_explanation(e, args.out)
     print(f"wrote {args.out}: {len(e.relations)} relations, "
           f"class {e.predicted_class}")
@@ -184,10 +177,10 @@ def _cmd_explain(args) -> int:
 def _cmd_cres(args) -> int:
     g = load_graph(args.graph)
     model = load_model(args.model, graph=g)
-    ecfg = _explain_config(args)
-    rcfg = RankSearchConfig(max_rank=args.max_rank,
-                            solver_iterations=args.solver_iterations,
-                            seed=args.seed)
+    ecfg = seeded(_explain_config(args), args.seed, args.target)
+    rcfg = seeded(RankSearchConfig(max_rank=args.max_rank,
+                                   solver_iterations=args.solver_iterations),
+                  args.seed)
     s = generate_cres(g, model, args.target, ecfg, rcfg)
     save_creset(s, args.out)
     print(f"wrote {args.out}: {len(s.explanations)} counterfactual explanations "
@@ -218,18 +211,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    test_frac = args.test_fraction
-    fractions = (1.0 - 0.1 - test_frac, 0.1, test_frac)
+    validation = PipelineConfig.split_fractions[1]
     cfg = PipelineConfig(
         dataset=_dataset_spec(args),
-        train=TrainConfig(hidden_dim=args.hidden_dim, max_epochs=args.epochs,
-                          seed=args.seed),
-        explain=ExplainConfig(hops=args.hops, mask_steps=args.steps,
-                              top_k=args.top_k, seed=args.seed),
+        train=TrainConfig(hidden_dim=args.hidden_dim, max_epochs=args.epochs),
+        explain=_explain_config(args),
         scorer=args.scorer,
         g_max=args.g_max,
         min_class_count=args.min_class_count,
-        split_fractions=fractions,
+        split_fractions=(1.0 - validation - args.test_fraction, validation,
+                         args.test_fraction),
         seed=args.seed,
         max_targets=args.max_targets,
     )

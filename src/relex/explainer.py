@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from relex.gcn import GcnModel, normalize_adjacency
-from relex.graphs import Edge, RelationalGraph, adjacency, normalize_edge
+from relex.gcn import GcnModel, _forward, gcn_forward, normalize_adjacency
+from relex.graphs import (Edge, RelationalGraph, adjacency, normalize_edge,
+                          remove_edges)
 
 
 class SingleNodeExplanation(ValueError):
@@ -40,7 +41,6 @@ class ExplainConfig:
     size_penalty: float = 0.05
     entropy_penalty: float = 0.1
     top_k: int = 6
-    min_confidence: float | None = None  # drop edges below this before top_k
     seed: int = 0
 
     def __post_init__(self):
@@ -107,20 +107,19 @@ def soft_adjacency(g: RelationalGraph, masked_edges: list[Edge],
     return a
 
 
+def _objective(pred_loss, s, size_penalty, entropy_penalty):
+    """The prediction loss plus the mask's size and entropy penalties."""
+    ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
+    return pred_loss + size_penalty * s.sum() + entropy_penalty * ent.sum()
+
+
 def _masked_loss(g, model, target, predicted, masked_edges, mask,
                  size_penalty, entropy_penalty):
     s = _sigmoid(mask)
-    a_soft = soft_adjacency(g, masked_edges, s)
-    a_hat = normalize_adjacency(a_soft)
-    z1 = a_hat @ g.features @ model.w0 + model.b0
-    h1 = np.maximum(z1, 0.0)
-    z2 = a_hat @ h1 @ model.w1 + model.b1
-    z2 = z2 - z2.max(axis=1, keepdims=True)
-    exp = np.exp(z2)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    a_hat = normalize_adjacency(soft_adjacency(g, masked_edges, s))
+    probs = _forward(a_hat, g.features, model.w0, model.w1, model.b0, model.b1)[2]
     pred_loss = -np.log(probs[target, predicted] + 1e-12)
-    ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
-    return pred_loss + size_penalty * s.sum() + entropy_penalty * ent.sum()
+    return _objective(pred_loss, s, size_penalty, entropy_penalty)
 
 
 def _masked_loss_and_grad(g, model, target, predicted, masked_edges, mask,
@@ -172,10 +171,7 @@ def _masked_loss_and_grad(g, model, target, predicted, masked_edges, mask,
     grad = grad_s * ds_dm
     grad += size_penalty * ds_dm
     grad += entropy_penalty * (-mask) * ds_dm  # d binary_entropy(sigmoid(m))/dm
-
-    ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
-    loss = pred_loss + size_penalty * s.sum() + entropy_penalty * ent.sum()
-    return loss, grad
+    return _objective(pred_loss, s, size_penalty, entropy_penalty), grad
 
 
 def explain(model: GcnModel, g: RelationalGraph, target: int,
@@ -193,7 +189,6 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
             f"node {target} has an empty {cfg.hops}-hop computation subgraph")
 
     a_hat_full = normalize_adjacency(adjacency(g))
-    from relex.gcn import gcn_forward
     predicted = int(gcn_forward(model, g.features, a_hat=a_hat_full)[target].argmax())
 
     rng = np.random.default_rng(cfg.seed)
@@ -223,8 +218,6 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
     confidences = np.clip(_sigmoid(mask), 1e-12, 1.0 - 1e-12)
     order = sorted(range(len(masked_edges)),
                    key=lambda i: (-confidences[i], masked_edges[i]))
-    if cfg.min_confidence is not None:
-        order = [i for i in order if confidences[i] >= cfg.min_confidence]
     keep = order[:cfg.top_k]
     relations = tuple((masked_edges[i], float(confidences[i])) for i in sorted(keep))
     return Explanation(target=target, predicted_class=predicted,
@@ -244,9 +237,6 @@ def deletion_impact(model: GcnModel, g: RelationalGraph, target: int,
     probability at the target when that edge alone is removed.  Slow;
     intended for tests.
     """
-    from relex.gcn import gcn_forward
-    from relex.graphs import remove_edges
-
     a_hat = normalize_adjacency(adjacency(g))
     probs = gcn_forward(model, g.features, a_hat=a_hat)
     predicted = int(probs[target].argmax())

@@ -75,15 +75,6 @@ class FactorGraph:
         return [i for i, f in enumerate(self.factors)
                 if f.kind == "learned" and f.relation == relation]
 
-    def neighbor_map(self) -> dict[int, list[tuple[int, int]]]:
-        """var -> [(factor index, scope slot)] in deterministic order."""
-        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in self.variables}
-        for fid, f in enumerate(self.factors):
-            nbrs[f.u].append((fid, 0))
-            nbrs[f.v].append((fid, 1))
-            nbrs[TARGET].append((fid, 2))
-        return nbrs
-
 
 def build_factor_graph(s: CreSet) -> FactorGraph:
     """Variables and zero-weight learned factors for a CRE set."""
@@ -101,7 +92,7 @@ def build_factor_graph(s: CreSet) -> FactorGraph:
     return FactorGraph(entities=entities, target_card=target_card, factors=factors)
 
 
-def count_true_clauses(fg: FactorGraph, s: CreSet, relation: Edge) -> int:
+def count_true_clauses(s: CreSet, relation: Edge) -> int:
     """Number of explanations in the CRE set containing the relation."""
     if relation not in s.relation_index:
         raise KeyError(f"unknown relation {relation}")
@@ -135,15 +126,8 @@ def _map_exhaustive(fg: FactorGraph) -> dict[int, int]:
 
 def _map_max_product(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, int]:
     state = run_bp(fg, bp or BpConfig(), mode="max")
-    decoded: dict[int, int] = {}
-    for var in fg.variables:
-        belief = np.ones(state.cards[var])
-        for cid, cluster in enumerate(state.clusters):
-            for slot, v in enumerate(cluster.scope):
-                if v == var:
-                    belief = belief * state.mu[cid][slot]
-        decoded[var] = int(belief.argmax())  # argmax takes the lowest index on ties
-    return decoded
+    # argmax takes the lowest index on ties
+    return {var: int(marginal(fg, state, var).argmax()) for var in fg.variables}
 
 
 def map_assignment(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, int]:
@@ -159,17 +143,15 @@ def map_assignment(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, i
 # ---------------------------------------------------------------------------
 
 def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = 0.02,
-                  epochs: int = 30, ascend: bool = True) -> FactorGraph:
+                  epochs: int = 30) -> FactorGraph:
     """MAP-approximate likelihood gradient steps on the relation weights.
 
     Weights start at the mean explainer confidence of each relation over
     the explanations containing it.  Per epoch, the expected clause count
     is |S| times an indicator of the relation's clause holding under the
-    current MAP assignment; the gradient is (observed - expected).  With
-    ascend=True (default) weights move up the likelihood gradient; the
-    flag flips the sign for the literal descending update.  Weights are
-    shared across a relation's parallel class factors and clipped to
-    [-10, 10].
+    current MAP assignment; the gradient is (observed - expected) and
+    weights move up it.  Weights are shared across a relation's parallel
+    class factors and clipped to [-10, 10].
     """
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
@@ -196,7 +178,7 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = 0.02,
             sat = any(_clause_satisfied(current.factors[i], assignment)
                       for i in current.learned_factors(rel))
             grad = observed[rel] - n_expl * (1 if sat else 0)
-            step = learning_rate * grad if ascend else -learning_rate * grad
+            step = learning_rate * grad
             if step != 0.0:
                 moved = True
             weights[rel] = float(np.clip(weights[rel] + step, -10.0, 10.0))
@@ -441,7 +423,7 @@ class UncertaintyReport:
 
 
 def _satisfying_beliefs(fg: FactorGraph, ms: MessageState,
-                        relation: Edge, fids: list[int]) -> list[float]:
+                        fids: list[int]) -> list[float]:
     out = []
     for fid in fids:
         f = fg.factors[fid]
@@ -481,8 +463,8 @@ def quantify_uncertainty(fg: FactorGraph, e: Explanation,
         if edge in skipped:
             continue
         fids = fg.learned_factors(edge) or [injected_by_relation[edge]]
-        before = _satisfying_beliefs(fg_pre, ms_pre, edge, fids)
-        after = _satisfying_beliefs(fg_post, ms_post, edge, fids)
+        before = _satisfying_beliefs(fg_pre, ms_pre, fids)
+        after = _satisfying_beliefs(fg_post, ms_post, fids)
         delta = float(np.mean(before) - np.mean(after))
         neg_log = math.inf if delta == 0.0 else -math.log(abs(delta))
         entries.append(RelationUncertainty(edge=edge, gc=gc, delta=delta,

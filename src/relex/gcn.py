@@ -25,7 +25,7 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainConfig:
     hidden_dim: int = 32
-    max_epochs: int = 10000
+    max_epochs: int = 2000
     learning_rate: float = 0.02
     seed: int = 0
     patience: int = 200

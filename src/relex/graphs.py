@@ -75,15 +75,6 @@ class RelationalGraph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def neighbors(self, node: int) -> set[int]:
-        out: set[int] = set()
-        for (u, v) in self.edges:
-            if u == node:
-                out.add(v)
-            elif v == node:
-                out.add(u)
-        return out
-
 
 @dataclass(frozen=True)
 class NodeSplit:

@@ -25,8 +25,9 @@ from relex.datasets import (generate_ba_community, generate_ba_shapes,
                             generate_tree_motif)
 from relex.explainer import (ExplainConfig, Explanation, SingleNodeExplanation,
                              explain, is_scores)
-from relex.factorgraph import (BpConfig, UncertaintyReport, build_factor_graph,
-                               learn_weights, quantify_uncertainty, report_to_csv)
+from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
+                               build_factor_graph, learn_weights,
+                               quantify_uncertainty, report_to_csv)
 from relex.gcn import TrainConfig, predict, train_gcn
 from relex.graphs import (Edge, RelationalGraph, adjacency, load_graph,
                           remove_edges, split_nodes)
@@ -55,7 +56,6 @@ class DatasetSpec:
     base_nodes: int = 25
     motif_count: int = 5
     height: int = 4
-    motif: str = "cycle"
 
     @property
     def synthetic(self) -> bool:
@@ -122,6 +122,20 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def seeded(stage_cfg, seed: int, target: int | None = None):
+    """``stage_cfg`` with the sub-seed its stage derives from the run seed.
+
+    ``run_verification`` and the staged CLI both seed their stages here.
+    Tags: training 1, explanation (3, target), which the counterfactual
+    re-explanations share, and the rank search 4.
+    """
+    tag = {TrainConfig: (1,), ExplainConfig: (3, target),
+           RankSearchConfig: (4,)}[type(stage_cfg)]
+    if None in tag:
+        raise ValueError("an explanation seed needs its target")
+    return replace(stage_cfg, seed=derived_seed(seed, *tag))
+
+
 def worker_count() -> int:
     """Worker cap from RELEX_THREADS; defaults to sequential."""
     raw = os.environ.get("RELEX_THREADS", "1")
@@ -175,15 +189,6 @@ def eligible_targets(g: RelationalGraph, synthetic: bool) -> list[int]:
     return list(range(g.node_count))
 
 
-def _bp_ranking_for_target(g, model, target, ecfg, rcfg, bp, ladder,
-                           learn_rate, learn_epochs):
-    cres = generate_cres(g, model, target, ecfg, rcfg, ladder=ladder)
-    fg = build_factor_graph(cres)
-    fg = learn_weights(fg, cres, learning_rate=learn_rate, epochs=learn_epochs)
-    explanation = explain(model, g, target, ecfg)
-    return quantify_uncertainty(fg, explanation, bp)
-
-
 def run_verification(cfg: PipelineConfig) -> VerificationBundle:
     """Run the full retrain-and-compare protocol; see module docstring.
 
@@ -201,7 +206,7 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
 
     g = stage("dataset", cfg.dataset.build, cfg.seed)
     split = stage("split", split_nodes, g, cfg.seed, cfg.split_fractions)
-    train_cfg = replace(cfg.train, seed=derived_seed(cfg.seed, 1))
+    train_cfg = seeded(cfg.train, cfg.seed)
     model = stage("train", train_gcn, g, split, train_cfg)
     base_pred = predict(model, g)
     bundle.base_predictions = [int(x) for x in base_pred]
@@ -213,9 +218,8 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
                                        replace=False).tolist())
 
     def explain_target(target: int) -> tuple[int, Explanation | None]:
-        ecfg = replace(cfg.explain, seed=derived_seed(cfg.seed, 3, target))
         try:
-            e = explain(model, g, target, ecfg)
+            e = explain(model, g, target, seeded(cfg.explain, cfg.seed, target))
         except SingleNodeExplanation:
             return target, None
         if len(e.relations) <= 1:  # single-edge explanations are filtered
@@ -237,26 +241,29 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
     need_bp = "bp" in cfg.scorers
     ladder = None
     if need_bp:
-        rcfg = replace(cfg.rank_search, seed=derived_seed(cfg.seed, 4))
+        rcfg = seeded(cfg.rank_search, cfg.seed)
         ladder = stage("cres", rank_ladder, adjacency(g), g.edge_count, rcfg)
 
         def bp_target(target: int):
-            ecfg = replace(cfg.explain, seed=derived_seed(cfg.seed, 3, target))
+            # (target, report, warning); scores explain_target's explanation
             try:
-                report = _bp_ranking_for_target(g, model, target, ecfg, rcfg,
-                                                cfg.bp, ladder, cfg.learn_rate,
-                                                cfg.learn_epochs)
-                return target, report
+                cres = generate_cres(g, model, target,
+                                     seeded(cfg.explain, cfg.seed, target), rcfg,
+                                     ladder=ladder)
+                fg = learn_weights(build_factor_graph(cres), cres,
+                                   learning_rate=cfg.learn_rate,
+                                   epochs=cfg.learn_epochs)
             except (EmptyCreSet, CreGenerationFailed) as exc:
-                bundle.warnings.append(f"target {target}: {exc}")
-                return target, None
+                return target, None, f"target {target}: {exc}"
+            return target, quantify_uncertainty(fg, explanations[target], cfg.bp), None
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 scored = list(pool.map(bp_target, sorted(explanations)))
         else:
             scored = [bp_target(t) for t in sorted(explanations)]
-        bundle.reports = {t: r for (t, r) in scored if r is not None}
+        bundle.reports = {t: r for (t, r, _) in scored if r is not None}
+        bundle.warnings.extend(w for (_, _, w) in scored if w is not None)
         if not bundle.reports:
             raise PipelineStageError(
                 "scores", RuntimeError("BP scoring failed for every target"),
@@ -381,6 +388,12 @@ def bundle_to_dict(bundle: VerificationBundle) -> dict:
         "rankings": {scorer: {str(t): [[u, v, s] for ((u, v), s) in ranking]
                               for t, ranking in sorted(per.items())}
                      for scorer, per in sorted(bundle.rankings.items())},
+        # json writes neg_log_delta = inf as Infinity and reads it back
+        "reports": {str(t): {"target": r.target, "converged": r.converged,
+                             "entries": [[*x.edge, x.gc, x.delta, x.neg_log_delta]
+                                         for x in r.entries],
+                             "skipped": r.skipped}
+                    for t, r in sorted(bundle.reports.items())},
     }
 
 
@@ -390,6 +403,12 @@ def bundle_from_dict(blob: dict) -> VerificationBundle:
                  for t, ranking in per.items()}
         for scorer, per in blob.get("rankings", {}).items()
     }
+    reports = {int(t): UncertaintyReport(
+                   target=r["target"], converged=r["converged"],
+                   entries=[RelationUncertainty((u, v), gc, delta, nld)
+                            for (u, v, gc, delta, nld) in r["entries"]],
+                   skipped=[(u, v) for (u, v) in r["skipped"]])
+               for t, r in blob.get("reports", {}).items()}
     return VerificationBundle(
         dataset=blob["dataset"], seed=int(blob["seed"]),
         targets=[int(t) for t in blob.get("targets", [])],
@@ -397,5 +416,6 @@ def bundle_from_dict(blob: dict) -> VerificationBundle:
         results=list(blob.get("results", [])),
         removed_counts=dict(blob.get("removed_counts", {})),
         warnings=list(blob.get("warnings", [])),
+        reports=reports,
         rankings=rankings,
     )

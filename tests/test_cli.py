@@ -131,13 +131,41 @@ class TestVerifyAndReport:
         out = tmp_path / "run"
         assert run(["verify", "--dataset", "ba-shapes", "--base-nodes", "12",
                     "--motifs", "2", "--seed", "5", "--hidden-dim", "16",
-                    "--epochs", "600", "--steps", "60", "--scorer", "is",
+                    "--epochs", "600", "--steps", "60", "--scorer", "both",
                     "--g-max", "1", "--min-class-count", "1",
-                    "--test-fraction", "0.3", "--out", str(out)]) == 0
+                    "--max-targets", "2", "--test-fraction", "0.3",
+                    "--out", str(out)]) == 0
         redo = tmp_path / "redo"
         assert run(["report", "--bundle", str(out / "bundle.json"),
                     "--out", str(redo)]) == 0
-        assert (redo / "results.csv").read_bytes() == \
-               (out / "results.csv").read_bytes()
-        assert (redo / "plotdata.csv").read_bytes() == \
-               (out / "plotdata.csv").read_bytes()
+        names = sorted(p.name for p in out.iterdir())
+        assert any(n.startswith("uncertainty_t") for n in names)
+        assert sorted(p.name for p in redo.iterdir()) == names
+        for name in names:
+            assert (redo / name).read_bytes() == (out / name).read_bytes(), name
+
+
+class TestStagedChainReproducesVerify:
+    def test_uncertainty_csv_matches_verify(self, tmp_path):
+        dataset = ["--dataset", "ba-shapes", "--base-nodes", "12", "--motifs", "2"]
+        seed = ["--seed", "5"]
+        train = ["--hidden-dim", "16", "--epochs", "600"]
+        steps = ["--steps", "60"]
+        assert run(["verify", *dataset, *seed, *train, *steps, "--scorer", "bp",
+                    "--max-targets", "1", "--out", str(tmp_path / "verify")]) == 0
+        [target] = json.loads((tmp_path / "verify" / "bundle.json").read_text())["targets"]
+
+        graph, model = str(tmp_path / "graph.json"), str(tmp_path / "model.json")
+        on_target = ["--graph", graph, "--model", model, "--target", str(target),
+                     *steps, *seed]
+        assert run(["generate", *dataset, *seed, "--out", graph]) == 0
+        assert run(["train", "--graph", graph, *seed, *train, "--out", model]) == 0
+        assert run(["explain", *on_target, "--out", str(tmp_path / "expl.json")]) == 0
+        assert run(["cres", *on_target, "--out", str(tmp_path / "cres.json")]) == 0
+        assert run(["learn-fg", "--cres", str(tmp_path / "cres.json"),
+                    "--out", str(tmp_path / "fg.json")]) == 0
+        assert run(["evaluate", "--fg", str(tmp_path / "fg.json"),
+                    "--explanation", str(tmp_path / "expl.json"),
+                    "--out", str(tmp_path / "uncertainty.csv")]) == 0
+        assert (tmp_path / "uncertainty.csv").read_bytes() == \
+               (tmp_path / "verify" / f"uncertainty_t{target}.csv").read_bytes()

@@ -129,13 +129,6 @@ class TestExplain:
         allowed = set(computation_subgraph(g, 4, 1))
         assert set(e.edges()) <= allowed
 
-    def test_min_confidence_filter(self, bridge_setup):
-        g, model = bridge_setup
-        e = explain(model, g, 4, ExplainConfig(mask_steps=200, top_k=10,
-                                               min_confidence=0.5, seed=0))
-        for _, gc in e.relations:
-            assert gc >= 0.5
-
     def test_objective_nonincreasing_over_accepted_steps(self, bridge_setup):
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)

@@ -1,12 +1,17 @@
 import json
+import math
 
 import pytest
 
+from relex.boolfact import RankSearchConfig
+from relex.explainer import ExplainConfig
+from relex.factorgraph import RelationUncertainty, UncertaintyReport
+from relex.gcn import TrainConfig
 from relex.graphs import make_graph, remove_edges
 from relex.pipeline import (DatasetSpec, PipelineConfig, VerificationBundle,
                             bundle_from_dict, derived_seed, edge_count_warnings,
                             eligible_targets, emit_report, reduced_graph,
-                            select_removal_edges, worker_count)
+                            seeded, select_removal_edges, worker_count)
 
 
 def triangle_plus():
@@ -140,6 +145,13 @@ class TestDerivedSeed:
         assert derived_seed(3, 1, 7) == derived_seed(3, 1, 7)
         assert derived_seed(3, 1, 7) != derived_seed(3, 1, 8)
 
+    def test_seeded_stage_tags(self):
+        assert seeded(TrainConfig(), 3).seed == derived_seed(3, 1)
+        assert seeded(ExplainConfig(), 3, 7).seed == derived_seed(3, 3, 7)
+        assert seeded(RankSearchConfig(), 3).seed == derived_seed(3, 4)
+        with pytest.raises(ValueError):
+            seeded(ExplainConfig(), 3)
+
 
 class TestWorkerCount:
     def test_default_sequential(self, monkeypatch):
@@ -171,6 +183,10 @@ def small_bundle():
         ],
         removed_counts={"bp/1": 4, "is/1": 4, "bp/2": 3, "is/2": 3},
         warnings=[],
+        reports={5: UncertaintyReport(
+            target=5, converged=True, skipped=[(4, 5)],
+            entries=[RelationUncertainty((0, 1), 0.9, 0.0821, 2.5),
+                     RelationUncertainty((1, 2), 1.0, 0.0, math.inf)])},
         rankings={"bp": {5: [((0, 1), 2.5)]}, "is": {5: [((0, 1), 0.9)]}},
     )
 
@@ -217,3 +233,4 @@ class TestEmitReport:
         assert restored.results == sorted(
             bundle.results, key=lambda r: (r["scorer"], r["i"], r["class"]))
         assert restored.rankings == bundle.rankings
+        assert restored.reports == bundle.reports

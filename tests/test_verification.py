@@ -83,8 +83,9 @@ class TestDeterminism:
         threaded = run_verification(tiny_config())
         emit_report(both_bundle, tmp_path / "seq")
         emit_report(threaded, tmp_path / "par")
-        assert (tmp_path / "seq" / "results.csv").read_bytes() == \
-               (tmp_path / "par" / "results.csv").read_bytes()
+        for name in ("results.csv", "bundle.json"):
+            assert (tmp_path / "seq" / name).read_bytes() == \
+                   (tmp_path / "par" / name).read_bytes(), name
 
     def test_per_target_uncertainty_csvs_written(self, tmp_path, both_bundle):
         files = emit_report(both_bundle, tmp_path)
