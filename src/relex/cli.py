@@ -68,6 +68,18 @@ def _explain_config(args) -> ExplainConfig:
     return ExplainConfig(hops=args.hops, mask_steps=args.steps, top_k=args.top_k)
 
 
+def _add_test_fraction_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--test-fraction", type=float,
+                   default=PipelineConfig.split_fractions[2])
+
+
+def _split_fractions(args) -> tuple[float, float, float]:
+    """Train/validation/test fractions: the default validation share, the
+    given test share, and the rest for training."""
+    validation = PipelineConfig.split_fractions[1]
+    return (1.0 - validation - args.test_fraction, validation, args.test_fraction)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relex",
@@ -86,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    _add_test_fraction_arg(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("explain", help="explain one node prediction")
@@ -134,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-targets", type=int, default=PipelineConfig.max_targets)
     p.add_argument("--min-class-count", type=int,
                    default=PipelineConfig.min_class_count)
-    p.add_argument("--test-fraction", type=float,
-                   default=PipelineConfig.split_fractions[2])
+    _add_test_fraction_arg(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="regenerate CSV reports from a bundle")
@@ -154,7 +166,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     g = load_graph(args.graph)
-    split = split_nodes(g, args.seed, PipelineConfig.split_fractions)
+    split = split_nodes(g, args.seed, _split_fractions(args))
     cfg = TrainConfig(hidden_dim=args.hidden_dim, max_epochs=args.epochs,
                       learning_rate=args.lr, patience=args.patience)
     model = train_gcn(g, split, seeded(cfg, args.seed))
@@ -205,13 +217,15 @@ def _cmd_evaluate(args) -> int:
                   damping=args.bp_damping)
     report = quantify_uncertainty(fg, e, bp)
     report_to_csv(report, args.out)
+    if report.skipped:
+        print("warning: skipped relations outside the factor graph's entities: "
+              + ", ".join(f"({u}, {v})" for u, v in report.skipped), file=sys.stderr)
     print(f"wrote {args.out}: {len(report.entries)} relations, "
           f"converged={report.converged}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    validation = PipelineConfig.split_fractions[1]
     cfg = PipelineConfig(
         dataset=_dataset_spec(args),
         train=TrainConfig(hidden_dim=args.hidden_dim, max_epochs=args.epochs),
@@ -219,8 +233,7 @@ def _cmd_verify(args) -> int:
         scorer=args.scorer,
         g_max=args.g_max,
         min_class_count=args.min_class_count,
-        split_fractions=(1.0 - validation - args.test_fraction, validation,
-                         args.test_fraction),
+        split_fractions=_split_fractions(args),
         seed=args.seed,
         max_targets=args.max_targets,
     )

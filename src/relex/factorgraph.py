@@ -17,7 +17,6 @@ joint belief after factors encoding the explanation are injected.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -63,6 +62,9 @@ class FactorGraph:
         for f in self.factors:
             if f.u not in ents or f.v not in ents:
                 raise ValueError(f"factor scope ({f.u}, {f.v}) outside entity set")
+            if not 0 <= f.target_state < self.target_card:
+                raise ValueError(f"factor target state {f.target_state} outside "
+                                 f"0..{self.target_card - 1}")
 
     @property
     def variables(self) -> list[int]:
@@ -108,20 +110,53 @@ def _clause_satisfied(f: Factor, assignment: dict[int, int]) -> bool:
             and assignment[TARGET] == f.target_state)
 
 
+# Exhaustive MAP scores 2^_MAP_BLOCK_BITS entity assignments at a time, so
+# its memory stays flat up to the 20-variable limit.
+_MAP_BLOCK_BITS = 15
+
+
 def _map_exhaustive(fg: FactorGraph) -> dict[int, int]:
-    variables = fg.variables
-    cards = [fg.card(v) for v in variables]
-    best = None
-    best_score = -math.inf
-    for combo in itertools.product(*(range(c) for c in cards)):
-        assignment = dict(zip(variables, combo))
-        score = sum(f.weight for f in fg.factors
-                    if assignment[f.u] == 1 and assignment[f.v] == 1
-                    and assignment[TARGET] == f.target_state)
-        if score > best_score:  # strict: keeps the lexicographically-lowest tie
-            best_score = score
-            best = assignment
-    return best
+    """Score every assignment, one block of the entity bit matrix at a time.
+
+    A block fixes the leading (high) entities and holds a score array of
+    shape (target_card,) + (2,) * low; with T moved last, its C order is
+    itertools.product order over (entities..., T).  A factor adds its
+    weight to the view where its clause holds, one factor at a time in
+    factor order: each score gets the float additions of a left-to-right
+    sum over the factors.  The first argmax of a block wins over earlier
+    blocks only when strictly higher, so ties go to the lowest assignment
+    in product order.
+    """
+    n = len(fg.entities)
+    low = min(n, _MAP_BLOCK_BITS)
+    high = n - low
+    axis = {ent: i for i, ent in enumerate(fg.entities)}
+    clauses = []  # (high entity axes that must be 1, view index, weight)
+    for f in fg.factors:
+        index: list = [f.target_state] + [slice(None)] * low
+        need = set()
+        for ent in (f.u, f.v):
+            if axis[ent] < high:
+                need.add(axis[ent])
+            else:
+                index[1 + axis[ent] - high] = 1
+        clauses.append((need, tuple(index), f.weight))
+
+    best_score, best = -math.inf, 0
+    for block in range(1 << high):
+        ones = {a for a in range(high) if (block >> (high - 1 - a)) & 1}
+        scores = np.zeros((fg.target_card,) + (2,) * low)
+        for need, index, weight in clauses:
+            if need <= ones:
+                scores[index] += weight
+        flat = np.moveaxis(scores, 0, -1).ravel()
+        k = int(flat.argmax())
+        if flat[k] > best_score:
+            best_score, best = flat[k], (block << low) * fg.target_card + k
+    row, state = divmod(best, fg.target_card)
+    assignment = {ent: (row >> (n - 1 - i)) & 1 for i, ent in enumerate(fg.entities)}
+    assignment[TARGET] = state
+    return assignment
 
 
 def _map_max_product(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, int]:
@@ -132,7 +167,16 @@ def _map_max_product(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int,
 
 def map_assignment(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, int]:
     """Most probable assignment; exhaustive up to 20 variables, then
-    max-product message passing.  Ties break toward the all-zeros side."""
+    max-product message passing.
+
+    Exhaustive search costs 2^n * target_card scores for n entities.  Of
+    the assignments with the highest score (a sum of satisfied factor
+    weights, added in factor order) it returns the first in
+    itertools.product order over (entities in sorted order..., T), the
+    last variable varying fastest: the one that reads lowest as a binary
+    number over the entities, then the lowest target state.  Max-product
+    takes each variable's lowest-index maximal state.
+    """
     if len(fg.variables) <= 20:
         return _map_exhaustive(fg)
     return _map_max_product(fg, bp)
@@ -142,8 +186,12 @@ def map_assignment(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, i
 # Weight learning
 # ---------------------------------------------------------------------------
 
-def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = 0.02,
-                  epochs: int = 30) -> FactorGraph:
+LEARN_RATE = 0.02
+LEARN_EPOCHS = 30
+
+
+def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
+                  epochs: int = LEARN_EPOCHS) -> FactorGraph:
     """MAP-approximate likelihood gradient steps on the relation weights.
 
     Weights start at the mean explainer confidence of each relation over
@@ -170,13 +218,14 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = 0.02,
         return FactorGraph(entities=fg.entities, target_card=fg.target_card,
                            factors=factors)
 
+    learned = {rel: fg.learned_factors(rel) for rel in relations}
     current = with_weights(weights)
     for _ in range(epochs):
         assignment = map_assignment(current)
         moved = False
         for rel in relations:
             sat = any(_clause_satisfied(current.factors[i], assignment)
-                      for i in current.learned_factors(rel))
+                      for i in learned[rel])
             grad = observed[rel] - n_expl * (1 if sat else 0)
             step = learning_rate * grad
             if step != 0.0:
@@ -230,64 +279,90 @@ class MessageState:
     residual: float
 
 
-def _cluster_message(table: np.ndarray, messages: list[np.ndarray], slot: int,
-                     mode: str) -> np.ndarray:
-    prod = table
-    for j, m in enumerate(messages):
-        if j != slot:
-            shape = [1] * table.ndim
-            shape[j] = m.shape[0]
-            prod = prod * m.reshape(shape)
-    axes = tuple(j for j in range(table.ndim) if j != slot)
-    return prod.sum(axis=axes) if mode == "sum" else prod.max(axis=axes)
-
-
 def propagate(cards: dict[int, int], clusters: list[Cluster],
               cfg: BpConfig | None = None, mode: str = "sum"):
     """Damped flooding-schedule message passing on a cluster graph.
 
     Every iteration refreshes all variable-to-factor messages, then all
-    factor-to-variable messages, in a fixed deterministic order; each
-    message is normalized and damped (new = (1 - damping) * computed +
-    damping * old).  Convergence is a max-norm residual below tol;
-    non-convergence is reported, not raised.  Returns (nu, mu, iterations,
-    converged, residual).
+    factor-to-variable messages; each message is normalized and damped
+    (new = (1 - damping) * computed + damping * old).  Convergence is a
+    max-norm residual below tol; non-convergence is reported, not raised.
+    Returns (nu, mu, iterations, converged, residual), with nu[cid][slot]
+    and mu[cid][slot] the messages on each cluster's scope slots.
+
+    Messages live in one (edges, card) array per cardinality and
+    direction.  Clusters are grouped by table shape and each (group, slot)
+    owns a contiguous run of rows, so a factor-to-variable update is one
+    broadcast product and reduction per group and slot.  A
+    variable-to-factor message is the product of the variable's other
+    incoming messages in (cluster, slot) order, gathered through padded
+    row indexes whose self and padding entries point at a row of ones.
     """
     cfg = cfg or BpConfig()
-    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in cards}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for cid, cluster in enumerate(clusters):
-        for slot, var in enumerate(cluster.scope):
-            nbrs[var].append((cid, slot))
-    nu = [[np.full(cards[v], 1.0 / cards[v]) for v in c.scope] for c in clusters]
-    mu = [[np.full(cards[v], 1.0 / cards[v]) for v in c.scope] for c in clusters]
+        groups.setdefault(cluster.table.shape, []).append(cid)
+    size = {c: 0 for c in cards.values()}  # card -> rows in use
+    # edges[cid][slot] is the (card, row) that holds that slot's messages
+    edges: list[list[tuple[int, int]]] = [[] for _ in clusters]
+    layout = []  # (stacked tables, (card, first row, end row) per slot)
+    for shape, members in groups.items():
+        runs = []
+        for c in shape:
+            for k, cid in enumerate(members):
+                edges[cid].append((c, size[c] + k))
+            runs.append((c, size[c], size[c] + len(members)))
+            size[c] += len(members)
+        layout.append((np.stack([clusters[cid].table for cid in members]), runs))
+
+    incoming: dict[int, list[int]] = {v: [] for v in cards}
+    for cid, cluster in enumerate(clusters):
+        for var, (_, row) in zip(cluster.scope, edges[cid]):
+            incoming[var].append(row)
+    pools = [c for c in size if size[c]]
+    others: dict[int, np.ndarray] = {}  # card -> (rows, max degree) gather indexes
+    for c in pools:
+        same = [rows for v, rows in incoming.items() if cards[v] == c]
+        others[c] = np.full((size[c], max(map(len, same))), size[c])
+        for rows in same:
+            for row in rows:
+                others[c][row, :len(rows)] = [r if r != row else size[c] for r in rows]
+    nu = {c: np.full((size[c], c), 1.0 / c) for c in pools}
+    # mu carries one extra row of ones, the neutral factor for the gather
+    mu = {c: np.vstack([np.full((size[c], c), 1.0 / c), np.ones(c)]) for c in pools}
 
     iterations = 0
     residual = math.inf
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         residual = 0.0
-        for var in sorted(cards):
-            incoming = nbrs[var]
-            for (cid, slot) in incoming:
-                msg = np.ones(cards[var])
-                for (ocid, oslot) in incoming:
-                    if ocid != cid or oslot != slot:
-                        msg = msg * mu[ocid][oslot]
-                msg = msg / msg.sum()
-                new = (1.0 - cfg.damping) * msg + cfg.damping * nu[cid][slot]
-                residual = max(residual, float(np.abs(new - nu[cid][slot]).max()))
-                nu[cid][slot] = new
-        for cid, cluster in enumerate(clusters):
-            for slot in range(len(cluster.scope)):
-                msg = _cluster_message(cluster.table, nu[cid], slot, mode)
-                msg = msg / msg.sum()
-                new = (1.0 - cfg.damping) * msg + cfg.damping * mu[cid][slot]
-                residual = max(residual, float(np.abs(new - mu[cid][slot]).max()))
-                mu[cid][slot] = new
+        for c in pools:
+            msg = mu[c][others[c]].prod(axis=1)
+            msg = msg / msg.sum(axis=1, keepdims=True)
+            new = (1.0 - cfg.damping) * msg + cfg.damping * nu[c]
+            residual = max(residual, float(np.abs(new - nu[c]).max()))
+            nu[c] = new
+        for tables, runs in layout:
+            k = tables.shape[0]
+            for slot, (c, lo, hi) in enumerate(runs):
+                prod = tables
+                for j, (cj, lj, hj) in enumerate(runs):
+                    if j != slot:
+                        shape = [k] + [1] * len(runs)
+                        shape[j + 1] = cj
+                        prod = prod * nu[cj][lj:hj].reshape(shape)
+                axes = tuple(j + 1 for j in range(len(runs)) if j != slot)
+                msg = prod.sum(axis=axes) if mode == "sum" else prod.max(axis=axes)
+                msg = msg / msg.sum(axis=1, keepdims=True)
+                new = (1.0 - cfg.damping) * msg + cfg.damping * mu[c][lo:hi]
+                residual = max(residual, float(np.abs(new - mu[c][lo:hi]).max()))
+                mu[c][lo:hi] = new
         if residual < cfg.tol:
             converged = True
             break
-    return nu, mu, iterations, converged, residual
+    nu_out = [[nu[c][row] for c, row in slots] for slots in edges]
+    mu_out = [[mu[c][row] for c, row in slots] for slots in edges]
+    return nu_out, mu_out, iterations, converged, residual
 
 
 def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:

@@ -172,8 +172,11 @@ def remove_edges(g: RelationalGraph,
 # Node splits
 # ---------------------------------------------------------------------------
 
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
+
+
 def split_nodes(g: RelationalGraph, seed: int,
-                fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> NodeSplit:
+                fractions: tuple[float, float, float] = SPLIT_FRACTIONS) -> NodeSplit:
     """Stratified train/validation/test split by class, seeded.
 
     Every class with at least one node contributes at least one training

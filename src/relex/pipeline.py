@@ -25,12 +25,13 @@ from relex.datasets import (generate_ba_community, generate_ba_shapes,
                             generate_tree_motif)
 from relex.explainer import (ExplainConfig, Explanation, SingleNodeExplanation,
                              explain, is_scores)
-from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
+from relex.factorgraph import (LEARN_EPOCHS, LEARN_RATE, BpConfig,
+                               RelationUncertainty, UncertaintyReport,
                                build_factor_graph, learn_weights,
                                quantify_uncertainty, report_to_csv)
 from relex.gcn import TrainConfig, predict, train_gcn
-from relex.graphs import (Edge, RelationalGraph, adjacency, load_graph,
-                          remove_edges, split_nodes)
+from relex.graphs import (SPLIT_FRACTIONS, Edge, RelationalGraph, adjacency,
+                          load_graph, remove_edges, split_nodes)
 from relex.mcnemar import mcnemar_test
 
 log = logging.getLogger("relex")
@@ -87,11 +88,11 @@ class PipelineConfig:
     scorer: str = "both"           # "bp" | "is" | "both"
     g_max: int = 1
     min_class_count: int = 10
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_fractions: tuple[float, float, float] = SPLIT_FRACTIONS
     seed: int = 0
     max_targets: int | None = None
-    learn_rate: float = 0.02
-    learn_epochs: int = 30
+    learn_rate: float = LEARN_RATE
+    learn_epochs: int = LEARN_EPOCHS
 
     def __post_init__(self):
         if self.g_max < 1:

@@ -112,6 +112,24 @@ class TestCresLearnFgEvaluate:
         assert len(lines) >= 2
 
 
+class TestEvaluate:
+    def test_skipped_relations_reported_on_stderr(self, tmp_path, capsys):
+        (tmp_path / "fg.json").write_text(json.dumps(
+            {"entities": [0, 1], "target_card": 2,
+             "factors": [{"u": 0, "v": 1, "t": 1, "weight": 0.5, "kind": "learned"}]}))
+        (tmp_path / "expl.json").write_text(json.dumps(
+            {"target": 0, "class": 1, "hops": 2,
+             "relations": [{"u": 0, "v": 1, "gc": 0.8}, {"u": 1, "v": 7, "gc": 0.9},
+                           {"u": 5, "v": 6, "gc": 0.4}]}))
+        assert run(["evaluate", "--fg", str(tmp_path / "fg.json"),
+                    "--explanation", str(tmp_path / "expl.json"),
+                    "--out", str(tmp_path / "u.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "skipped relations outside the factor graph's entities: " \
+               "(1, 7), (5, 6)" in err
+        assert len((tmp_path / "u.csv").read_text().splitlines()) == 2
+
+
 class TestVerifyAndReport:
     def test_verify_writes_results_and_exit_zero(self, tmp_path):
         out = tmp_path / "run"
@@ -147,9 +165,16 @@ class TestVerifyAndReport:
 
 class TestStagedChainReproducesVerify:
     def test_uncertainty_csv_matches_verify(self, tmp_path):
+        self.check_chain(tmp_path, split=[])
+
+    def test_uncertainty_csv_matches_verify_at_test_fraction(self, tmp_path):
+        self.check_chain(tmp_path, split=["--test-fraction", "0.4"])
+
+    @staticmethod
+    def check_chain(tmp_path, split):
         dataset = ["--dataset", "ba-shapes", "--base-nodes", "12", "--motifs", "2"]
         seed = ["--seed", "5"]
-        train = ["--hidden-dim", "16", "--epochs", "600"]
+        train = ["--hidden-dim", "16", "--epochs", "600", *split]
         steps = ["--steps", "60"]
         assert run(["verify", *dataset, *seed, *train, *steps, "--scorer", "bp",
                     "--max-targets", "1", "--out", str(tmp_path / "verify")]) == 0

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from relex import factorgraph
 from relex.boolfact import CreSet, EmptyCreSet
 from relex.explainer import Explanation
 from relex.factorgraph import (TARGET, BpConfig, Cluster, Factor, FactorGraph,
-                               _map_exhaustive, _map_max_product,
+                               _build_clusters, _map_exhaustive, _map_max_product,
                                build_factor_graph, count_true_clauses,
                                factorgraph_from_dict, factorgraph_to_dict,
                                inject_explanation_factors, joint_distribution,
@@ -65,6 +66,125 @@ def exact_map(fg):
         if p >= best_p - 1e-15:
             return dict(zip(fg.variables, st))
     return dict(zip(fg.variables, states[best]))
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: the per-assignment MAP and per-slot message passing that
+# the array passes replaced.  The array passes make the same float
+# operations in the same order, so results must be equal, not close.
+# ---------------------------------------------------------------------------
+
+def loop_map(fg):
+    variables = fg.variables
+    cards = [fg.card(v) for v in variables]
+    best = None
+    best_score = -math.inf
+    for combo in itertools.product(*(range(c) for c in cards)):
+        assignment = dict(zip(variables, combo))
+        score = sum(f.weight for f in fg.factors
+                    if assignment[f.u] == 1 and assignment[f.v] == 1
+                    and assignment[TARGET] == f.target_state)
+        if score > best_score:  # strict: keeps the lexicographically-lowest tie
+            best_score = score
+            best = assignment
+    return best
+
+
+def loop_cluster_message(table, messages, slot, mode):
+    prod = table
+    for j, m in enumerate(messages):
+        if j != slot:
+            shape = [1] * table.ndim
+            shape[j] = m.shape[0]
+            prod = prod * m.reshape(shape)
+    axes = tuple(j for j in range(table.ndim) if j != slot)
+    return prod.sum(axis=axes) if mode == "sum" else prod.max(axis=axes)
+
+
+def loop_propagate(cards, clusters, cfg, mode="sum"):
+    nbrs = {v: [] for v in cards}
+    for cid, cluster in enumerate(clusters):
+        for slot, var in enumerate(cluster.scope):
+            nbrs[var].append((cid, slot))
+    nu = [[np.full(cards[v], 1.0 / cards[v]) for v in c.scope] for c in clusters]
+    mu = [[np.full(cards[v], 1.0 / cards[v]) for v in c.scope] for c in clusters]
+    iterations = 0
+    residual = math.inf
+    converged = False
+    for iterations in range(1, cfg.max_iters + 1):
+        residual = 0.0
+        for var in sorted(cards):
+            incoming = nbrs[var]
+            for (cid, slot) in incoming:
+                msg = np.ones(cards[var])
+                for (ocid, oslot) in incoming:
+                    if ocid != cid or oslot != slot:
+                        msg = msg * mu[ocid][oslot]
+                msg = msg / msg.sum()
+                new = (1.0 - cfg.damping) * msg + cfg.damping * nu[cid][slot]
+                residual = max(residual, float(np.abs(new - nu[cid][slot]).max()))
+                nu[cid][slot] = new
+        for cid, cluster in enumerate(clusters):
+            for slot in range(len(cluster.scope)):
+                msg = loop_cluster_message(cluster.table, nu[cid], slot, mode)
+                msg = msg / msg.sum()
+                new = (1.0 - cfg.damping) * msg + cfg.damping * mu[cid][slot]
+                residual = max(residual, float(np.abs(new - mu[cid][slot]).max()))
+                mu[cid][slot] = new
+        if residual < cfg.tol:
+            converged = True
+            break
+    return nu, mu, iterations, converged, residual
+
+
+# Weights with many exact ties and sums that depend on addition order
+# (0.1 + 0.2 != 0.3).
+TIE_WEIGHTS = (0.0, 0.0, 0.1, 0.2, 0.3, -0.1, 0.5, -0.5, 1.0, -1.0)
+
+
+def random_factor_graph(rng, n_entities, target_card, n_factors, weights=None):
+    """Random clause graph over mixed scopes: repeated and self pairs,
+    parallel class factors and twin factors on one scope."""
+    factors = []
+    for _ in range(n_factors):
+        u, v = sorted(int(x) for x in rng.integers(n_entities, size=2))
+        w = (float(rng.choice(weights)) if weights is not None
+             else float(rng.uniform(-3, 3)))
+        factors.append(Factor(u=u, v=v, target_state=int(rng.integers(target_card)),
+                              weight=w, kind=str(rng.choice(["learned", "injected"]))))
+    return FactorGraph(entities=tuple(range(n_entities)), target_card=target_card,
+                       factors=factors)
+
+
+def random_cluster_graph(rng):
+    """Loopy cluster graph with scopes of 1-3 slots over cardinalities 2-8;
+    few cardinalities, so several clusters share a table shape."""
+    n_vars = int(rng.integers(1, 7))
+    cards = {v: int(rng.choice([2, 2, 3, 4, 5, 8])) for v in range(n_vars)}
+    clusters = []
+    for _ in range(int(rng.integers(0, 10))):
+        size = int(rng.integers(1, 4))
+        scope = tuple(int(v) for v in rng.choice(n_vars, size=size,
+                                                 replace=bool(rng.integers(2))
+                                                 or size > n_vars))
+        shape = tuple(cards[v] for v in scope)
+        table = (rng.choice([0.5, 1.0, 2.0], size=shape) if rng.integers(2)
+                 else rng.uniform(0.05, 3.0, size=shape))
+        clusters.append(Cluster(scope=scope, table=table))
+    return cards, clusters
+
+
+def assert_propagate_matches_loop(cards, clusters, cfg, mode):
+    nu, mu, iterations, converged, residual = propagate(cards, clusters, cfg, mode)
+    ref_nu, ref_mu, ref_iterations, ref_converged, ref_residual = loop_propagate(
+        cards, clusters, cfg, mode)
+    assert (iterations, converged, residual) == \
+           (ref_iterations, ref_converged, ref_residual)
+    for got, ref in ((nu, ref_nu), (mu, ref_mu)):
+        assert [len(m) for m in got] == [len(m) for m in ref]
+        for got_c, ref_c in zip(got, ref):
+            for a, b in zip(got_c, ref_c):
+                assert np.array_equal(a, b), (a, b)
 
 
 def single_factor_graph(w, target_card=2):
@@ -182,6 +302,12 @@ class TestBuildFactorGraph:
         with pytest.raises(EmptyCreSet):
             build_factor_graph(s)
 
+    def test_target_state_outside_card_rejected(self):
+        for state in (-1, 2):
+            with pytest.raises(ValueError):
+                FactorGraph(entities=(0, 1), target_card=2, factors=[
+                    Factor(u=0, v=1, target_state=state, weight=1.0, kind="learned")])
+
     def test_initial_weights_zero(self):
         s = make_creset([[(0, 1), (1, 2)]])
         fg = build_factor_graph(s)
@@ -222,6 +348,33 @@ class TestMapAssignment:
         ])
         assignment = map_assignment(fg)
         assert assignment == {0: 1, 1: 1, 2: 0, TARGET: 1}
+
+    @pytest.mark.parametrize("block_bits", [15, 2, 0])
+    def test_matches_reference_loop(self, monkeypatch, block_bits):
+        # small blocks send the same graphs through the multi-block path
+        monkeypatch.setattr(factorgraph, "_MAP_BLOCK_BITS", block_bits)
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            fg = random_factor_graph(rng, int(rng.integers(1, 8)),
+                                     int(rng.choice([2, 3, 4, 5, 8])),
+                                     int(rng.integers(0, 14)),
+                                     TIE_WEIGHTS if trial % 2 else None)
+            assert map_assignment(fg) == loop_map(fg), trial
+
+    def test_zero_and_equal_weights(self):
+        for w in (0.0, 0.7, -0.7):
+            for card in (2, 3, 5):
+                fg = FactorGraph(entities=(0, 1, 2, 3), target_card=card, factors=[
+                    Factor(u=u, v=v, target_state=t, weight=w, kind="learned")
+                    for (u, v) in ((0, 1), (1, 2), (2, 3)) for t in range(card)])
+                assignment = map_assignment(fg)
+                assert assignment == loop_map(fg)
+                if w <= 0.0:
+                    assert set(assignment.values()) == {0}
+
+    def test_no_factors_all_zeros(self):
+        fg = FactorGraph(entities=(0, 1, 2), target_card=3, factors=[])
+        assert map_assignment(fg) == loop_map(fg) == {0: 0, 1: 0, 2: 0, TARGET: 0}
 
     def test_max_product_matches_exhaustive_on_unique_optima(self):
         rng = np.random.default_rng(0)
@@ -276,12 +429,77 @@ class TestLearnWeights:
             observed = after[rel] - init[rel]
             assert observed < 0, f"{rel}: update {observed} vs gradient {exact_grad}"
 
+    def test_weights_match_reference_map(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        sets = []
+        for _ in range(6):
+            n = int(rng.integers(3, 8))
+            pool = sorted({tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False)))
+                           for _ in range(n + 2)})
+            expls = [[pool[i] for i in sorted(rng.choice(len(pool), min(4, len(pool)),
+                                                         replace=False))]
+                     for _ in range(int(rng.integers(3, 9)))]
+            gcs = {r: float(rng.choice([0.01, 0.2, 0.5, 0.95, 0.99])) for r in pool}
+            sets.append(make_creset(expls, gcs=gcs, class_count=int(rng.choice([2, 3, 8]))))
+        learned = [learn_weights(build_factor_graph(s), s) for s in sets]
+        monkeypatch.setattr(factorgraph, "map_assignment", loop_map)
+        for s, fg in zip(sets, learned):
+            ref = learn_weights(build_factor_graph(s), s)
+            assert [f.weight for f in fg.factors] == [f.weight for f in ref.factors]
+
     def test_weights_clipped(self):
         s = make_creset([[(0, 1)], [], [], [], [], [], [], []],
                         gcs={(0, 1): 0.5})
         fg = build_factor_graph(s)
         learned = learn_weights(fg, s, learning_rate=5.0, epochs=50)
         assert -10.0 <= learned.factors[0].weight <= 10.0
+
+
+class TestTractability:
+    """Exhaustive MAP at its advertised limit of 20 variables."""
+
+    def test_map_at_twenty_variables(self):
+        rng = np.random.default_rng(41)
+        n = 19
+        # integer weights make every sum exact in any order; entities 17
+        # and 18 are in no factor, so every maximum ties with its twins
+        factors = [Factor(u=u, v=v, target_state=int(rng.integers(2)),
+                          weight=float(rng.integers(-2, 3)), kind="learned")
+                   for u, v in (sorted(int(x) for x in rng.choice(17, 2, replace=False))
+                                for _ in range(30))]
+        fg = FactorGraph(entities=tuple(range(n)), target_card=2, factors=factors)
+        rows = np.arange(1 << n)
+        scores = np.zeros((rows.size, 2))
+        for f in factors:
+            held = ((rows >> (n - 1 - f.u)) & (rows >> (n - 1 - f.v)) & 1).astype(bool)
+            scores[held, f.target_state] += f.weight
+        assert (scores == scores.max()).sum() >= 4
+        row, state = divmod(int(scores.argmax()), 2)  # first maximum, product order
+        expected = {ent: (row >> (n - 1 - ent)) & 1 for ent in range(n)}
+        expected[TARGET] = state
+        assert expected[17] == expected[18] == 0
+        assert map_assignment(fg) == expected
+
+        for f in factors:
+            f.weight = 0.0
+        assert map_assignment(fg) == {**{ent: 0 for ent in range(n)}, TARGET: 0}
+
+    def test_learn_weights_at_sixteen_entities(self):
+        rng = np.random.default_rng(42)
+        order = rng.permutation(16).tolist()
+        pool = {tuple(sorted(p)) for p in zip(order, order[1:])}
+        while len(pool) < 19:
+            pool.add(tuple(sorted(int(x) for x in rng.choice(16, 2, replace=False))))
+        pool = sorted(pool)
+        shuffled = rng.permutation(19)
+        expls = [[pool[j] for j in shuffled[i:i + 6]] for i in range(0, 19, 6)]
+        expls += [[pool[j] for j in rng.choice(19, 6, replace=False)] for _ in range(15)]
+        gcs = {r: float(rng.choice([0.01, 0.05, 0.4, 0.95, 0.99])) for r in pool}
+        s = make_creset(expls, gcs=gcs, class_count=8)
+        fg = learn_weights(build_factor_graph(s), s)
+        assert len(fg.entities) == 16
+        assert len(fg.factors) == 8 * 19
+        assert all(-10.0 <= f.weight <= 10.0 for f in fg.factors)
 
 
 class TestRunBp:
@@ -300,6 +518,32 @@ class TestRunBp:
                             belief = belief * mu[cid][slot]
                 np.testing.assert_allclose(belief / belief.sum(),
                                            marginals[var], atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["sum", "max"])
+    def test_cluster_graphs_match_reference_loop(self, mode):
+        rng = np.random.default_rng(31)
+        for _ in range(80):
+            cards, clusters = random_cluster_graph(rng)
+            cfg = BpConfig(max_iters=int(rng.integers(1, 60)),
+                           damping=float(rng.choice([0.0, 0.5, 0.9])))
+            assert_propagate_matches_loop(cards, clusters, cfg, mode)
+
+    @pytest.mark.parametrize("mode", ["sum", "max"])
+    def test_factor_graphs_match_reference_loop(self, mode):
+        rng = np.random.default_rng(32)
+        for trial in range(60):
+            fg = random_factor_graph(rng, int(rng.integers(1, 7)),
+                                     int(rng.choice([2, 3, 4, 5, 8])),
+                                     int(rng.integers(0, 16)),
+                                     TIE_WEIGHTS if trial % 2 else None)
+            clusters, _ = _build_clusters(fg)
+            cards = {v: fg.card(v) for v in fg.variables}
+            assert_propagate_matches_loop(cards, clusters, BpConfig(), mode)
+
+    def test_no_clusters(self):
+        nu, mu, iterations, converged, residual = propagate({0: 2, TARGET: 3}, [])
+        assert (nu, mu, iterations, converged, residual) == ([], [], 1, True, 0.0)
+        assert_propagate_matches_loop({0: 2, TARGET: 3}, [], BpConfig(), "sum")
 
     def test_single_cluster_fg_matches_enumeration(self):
         rng = np.random.default_rng(8)
