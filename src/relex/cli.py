@@ -177,7 +177,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_explain(args) -> int:
     g = load_graph(args.graph)
-    model = load_model(args.model, graph=g)
+    model = load_model(args.model)
     ecfg = seeded(_explain_config(args), args.seed, args.target)
     e = explain(model, g, args.target, ecfg)
     save_explanation(e, args.out)
@@ -188,7 +188,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_cres(args) -> int:
     g = load_graph(args.graph)
-    model = load_model(args.model, graph=g)
+    model = load_model(args.model)
     ecfg = seeded(_explain_config(args), args.seed, args.target)
     rcfg = seeded(RankSearchConfig(max_rank=args.max_rank,
                                    solver_iterations=args.solver_iterations),

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from relex.gcn import GcnModel, _forward, gcn_forward, normalize_adjacency
+from relex.gcn import (GcnModel, _forward, gcn_forward, normalize_adjacency,
+                       predict)
 from relex.graphs import (Edge, RelationalGraph, adjacency, normalize_edge,
                           remove_edges)
 
@@ -97,13 +98,44 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def soft_adjacency(g: RelationalGraph, masked_edges: list[Edge],
+@dataclass(frozen=True)
+class _MaskProblem:
+    """Everything one target's mask optimisation holds fixed.
+
+    ``a_soft`` starts as the graph's adjacency; masked edge i sits at
+    (rows[i], cols[i]) and (cols[i], rows[i]).  Each evaluation writes its
+    mask weights into those entries before it reads the matrix, so the one
+    buffer always holds the current mask's adjacency; a fresh n x n copy
+    per evaluation would cost more than the write.  ``explain`` builds the
+    problem once per call.
+    """
+
+    a_soft: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    features: np.ndarray
+    model: GcnModel
+    target: int
+    predicted: int
+    size_penalty: float
+    entropy_penalty: float
+
+
+def _mask_problem(g: RelationalGraph, model: GcnModel, target: int,
+                  predicted: int, masked_edges: list[Edge],
+                  cfg: ExplainConfig) -> _MaskProblem:
+    idx = np.array(masked_edges, dtype=np.intp).reshape(-1, 2)
+    return _MaskProblem(adjacency(g).astype(np.float64), idx[:, 0], idx[:, 1],
+                        g.features, model, target, predicted,
+                        cfg.size_penalty, cfg.entropy_penalty)
+
+
+def soft_adjacency(a: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
-    """Adjacency where each masked edge carries its weight symmetrically."""
-    a = adjacency(g).astype(np.float64)
-    for (u, v), w in zip(masked_edges, weights):
-        a[u, v] = w
-        a[v, u] = w
+    """Write each masked edge's weight into ``a`` symmetrically, in place;
+    returns ``a``."""
+    a[rows, cols] = weights
+    a[cols, rows] = weights
     return a
 
 
@@ -113,65 +145,53 @@ def _objective(pred_loss, s, size_penalty, entropy_penalty):
     return pred_loss + size_penalty * s.sum() + entropy_penalty * ent.sum()
 
 
-def _masked_loss(g, model, target, predicted, masked_edges, mask,
-                 size_penalty, entropy_penalty):
+def _masked_forward(p: _MaskProblem, mask: np.ndarray):
+    """The GCN forward pass on the masked graph, and the loss it gives."""
     s = _sigmoid(mask)
-    a_hat = normalize_adjacency(soft_adjacency(g, masked_edges, s))
-    probs = _forward(a_hat, g.features, model.w0, model.w1, model.b0, model.b1)[2]
-    pred_loss = -np.log(probs[target, predicted] + 1e-12)
-    return _objective(pred_loss, s, size_penalty, entropy_penalty)
+    a_hat = normalize_adjacency(soft_adjacency(p.a_soft, p.rows, p.cols, s))
+    m = p.model
+    z1, h1, probs = _forward(a_hat, p.features, m.w0, m.w1, m.b0, m.b1)
+    pred_loss = -np.log(probs[p.target, p.predicted] + 1e-12)
+    loss = _objective(pred_loss, s, p.size_penalty, p.entropy_penalty)
+    return loss, s, a_hat, z1, h1, probs
 
 
-def _masked_loss_and_grad(g, model, target, predicted, masked_edges, mask,
-                          size_penalty, entropy_penalty):
+def _masked_loss(p: _MaskProblem, mask: np.ndarray) -> float:
+    return _masked_forward(p, mask)[0]
+
+
+def _masked_loss_and_grad(p: _MaskProblem, mask: np.ndarray):
     """Loss and its analytic gradient wrt the mask values.
 
     Backpropagates through the two GCN layers into dL/dA_hat, then through
     the degree normalization into each symmetric edge weight.
     """
-    s = _sigmoid(mask)
-    a_soft = soft_adjacency(g, masked_edges, s)
-    n = a_soft.shape[0]
-    a_tilde = a_soft + np.eye(n)
-    d = a_tilde.sum(axis=1)
-    w_deg = 1.0 / np.sqrt(d)
-    a_hat = a_tilde * w_deg[:, None] * w_deg[None, :]
-
-    x = g.features
-    xw0 = x @ model.w0
-    z1 = a_hat @ xw0 + model.b0
-    h1 = np.maximum(z1, 0.0)
-    h1w1 = h1 @ model.w1
-    z2 = a_hat @ h1w1 + model.b1
-    z2s = z2 - z2.max(axis=1, keepdims=True)
-    exp = np.exp(z2s)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    pred_loss = -np.log(probs[target, predicted] + 1e-12)
+    loss, s, a_hat, z1, h1, probs = _masked_forward(p, mask)
+    m = p.model
 
     # dL/dZ2 is nonzero only in the target row
     g2 = np.zeros_like(probs)
-    g2[target] = probs[target]
-    g2[target, predicted] -= 1.0
+    g2[p.target] = probs[p.target]
+    g2[p.target, p.predicted] -= 1.0
 
-    m_hat = g2 @ h1w1.T                       # explicit A_hat in layer 2
-    g1 = (a_hat @ g2 @ model.w1.T) * (z1 > 0)
-    m_hat += g1 @ xw0.T                       # A_hat inside layer 1
+    g1 = (a_hat @ g2 @ m.w1.T) * (z1 > 0)
+    m_hat = g1 @ (p.features @ m.w0).T                 # A_hat in layer 1
+    m_hat[p.target] += g2[p.target] @ (h1 @ m.w1).T    # A_hat in layer 2
 
-    # through A_hat = w_i w_j * A_tilde: per-entry and per-degree parts
-    b = m_hat * a_tilde
-    row_b = b @ w_deg
-    col_b = b.T @ w_deg
-    t = 0.5 * d ** (-1.5) * (row_b + col_b)
-
-    grad_s = np.empty(len(masked_edges))
-    for idx, (u, v) in enumerate(masked_edges):
-        grad_s[idx] = (m_hat[u, v] + m_hat[v, u]) * w_deg[u] * w_deg[v] - t[u] - t[v]
+    # A_hat = w_i w_j (A + I) with w = d^-1/2, and A has a zero diagonal,
+    # so diag(A_hat) = 1/d.  An edge weight enters A_hat directly at (u, v)
+    # and (v, u), and through the degrees d_u and d_v.
+    inv_d = np.diag(a_hat)
+    t = 0.5 * inv_d * (np.einsum("ij,ij->i", m_hat, a_hat)
+                       + np.einsum("ij,ij->j", m_hat, a_hat))
+    u, v = p.rows, p.cols
+    grad_s = (m_hat[u, v] + m_hat[v, u]) * np.sqrt(inv_d[u] * inv_d[v]) - t[u] - t[v]
 
     ds_dm = s * (1.0 - s)
     grad = grad_s * ds_dm
-    grad += size_penalty * ds_dm
-    grad += entropy_penalty * (-mask) * ds_dm  # d binary_entropy(sigmoid(m))/dm
-    return _objective(pred_loss, s, size_penalty, entropy_penalty), grad
+    grad += p.size_penalty * ds_dm
+    grad += p.entropy_penalty * (-mask) * ds_dm  # d binary_entropy(sigmoid(m))/dm
+    return loss, grad
 
 
 def explain(model: GcnModel, g: RelationalGraph, target: int,
@@ -188,27 +208,21 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
         raise SingleNodeExplanation(
             f"node {target} has an empty {cfg.hops}-hop computation subgraph")
 
-    a_hat_full = normalize_adjacency(adjacency(g))
-    predicted = int(gcn_forward(model, g.features, a_hat=a_hat_full)[target].argmax())
+    predicted = int(predict(model, g)[target])
+    problem = _mask_problem(g, model, target, predicted, masked_edges, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     mask = rng.uniform(-0.1, 0.1, size=len(masked_edges))
 
-    loss = _masked_loss(g, model, target, predicted, masked_edges, mask,
-                        cfg.size_penalty, cfg.entropy_penalty)
     for _ in range(cfg.mask_steps):
-        loss, grad = _masked_loss_and_grad(g, model, target, predicted,
-                                           masked_edges, mask,
-                                           cfg.size_penalty, cfg.entropy_penalty)
+        loss, grad = _masked_loss_and_grad(problem, mask)
         step = cfg.mask_lr
         accepted = False
         for _ in range(20):
             candidate = mask - step * grad
-            cand_loss = _masked_loss(g, model, target, predicted, masked_edges,
-                                     candidate, cfg.size_penalty, cfg.entropy_penalty)
+            cand_loss = _masked_loss(problem, candidate)
             if cand_loss < loss:
                 mask = candidate
-                loss = cand_loss
                 accepted = True
                 break
             step *= 0.5

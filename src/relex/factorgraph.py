@@ -413,9 +413,6 @@ class JointTable:
     factor_id: int
     table: np.ndarray  # (2, 2, target_card), sums to 1
 
-    def pair_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=2)
-
 
 def joint_distribution(fg: FactorGraph, ms: MessageState, fid: int) -> JointTable:
     """Scope belief at a factor: all potentials sharing the factor's scope

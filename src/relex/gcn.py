@@ -42,7 +42,7 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class GcnModel:
-    """Trained weights plus the training graph's normalized adjacency.
+    """Trained weights.
 
     Bias vectors are required: with constant node features (the synthetic
     benchmarks) a bias-free two-layer GCN has rank-one logits and predicts
@@ -56,7 +56,6 @@ class GcnModel:
     hidden_dim: int
     class_count: int
     seed: int
-    a_hat: np.ndarray | None = None  # cached normalized adjacency of the training graph
 
     def __post_init__(self):
         for arr in (self.w0, self.w1, self.b0, self.b1):
@@ -81,7 +80,11 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     a_tilde = a + np.eye(n)
     d = a_tilde.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(d)
-    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+    # scaled in place: at a few hundred nodes, allocating a fresh n x n
+    # product costs several times the multiply itself
+    a_tilde *= inv_sqrt[:, None]
+    a_tilde *= inv_sqrt[None, :]
+    return a_tilde
 
 
 def _forward(a_hat: np.ndarray, x: np.ndarray, w0: np.ndarray, w1: np.ndarray,
@@ -95,12 +98,9 @@ def _forward(a_hat: np.ndarray, x: np.ndarray, w0: np.ndarray, w1: np.ndarray,
     return z1, h1, probs
 
 
-def gcn_forward(m: GcnModel, features: np.ndarray,
-                a_hat: np.ndarray | None = None) -> np.ndarray:
-    """Class-probability matrix (n, C); rows sum to 1."""
-    a_hat = m.a_hat if a_hat is None else a_hat
-    if a_hat is None:
-        raise ValueError("model has no cached adjacency; pass a_hat explicitly")
+def gcn_forward(m: GcnModel, features: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+    """Class-probability matrix (n, C) on the normalized adjacency a_hat;
+    rows sum to 1."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != m.input_dim:
         raise ValueError(f"feature dim {features.shape[1]} != model input dim {m.input_dim}")
@@ -228,7 +228,7 @@ def train_gcn(g: RelationalGraph, split: NodeSplit, cfg: TrainConfig) -> GcnMode
     w0, w1, b0, b1 = best_params
     return GcnModel(w0=w0, w1=w1, b0=b0, b1=b1,
                     hidden_dim=cfg.hidden_dim, class_count=g.class_count,
-                    seed=cfg.seed, a_hat=a_hat)
+                    seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +250,12 @@ def save_model(m: GcnModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(blob), encoding="utf-8")
 
 
-def load_model(path: str | Path, graph: RelationalGraph | None = None) -> GcnModel:
+def load_model(path: str | Path) -> GcnModel:
     blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    a_hat = None
-    if graph is not None:
-        a_hat = normalize_adjacency(adjacency(graph))
     return GcnModel(w0=np.asarray(blob["w0"], dtype=np.float64),
                     w1=np.asarray(blob["w1"], dtype=np.float64),
                     b0=np.asarray(blob["b0"], dtype=np.float64),
                     b1=np.asarray(blob["b1"], dtype=np.float64),
                     hidden_dim=int(blob["hidden_dim"]),
                     class_count=int(blob["class_count"]),
-                    seed=int(blob["seed"]),
-                    a_hat=a_hat)
+                    seed=int(blob["seed"]))

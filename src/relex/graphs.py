@@ -31,7 +31,7 @@ def normalize_edge(u: int, v: int) -> Edge:
 class RelationalGraph:
     """Undirected node-attributed graph with integer class labels.
 
-    Immutable after construction; safe to share across pipeline workers.
+    Immutable after construction.
     """
 
     node_count: int

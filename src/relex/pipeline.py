@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -137,15 +135,6 @@ def seeded(stage_cfg, seed: int, target: int | None = None):
     return replace(stage_cfg, seed=derived_seed(seed, *tag))
 
 
-def worker_count() -> int:
-    """Worker cap from RELEX_THREADS; defaults to sequential."""
-    raw = os.environ.get("RELEX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Relation selection and graph reduction
 # ---------------------------------------------------------------------------
@@ -165,14 +154,6 @@ def select_removal_edges(rankings: Mapping[int, Sequence[tuple[Edge, float]]],
         if len(ordered) >= i:
             selected.add(ordered[i - 1][0])
     return selected
-
-
-def reduced_graph(g: RelationalGraph,
-                  rankings: Mapping[int, Sequence[tuple[Edge, float]]],
-                  i: int) -> RelationalGraph:
-    """Graph minus each target's i-th highest-scored relation."""
-    out, _ = remove_edges(g, select_removal_edges(rankings, i))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +199,14 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
         candidates = sorted(rng.choice(candidates, size=cfg.max_targets,
                                        replace=False).tolist())
 
-    def explain_target(target: int) -> tuple[int, Explanation | None]:
+    explanations: dict[int, Explanation] = {}
+    for target in candidates:
         try:
             e = explain(model, g, target, seeded(cfg.explain, cfg.seed, target))
         except SingleNodeExplanation:
-            return target, None
-        if len(e.relations) <= 1:  # single-edge explanations are filtered
-            return target, None
-        return target, e
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            explained = list(pool.map(explain_target, candidates))
-    else:
-        explained = [explain_target(t) for t in candidates]
-    explanations = {t: e for (t, e) in explained if e is not None}
+            continue
+        if len(e.relations) > 1:  # single-edge explanations are filtered
+            explanations[target] = e
     bundle.targets = sorted(explanations)
     if not explanations:
         raise PipelineStageError("explain", RuntimeError("no eligible target survived filtering"),
@@ -245,8 +218,7 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
         rcfg = seeded(cfg.rank_search, cfg.seed)
         ladder = stage("cres", rank_ladder, adjacency(g), g.edge_count, rcfg)
 
-        def bp_target(target: int):
-            # (target, report, warning); scores explain_target's explanation
+        for target in sorted(explanations):
             try:
                 cres = generate_cres(g, model, target,
                                      seeded(cfg.explain, cfg.seed, target), rcfg,
@@ -255,16 +227,11 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
                                    learning_rate=cfg.learn_rate,
                                    epochs=cfg.learn_epochs)
             except (EmptyCreSet, CreGenerationFailed) as exc:
-                return target, None, f"target {target}: {exc}"
-            return target, quantify_uncertainty(fg, explanations[target], cfg.bp), None
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                scored = list(pool.map(bp_target, sorted(explanations)))
-        else:
-            scored = [bp_target(t) for t in sorted(explanations)]
-        bundle.reports = {t: r for (t, r, _) in scored if r is not None}
-        bundle.warnings.extend(w for (_, _, w) in scored if w is not None)
+                bundle.warnings.append(f"target {target}: {exc}")
+                continue
+            # scores the explanation the loop above made
+            bundle.reports[target] = quantify_uncertainty(fg, explanations[target],
+                                                          cfg.bp)
         if not bundle.reports:
             raise PipelineStageError(
                 "scores", RuntimeError("BP scoring failed for every target"),

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from relex.explainer import (ExplainConfig, Explanation, SingleNodeExplanation,
-                             _masked_loss, _masked_loss_and_grad,
-                             computation_subgraph, deletion_impact, explain,
-                             explanation_from_dict, explanation_to_dict,
+                             _mask_problem, _masked_loss, _masked_loss_and_grad,
+                             _sigmoid, computation_subgraph, deletion_impact,
+                             explain, explanation_from_dict, explanation_to_dict,
                              is_scores, load_explanation, save_explanation,
                              soft_adjacency)
-from relex.gcn import TrainConfig, gcn_forward, normalize_adjacency, train_gcn
-from relex.graphs import NodeSplit, adjacency, make_graph
+from relex.gcn import (TrainConfig, gcn_forward, normalize_adjacency, predict,
+                       train_gcn)
+from relex.graphs import NodeSplit, adjacency, make_graph, split_nodes
+from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +50,17 @@ class TestComputationSubgraph:
         assert computation_subgraph(g, 2, 1) == [(1, 2), (2, 3)]
 
 
+def unit_soft_adjacency(g, edges):
+    rows, cols = np.array(edges).T
+    return soft_adjacency(adjacency(g).astype(float), rows, cols,
+                          np.ones(len(edges)))
+
+
 class TestSoftAdjacency:
     def test_weights_one_reproduce_unmasked(self, bridge_setup):
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
-        a_soft = soft_adjacency(g, edges, np.ones(len(edges)))
+        a_soft = unit_soft_adjacency(g, edges)
         np.testing.assert_array_equal(a_soft, adjacency(g).astype(float))
         np.testing.assert_allclose(normalize_adjacency(a_soft),
                                    normalize_adjacency(adjacency(g)))
@@ -60,30 +68,120 @@ class TestSoftAdjacency:
     def test_forward_identical_at_unit_weights(self, bridge_setup):
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
-        a_hat = normalize_adjacency(soft_adjacency(g, edges, np.ones(len(edges))))
+        a_hat = normalize_adjacency(unit_soft_adjacency(g, edges))
         p1 = gcn_forward(model, g.features, a_hat=a_hat)
         p2 = gcn_forward(model, g.features,
                          a_hat=normalize_adjacency(adjacency(g)))
         np.testing.assert_array_equal(p1, p2)
 
 
+def reference_loss_and_grad(g, model, target, predicted, masked_edges, mask,
+                            size_penalty, entropy_penalty):
+    """The mask gradient as derived before the explainer shared the GCN's
+    forward pass: its own normalization and forward pass, and the degree
+    terms through d^-1/2 edge by edge."""
+    s = _sigmoid(mask)
+    a_soft = adjacency(g).astype(np.float64)
+    for (u, v), w in zip(masked_edges, s):
+        a_soft[u, v] = w
+        a_soft[v, u] = w
+    n = a_soft.shape[0]
+    a_tilde = a_soft + np.eye(n)
+    d = a_tilde.sum(axis=1)
+    w_deg = 1.0 / np.sqrt(d)
+    a_hat = a_tilde * w_deg[:, None] * w_deg[None, :]
+
+    xw0 = g.features @ model.w0
+    z1 = a_hat @ xw0 + model.b0
+    h1 = np.maximum(z1, 0.0)
+    h1w1 = h1 @ model.w1
+    z2 = a_hat @ h1w1 + model.b1
+    z2s = z2 - z2.max(axis=1, keepdims=True)
+    exp = np.exp(z2s)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    pred_loss = -np.log(probs[target, predicted] + 1e-12)
+
+    g2 = np.zeros_like(probs)
+    g2[target] = probs[target]
+    g2[target, predicted] -= 1.0
+    m_hat = g2 @ h1w1.T
+    g1 = (a_hat @ g2 @ model.w1.T) * (z1 > 0)
+    m_hat += g1 @ xw0.T
+
+    b = m_hat * a_tilde
+    row_b = b @ w_deg
+    col_b = b.T @ w_deg
+    t = 0.5 * d ** (-1.5) * (row_b + col_b)
+    grad_s = np.empty(len(masked_edges))
+    for idx, (u, v) in enumerate(masked_edges):
+        grad_s[idx] = (m_hat[u, v] + m_hat[v, u]) * w_deg[u] * w_deg[v] - t[u] - t[v]
+
+    ds_dm = s * (1.0 - s)
+    grad = grad_s * ds_dm + size_penalty * ds_dm + entropy_penalty * (-mask) * ds_dm
+    ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
+    loss = pred_loss + size_penalty * s.sum() + entropy_penalty * ent.sum()
+    return loss, grad
+
+
+@pytest.fixture(scope="module")
+def generator_problems():
+    """Three targets, with the model's predicted class, on a briefly
+    trained model for a small graph from each of the four generators."""
+    cfg = ExplainConfig()
+    problems = []
+    for kind in GENERATORS:
+        g = DatasetSpec(kind, base_nodes=12, motif_count=3, height=3).build(4)
+        model = train_gcn(g, split_nodes(g, 4),
+                          TrainConfig(hidden_dim=8, max_epochs=60, seed=4, restarts=1))
+        pred = predict(model, g)
+        for target in eligible_targets(g, True)[::4][:3]:
+            edges = computation_subgraph(g, target, cfg.hops)
+            problems.append((kind, g, model, target, int(pred[target]), edges))
+    return problems
+
+
 class TestMaskGradient:
     def test_matches_finite_differences(self, bridge_setup):
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
+        p = _mask_problem(g, model, 4, 0, edges, ExplainConfig())
         rng = np.random.default_rng(3)
         mask = rng.normal(scale=0.8, size=len(edges))
-        _, grad = _masked_loss_and_grad(g, model, 4, 0, edges, mask, 0.05, 0.1)
+        _, grad = _masked_loss_and_grad(p, mask)
         h = 1e-6
         fd = np.zeros_like(mask)
         for i in range(len(mask)):
             up, dn = mask.copy(), mask.copy()
             up[i] += h
             dn[i] -= h
-            fd[i] = (_masked_loss(g, model, 4, 0, edges, up, 0.05, 0.1)
-                     - _masked_loss(g, model, 4, 0, edges, dn, 0.05, 0.1)) / (2 * h)
+            fd[i] = (_masked_loss(p, up) - _masked_loss(p, dn)) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-4
+
+    def test_matches_reference_on_all_generators(self, generator_problems):
+        assert {kind for (kind, *_) in generator_problems} == set(GENERATORS)
+        cfg = ExplainConfig()
+        rng = np.random.default_rng(17)
+        for (kind, g, model, target, predicted, edges) in generator_problems:
+            p = _mask_problem(g, model, target, predicted, edges, cfg)
+            for scale in (0.1, 1.0, 4.0):
+                mask = rng.normal(scale=scale, size=len(edges))
+                ref_loss, ref_grad = reference_loss_and_grad(
+                    g, model, target, predicted, edges, mask,
+                    cfg.size_penalty, cfg.entropy_penalty)
+                loss, grad = _masked_loss_and_grad(p, mask)
+                worst = np.abs(grad - ref_grad).max() / np.abs(ref_grad).max()
+                assert worst < 1e-10, (kind, target, scale, worst)
+                assert loss == pytest.approx(ref_loss, rel=1e-12)
+
+    def test_step_loss_equals_masked_loss(self, generator_problems):
+        cfg = ExplainConfig()
+        rng = np.random.default_rng(18)
+        for (kind, g, model, target, predicted, edges) in generator_problems:
+            p = _mask_problem(g, model, target, predicted, edges, cfg)
+            for scale in (0.1, 1.0, 4.0):
+                mask = rng.normal(scale=scale, size=len(edges))
+                assert _masked_loss_and_grad(p, mask)[0] == _masked_loss(p, mask)
 
 
 class TestExplain:
@@ -133,19 +231,17 @@ class TestExplain:
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
         cfg = ExplainConfig(mask_steps=40, seed=2)
+        p = _mask_problem(g, model, 4, 0, edges, cfg)
         rng = np.random.default_rng(cfg.seed)
         mask = rng.uniform(-0.1, 0.1, size=len(edges))
-        losses = [_masked_loss(g, model, 4, 0, edges, mask, cfg.size_penalty,
-                               cfg.entropy_penalty)]
+        losses = [_masked_loss(p, mask)]
         for _ in range(cfg.mask_steps):
-            loss, grad = _masked_loss_and_grad(g, model, 4, 0, edges, mask,
-                                               cfg.size_penalty, cfg.entropy_penalty)
+            loss, grad = _masked_loss_and_grad(p, mask)
             step = cfg.mask_lr
             accepted = False
             for _ in range(20):
                 cand = mask - step * grad
-                cl = _masked_loss(g, model, 4, 0, edges, cand,
-                                  cfg.size_penalty, cfg.entropy_penalty)
+                cl = _masked_loss(p, cand)
                 if cl < loss:
                     mask, accepted = cand, True
                     losses.append(cl)

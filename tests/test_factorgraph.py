@@ -661,12 +661,6 @@ class TestJointDistribution:
                 np.testing.assert_allclose(table / table.sum(), beliefs[cid],
                                            atol=1e-9)
 
-    def test_pair_marginal_sums_target(self):
-        fg = single_factor_graph(1.0)
-        state = run_bp(fg, EXACT_BP)
-        jt = joint_distribution(fg, state, 0)
-        np.testing.assert_allclose(jt.pair_marginal(), jt.table.sum(axis=2))
-
     def test_unknown_factor(self):
         fg = single_factor_graph(1.0)
         state = run_bp(fg, EXACT_BP)

@@ -58,17 +58,16 @@ class TestForward:
                        labels=[0, 1, 0], class_count=2)
         m = GcnModel(w0=np.zeros((2, 4)), w1=np.zeros((4, 2)),
                      b0=np.zeros(4), b1=np.zeros(2), hidden_dim=4,
-                     class_count=2, seed=0,
-                     a_hat=normalize_adjacency(adjacency(g)))
-        probs = gcn_forward(m, g.features)
+                     class_count=2, seed=0)
+        probs = gcn_forward(m, g.features, normalize_adjacency(adjacency(g)))
         np.testing.assert_allclose(probs, 0.5 * np.ones((3, 2)))
 
     def test_rows_sum_to_one(self):
         g = two_cliques()
         w0, w1, b0, b1 = init_weights(2, 6, 2, seed=4)
         m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, hidden_dim=6, class_count=2,
-                     seed=4, a_hat=normalize_adjacency(adjacency(g)))
-        probs = gcn_forward(m, g.features)
+                     seed=4)
+        probs = gcn_forward(m, g.features, normalize_adjacency(adjacency(g)))
         assert probs.shape == (8, 2)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -81,21 +80,21 @@ class TestForward:
         b0 = np.array([0.1])
         b1 = np.array([0.05, -0.05])
         m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, hidden_dim=1, class_count=2,
-                     seed=0, a_hat=np.array([[1.0]]))
+                     seed=0)
         h = max(2.0 * 0.3 + (-1.0) * 0.5 + 0.1, 0.0)
         z = (h * 0.7 + 0.05, h * (-0.2) - 0.05)
         denom = math.exp(z[0]) + math.exp(z[1])
         expected = (math.exp(z[0]) / denom, math.exp(z[1]) / denom)
-        np.testing.assert_allclose(gcn_forward(m, g.features)[0], expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(gcn_forward(m, g.features, np.array([[1.0]]))[0],
+                                   expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         g = two_cliques()
         w0, w1, b0, b1 = init_weights(2, 4, 2, seed=0)
         m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, hidden_dim=4, class_count=2,
-                     seed=0, a_hat=normalize_adjacency(adjacency(g)))
+                     seed=0)
         with pytest.raises(ValueError, match="feature dim"):
-            gcn_forward(m, np.ones((8, 5)))
+            gcn_forward(m, np.ones((8, 5)), normalize_adjacency(adjacency(g)))
 
 
 class TestGradients:
@@ -170,8 +169,7 @@ class TestPredict:
                        labels=[0, 1, 0], class_count=2)
         m = GcnModel(w0=np.zeros((2, 4)), w1=np.zeros((4, 2)),
                      b0=np.zeros(4), b1=np.zeros(2), hidden_dim=4,
-                     class_count=2, seed=0,
-                     a_hat=normalize_adjacency(adjacency(g)))
+                     class_count=2, seed=0)
         np.testing.assert_array_equal(predict(m, g), [0, 0, 0])
 
     def test_same_graph_same_predictions(self):
@@ -198,7 +196,7 @@ class TestSerialization:
         m = train_gcn(g, split, TrainConfig(hidden_dim=8, max_epochs=100, seed=3,
                                             restarts=1))
         save_model(m, tmp_path / "m.json")
-        m2 = load_model(tmp_path / "m.json", graph=g)
+        m2 = load_model(tmp_path / "m.json")
         np.testing.assert_array_equal(m.w0, m2.w0)
         np.testing.assert_array_equal(m.w1, m2.w1)
         np.testing.assert_array_equal(m.b0, m2.b0)

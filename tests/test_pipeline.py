@@ -10,8 +10,8 @@ from relex.gcn import TrainConfig
 from relex.graphs import make_graph, remove_edges
 from relex.pipeline import (DatasetSpec, PipelineConfig, VerificationBundle,
                             bundle_from_dict, derived_seed, edge_count_warnings,
-                            eligible_targets, emit_report, reduced_graph,
-                            seeded, select_removal_edges, worker_count)
+                            eligible_targets, emit_report, seeded,
+                            select_removal_edges)
 
 
 def triangle_plus():
@@ -44,22 +44,28 @@ class TestSelectRemovalEdges:
 
 
 class TestReducedGraph:
+    """The graph `run_verification` retrains on at removal depth i."""
+
+    @staticmethod
+    def reduced(g, rankings, i):
+        return remove_edges(g, select_removal_edges(rankings, i))[0]
+
     def test_removes_top_scored(self):
         g = triangle_plus()
         rankings = {0: [((0, 1), 0.4), ((1, 2), 0.9)]}
-        g1 = reduced_graph(g, rankings, 1)
+        g1 = self.reduced(g, rankings, 1)
         assert g1.edges == g.edges - {(1, 2)}
 
     def test_unchanged_when_i_too_large(self):
         g = triangle_plus()
         rankings = {0: [((0, 1), 0.4)]}
-        g2 = reduced_graph(g, rankings, 5)
+        g2 = self.reduced(g, rankings, 5)
         assert g2.edges == g.edges
 
     def test_union_across_targets(self):
         g = triangle_plus()
         rankings = {0: [((0, 1), 0.9)], 1: [((2, 3), 0.8)], 2: [((0, 1), 0.7)]}
-        g1 = reduced_graph(g, rankings, 1)
+        g1 = self.reduced(g, rankings, 1)
         assert g1.edges == g.edges - {(0, 1), (2, 3)}
 
 
@@ -151,20 +157,6 @@ class TestDerivedSeed:
         assert seeded(RankSearchConfig(), 3).seed == derived_seed(3, 4)
         with pytest.raises(ValueError):
             seeded(ExplainConfig(), 3)
-
-
-class TestWorkerCount:
-    def test_default_sequential(self, monkeypatch):
-        monkeypatch.delenv("RELEX_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("RELEX_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_garbage_env(self, monkeypatch):
-        monkeypatch.setenv("RELEX_THREADS", "many")
-        assert worker_count() == 1
 
 
 def small_bundle():

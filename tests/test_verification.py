@@ -77,16 +77,6 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
 
-    def test_worker_threads_do_not_change_results(self, tmp_path, both_bundle,
-                                                  monkeypatch):
-        monkeypatch.setenv("RELEX_THREADS", "3")
-        threaded = run_verification(tiny_config())
-        emit_report(both_bundle, tmp_path / "seq")
-        emit_report(threaded, tmp_path / "par")
-        for name in ("results.csv", "bundle.json"):
-            assert (tmp_path / "seq" / name).read_bytes() == \
-                   (tmp_path / "par" / name).read_bytes(), name
-
     def test_per_target_uncertainty_csvs_written(self, tmp_path, both_bundle):
         files = emit_report(both_bundle, tmp_path)
         names = {f.name for f in files}
