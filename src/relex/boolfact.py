@@ -35,21 +35,26 @@ class EmptyCreSet(RuntimeError):
     """No counterfactual explanation could be generated."""
 
 
+START_FRACTION = 0.25  # start rank: the first with error < this * edge count
+PENALTY_START = 0.1    # the solver's penalty weight at its first sweep
+PENALTY_GROWTH = 1.01  # and its growth factor per sweep
+THRESHOLD = 0.5        # the relaxed factors binarize at this value
+
+
 @dataclass
 class RankSearchConfig:
-    start_fraction: float = 0.25
+    """Rank search settings.  The start criterion and the solver schedule
+    are fixed: START_FRACTION, PENALTY_START, PENALTY_GROWTH, THRESHOLD."""
+
     stop_fraction: float = 0.05
     max_rank: int = 64
     solver_iterations: int = 10000
-    penalty_start: float = 0.1
-    penalty_growth: float = 1.01
-    threshold: float = 0.5
     seed: int = 0
     restarts: int = 5
 
     def __post_init__(self):
-        if not (0 < self.stop_fraction < self.start_fraction < 1):
-            raise ValueError("need 0 < stop_fraction < start_fraction < 1")
+        if not (0 < self.stop_fraction < START_FRACTION):
+            raise ValueError(f"need 0 < stop_fraction < {START_FRACTION}")
         if self.solver_iterations < 1:
             raise ValueError("solver_iterations must be >= 1")
         if self.restarts < 1:
@@ -93,13 +98,13 @@ def _penalty_solve(p: np.ndarray, k: int, cfg: RankSearchConfig,
     rng = np.random.default_rng(seed_parts)
     q = rng.uniform(0.0, 1.0, size=(n, k))
     r = rng.uniform(0.0, 1.0, size=(k, m))
-    lam = cfg.penalty_start
+    lam = PENALTY_START
     eps = 1e-10
     p_int = p.astype(np.int8)
 
     def binarized():
-        qb = (q >= cfg.threshold).astype(np.int8)
-        rb = (r >= cfg.threshold).astype(np.int8)
+        qb = (q >= THRESHOLD).astype(np.int8)
+        rb = (r >= THRESHOLD).astype(np.int8)
         return qb, rb, boolean_error(p_int, boolean_product(qb, rb))
 
     best_q, best_r, best_err = binarized()
@@ -112,7 +117,7 @@ def _penalty_solve(p: np.ndarray, k: int, cfg: RankSearchConfig,
         num_r = q.T @ p + 3.0 * lam * r ** 2
         den_r = (q.T @ q) @ r + 2.0 * lam * r ** 3 + lam * r + eps
         r = np.clip(r * num_r / den_r, 0.0, 1.0)
-        lam *= cfg.penalty_growth
+        lam *= PENALTY_GROWTH
         if (sweep + 1) % check_every == 0:
             qb, rb, err = binarized()
             if err < best_err:
@@ -135,10 +140,10 @@ def bmf_factorize(p: np.ndarray, k: int, cfg: RankSearchConfig) -> BooleanFactor
     """Penalty-driven multiplicative-update Boolean factorization at rank k.
 
     Splits the gradient of ||P - QR||_F^2 + (lambda/2) sum((f(1-f))^2) into
-    positive and negative parts; lambda grows by cfg.penalty_growth each
-    sweep, pushing the relaxed factors toward {0, 1}.  Factors are
-    binarized at cfg.threshold; the best binarized factorization over
-    cfg.restarts seeded runs is returned.  When k reaches the number of
+    positive and negative parts; lambda starts at PENALTY_START and grows
+    by PENALTY_GROWTH each sweep, pushing the relaxed factors toward
+    {0, 1}.  Factors are binarized at THRESHOLD; the best binarized
+    factorization over cfg.restarts seeded runs is returned.  When k reaches the number of
     distinct rows of P the exact row-indicator factorization is also a
     candidate, so the error is then 0.  Deterministic for a fixed seed.
     """
@@ -168,14 +173,14 @@ def rank_ladder(p: np.ndarray, edge_count: int,
                 cfg: RankSearchConfig) -> list[BooleanFactorization]:
     """Factorizations from the start rank until the stop criterion.
 
-    Start rank: the smallest rank whose error is below start_fraction *
+    Start rank: the smallest rank whose error is below START_FRACTION *
     edge_count, found by doubling then bisection.  From there the rank is
-    incremented by 1 until the error drops below stop_fraction *
+    incremented by 1 until the error drops below cfg.stop_fraction *
     edge_count, fails to strictly decrease for 2 consecutive ranks, or the
     rank exceeds max_rank.  Independent of any explanation target, so one
     ladder can be shared across targets.
     """
-    start_err = cfg.start_fraction * edge_count
+    start_err = START_FRACTION * edge_count
     stop_err = cfg.stop_fraction * edge_count
 
     solved: dict[int, BooleanFactorization] = {}

@@ -12,8 +12,9 @@ JSON/CSV formats used throughout the package.
     verify     full retrain-and-compare pipeline -> results.csv etc.
     report     rewrite every file verify wrote from its bundle.json
 
-Options default to their config dataclass fields, and the staged commands
-derive sub-seeds from --seed as verify does (relex.pipeline.seeded), so
+Options default to their config dataclass fields (learn-fg's to
+factorgraph.LEARN_RATE and LEARN_EPOCHS), and the staged commands derive
+sub-seeds from --seed as verify does (relex.pipeline.seeded), so
 the staged chain run with verify's seed and flags repeats verify.
 
 Exit codes: 0 success, 2 validation error, 3 pipeline-stage failure.
@@ -30,7 +31,8 @@ from relex.boolfact import (CreGenerationFailed, EmptyCreSet, RankSearchConfig,
                             generate_cres, load_creset, save_creset)
 from relex.explainer import (ExplainConfig, SingleNodeExplanation, explain,
                              load_explanation, save_explanation)
-from relex.factorgraph import (BpConfig, build_factor_graph, learn_weights,
+from relex.factorgraph import (LEARN_EPOCHS, LEARN_RATE, BpConfig,
+                               build_factor_graph, learn_weights,
                                load_factorgraph, quantify_uncertainty,
                                report_to_csv, save_factorgraph)
 from relex.gcn import TrainConfig, TrainingDiverged, load_model, save_model, train_gcn
@@ -122,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn-fg", help="build and train the factor graph")
     p.add_argument("--cres", required=True)
-    p.add_argument("--lr", type=float, default=PipelineConfig.learn_rate)
-    p.add_argument("--epochs", type=int, default=PipelineConfig.learn_epochs)
+    p.add_argument("--lr", type=float, default=LEARN_RATE)
+    p.add_argument("--epochs", type=int, default=LEARN_EPOCHS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate",

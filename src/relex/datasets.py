@@ -71,9 +71,9 @@ def generate_ba_shapes(base_nodes: int, motif_count: int, seed: int) -> Relation
     return make_graph(n, edges, features=feats, labels=labels, class_count=4)
 
 
-def generate_ba_community(base_nodes: int, motif_count: int, seed: int,
-                          inter_edges: int | None = None) -> RelationalGraph:
-    """Two BA-shapes communities joined by random inter-community edges.
+def generate_ba_community(base_nodes: int, motif_count: int, seed: int) -> RelationalGraph:
+    """Two BA-shapes communities joined by max(1, n // 20) random
+    inter-community edges, n the total node count.
 
     Experimental approximation: labels of the second community are shifted
     by 4 (8 classes total).
@@ -86,8 +86,7 @@ def generate_ba_community(base_nodes: int, motif_count: int, seed: int,
     edges.update((u + off, v + off) for (u, v) in g2.edges)
     labels = np.concatenate([g1.labels, g2.labels + 4])
     rng = np.random.default_rng(seed + 2)
-    if inter_edges is None:
-        inter_edges = max(1, n // 20)
+    inter_edges = max(1, n // 20)
     added = 0
     while added < inter_edges:
         u = int(rng.integers(off))

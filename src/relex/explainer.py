@@ -34,11 +34,13 @@ class SingleNodeExplanation(ValueError):
     """Target has an empty computation subgraph; callers filter these."""
 
 
+MASK_LR = 1.0  # each mask step's line search starts here, halving up to 20 times
+
+
 @dataclass
 class ExplainConfig:
     hops: int = 2
     mask_steps: int = 300
-    mask_lr: float = 1.0
     size_penalty: float = 0.05
     entropy_penalty: float = 0.1
     top_k: int = 6
@@ -216,7 +218,7 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
 
     for _ in range(cfg.mask_steps):
         loss, grad = _masked_loss_and_grad(problem, mask)
-        step = cfg.mask_lr
+        step = MASK_LR
         accepted = False
         for _ in range(20):
             candidate = mask - step * grad

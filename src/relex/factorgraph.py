@@ -43,11 +43,6 @@ class Factor:
     def relation(self) -> Edge:
         return (self.u, self.v)
 
-    def potential(self, target_card: int) -> np.ndarray:
-        tab = np.ones((2, 2, target_card))
-        tab[1, 1, self.target_state] = math.exp(self.weight)
-        return tab
-
 
 @dataclass
 class FactorGraph:
@@ -92,13 +87,6 @@ def build_factor_graph(s: CreSet) -> FactorGraph:
             for c in range(s.class_count):
                 factors.append(Factor(u=u, v=v, target_state=c, weight=0.0, kind="learned"))
     return FactorGraph(entities=entities, target_card=target_card, factors=factors)
-
-
-def count_true_clauses(s: CreSet, relation: Edge) -> int:
-    """Number of explanations in the CRE set containing the relation."""
-    if relation not in s.relation_index:
-        raise KeyError(f"unknown relation {relation}")
-    return sum(1 for e in s.explanations if relation in e.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +153,7 @@ def _map_max_product(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int,
     return {var: int(marginal(fg, state, var).argmax()) for var in fg.variables}
 
 
-def map_assignment(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, int]:
+def map_assignment(fg: FactorGraph) -> dict[int, int]:
     """Most probable assignment; exhaustive up to 20 variables, then
     max-product message passing.
 
@@ -179,7 +167,7 @@ def map_assignment(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, i
     """
     if len(fg.variables) <= 20:
         return _map_exhaustive(fg)
-    return _map_max_product(fg, bp)
+    return _map_max_product(fg)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +187,8 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
     is |S| times an indicator of the relation's clause holding under the
     current MAP assignment; the gradient is (observed - expected) and
     weights move up it.  Weights are shared across a relation's parallel
-    class factors and clipped to [-10, 10].
+    class factors and clipped to [-10, 10].  Returns a new graph; fg is
+    not modified.
     """
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
@@ -212,14 +201,12 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
         weights[rel] = float(np.mean(gcs))
         observed[rel] = len(gcs)
 
-    def with_weights(w: dict[Edge, float]) -> FactorGraph:
-        factors = [replace(f, weight=w[f.relation]) if f.kind == "learned" else replace(f)
-                   for f in fg.factors]
-        return FactorGraph(entities=fg.entities, target_card=fg.target_card,
-                           factors=factors)
-
+    # one copy of fg's factors, whose learned weights each epoch rewrites
+    factors = [replace(f, weight=weights[f.relation]) if f.kind == "learned" else replace(f)
+               for f in fg.factors]
+    current = FactorGraph(entities=fg.entities, target_card=fg.target_card,
+                          factors=factors)
     learned = {rel: fg.learned_factors(rel) for rel in relations}
-    current = with_weights(weights)
     for _ in range(epochs):
         assignment = map_assignment(current)
         moved = False
@@ -231,7 +218,8 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
             if step != 0.0:
                 moved = True
             weights[rel] = float(np.clip(weights[rel] + step, -10.0, 10.0))
-        current = with_weights(weights)
+            for i in learned[rel]:  # the MAP assignment above stays fixed
+                factors[i].weight = weights[rel]
         if not moved:
             break
     return current
@@ -379,7 +367,8 @@ def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:
     for cid, key in enumerate(order):
         table = np.ones((2, 2, fg.target_card))
         for fid in grouped[key]:
-            table *= fg.factors[fid].potential(fg.target_card)
+            f = fg.factors[fid]
+            table[1, 1, f.target_state] *= math.exp(f.weight)
             factor_cluster[fid] = cid
         clusters.append(Cluster(scope=(key[0], key[1], TARGET), table=table))
     return clusters, factor_cluster
@@ -408,15 +397,10 @@ def marginal(fg: FactorGraph, ms: MessageState, var: int) -> np.ndarray:
     return belief / belief.sum()
 
 
-@dataclass
-class JointTable:
-    factor_id: int
-    table: np.ndarray  # (2, 2, target_card), sums to 1
-
-
-def joint_distribution(fg: FactorGraph, ms: MessageState, fid: int) -> JointTable:
-    """Scope belief at a factor: all potentials sharing the factor's scope
-    times the incoming variable messages, normalized."""
+def joint_distribution(fg: FactorGraph, ms: MessageState, fid: int) -> np.ndarray:
+    """Scope belief at a factor, a (2, 2, target_card) table summing to 1:
+    all potentials sharing the factor's scope times the incoming variable
+    messages, normalized."""
     if fid not in ms.factor_cluster:
         raise KeyError(f"unknown factor {fid}")
     cid = ms.factor_cluster[fid]
@@ -426,7 +410,7 @@ def joint_distribution(fg: FactorGraph, ms: MessageState, fid: int) -> JointTabl
         shape = [1] * belief.ndim
         shape[slot] = m.shape[0]
         belief = belief * m.reshape(shape)
-    return JointTable(factor_id=fid, table=belief / belief.sum())
+    return belief / belief.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +478,6 @@ class UncertaintyReport:
         return [(r.edge, r.neg_log_delta) for r in self.ranked()]
 
 
-def _satisfying_beliefs(fg: FactorGraph, ms: MessageState,
-                        fids: list[int]) -> list[float]:
-    out = []
-    for fid in fids:
-        f = fg.factors[fid]
-        table = joint_distribution(fg, ms, fid).table
-        out.append(float(table[1, 1, f.target_state]))
-    return out
-
-
 def quantify_uncertainty(fg: FactorGraph, e: Explanation,
                          bp: BpConfig | None = None) -> UncertaintyReport:
     """Calibrate, inject the explanation, re-calibrate and report deltas.
@@ -535,8 +509,10 @@ def quantify_uncertainty(fg: FactorGraph, e: Explanation,
         if edge in skipped:
             continue
         fids = fg.learned_factors(edge) or [injected_by_relation[edge]]
-        before = _satisfying_beliefs(fg_pre, ms_pre, fids)
-        after = _satisfying_beliefs(fg_post, ms_post, fids)
+        # the factors share the relation's scope, so one belief serves all
+        states = [fg_pre.factors[fid].target_state for fid in fids]
+        before = joint_distribution(fg_pre, ms_pre, fids[0])[1, 1, states]
+        after = joint_distribution(fg_post, ms_post, fids[0])[1, 1, states]
         delta = float(np.mean(before) - np.mean(after))
         neg_log = math.inf if delta == 0.0 else -math.log(abs(delta))
         entries.append(RelationUncertainty(edge=edge, gc=gc, delta=delta,

@@ -53,15 +53,13 @@ class GcnModel:
     w1: np.ndarray  # (h, C)
     b0: np.ndarray  # (h,)
     b1: np.ndarray  # (C,)
-    hidden_dim: int
-    class_count: int
     seed: int
 
     def __post_init__(self):
         for arr in (self.w0, self.w1, self.b0, self.b1):
             if not np.isfinite(arr).all():
                 raise ValueError("model weights must be finite")
-        if self.w0.shape[1] != self.hidden_dim or self.w1.shape != (self.hidden_dim, self.class_count):
+        if self.w0.shape[1] != self.w1.shape[0]:
             raise ValueError("weight shapes must chain d -> h -> C")
         if self.b0.shape != (self.hidden_dim,) or self.b1.shape != (self.class_count,):
             raise ValueError("bias shapes must match layer widths")
@@ -69,6 +67,14 @@ class GcnModel:
     @property
     def input_dim(self) -> int:
         return self.w0.shape[0]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.w0.shape[1]
+
+    @property
+    def class_count(self) -> int:
+        return self.w1.shape[1]
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
@@ -226,9 +232,7 @@ def train_gcn(g: RelationalGraph, split: NodeSplit, cfg: TrainConfig) -> GcnMode
             best_acc = acc
             best_params = params
     w0, w1, b0, b1 = best_params
-    return GcnModel(w0=w0, w1=w1, b0=b0, b1=b1,
-                    hidden_dim=cfg.hidden_dim, class_count=g.class_count,
-                    seed=cfg.seed)
+    return GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +255,14 @@ def save_model(m: GcnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GcnModel:
+    """Read a model; its stored dims must match its weight shapes."""
     blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GcnModel(w0=np.asarray(blob["w0"], dtype=np.float64),
-                    w1=np.asarray(blob["w1"], dtype=np.float64),
-                    b0=np.asarray(blob["b0"], dtype=np.float64),
-                    b1=np.asarray(blob["b1"], dtype=np.float64),
-                    hidden_dim=int(blob["hidden_dim"]),
-                    class_count=int(blob["class_count"]),
-                    seed=int(blob["seed"]))
+    m = GcnModel(w0=np.asarray(blob["w0"], dtype=np.float64),
+                 w1=np.asarray(blob["w1"], dtype=np.float64),
+                 b0=np.asarray(blob["b0"], dtype=np.float64),
+                 b1=np.asarray(blob["b1"], dtype=np.float64),
+                 seed=int(blob["seed"]))
+    for key in ("input_dim", "hidden_dim", "class_count"):
+        if int(blob[key]) != getattr(m, key):
+            raise ValueError(f"stored {key} {blob[key]} disagrees with the weights")
+    return m

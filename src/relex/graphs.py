@@ -71,10 +71,6 @@ class RelationalGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class NodeSplit:
@@ -175,6 +171,15 @@ def remove_edges(g: RelationalGraph,
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
 
 
+def check_split_fractions(fractions: Sequence[float]) -> None:
+    """Reject train/validation/test fractions outside [0, 1] or not summing
+    to 1."""
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError(f"split fractions must lie in [0, 1], got {tuple(fractions)}")
+    if not np.isclose(sum(fractions), 1.0):
+        raise ValueError("split fractions must sum to 1")
+
+
 def split_nodes(g: RelationalGraph, seed: int,
                 fractions: tuple[float, float, float] = SPLIT_FRACTIONS) -> NodeSplit:
     """Stratified train/validation/test split by class, seeded.
@@ -183,9 +188,8 @@ def split_nodes(g: RelationalGraph, seed: int,
     node.  Fractions apply per class and are rounded down for the
     validation/test shares.
     """
-    f_tr, f_va, f_te = fractions
-    if not np.isclose(f_tr + f_va + f_te, 1.0):
-        raise ValueError("split fractions must sum to 1")
+    check_split_fractions(fractions)
+    _, f_va, f_te = fractions
     rng = np.random.default_rng(seed)
     train: list[int] = []
     val: list[int] = []

@@ -8,6 +8,8 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
+ALPHA = 0.05  # significance level
+
 
 @dataclass(frozen=True)
 class McNemarResult:
@@ -16,7 +18,6 @@ class McNemarResult:
     statistic: float
     p_value: float
     significant: bool
-    class_id: int | None = None
 
     @property
     def reported_statistic(self) -> float:
@@ -26,14 +27,14 @@ class McNemarResult:
 
 def mcnemar_test(pred_a: Sequence[int], pred_b: Sequence[int],
                  truth: Sequence[int], nodes: Sequence[int],
-                 alpha: float = 0.05, exact: bool = False,
-                 class_id: int | None = None) -> McNemarResult:
+                 exact: bool = False) -> McNemarResult:
     """Continuity-corrected McNemar test over the given node set.
 
     statistic = (|b - c| - 1)^2 / (b + c) with a chi-square (1 dof)
-    p-value; b + c = 0 degenerates to statistic 0, p = 1.  With
-    exact=True the p-value comes from the two-sided binomial instead
-    (preferable when b + c < 25); the statistic is reported either way.
+    p-value, significant when p < ALPHA; b + c = 0 degenerates to
+    statistic 0, p = 1.  With exact=True the p-value comes from the
+    two-sided binomial instead (preferable when b + c < 25); the statistic
+    is reported either way.
     """
     pred_a = np.asarray(pred_a)
     pred_b = np.asarray(pred_b)
@@ -50,11 +51,11 @@ def mcnemar_test(pred_a: Sequence[int], pred_b: Sequence[int],
     c = int(np.sum(~a_ok & b_ok))
     if b + c == 0:
         return McNemarResult(b=b, c=c, statistic=0.0, p_value=1.0,
-                             significant=False, class_id=class_id)
+                             significant=False)
     statistic = (abs(b - c) - 1) ** 2 / (b + c)
     if exact:
         p_value = min(1.0, 2.0 * float(stats.binom.cdf(min(b, c), b + c, 0.5)))
     else:
         p_value = float(stats.chi2.sf(statistic, df=1))
     return McNemarResult(b=b, c=c, statistic=float(statistic), p_value=p_value,
-                         significant=p_value < alpha, class_id=class_id)
+                         significant=p_value < ALPHA)

@@ -23,13 +23,13 @@ from relex.datasets import (generate_ba_community, generate_ba_shapes,
                             generate_tree_motif)
 from relex.explainer import (ExplainConfig, Explanation, SingleNodeExplanation,
                              explain, is_scores)
-from relex.factorgraph import (LEARN_EPOCHS, LEARN_RATE, BpConfig,
-                               RelationUncertainty, UncertaintyReport,
+from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
                                build_factor_graph, learn_weights,
                                quantify_uncertainty, report_to_csv)
 from relex.gcn import TrainConfig, predict, train_gcn
 from relex.graphs import (SPLIT_FRACTIONS, Edge, RelationalGraph, adjacency,
-                          load_graph, remove_edges, split_nodes)
+                          check_split_fractions, load_graph, remove_edges,
+                          split_nodes)
 from relex.mcnemar import mcnemar_test
 
 log = logging.getLogger("relex")
@@ -89,14 +89,13 @@ class PipelineConfig:
     split_fractions: tuple[float, float, float] = SPLIT_FRACTIONS
     seed: int = 0
     max_targets: int | None = None
-    learn_rate: float = LEARN_RATE
-    learn_epochs: int = LEARN_EPOCHS
 
     def __post_init__(self):
         if self.g_max < 1:
             raise ValueError("g_max must be >= 1")
         if self.scorer not in ("bp", "is", "both"):
             raise ValueError("scorer must be 'bp', 'is' or 'both'")
+        check_split_fractions(self.split_fractions)
 
     @property
     def scorers(self) -> tuple[str, ...]:
@@ -223,9 +222,7 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
                 cres = generate_cres(g, model, target,
                                      seeded(cfg.explain, cfg.seed, target), rcfg,
                                      ladder=ladder)
-                fg = learn_weights(build_factor_graph(cres), cres,
-                                   learning_rate=cfg.learn_rate,
-                                   epochs=cfg.learn_epochs)
+                fg = learn_weights(build_factor_graph(cres), cres)
             except (EmptyCreSet, CreGenerationFailed) as exc:
                 bundle.warnings.append(f"target {target}: {exc}")
                 continue
@@ -248,7 +245,7 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
         }
     bundle.rankings = rankings_by_scorer
 
-    test_nodes = np.asarray(split.test)
+    test_nodes = np.asarray(split.test, dtype=np.int64)
     classes = [c for c in range(g.class_count)
                if not (cfg.dataset.synthetic and c == 0)]
     for scorer in cfg.scorers:
@@ -262,10 +259,9 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
             pred_i = predict(model_i, g_reduced)
             for cls in classes:
                 cls_nodes = test_nodes[g.labels[test_nodes] == cls]
-                if cls_nodes.size < cfg.min_class_count:
+                if cls_nodes.size < max(1, cfg.min_class_count):
                     continue
-                res = mcnemar_test(base_pred, pred_i, g.labels, cls_nodes,
-                                   class_id=cls)
+                res = mcnemar_test(base_pred, pred_i, g.labels, cls_nodes)
                 bundle.results.append({
                     "scorer": scorer, "i": i, "class": cls,
                     "b": res.b, "c": res.c,
@@ -280,10 +276,13 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
     return bundle
 
 
-def edge_count_warnings(removed_counts: Mapping[str, int], g_max: int,
-                        tolerance: float = 0.10) -> list[str]:
+EDGE_COUNT_TOLERANCE = 0.10
+
+
+def edge_count_warnings(removed_counts: Mapping[str, int], g_max: int) -> list[str]:
     """Comparing scorers is only meaningful when they remove roughly the
-    same number of edges; flag removal depths where BP and IS diverge."""
+    same number of edges; flag removal depths where BP and IS diverge by
+    more than EDGE_COUNT_TOLERANCE of the larger count."""
     warnings = []
     for i in range(1, g_max + 1):
         n_bp = removed_counts.get(f"bp/{i}")
@@ -291,9 +290,9 @@ def edge_count_warnings(removed_counts: Mapping[str, int], g_max: int,
         if n_bp is None or n_is is None:
             continue
         top = max(n_bp, n_is)
-        if top > 0 and abs(n_bp - n_is) / top > tolerance:
+        if top > 0 and abs(n_bp - n_is) / top > EDGE_COUNT_TOLERANCE:
             warnings.append(f"removed-edge counts diverge at i={i}: "
-                            f"bp={n_bp} is={n_is} (>{tolerance:.0%})")
+                            f"bp={n_bp} is={n_is} (>{EDGE_COUNT_TOLERANCE:.0%})")
     return warnings
 
 

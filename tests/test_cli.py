@@ -145,6 +145,30 @@ class TestVerifyAndReport:
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "scorer,i,class,b,c,statistic,p_value,reported_statistic"
 
+    @pytest.mark.parametrize("fraction", ["-0.1", "0.95", "1.5"])
+    def test_bad_test_fraction_exits_2_before_the_graph(self, tmp_path, monkeypatch,
+                                                       capsys, fraction):
+        def build(spec, seed):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr("relex.pipeline.DatasetSpec.build", build)
+        assert run(["verify", "--dataset", "ba-shapes", "--test-fraction", fraction,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert "split fractions must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_test_fraction_writes_header_only_results(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["verify", "--dataset", "ba-shapes", "--base-nodes", "12",
+                    "--motifs", "2", "--seed", "5", "--hidden-dim", "16",
+                    "--epochs", "600", "--steps", "60", "--scorer", "is",
+                    "--g-max", "1", "--min-class-count", "0",
+                    "--max-targets", "2", "--test-fraction", "0",
+                    "--out", str(out)]) == 0
+        assert (out / "results.csv").read_text() == \
+               "scorer,i,class,b,c,statistic,p_value,reported_statistic\n"
+        assert (out / "plotdata.csv").read_text() == "class,i,scorer,reported_statistic\n"
+
     def test_report_regenerates_from_bundle(self, tmp_path):
         out = tmp_path / "run"
         assert run(["verify", "--dataset", "ba-shapes", "--base-nodes", "12",

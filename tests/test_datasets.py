@@ -81,6 +81,8 @@ class TestBaCommunity:
         assert set(g.labels.tolist()) == set(range(8))
 
     def test_inter_community_edges_exist(self):
-        g = generate_ba_community(10, 1, seed=0, inter_edges=3)
-        crossing = [e for e in g.edges if (e[0] < 15) != (e[1] < 15)]
-        assert len(crossing) == 3
+        for base, motifs in ((10, 1), (25, 5), (40, 12)):
+            g = generate_ba_community(base, motifs, seed=0)
+            half = g.node_count // 2
+            crossing = [e for e in g.edges if (e[0] < half) != (e[1] < half)]
+            assert len(crossing) == max(1, g.node_count // 20)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relex.explainer import (ExplainConfig, Explanation, SingleNodeExplanation,
+from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
+                             SingleNodeExplanation,
                              _mask_problem, _masked_loss, _masked_loss_and_grad,
                              _sigmoid, computation_subgraph, deletion_impact,
                              explain, explanation_from_dict, explanation_to_dict,
@@ -237,7 +238,7 @@ class TestExplain:
         losses = [_masked_loss(p, mask)]
         for _ in range(cfg.mask_steps):
             loss, grad = _masked_loss_and_grad(p, mask)
-            step = cfg.mask_lr
+            step = MASK_LR
             accepted = False
             for _ in range(20):
                 cand = mask - step * grad

@@ -9,8 +9,8 @@ from relex.boolfact import CreSet, EmptyCreSet
 from relex.explainer import Explanation
 from relex.factorgraph import (TARGET, BpConfig, Cluster, Factor, FactorGraph,
                                _build_clusters, _map_exhaustive, _map_max_product,
-                               build_factor_graph, count_true_clauses,
-                               factorgraph_from_dict, factorgraph_to_dict,
+                               build_factor_graph, factorgraph_from_dict,
+                               factorgraph_to_dict,
                                inject_explanation_factors, joint_distribution,
                                learn_weights, map_assignment, marginal,
                                propagate, quantify_uncertainty, report_to_csv,
@@ -314,22 +314,6 @@ class TestBuildFactorGraph:
         assert all(f.weight == 0.0 for f in fg.factors)
 
 
-class TestCountTrueClauses:
-    def test_in_every_explanation(self):
-        s = make_creset([[(0, 1)]] * 5)
-        assert count_true_clauses(s, (0, 1)) == 5
-
-    def test_direct_counts(self):
-        s = make_creset([[(0, 1), (1, 2)], [(0, 1)]])
-        assert count_true_clauses(s, (0, 1)) == 2
-        assert count_true_clauses(s, (1, 2)) == 1
-
-    def test_unknown_relation(self):
-        s = make_creset([[(0, 1)]])
-        with pytest.raises(KeyError):
-            count_true_clauses(s, (7, 8))
-
-
 class TestMapAssignment:
     def test_single_positive_weight_all_ones(self):
         fg = single_factor_graph(1.5)
@@ -447,6 +431,16 @@ class TestLearnWeights:
             ref = learn_weights(build_factor_graph(s), s)
             assert [f.weight for f in fg.factors] == [f.weight for f in ref.factors]
 
+    def test_input_graph_untouched(self):
+        s = make_creset([[(0, 1), (1, 2)], [(0, 1)], []],
+                        gcs={(0, 1): 0.6, (1, 2): 0.9}, class_count=3)
+        fg = build_factor_graph(s)
+        before = factorgraph_to_dict(fg)
+        learned = learn_weights(fg, s, learning_rate=0.05, epochs=3)
+        assert factorgraph_to_dict(fg) == before
+        assert all(f.weight == 0.0 for f in fg.factors)
+        assert not set(map(id, learned.factors)) & set(map(id, fg.factors))
+
     def test_weights_clipped(self):
         s = make_creset([[(0, 1)], [], [], [], [], [], [], []],
                         gcs={(0, 1): 0.5})
@@ -539,6 +533,25 @@ class TestRunBp:
             clusters, _ = _build_clusters(fg)
             cards = {v: fg.card(v) for v in fg.variables}
             assert_propagate_matches_loop(cards, clusters, BpConfig(), mode)
+
+    def test_cluster_tables_are_products_of_factor_potentials(self):
+        rng = np.random.default_rng(33)
+        for trial in range(40):
+            fg = random_factor_graph(rng, int(rng.integers(1, 7)),
+                                     int(rng.choice([2, 3, 8])),
+                                     int(rng.integers(1, 16)),
+                                     TIE_WEIGHTS if trial % 2 else None)
+            clusters, factor_cluster = _build_clusters(fg)
+            expected = {}
+            for fid, f in enumerate(fg.factors):
+                potential = np.ones((2, 2, fg.target_card))
+                potential[1, 1, f.target_state] = math.exp(f.weight)
+                key = (f.u, f.v, TARGET)
+                expected[key] = expected.get(key, np.ones_like(potential)) * potential
+                assert clusters[factor_cluster[fid]].scope == key
+            assert [c.scope for c in clusters] == list(expected)
+            for c in clusters:
+                assert np.array_equal(c.table, expected[c.scope])
 
     def test_no_clusters(self):
         nu, mu, iterations, converged, residual = propagate({0: 2, TARGET: 3}, [])
@@ -633,13 +646,13 @@ class TestJointDistribution:
     def test_zero_weight_uniform_eighth(self):
         fg = single_factor_graph(0.0)
         state = run_bp(fg, EXACT_BP)
-        table = joint_distribution(fg, state, 0).table
+        table = joint_distribution(fg, state, 0)
         np.testing.assert_allclose(table, np.full((2, 2, 2), 1 / 8), atol=1e-12)
 
     def test_single_factor_ln2(self):
         fg = single_factor_graph(math.log(2))
         state = run_bp(fg, EXACT_BP)
-        table = joint_distribution(fg, state, 0).table
+        table = joint_distribution(fg, state, 0)
         assert table[1, 1, 1] == pytest.approx(2 / 9, abs=1e-12)
         mask = np.ones((2, 2, 2), dtype=bool)
         mask[1, 1, 1] = False
@@ -767,8 +780,8 @@ class TestQuantifyUncertainty:
                                          weight=w_inject, kind="injected")])
             s1 = run_bp(fg, EXACT_BP)
             s2 = run_bp(fg2, EXACT_BP)
-            before = joint_distribution(fg, s1, 0).table[1, 1, 1]
-            after = joint_distribution(fg2, s2, 0).table[1, 1, 1]
+            before = joint_distribution(fg, s1, 0)[1, 1, 1]
+            after = joint_distribution(fg2, s2, 0)[1, 1, 1]
             assert after >= before - 1e-12
 
     def test_report_contains_only_known_relations(self):
@@ -812,6 +825,34 @@ class TestMulticlass:
         assert len(report.entries) == 1
         # injected doubt at class 2 lowers the mean satisfying belief
         assert report.entries[0].delta > 0
+
+    def test_deltas_match_per_factor_beliefs(self):
+        # reference: each parallel class factor reads its own scope belief
+        rng = np.random.default_rng(9)
+        pool = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+        expls = [[pool[i] for i in sorted(rng.choice(5, 3, replace=False))]
+                 for _ in range(6)]
+        s = make_creset(expls, gcs={r: float(rng.uniform(0.05, 0.99)) for r in pool},
+                        class_count=8)
+        fg = learn_weights(build_factor_graph(s), s)
+        e = Explanation(target=0, predicted_class=5, hop_radius=2,
+                        relations=(((0, 1), 0.3), ((1, 2), 0.9), ((2, 4), 0.5)))
+        report = quantify_uncertainty(fg, e)
+        zero = Explanation(target=0, predicted_class=5, hop_radius=2,
+                           relations=tuple((r, 1.0) for r, _ in e.relations))
+        fg_pre, _ = inject_explanation_factors(fg, zero)
+        fg_post, _ = inject_explanation_factors(fg, e)
+        ms_pre, ms_post = run_bp(fg_pre), run_bp(fg_post)
+        expected = []
+        for edge in ((0, 1), (1, 2)):
+            fids = fg.learned_factors(edge)
+            before = [float(joint_distribution(fg_pre, ms_pre, fid)
+                            [1, 1, fg.factors[fid].target_state]) for fid in fids]
+            after = [float(joint_distribution(fg_post, ms_post, fid)
+                           [1, 1, fg.factors[fid].target_state]) for fid in fids]
+            expected.append(float(np.mean(before) - np.mean(after)))
+        assert [r.delta for r in report.entries] == expected
+        assert report.skipped == [(2, 4)]
 
 
 class TestSerialization:

@@ -57,16 +57,14 @@ class TestForward:
         g = make_graph(3, [(0, 1)], features=np.ones((3, 2)),
                        labels=[0, 1, 0], class_count=2)
         m = GcnModel(w0=np.zeros((2, 4)), w1=np.zeros((4, 2)),
-                     b0=np.zeros(4), b1=np.zeros(2), hidden_dim=4,
-                     class_count=2, seed=0)
+                     b0=np.zeros(4), b1=np.zeros(2), seed=0)
         probs = gcn_forward(m, g.features, normalize_adjacency(adjacency(g)))
         np.testing.assert_allclose(probs, 0.5 * np.ones((3, 2)))
 
     def test_rows_sum_to_one(self):
         g = two_cliques()
         w0, w1, b0, b1 = init_weights(2, 6, 2, seed=4)
-        m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, hidden_dim=6, class_count=2,
-                     seed=4)
+        m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=4)
         probs = gcn_forward(m, g.features, normalize_adjacency(adjacency(g)))
         assert probs.shape == (8, 2)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -79,8 +77,7 @@ class TestForward:
         w1 = np.array([[0.7, -0.2]])
         b0 = np.array([0.1])
         b1 = np.array([0.05, -0.05])
-        m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, hidden_dim=1, class_count=2,
-                     seed=0)
+        m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=0)
         h = max(2.0 * 0.3 + (-1.0) * 0.5 + 0.1, 0.0)
         z = (h * 0.7 + 0.05, h * (-0.2) - 0.05)
         denom = math.exp(z[0]) + math.exp(z[1])
@@ -91,8 +88,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         g = two_cliques()
         w0, w1, b0, b1 = init_weights(2, 4, 2, seed=0)
-        m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, hidden_dim=4, class_count=2,
-                     seed=0)
+        m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=0)
         with pytest.raises(ValueError, match="feature dim"):
             gcn_forward(m, np.ones((8, 5)), normalize_adjacency(adjacency(g)))
 
@@ -168,8 +164,7 @@ class TestPredict:
         g = make_graph(3, [(0, 1)], features=np.ones((3, 2)),
                        labels=[0, 1, 0], class_count=2)
         m = GcnModel(w0=np.zeros((2, 4)), w1=np.zeros((4, 2)),
-                     b0=np.zeros(4), b1=np.zeros(2), hidden_dim=4,
-                     class_count=2, seed=0)
+                     b0=np.zeros(4), b1=np.zeros(2), seed=0)
         np.testing.assert_array_equal(predict(m, g), [0, 0, 0])
 
     def test_same_graph_same_predictions(self):
@@ -213,3 +208,30 @@ class TestSerialization:
         assert blob["hidden_dim"] == 4
         assert blob["seed"] == 0
         assert len(blob["w0"]) == 2
+        assert blob["class_count"] == 2
+
+    def test_stored_dims_must_match_weights(self, tmp_path):
+        w0, w1, b0, b1 = init_weights(2, 4, 3, seed=0)
+        save_model(GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=0), tmp_path / "m.json")
+        blob = json.loads((tmp_path / "m.json").read_text())
+        assert (blob["input_dim"], blob["hidden_dim"], blob["class_count"]) == (2, 4, 3)
+        for key in ("input_dim", "hidden_dim", "class_count"):
+            bad = dict(blob, **{key: blob[key] + 1})
+            (tmp_path / "bad.json").write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=key):
+                load_model(tmp_path / "bad.json")
+
+
+class TestModelDims:
+    def test_dims_read_from_weight_shapes(self):
+        w0, w1, b0, b1 = init_weights(5, 7, 3, seed=1)
+        m = GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=1)
+        assert (m.input_dim, m.hidden_dim, m.class_count) == (5, 7, 3)
+
+    def test_unchained_shapes_rejected(self):
+        with pytest.raises(ValueError, match="chain"):
+            GcnModel(w0=np.zeros((2, 4)), w1=np.zeros((3, 2)),
+                     b0=np.zeros(4), b1=np.zeros(2), seed=0)
+        with pytest.raises(ValueError, match="bias"):
+            GcnModel(w0=np.zeros((2, 4)), w1=np.zeros((4, 2)),
+                     b0=np.zeros(3), b1=np.zeros(2), seed=0)

@@ -192,3 +192,26 @@ class TestSplitNodes:
         g = make_graph(30, [], labels=[i % 3 for i in range(30)], class_count=3)
         assert split_nodes(g, 7) == split_nodes(g, 7)
         assert split_nodes(g, 7) != split_nodes(g, 8)
+
+    def test_fractions_outside_unit_interval_rejected(self):
+        g = make_graph(30, [], labels=[i % 3 for i in range(30)], class_count=3)
+        for fractions in ((1.0, 0.1, -0.1), (-0.05, 0.1, 0.95), (1.2, -0.2, 0.0),
+                          (0.0, 0.0, 1.5)):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                split_nodes(g, 0, fractions)
+
+    def test_fractions_must_sum_to_one(self):
+        g = make_graph(30, [], labels=[i % 3 for i in range(30)], class_count=3)
+        with pytest.raises(ValueError, match="sum to 1"):
+            split_nodes(g, 0, (0.5, 0.1, 0.1))
+
+    def test_no_training_share_keeps_one_node_per_class(self):
+        g = make_graph(30, [], labels=[i % 3 for i in range(30)], class_count=3)
+        split = split_nodes(g, 0, (0.0, 0.1, 0.9))
+        assert sorted(g.labels[list(split.train)]) == [0, 1, 2]
+
+    def test_zero_test_fraction_empty_test_set(self):
+        g = make_graph(30, [], labels=[i % 3 for i in range(30)], class_count=3)
+        split = split_nodes(g, 0, (0.9, 0.1, 0.0))
+        assert split.test == ()
+        assert len(split.train) + len(split.validation) == 30

@@ -139,6 +139,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(dataset=DatasetSpec(kind="ba-shapes"), g_max=0)
 
+    def test_bad_split_fractions(self):
+        for fractions in ((1.0, 0.1, -0.1), (-0.05, 0.1, 0.95), (0.5, 0.1, 0.1)):
+            with pytest.raises(ValueError, match="split fractions"):
+                PipelineConfig(dataset=DatasetSpec(kind="ba-shapes"),
+                               split_fractions=fractions)
+
     def test_scorers_tuple(self):
         cfg = PipelineConfig(dataset=DatasetSpec(kind="ba-shapes"), scorer="both")
         assert cfg.scorers == ("bp", "is")
