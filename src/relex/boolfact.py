@@ -1,16 +1,23 @@
 """Boolean low-rank factorization and counterfactual-explanation generation.
 
-The adjacency matrix is approximated as the Boolean product of two 0/1
-pattern matrices.  Each low-rank reconstruction yields a graph with more
-repeated (symmetric) structure than the original; explaining the target on
-those graphs produces the counterfactual explanation set that the factor
-graph is later learned from.
+The adjacency matrix P is approximated by a union of k blocks, each the
+outer product u·bᵀ of a 0/1 usage vector u and a 0/1 basis vector b; for
+a symmetric P each block also covers its transpose b·uᵀ, so the
+reconstruction is itself a graph, and it is exactly the graph that
+`generate_cres` explains.  Each low-rank reconstruction has more
+repeated structure than the original; explaining the target on those
+graphs produces the counterfactual explanation set that the factor graph
+is later learned from.
 
-The solver relaxes the factors to [0, 1], runs multiplicative updates on
-the squared reconstruction error plus a growing penalty (lambda/2) *
-sum((f * (1 - f))^2) that drives entries toward {0, 1}, and binarizes at a
-fixed threshold.  Exact Boolean rank is NP-hard; this is a heuristic with
-tests bounding its slack against exhaustive oracles on small instances.
+The factorization grows greedily, one block per rank, in the manner of
+Asso (Miettinen et al., The Discrete Basis Problem, IEEE TKDE 2008): the
+candidate bases are P's rows and the still-uncovered part of each row,
+each block's usage is every row that contains its basis, so a block never
+covers a zero of P, and rank k + 1 adds to rank k's blocks the candidate
+that covers the most uncovered cells.  The error therefore never rises
+with rank, and falls strictly until it reaches 0.  Exact Boolean rank is
+NP-hard; tests bound this heuristic's slack against exhaustive oracles on
+small instances.
 """
 
 from __future__ import annotations
@@ -36,36 +43,31 @@ class EmptyCreSet(RuntimeError):
 
 
 START_FRACTION = 0.25  # start rank: the first with error < this * edge count
-PENALTY_START = 0.1    # the solver's penalty weight at its first sweep
-PENALTY_GROWTH = 1.01  # and its growth factor per sweep
-THRESHOLD = 0.5        # the relaxed factors binarize at this value
 
 
 @dataclass
 class RankSearchConfig:
-    """Rank search settings.  The start criterion and the solver schedule
-    are fixed: START_FRACTION, PENALTY_START, PENALTY_GROWTH, THRESHOLD."""
+    """Rank search settings.  The start criterion is fixed (START_FRACTION).
+
+    ``seed`` is not read: the greedy walk is deterministic.  It stays so
+    that every stage config takes its sub-seed the same way
+    (``pipeline.seeded``).
+    """
 
     stop_fraction: float = 0.05
     max_rank: int = 64
-    solver_iterations: int = 10000
     seed: int = 0
-    restarts: int = 5
 
     def __post_init__(self):
         if not (0 < self.stop_fraction < START_FRACTION):
             raise ValueError(f"need 0 < stop_fraction < {START_FRACTION}")
-        if self.solver_iterations < 1:
-            raise ValueError("solver_iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
 class BooleanFactorization:
-    q: np.ndarray      # (n, k) 0/1
-    r: np.ndarray      # (k, m) 0/1
-    rank: int
+    q: np.ndarray      # (n, l) 0/1: the usages, then for a symmetric P the bases
+    r: np.ndarray      # (l, m) 0/1: the bases, then for a symmetric P the usages
+    rank: int          # blocks; l is 2 * rank for a symmetric P, else rank
     error: int         # |P xor (Q boolean-product R)|
 
     @property
@@ -91,141 +93,79 @@ def boolean_error(p: np.ndarray, p_hat: np.ndarray) -> int:
     return int((p != p_hat).sum())
 
 
-def _penalty_solve(p: np.ndarray, k: int, cfg: RankSearchConfig,
-                   seed_parts: list[int]):
-    """One seeded multiplicative-update run; returns (Q, R, error) binarized."""
-    n, m = p.shape
-    rng = np.random.default_rng(seed_parts)
-    q = rng.uniform(0.0, 1.0, size=(n, k))
-    r = rng.uniform(0.0, 1.0, size=(k, m))
-    lam = PENALTY_START
-    eps = 1e-10
-    p_int = p.astype(np.int8)
+def _best_block(p: np.ndarray, residual: np.ndarray,
+                symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(usage, basis) of the candidate block that covers the most residual
+    cells; ties go to the first candidate (P's rows, then the residual's).
 
-    def binarized():
-        qb = (q >= THRESHOLD).astype(np.int8)
-        rb = (r >= THRESHOLD).astype(np.int8)
-        return qb, rb, boolean_error(p_int, boolean_product(qb, rb))
-
-    best_q, best_r, best_err = binarized()
-    check_every = 50
-    stable_checks = 0
-    for sweep in range(cfg.solver_iterations):
-        num_q = p @ r.T + 3.0 * lam * q ** 2
-        den_q = q @ (r @ r.T) + 2.0 * lam * q ** 3 + lam * q + eps
-        q = np.clip(q * num_q / den_q, 0.0, 1.0)
-        num_r = q.T @ p + 3.0 * lam * r ** 2
-        den_r = (q.T @ q) @ r + 2.0 * lam * r ** 3 + lam * r + eps
-        r = np.clip(r * num_r / den_r, 0.0, 1.0)
-        lam *= PENALTY_GROWTH
-        if (sweep + 1) % check_every == 0:
-            qb, rb, err = binarized()
-            if err < best_err:
-                best_q, best_r, best_err = qb, rb, err
-            if best_err == 0:
-                break
-            # fully binary factors are a fixed point of the update
-            saturated = (np.minimum(q, 1.0 - q).max(initial=0.0) < 1e-6
-                         and np.minimum(r, 1.0 - r).max(initial=0.0) < 1e-6)
-            stable_checks = stable_checks + 1 if saturated else 0
-            if stable_checks >= 3:
-                break
-    qb, rb, err = binarized()
-    if err < best_err:
-        best_q, best_r, best_err = qb, rb, err
-    return best_q, best_r, best_err
-
-
-def bmf_factorize(p: np.ndarray, k: int, cfg: RankSearchConfig) -> BooleanFactorization:
-    """Penalty-driven multiplicative-update Boolean factorization at rank k.
-
-    Splits the gradient of ||P - QR||_F^2 + (lambda/2) sum((f(1-f))^2) into
-    positive and negative parts; lambda starts at PENALTY_START and grows
-    by PENALTY_GROWTH each sweep, pushing the relaxed factors toward
-    {0, 1}.  Factors are binarized at THRESHOLD; the best binarized
-    factorization over cfg.restarts seeded runs is returned.  When k reaches the number of
-    distinct rows of P the exact row-indicator factorization is also a
-    candidate, so the error is then 0.  Deterministic for a fixed seed.
+    A usage holds every row of P that contains the basis.  The gains are
+    matrix products over the 2n candidates, so no candidate block is
+    ever materialised.
     """
-    p = validate_boolean_matrix(p).astype(np.float64)
-    if k < 1:
-        raise ValueError("rank must be >= 1")
-    best_q = best_r = None
-    best_err = None
-    for restart in range(cfg.restarts):
-        q, r, err = _penalty_solve(p, k, cfg, [cfg.seed, k, restart])
-        if best_err is None or err < best_err:
-            best_q, best_r, best_err = q, r, err
-        if best_err == 0:
-            break
-    p_int = p.astype(np.int8)
-    distinct, inverse = np.unique(p_int, axis=0, return_inverse=True)
-    if best_err > 0 and distinct.shape[0] <= k:
-        q = np.zeros((p_int.shape[0], k), dtype=np.int8)
-        q[np.arange(p_int.shape[0]), inverse] = 1
-        r = np.zeros((k, p_int.shape[1]), dtype=np.int8)
-        r[:distinct.shape[0]] = distinct
-        best_q, best_r, best_err = q, r, 0
-    return BooleanFactorization(q=best_q, r=best_r, rank=k, error=best_err)
+    bases = np.vstack([p, residual]).astype(np.int64)
+    usages = (bases @ p.T == bases.sum(axis=1, keepdims=True)).astype(np.int64)
+    gain = ((usages @ residual) * bases).sum(axis=1)
+    if symmetric:
+        # u·bᵀ and b·uᵀ each cover `gain` cells; they share the cells of
+        # w·wᵀ with w = u AND b
+        shared = usages * bases
+        gain = 2 * gain - ((shared @ residual) * shared).sum(axis=1)
+    best = int(np.argmax(gain))
+    return usages[best], bases[best]
+
+
+def bmf_factorize(p: np.ndarray, k: int, cfg: RankSearchConfig,
+                  prefix: BooleanFactorization | None = None) -> BooleanFactorization:
+    """Greedy Boolean factorization at rank k.
+
+    Starts from ``prefix``'s blocks (none by default) and adds the block
+    that covers the most uncovered cells of P until there are k, so
+    rank k is the first k steps of one walk and its error is at most
+    that of any lower rank.  Blocks never cover a zero of P, so the
+    error counts P's uncovered ones.  Deterministic; ``cfg`` is not read.
+    """
+    p = validate_boolean_matrix(p)
+    done = 0 if prefix is None else prefix.rank
+    if k < max(1, done):
+        raise ValueError("rank must be >= 1 and >= the prefix's rank")
+    symmetric = p.shape[0] == p.shape[1] and bool((p == p.T).all())
+    usages = [] if prefix is None else list(prefix.q[:, :done].T)
+    bases = [] if prefix is None else list(prefix.r[:done])
+    covered = np.zeros(p.shape, dtype=bool) if prefix is None else prefix.reconstruction > 0
+    for _ in range(done, k):
+        u, b = _best_block(p, p & ~covered, symmetric)
+        usages.append(u)
+        bases.append(b)
+        block = np.outer(u, b) > 0
+        covered |= (block | block.T) if symmetric else block
+    u, b = np.array(usages, dtype=np.int8).T, np.array(bases, dtype=np.int8)
+    q, r = (np.hstack([u, b.T]), np.vstack([b, u.T])) if symmetric else (u, b)
+    return BooleanFactorization(q=q, r=r, rank=k, error=boolean_error(p, covered))
 
 
 def rank_ladder(p: np.ndarray, edge_count: int,
                 cfg: RankSearchConfig) -> list[BooleanFactorization]:
     """Factorizations from the start rank until the stop criterion.
 
-    Start rank: the smallest rank whose error is below START_FRACTION *
-    edge_count, found by doubling then bisection.  From there the rank is
-    incremented by 1 until the error drops below cfg.stop_fraction *
-    edge_count, fails to strictly decrease for 2 consecutive ranks, or the
-    rank exceeds max_rank.  Independent of any explanation target, so one
-    ladder can be shared across targets.
+    One upward walk from rank 1, one block per rank, so the error never
+    rises.  The ladder keeps every rank whose error is below
+    START_FRACTION * edge_count and ends at the first error below
+    cfg.stop_fraction * edge_count, or at cfg.max_rank.  Independent of
+    any explanation target, so one ladder can be shared across targets.
     """
     start_err = START_FRACTION * edge_count
     stop_err = cfg.stop_fraction * edge_count
-
-    solved: dict[int, BooleanFactorization] = {}
-
-    def solve(rank: int) -> BooleanFactorization:
-        if rank not in solved:
-            solved[rank] = bmf_factorize(p, rank, cfg)
-        return solved[rank]
-
-    # doubling phase
-    hi = 1
-    while hi <= cfg.max_rank and solve(hi).error >= start_err:
-        hi *= 2
-    if hi > cfg.max_rank:
-        if cfg.max_rank < 1 or solve(cfg.max_rank).error >= start_err:
-            raise CreGenerationFailed(
-                f"no rank <= {cfg.max_rank} reaches error < {start_err:.1f}")
-        hi = cfg.max_rank
-    # bisection: smallest rank with error < start_err in (hi//2, hi]
-    lo = hi // 2 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if solve(mid).error < start_err:
-            hi = mid
-        else:
-            lo = mid + 1
-    start_rank = hi
-
     ladder: list[BooleanFactorization] = []
-    prev_err = None
-    no_decrease = 0
-    rank = start_rank
-    while rank <= cfg.max_rank:
-        fact = solve(rank)
-        ladder.append(fact)
-        if fact.error < stop_err:
-            break
-        if prev_err is not None and fact.error >= prev_err:
-            no_decrease += 1
-            if no_decrease >= 2:
+    fact = None
+    for rank in range(1, cfg.max_rank + 1):
+        fact = bmf_factorize(p, rank, cfg, prefix=fact)
+        if fact.error < start_err:
+            ladder.append(fact)
+            if fact.error < stop_err:
                 break
-        else:
-            no_decrease = 0
-        prev_err = fact.error
-        rank += 1
+    if not ladder:
+        raise CreGenerationFailed(
+            f"no rank <= {cfg.max_rank} reaches error < {start_err:.1f}")
     return ladder
 
 

@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     _add_explain_args(p)
     p.add_argument("--max-rank", type=int, default=RankSearchConfig.max_rank)
-    p.add_argument("--solver-iterations", type=int,
-                   default=RankSearchConfig.solver_iterations)
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)
 
@@ -192,9 +190,7 @@ def _cmd_cres(args) -> int:
     g = load_graph(args.graph)
     model = load_model(args.model)
     ecfg = seeded(_explain_config(args), args.seed, args.target)
-    rcfg = seeded(RankSearchConfig(max_rank=args.max_rank,
-                                   solver_iterations=args.solver_iterations),
-                  args.seed)
+    rcfg = seeded(RankSearchConfig(max_rank=args.max_rank), args.seed)
     s = generate_cres(g, model, args.target, ecfg, rcfg)
     save_creset(s, args.out)
     print(f"wrote {args.out}: {len(s.explanations)} counterfactual explanations "

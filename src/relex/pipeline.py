@@ -125,7 +125,8 @@ def seeded(stage_cfg, seed: int, target: int | None = None):
 
     ``run_verification`` and the staged CLI both seed their stages here.
     Tags: training 1, explanation (3, target), which the counterfactual
-    re-explanations share, and the rank search 4.
+    re-explanations share, and the rank search 4 (whose greedy walk does
+    not read it).
     """
     tag = {TrainConfig: (1,), ExplainConfig: (3, target),
            RankSearchConfig: (4,)}[type(stage_cfg)]

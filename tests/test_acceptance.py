@@ -361,7 +361,7 @@ def test_criterion_8_end_to_end_significance():
                            patience=300, restarts=1)
         model = train_gcn(g, split, tcfg)
         base_pred = predict(model, g)
-        rcfg = RankSearchConfig(seed=seed, restarts=2)
+        rcfg = RankSearchConfig(seed=seed)
         ladder = rank_ladder(adjacency(g), g.edge_count, rcfg)
         targets = [int(n) for n in np.flatnonzero(g.labels != 0)]
         rng0 = np.random.default_rng(seed + 99)

@@ -9,7 +9,8 @@ from relex.boolfact import (CreGenerationFailed, CreSet, EmptyCreSet,
                             generate_cres, rank_ladder)
 from relex.explainer import ExplainConfig, Explanation
 from relex.gcn import TrainConfig, train_gcn
-from relex.graphs import NodeSplit, adjacency, make_graph
+from relex.graphs import NodeSplit, adjacency, graph_from_adjacency, make_graph
+from relex.pipeline import GENERATORS, DatasetSpec
 
 
 def exhaustive_bmf_error(p: np.ndarray, k: int) -> int:
@@ -92,32 +93,32 @@ class TestBooleanError:
 class TestBmfFactorize:
     def test_all_ones_rank_one_exact(self):
         p = np.ones((3, 3), dtype=np.int8)
-        f = bmf_factorize(p, 1, RankSearchConfig(seed=0))
+        f = bmf_factorize(p, 1, RankSearchConfig())
         assert f.error == 0
         np.testing.assert_array_equal(f.reconstruction, p)
 
     def test_blockdiag_rank_two_exact(self):
-        f = bmf_factorize(blockdiag_j2(), 2, RankSearchConfig(seed=0))
+        f = bmf_factorize(blockdiag_j2(), 2, RankSearchConfig())
         assert f.error == 0
 
     def test_blockdiag_rank_one_near_oracle(self):
         p = blockdiag_j2()
         oracle = exhaustive_bmf_error(p, 1)
         assert oracle == 4
-        f = bmf_factorize(p, 1, RankSearchConfig(seed=0))
+        f = bmf_factorize(p, 1, RankSearchConfig())
         assert f.error <= oracle + 4  # documented heuristic slack
 
     def test_error_field_consistent_with_parts(self):
         p = blockdiag_j2()
-        f = bmf_factorize(p, 2, RankSearchConfig(seed=1))
+        f = bmf_factorize(p, 2, RankSearchConfig())
         assert f.error == boolean_error(p, boolean_product(f.q, f.r))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         p = (rng.random((5, 5)) < 0.5).astype(np.int8)
-        cfg = RankSearchConfig(seed=7)
-        f1 = bmf_factorize(p, 2, cfg)
-        f2 = bmf_factorize(p, 2, cfg)
+        # the walk has no randomness: the config's seed is not read
+        f1 = bmf_factorize(p, 2, RankSearchConfig())
+        f2 = bmf_factorize(p, 2, RankSearchConfig(seed=7))
         np.testing.assert_array_equal(f1.q, f2.q)
         np.testing.assert_array_equal(f1.r, f2.r)
         assert f1.error == f2.error
@@ -125,7 +126,7 @@ class TestBmfFactorize:
     def test_full_rank_exact(self):
         rng = np.random.default_rng(2)
         p = (rng.random((5, 5)) < 0.4).astype(np.int8)
-        f = bmf_factorize(p, 5, RankSearchConfig(seed=0))
+        f = bmf_factorize(p, 5, RankSearchConfig())
         assert f.error == 0
 
     def test_solver_within_oracle_slack_5x5(self):
@@ -135,8 +136,36 @@ class TestBmfFactorize:
             slack = int(p.size * 0.25)
             for k in (1, 2):
                 oracle = exhaustive_bmf_error(p, k)
-                f = bmf_factorize(p, k, RankSearchConfig(seed=trial))
+                f = bmf_factorize(p, k, RankSearchConfig())
                 assert f.error <= oracle + slack, (trial, k, f.error, oracle)
+
+    def test_each_rank_adds_the_best_materialised_block(self):
+        """Reference loop for the walk's matrix-product gains: every
+        candidate block is built cell by cell and scored on what it newly
+        covers, including the diagonal cells of a symmetric P."""
+        rng = np.random.default_rng(4)
+        for trial in range(6):
+            p = (rng.random((6, 6)) < 0.5).astype(np.int8)
+            if trial % 2:
+                p = p | p.T
+            symmetric = bool((p == p.T).all())
+            prev = None
+            for k in range(1, 7):
+                fact = bmf_factorize(p, k, RankSearchConfig(), prefix=prev)
+                covered = (np.zeros_like(p) if prev is None
+                           else prev.reconstruction).astype(bool)
+                residual = p.astype(bool) & ~covered
+                best = 0
+                for basis in list(p.astype(bool)) + list(residual):
+                    usage = np.array([bool(np.all(row[basis])) for row in p.astype(bool)])
+                    block = np.outer(usage, basis)
+                    if symmetric:
+                        block |= block.T
+                    assert not (block & ~p.astype(bool)).any()
+                    best = max(best, int((block & residual).sum()))
+                before = int(p.sum()) if prev is None else prev.error
+                assert before - fact.error == best, (trial, k)
+                prev = fact
 
     def test_oracle_monotone_in_k(self):
         rng = np.random.default_rng(3)
@@ -147,10 +176,10 @@ class TestBmfFactorize:
     def test_solver_at_n_beats_n_minus_one(self):
         rng = np.random.default_rng(9)
         p = (rng.random((6, 6)) < 0.4).astype(np.int8)
-        f_n = bmf_factorize(p, 6, RankSearchConfig(seed=0))
-        f_n1 = bmf_factorize(p, 5, RankSearchConfig(seed=0))
+        f_n = bmf_factorize(p, 6, RankSearchConfig())
+        f_n1 = bmf_factorize(p, 5, RankSearchConfig())
         assert f_n.error <= f_n1.error
-        assert f_n.error == 0  # distinct-rows factorization is exact at k = n
+        assert f_n.error == 0  # the walk covers this P exactly by k = n
 
 
 class TestSymmetryProxy:
@@ -161,7 +190,7 @@ class TestSymmetryProxy:
         p = adjacency(g)
         distinct_p = np.unique(p, axis=1).shape[1]
         for k in (2, 3):
-            f = bmf_factorize(p, k, RankSearchConfig(seed=0))
+            f = bmf_factorize(p, k, RankSearchConfig())
             distinct_hat = np.unique(f.reconstruction, axis=1).shape[1]
             assert distinct_hat <= distinct_p
 
@@ -187,18 +216,85 @@ def pendant_setup():
     return g, model
 
 
+def explained_rank_one_error(g) -> int:
+    """Independent oracle: the least error of a graph that generate_cres
+    could explain at rank 1, over every (u, b) pair of 0/1 vectors.
+
+    The explained graph of the block u·bᵀ is graph_from_adjacency's
+    union u·bᵀ | b·uᵀ without its diagonal.  Feasible up to 7 nodes.
+    """
+    p = adjacency(g).astype(bool)
+    n = g.node_count
+    vecs = np.array(list(itertools.product([False, True], repeat=n)))
+    block = vecs[:, None, :, None] & vecs[None, :, None, :]
+    explained = (block | block.swapaxes(2, 3)) & ~np.eye(n, dtype=bool)
+    return int((explained ^ p).sum(axis=(2, 3)).min())
+
+
+def two_stars():
+    """A 3-leaf star and a 2-leaf star: one block covers only one of them."""
+    edges = [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)]
+    return make_graph(7, edges, features=np.eye(7)[:, :2], labels=[0] * 7)
+
+
 class TestRankLadder:
-    def test_start_rank_skips_infeasible_rank_one(self, pendant_setup):
+    def test_start_rank_skips_infeasible_rank_one(self):
+        g = two_stars()
+        start_err = 0.25 * g.edge_count
+        assert explained_rank_one_error(g) >= start_err  # rank 1 is infeasible
+        ladder = rank_ladder(adjacency(g), g.edge_count, RankSearchConfig())
+        assert ladder[0].rank == 2
+        assert ladder[0].error < start_err
+
+    def test_start_rank_matches_explained_graph_oracle(self, pendant_setup):
         g, _ = pendant_setup
-        ladder = rank_ladder(adjacency(g), g.edge_count, RankSearchConfig(seed=0))
-        assert ladder[0].rank == 2  # rank 1 cannot reach error < 2.5
-        assert ladder[0].error < 0.25 * g.edge_count
+        # one symmetric block covers K33 and leaves only the pendant:
+        # error 2 < 2.5, so the smallest feasible rank is 1
+        oracle_error = explained_rank_one_error(g)
+        assert oracle_error == 2 < 0.25 * g.edge_count
+        ladder = rank_ladder(adjacency(g), g.edge_count, RankSearchConfig())
+        assert ladder[0].rank == 1
+        assert ladder[0].error == oracle_error
 
     def test_max_rank_zero_fails(self, pendant_setup):
         g, _ = pendant_setup
         with pytest.raises(CreGenerationFailed):
             rank_ladder(adjacency(g), g.edge_count,
-                        RankSearchConfig(max_rank=0, seed=0))
+                        RankSearchConfig(max_rank=0))
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_error_does_not_increase_with_rank(self, kind):
+        g = DatasetSpec(kind=kind).build(1)
+        ladder = rank_ladder(adjacency(g), g.edge_count,
+                             RankSearchConfig(stop_fraction=0.01))
+        ranks = [f.rank for f in ladder]
+        assert ranks == list(range(ranks[0], ranks[0] + len(ranks)))
+        errors = [f.error for f in ladder]
+        assert all(b <= a for a, b in zip(errors, errors[1:])), errors
+        # each rung is the walk's rank-k prefix, however it is reached
+        fresh = bmf_factorize(adjacency(g), ranks[-1], RankSearchConfig())
+        np.testing.assert_array_equal(fresh.q, ladder[-1].q)
+        np.testing.assert_array_equal(fresh.r, ladder[-1].r)
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_error_is_that_of_the_explained_graph(self, kind):
+        g = DatasetSpec(kind=kind).build(1)
+        p = adjacency(g)
+        for fact in rank_ladder(p, g.edge_count, RankSearchConfig(stop_fraction=0.01)):
+            explained = adjacency(graph_from_adjacency(fact.reconstruction, g))
+            assert fact.error == int((p != explained).sum()), fact.rank
+            assert fact.error == boolean_error(p, fact.reconstruction)
+
+    def test_no_worse_than_the_penalty_solver_on_ba_shapes(self):
+        # the explained-graph errors of the former penalty solver's
+        # factorizations at ranks 33-36 of ba-shapes(25, 5), seed 1
+        g = DatasetSpec(kind="ba-shapes").build(1)
+        before = {33: 24, 34: 22, 35: 20, 36: 26}
+        fact = None
+        for rank in range(1, 37):
+            fact = bmf_factorize(adjacency(g), rank, RankSearchConfig(), prefix=fact)
+            if rank in before:
+                assert fact.error <= before[rank], rank
 
     def test_unreachable_start_fails(self):
         rng = np.random.default_rng(0)
@@ -207,15 +303,15 @@ class TestRankLadder:
         p = p | p.T
         edge_count = int(p.sum()) // 2
         with pytest.raises(CreGenerationFailed):
-            rank_ladder(p, edge_count, RankSearchConfig(max_rank=1, seed=0))
+            rank_ladder(p, edge_count, RankSearchConfig(max_rank=1))
 
 
 class TestGenerateCres:
     def test_pendant_graph_trace(self, pendant_setup):
         g, model = pendant_setup
         s = generate_cres(g, model, 1, ExplainConfig(mask_steps=60, seed=0),
-                          RankSearchConfig(seed=0))
-        assert s.ranks_used[0] == 2
+                          RankSearchConfig())
+        assert s.ranks_used[0] == 1  # the oracle's start rank, as above
         assert len(s.explanations) >= 1
         # every accepted reconstruction differs from the original graph
         for expl, rank, err in zip(s.explanations, s.ranks_used, s.errors_per_rank):
@@ -226,7 +322,7 @@ class TestGenerateCres:
 
     def test_identical_reconstruction_skipped(self, pendant_setup):
         _, model = pendant_setup
-        # pure K33 reconstructs exactly at rank 2: identical -> no CRE
+        # pure K33 reconstructs exactly at rank 1: identical -> no CRE
         edges = [(a, b) for a in range(3) for b in range(3, 6)]
         feats = np.zeros((6, 2))
         feats[:3] = [1.0, 0.0]
@@ -234,18 +330,18 @@ class TestGenerateCres:
         g = make_graph(6, edges, features=feats, labels=[0, 0, 0, 1, 1, 1])
         with pytest.raises(EmptyCreSet):
             generate_cres(g, model, 1, ExplainConfig(mask_steps=30, seed=0),
-                          RankSearchConfig(seed=0))
+                          RankSearchConfig())
 
     def test_max_rank_zero_degenerate(self, pendant_setup):
         g, model = pendant_setup
         with pytest.raises(CreGenerationFailed):
             generate_cres(g, model, 1, ExplainConfig(mask_steps=10, seed=0),
-                          RankSearchConfig(max_rank=0, seed=0))
+                          RankSearchConfig(max_rank=0))
 
     def test_all_explanations_share_target(self, pendant_setup):
         g, model = pendant_setup
         s = generate_cres(g, model, 1, ExplainConfig(mask_steps=60, seed=0),
-                          RankSearchConfig(seed=0))
+                          RankSearchConfig())
         assert all(e.target == 1 for e in s.explanations)
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +220,18 @@ class TestStagedChainReproducesVerify:
                     "--out", str(tmp_path / "uncertainty.csv")]) == 0
         assert (tmp_path / "uncertainty.csv").read_bytes() == \
                (tmp_path / "verify" / f"uncertainty_t{target}.csv").read_bytes()
+
+
+class TestReadmeExample:
+    def test_readme_verify_line_writes_results(self, tmp_path):
+        """The README's `relex verify` line, run as written (its output
+        directory moved under tmp_path), reports McNemar rows."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        text = readme.replace("\\\n", " ")
+        line = next(ln for ln in text.splitlines() if ln.startswith("relex verify "))
+        argv = shlex.split(line)[1:]
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert run(argv) == 0
+        rows = (tmp_path / "results" / "results.csv").read_text().strip().splitlines()
+        assert len(rows) > 1

@@ -19,7 +19,7 @@ def tiny_config(scorer="both", seed=5, g_max=1):
         train=TrainConfig(hidden_dim=16, max_epochs=600, patience=150,
                           restarts=2),
         explain=ExplainConfig(mask_steps=60, top_k=6),
-        rank_search=RankSearchConfig(restarts=2, max_rank=24),
+        rank_search=RankSearchConfig(max_rank=24),
         scorer=scorer,
         g_max=g_max,
         min_class_count=1,
@@ -135,7 +135,7 @@ class TestStageErrors:
 
     def test_cres_failure_tagged(self):
         cfg = tiny_config(scorer="bp")
-        cfg.rank_search = RankSearchConfig(max_rank=1, restarts=1)
+        cfg.rank_search = RankSearchConfig(max_rank=1)
         with pytest.raises(PipelineStageError) as exc:
             run_verification(cfg)
         assert exc.value.stage == "cres"
