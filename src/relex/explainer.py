@@ -152,7 +152,7 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     s = _sigmoid(mask)
     a_hat = normalize_adjacency(soft_adjacency(p.a_soft, p.rows, p.cols, s))
     m = p.model
-    z1, h1, probs = _forward(a_hat, p.features, m.w0, m.w1, m.b0, m.b1)
+    z1, h1, probs = _forward(a_hat, a_hat @ p.features, m.w0, m.w1, m.b0, m.b1)
     pred_loss = -np.log(probs[p.target, p.predicted] + 1e-12)
     loss = _objective(pred_loss, s, p.size_penalty, p.entropy_penalty)
     return loss, s, a_hat, z1, h1, probs

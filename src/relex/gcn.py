@@ -1,9 +1,15 @@
 """Minimal dense two-layer GCN for node classification.
 
-Forward pass: softmax(A_hat . relu(A_hat . X . W0) . W1) where A_hat is
-the symmetrically normalized adjacency with self-loops.  Training is plain
-full-batch gradient descent with manually derived gradients, which keeps
-runs deterministic and makes the finite-difference gradient check simple.
+Forward pass: softmax(A_hat . relu(A_hat . X . W0 + b0) . W1 + b1) where
+A_hat is the symmetrically normalized adjacency with self-loops.  Training
+is full-batch Adam with manually derived gradients, which keeps runs
+deterministic and makes the finite-difference gradient check simple.  Plain
+gradient descent cannot escape the class-prior plateau on the
+structure-only benchmarks (constant features leave only a normalized
+degree scalar as input, and the layer-1 gradients are orders of magnitude
+below layer-2's); Adam's per-parameter scaling fixes that.  The seeded
+restarts train in lockstep, stacked on a leading axis, and the restart
+with the best monitored accuracy wins.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
 
 
 @dataclass(eq=False)
@@ -93,14 +103,22 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     return a_tilde
 
 
-def _forward(a_hat: np.ndarray, x: np.ndarray, w0: np.ndarray, w1: np.ndarray,
+def _forward(a_hat: np.ndarray, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray,
              b0: np.ndarray, b1: np.ndarray):
-    z1 = a_hat @ x @ w0 + b0
+    """Layer 1's pre-activations z1 and activations h1, and the class
+    probabilities.
+
+    ``ax`` is A_hat . X, which no weight changes.  The weights are one
+    model's, shaped (d, h), (h, C), (h,), (C,), or R models' stacked on a
+    leading axis, shaped (R, d, h), (R, h, C), (R, 1, h), (R, 1, C); the
+    outputs stack the same way.
+    """
+    z1 = ax @ w0 + b0
     h1 = np.maximum(z1, 0.0)
     z2 = a_hat @ h1 @ w1 + b1
-    z2 = z2 - z2.max(axis=1, keepdims=True)
+    z2 = z2 - z2.max(axis=-1, keepdims=True)
     exp = np.exp(z2)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
     return z1, h1, probs
 
 
@@ -110,7 +128,7 @@ def gcn_forward(m: GcnModel, features: np.ndarray, a_hat: np.ndarray) -> np.ndar
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != m.input_dim:
         raise ValueError(f"feature dim {features.shape[1]} != model input dim {m.input_dim}")
-    return _forward(a_hat, features, m.w0, m.w1, m.b0, m.b1)[2]
+    return _forward(a_hat, a_hat @ features, m.w0, m.w1, m.b0, m.b1)[2]
 
 
 def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
@@ -120,33 +138,37 @@ def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
     return probs.argmax(axis=1)
 
 
-def loss_and_grads(a_hat: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   train_idx: np.ndarray, w0: np.ndarray, w1: np.ndarray,
-                   b0: np.ndarray, b1: np.ndarray):
-    """Mean cross-entropy over train nodes and its gradients."""
-    z1, h1, probs = _forward(a_hat, x, w0, w1, b0, b1)
+def _loss_and_grads(a_hat, ax, y, train_idx, w1, z1, h1, probs):
+    """Mean cross-entropy over the train nodes of each of R stacked models,
+    shape (R,), and its gradients, from those models' forward pass."""
     eps = 1e-12
-    loss = -np.mean(np.log(probs[train_idx, y[train_idx]] + eps))
+    loss = -np.log(probs[:, train_idx, y[train_idx]] + eps).sum(axis=-1) / len(train_idx)
 
     g2 = np.zeros_like(probs)
-    g2[train_idx] = probs[train_idx]
-    g2[train_idx, y[train_idx]] -= 1.0
+    g2[:, train_idx] = probs[:, train_idx]
+    g2[:, train_idx, y[train_idx]] -= 1.0
     g2 /= len(train_idx)
 
-    grad_b1 = g2.sum(axis=0)
+    grad_b1 = g2.sum(axis=1, keepdims=True)
     ah_g2 = a_hat @ g2                    # A_hat symmetric, so A^T = A
-    grad_w1 = h1.T @ ah_g2
-    g1 = (ah_g2 @ w1.T) * (z1 > 0)
-    grad_b0 = g1.sum(axis=0)
-    grad_w0 = (a_hat @ x).T @ g1
+    grad_w1 = h1.transpose(0, 2, 1) @ ah_g2
+    g1 = (ah_g2 @ w1.transpose(0, 2, 1)) * (z1 > 0)
+    grad_b0 = g1.sum(axis=1, keepdims=True)
+    grad_w0 = ax.T @ g1
     return loss, grad_w0, grad_w1, grad_b0, grad_b1
 
 
-def _accuracy(probs: np.ndarray, y: np.ndarray, idx) -> float:
-    if len(idx) == 0:
-        return 0.0
-    idx = np.asarray(idx)
-    return float((probs[idx].argmax(axis=1) == y[idx]).mean())
+def loss_and_grads(a_hat: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   train_idx: np.ndarray, w0: np.ndarray, w1: np.ndarray,
+                   b0: np.ndarray, b1: np.ndarray):
+    """Mean cross-entropy over train nodes and its gradients, for one model:
+    the training loop's computation with a single restart."""
+    ax = a_hat @ x
+    params = (w0, w1, b0, b1)
+    stacked = (w0[None], w1[None], b0[None, None], b1[None, None])
+    loss, *grads = _loss_and_grads(a_hat, ax, y, train_idx, stacked[1],
+                                   *_forward(a_hat, ax, *stacked))
+    return (loss[0], *(grad.reshape(p.shape) for grad, p in zip(grads, params)))
 
 
 def init_weights(d: int, hidden: int, classes: int, seed: int):
@@ -158,81 +180,111 @@ def init_weights(d: int, hidden: int, classes: int, seed: int):
     return w0, w1, b0, b1
 
 
-def _adam_run(a_hat, x, y, class_count, train_idx, monitor_idx,
-              cfg: TrainConfig, seed: int):
-    """One seeded full-batch Adam run; returns (best params, best accuracy).
+def _unstack(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the rows of ``flat``, one row per model, as stacked
+    (R, *shape) arrays, one array per shape, in order."""
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(flat[:, start:start + rows * cols].reshape(len(flat), rows, cols))
+        start += rows * cols
+    return views
 
-    Plain gradient descent cannot escape the class-prior plateau on the
-    structure-only benchmarks (constant features leave only a normalized
-    degree scalar as input, and the layer-1 gradients are orders of
-    magnitude below layer-2's); Adam's per-parameter scaling fixes that
-    while staying fully deterministic.
+
+def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
+                    cfg: TrainConfig):
+    """cfg.restarts seeded full-batch Adam runs in lockstep; returns each
+    restart's best weights, stacked as w0, w1, b0, b1 of shapes
+    (R, d, h), (R, h, C), (R, 1, h), (R, 1, C), and its best (monitored,
+    train) accuracy pair.
+
+    An epoch is one forward pass, one backward pass and one Adam update
+    for all live restarts: the forward pass that scores an update is the
+    next epoch's loss forward.  A restart that stops leaves the stack.
     """
-    params = list(init_weights(x.shape[1], cfg.hidden_dim, class_count, seed))
-    mom = [np.zeros_like(p) for p in params]
-    vel = [np.zeros_like(p) for p in params]
+    ax = a_hat @ x
+    h = cfg.hidden_dim
+    shapes = ((x.shape[1], h), (h, class_count), (1, h), (1, class_count))
+    # one row of w0, w1, b0, b1 per restart; the stacked weights are views
+    flat = np.stack([np.concatenate([p.ravel() for p in
+                                     init_weights(x.shape[1], h, class_count, cfg.seed + r)])
+                     for r in range(cfg.restarts)])
+    mom = np.zeros_like(flat)
+    vel = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    best = [p.copy() for p in params]
-    best_acc = (-1.0, -1.0)  # (monitored accuracy, train accuracy tie-break)
-    best_loss = math.inf
-    stale = 0
+    live = list(range(cfg.restarts))              # restarts still training
+    best = flat.copy()
+    best_acc = [(-1.0, -1.0)] * cfg.restarts      # (monitored, train) accuracy
+    best_loss = [math.inf] * cfg.restarts
+    stale = [0] * cfg.restarts
+    params = _unstack(flat, shapes)
+    fwd = _forward(a_hat, ax, *params)
     for t in range(1, cfg.max_epochs + 1):
-        loss, *grads = loss_and_grads(a_hat, x, y, train_idx, *params)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss {loss} at epoch {t}")
-        for j, grad in enumerate(grads):
-            mom[j] = beta1 * mom[j] + (1 - beta1) * grad
-            vel[j] = beta2 * vel[j] + (1 - beta2) * grad * grad
-            m_hat = mom[j] / (1 - beta1 ** t)
-            v_hat = vel[j] / (1 - beta2 ** t)
-            params[j] = params[j] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        probs = _forward(a_hat, x, *params)[2]
-        acc = (_accuracy(probs, y, monitor_idx), _accuracy(probs, y, train_idx))
-        improved = False
-        if acc > best_acc:
-            best_acc = acc
-            best = [p.copy() for p in params]
-            improved = True
-        # patience also resets while the train loss improves; tiny
-        # validation sets saturate long before the optimizer is done
-        if loss < best_loss - 1e-6:
-            best_loss = loss
-            improved = True
-        if improved:
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
+        loss, *grads = _loss_and_grads(a_hat, ax, y, train_idx, params[1], *fwd)
+        losses = loss.tolist()
+        for value in losses:
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"non-finite loss {value} at epoch {t}")
+        grad = np.concatenate([part.reshape(len(live), -1) for part in grads], axis=1)
+        mom *= beta1
+        mom += (1 - beta1) * grad
+        vel *= beta2
+        vel += (1 - beta2) * grad * grad
+        m_hat = mom / (1 - beta1 ** t)
+        v_hat = vel / (1 - beta2 ** t)
+        flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        fwd = _forward(a_hat, ax, *params)
+        hits = fwd[2].argmax(axis=-1) == y
+        accs = zip((hits[:, monitor_idx].sum(axis=1) / len(monitor_idx)).tolist(),
+                   (hits[:, train_idx].sum(axis=1) / len(train_idx)).tolist())
+        going = []
+        for i, (r, acc) in enumerate(zip(live, accs)):
+            improved = False
+            if acc > best_acc[r]:
+                best_acc[r] = acc
+                best[r] = flat[i]
+                improved = True
+            # patience also resets while the train loss improves; tiny
+            # validation sets saturate long before the optimizer is done
+            if losses[i] < best_loss[r] - 1e-6:
+                best_loss[r] = losses[i]
+                improved = True
+            stale[r] = 0 if improved else stale[r] + 1
+            going.append(stale[r] < cfg.patience)
+        if not all(going):
+            live = [r for r, keep in zip(live, going) if keep]
+            if not live:
                 break
-    return best, best_acc
+            flat, mom, vel = flat[going], mom[going], vel[going]
+            params = _unstack(flat, shapes)
+            fwd = tuple(a[going] for a in fwd)
+    return _unstack(best, shapes), best_acc
 
 
 def train_gcn(g: RelationalGraph, split: NodeSplit, cfg: TrainConfig) -> GcnModel:
-    """Full-batch training; returns the model with the best validation
+    """Full-batch training; returns the model with the best monitored
     accuracy seen across cfg.restarts seeded restarts.
 
-    Deterministic for a fixed seed (restart r uses seed + r).  Early
-    stopping monitors validation accuracy (training accuracy when the
-    validation set is empty) with the configured patience.
+    Deterministic for a fixed seed (restart r uses seed + r).  Each
+    restart keeps the weights of its best (monitored, train) accuracy
+    pair, where the monitored accuracy is validation accuracy (training
+    accuracy when the validation set is empty), and stops once neither
+    that pair nor its train loss has improved for cfg.patience epochs.
+    Of restarts that tie, the first wins.
     """
     if len(split.train) == 0:
         raise ValueError("training split is empty")
     a_hat = normalize_adjacency(adjacency(g))
-    x = g.features
-    y = g.labels
     train_idx = np.asarray(split.train)
     monitor_idx = np.asarray(split.validation if split.validation else split.train)
-
-    best_params = None
-    best_acc = (-1.0, -1.0)
-    for r in range(cfg.restarts):
-        params, acc = _adam_run(a_hat, x, y, g.class_count, train_idx,
-                                monitor_idx, cfg, cfg.seed + r)
-        if acc > best_acc:
-            best_acc = acc
-            best_params = params
-    w0, w1, b0, b1 = best_params
-    return GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=cfg.seed)
+    (w0, w1, b0, b1), best_acc = _train_restarts(a_hat, g.features, g.labels,
+                                                 g.class_count, train_idx,
+                                                 monitor_idx, cfg)
+    win = 0
+    for r in range(1, cfg.restarts):
+        if best_acc[r] > best_acc[win]:
+            win = r
+    return GcnModel(w0=w0[win], w1=w1[win], b0=b0[win, 0], b1=b1[win, 0],
+                    seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relex.cli import main
@@ -52,6 +53,20 @@ class TestTrain:
     def test_missing_graph_validation_error(self, tmp_path):
         assert run(["train", "--graph", str(tmp_path / "none.json"),
                     "--out", str(tmp_path / "m.json")]) == 2
+
+    @pytest.mark.parametrize("flags", [["--patience", "0"], ["--lr", "-0.1"],
+                                       ["--lr", "nan"]])
+    def test_senseless_setting_validation_error(self, workspace, tmp_path, flags):
+        assert run(["train", "--graph", str(workspace / "graph.json"), *flags,
+                    "--out", str(tmp_path / "m.json")]) == 2
+        assert not (tmp_path / "m.json").exists()
+
+    def test_diverging_training_stage_failure(self, workspace, tmp_path):
+        with np.errstate(all="ignore"):
+            code = run(["train", "--graph", str(workspace / "graph.json"),
+                        "--lr", "1e300", "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestExplainStage:

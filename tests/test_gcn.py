@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from relex.gcn import (GcnModel, TrainConfig, gcn_forward, init_weights,
-                       load_model, loss_and_grads, normalize_adjacency,
-                       predict, save_model, train_gcn)
+from relex.datasets import generate_ba_shapes, generate_tree_motif
+from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _train_restarts,
+                       gcn_forward, init_weights, load_model, loss_and_grads,
+                       normalize_adjacency, predict, save_model, train_gcn)
 from relex.graphs import NodeSplit, adjacency, make_graph, split_nodes
 
 
@@ -19,6 +20,95 @@ def two_cliques(k=4):
     feats[k:] = [0.0, 1.0]
     labels = [0] * k + [1] * k
     return make_graph(2 * k, edges, features=feats, labels=labels)
+
+
+def reference_loss_and_grads(a_hat, x, y, train_idx, w0, w1, b0, b1):
+    """The one-model forward pass, loss and gradients as written before
+    training ran its restarts in lockstep."""
+    z1 = a_hat @ x @ w0 + b0
+    h1 = np.maximum(z1, 0.0)
+    z2 = a_hat @ h1 @ w1 + b1
+    z2 = z2 - z2.max(axis=1, keepdims=True)
+    exp = np.exp(z2)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(probs[train_idx, y[train_idx]] + 1e-12))
+
+    g2 = np.zeros_like(probs)
+    g2[train_idx] = probs[train_idx]
+    g2[train_idx, y[train_idx]] -= 1.0
+    g2 /= len(train_idx)
+
+    grad_b1 = g2.sum(axis=0)
+    ah_g2 = a_hat @ g2
+    grad_w1 = h1.T @ ah_g2
+    g1 = (ah_g2 @ w1.T) * (z1 > 0)
+    grad_b0 = g1.sum(axis=0)
+    grad_w0 = (a_hat @ x).T @ g1
+    return loss, probs, [grad_w0, grad_w1, grad_b0, grad_b1]
+
+
+def reference_accuracy(probs, y, idx):
+    return float((probs[idx].argmax(axis=1) == y[idx]).mean())
+
+
+def reference_adam_run(a_hat, x, y, class_count, train_idx, monitor_idx, cfg, seed):
+    """One seeded Adam run, one epoch after another; returns its best
+    weights, best (monitored, train) accuracy and last epoch."""
+    params = list(init_weights(x.shape[1], cfg.hidden_dim, class_count, seed))
+    mom = [np.zeros_like(p) for p in params]
+    vel = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    best = [p.copy() for p in params]
+    best_acc = (-1.0, -1.0)
+    best_loss = math.inf
+    stale = 0
+    for t in range(1, cfg.max_epochs + 1):
+        loss, _, grads = reference_loss_and_grads(a_hat, x, y, train_idx, *params)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss {loss} at epoch {t}")
+        for j, grad in enumerate(grads):
+            mom[j] = beta1 * mom[j] + (1 - beta1) * grad
+            vel[j] = beta2 * vel[j] + (1 - beta2) * grad * grad
+            m_hat = mom[j] / (1 - beta1 ** t)
+            v_hat = vel[j] / (1 - beta2 ** t)
+            params[j] = params[j] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        probs = reference_loss_and_grads(a_hat, x, y, train_idx, *params)[1]
+        acc = (reference_accuracy(probs, y, monitor_idx),
+               reference_accuracy(probs, y, train_idx))
+        improved = False
+        if acc > best_acc:
+            best_acc = acc
+            best = [p.copy() for p in params]
+            improved = True
+        if loss < best_loss - 1e-6:
+            best_loss = loss
+            improved = True
+        if improved:
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best, best_acc, t
+
+
+def reference_train(g, split, cfg):
+    """The restarts run one after another; returns each restart's
+    (best weights, best accuracy, last epoch) and the winning model."""
+    a_hat = normalize_adjacency(adjacency(g))
+    train_idx = np.asarray(split.train)
+    monitor_idx = np.asarray(split.validation if split.validation else split.train)
+    runs = [reference_adam_run(a_hat, g.features, g.labels, g.class_count, train_idx,
+                               monitor_idx, cfg, cfg.seed + r)
+            for r in range(cfg.restarts)]
+    best_params = None
+    best_acc = (-1.0, -1.0)
+    for params, acc, _ in runs:
+        if acc > best_acc:
+            best_acc = acc
+            best_params = params
+    w0, w1, b0, b1 = best_params
+    return runs, GcnModel(w0=w0, w1=w1, b0=b0, b1=b1, seed=cfg.seed)
 
 
 class TestNormalizeAdjacency:
@@ -157,6 +247,122 @@ class TestTraining:
         split = NodeSplit(train=(), validation=(0,), test=(1,))
         with pytest.raises(ValueError, match="empty"):
             train_gcn(g, split, TrainConfig(max_epochs=1))
+
+
+ORACLE_GRAPHS = {
+    "ba-shapes": lambda: generate_ba_shapes(25, 5, 1),
+    "tree-cycles": lambda: generate_tree_motif(4, "cycle", 3, 1),
+    "two-cliques": two_cliques,
+}
+
+# (graph, restarts, patience, max_epochs, empty validation split).  On
+# ba-shapes (3, 5) the restarts stop at epochs 21, 21 and 19 and tie; on
+# tree-cycles (3, 20) restart 0 stops at epoch 23 and the others run on.
+ORACLE_CASES = [
+    ("ba-shapes", 3, 5, 300, False),
+    ("ba-shapes", 2, 1, 50, True),
+    ("ba-shapes", 1, 200, 300, True),
+    ("tree-cycles", 3, 20, 300, True),
+    ("tree-cycles", 2, 1, 50, False),
+    ("tree-cycles", 1, 200, 300, False),
+    ("two-cliques", 3, 5, 300, True),
+    ("two-cliques", 2, 1, 50, False),
+    ("two-cliques", 1, 200, 300, True),
+]
+
+
+def oracle_case(name, restarts, patience, epochs, empty_validation):
+    g = ORACLE_GRAPHS[name]()
+    split = split_nodes(g, 1, (0.6, 0.2, 0.2))
+    if empty_validation:
+        split = NodeSplit(train=split.train, validation=(), test=split.test)
+    cfg = TrainConfig(hidden_dim=8, max_epochs=epochs, patience=patience,
+                      restarts=restarts, seed=3)
+    return g, split, cfg
+
+
+class TestLockstepTrainingOracle:
+    """The lockstep restarts against the restarts run one by one, with ==."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_each_restart_and_the_model_match(self, case):
+        g, split, cfg = oracle_case(*case)
+        runs, expected = reference_train(g, split, cfg)
+        train_idx = np.asarray(split.train)
+        monitor_idx = np.asarray(split.validation if split.validation else split.train)
+        stacked, best_acc = _train_restarts(normalize_adjacency(adjacency(g)),
+                                            g.features, g.labels, g.class_count,
+                                            train_idx, monitor_idx, cfg)
+        for r, (params, acc, _) in enumerate(runs):
+            assert tuple(best_acc[r]) == acc, f"restart {r}"
+            for got, want in zip(stacked, params):
+                assert (got[r].reshape(want.shape) == want).all(), f"restart {r}"
+        model = train_gcn(g, split, cfg)
+        for key in ("w0", "w1", "b0", "b1"):
+            got, want = getattr(model, key), getattr(expected, key)
+            assert got.shape == want.shape and (got == want).all(), key
+
+    def test_cases_stop_apart_and_tie(self):
+        """The grid holds restarts that stop at different epochs before
+        max_epochs, and restarts whose best accuracies tie, so an early
+        stop that is not honoured or a tie that goes to a later restart
+        changes a result above."""
+        stops, ties = set(), set()
+        for case in ORACLE_CASES:
+            runs, _ = reference_train(*oracle_case(*case))
+            last = [t for _, _, t in runs]
+            if len(set(last)) > 1 and min(last) < case[3]:
+                stops.add(case[0])
+            accs = [acc for _, acc, _ in runs]
+            if len(set(accs)) < len(accs):
+                ties.add(case[0])
+        assert stops >= {"ba-shapes", "tree-cycles"}
+        assert ties >= {"ba-shapes", "two-cliques"}
+
+
+class TestDivergence:
+    def test_huge_learning_rate_raises(self):
+        g = ORACLE_GRAPHS["ba-shapes"]()
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingDiverged, match="non-finite loss nan at epoch 2"):
+            train_gcn(g, split_nodes(g, 1), TrainConfig(learning_rate=1e300))
+
+    def test_stopped_restart_never_raises(self):
+        # at this rate the three restarts stop at epochs 5, 5 and 9; restart
+        # 0's loss would turn non-finite at epoch 8 had it gone on
+        g, split, _ = oracle_case("two-cliques", 3, 3, 60, True)
+        cfg = TrainConfig(hidden_dim=8, max_epochs=60, patience=3, restarts=3,
+                          learning_rate=2e153, seed=0)
+        train_idx = np.asarray(split.train)
+        a_hat = normalize_adjacency(adjacency(g))
+        with np.errstate(all="ignore"):
+            runs, expected = reference_train(g, split, cfg)
+            assert [t for _, _, t in runs] == [5, 5, 9]
+            with pytest.raises(TrainingDiverged, match="at epoch 8"):
+                reference_adam_run(a_hat, g.features, g.labels, g.class_count,
+                                   train_idx, train_idx,
+                                   TrainConfig(hidden_dim=8, max_epochs=60,
+                                               patience=60, learning_rate=2e153),
+                                   seed=0)
+            model = train_gcn(g, split, cfg)
+        for key in ("w0", "w1", "b0", "b1"):
+            assert (getattr(model, key) == getattr(expected, key)).all(), key
+
+
+class TestTrainConfigChecks:
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_rejected(self, patience):
+        with pytest.raises(ValueError, match="patience"):
+            TrainConfig(patience=patience)
+
+    @pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    def test_zero_learning_rate_and_patience_one_allowed(self):
+        cfg = TrainConfig(learning_rate=0.0, patience=1)
+        assert (cfg.learning_rate, cfg.patience) == (0.0, 1)
 
 
 class TestPredict:
