@@ -61,6 +61,8 @@ class RankSearchConfig:
     def __post_init__(self):
         if not (0 < self.stop_fraction < START_FRACTION):
             raise ValueError(f"need 0 < stop_fraction < {START_FRACTION}")
+        if self.max_rank < 1:
+            raise ValueError("max_rank must be >= 1")
 
 
 @dataclass
@@ -114,7 +116,7 @@ def _best_block(p: np.ndarray, residual: np.ndarray,
     return usages[best], bases[best]
 
 
-def bmf_factorize(p: np.ndarray, k: int, cfg: RankSearchConfig,
+def bmf_factorize(p: np.ndarray, k: int,
                   prefix: BooleanFactorization | None = None) -> BooleanFactorization:
     """Greedy Boolean factorization at rank k.
 
@@ -122,7 +124,7 @@ def bmf_factorize(p: np.ndarray, k: int, cfg: RankSearchConfig,
     that covers the most uncovered cells of P until there are k, so
     rank k is the first k steps of one walk and its error is at most
     that of any lower rank.  Blocks never cover a zero of P, so the
-    error counts P's uncovered ones.  Deterministic; ``cfg`` is not read.
+    error counts P's uncovered ones.  Deterministic.
     """
     p = validate_boolean_matrix(p)
     done = 0 if prefix is None else prefix.rank
@@ -158,7 +160,7 @@ def rank_ladder(p: np.ndarray, edge_count: int,
     ladder: list[BooleanFactorization] = []
     fact = None
     for rank in range(1, cfg.max_rank + 1):
-        fact = bmf_factorize(p, rank, cfg, prefix=fact)
+        fact = bmf_factorize(p, rank, prefix=fact)
         if fact.error < start_err:
             ladder.append(fact)
             if fact.error < stop_err:

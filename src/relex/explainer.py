@@ -49,6 +49,10 @@ class ExplainConfig:
     def __post_init__(self):
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
+        if self.mask_steps < 0:
+            raise ValueError("mask_steps must be >= 0")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
         if self.size_penalty < 0 or self.entropy_penalty < 0:
             raise ValueError("penalties must be >= 0")
 

@@ -9,10 +9,11 @@ and 1 elsewhere; a binary target yields one factor per relation
 
 Weights are learned by a voted-perceptron-style rule: the gradient of the
 log-likelihood is approximated by replacing the intractable expected
-clause count with a count under the current MAP assignment.  Calibration
-runs damped sum-product message passing on a flooding schedule; the
-uncertainty of an explained relation is the drop in the clause-satisfying
-joint belief after factors encoding the explanation are injected.
+clause count with a count under the current MAP assignment, found exactly
+by max-sum bucket elimination.  Calibration runs damped sum-product
+message passing on a flooding schedule; the uncertainty of an explained
+relation is the drop in the clause-satisfying joint belief after factors
+encoding the explanation are injected.
 """
 
 from __future__ import annotations
@@ -98,76 +99,69 @@ def _clause_satisfied(f: Factor, assignment: dict[int, int]) -> bool:
             and assignment[TARGET] == f.target_state)
 
 
-# Exhaustive MAP scores 2^_MAP_BLOCK_BITS entity assignments at a time, so
-# its memory stays flat up to the 20-variable limit.
-_MAP_BLOCK_BITS = 15
-
-
-def _map_exhaustive(fg: FactorGraph) -> dict[int, int]:
-    """Score every assignment, one block of the entity bit matrix at a time.
-
-    A block fixes the leading (high) entities and holds a score array of
-    shape (target_card,) + (2,) * low; with T moved last, its C order is
-    itertools.product order over (entities..., T).  A factor adds its
-    weight to the view where its clause holds, one factor at a time in
-    factor order: each score gets the float additions of a left-to-right
-    sum over the factors.  The first argmax of a block wins over earlier
-    blocks only when strictly higher, so ties go to the lowest assignment
-    in product order.
-    """
-    n = len(fg.entities)
-    low = min(n, _MAP_BLOCK_BITS)
-    high = n - low
-    axis = {ent: i for i, ent in enumerate(fg.entities)}
-    clauses = []  # (high entity axes that must be 1, view index, weight)
-    for f in fg.factors:
-        index: list = [f.target_state] + [slice(None)] * low
-        need = set()
-        for ent in (f.u, f.v):
-            if axis[ent] < high:
-                need.add(axis[ent])
-            else:
-                index[1 + axis[ent] - high] = 1
-        clauses.append((need, tuple(index), f.weight))
-
-    best_score, best = -math.inf, 0
-    for block in range(1 << high):
-        ones = {a for a in range(high) if (block >> (high - 1 - a)) & 1}
-        scores = np.zeros((fg.target_card,) + (2,) * low)
-        for need, index, weight in clauses:
-            if need <= ones:
-                scores[index] += weight
-        flat = np.moveaxis(scores, 0, -1).ravel()
-        k = int(flat.argmax())
-        if flat[k] > best_score:
-            best_score, best = flat[k], (block << low) * fg.target_card + k
-    row, state = divmod(best, fg.target_card)
-    assignment = {ent: (row >> (n - 1 - i)) & 1 for i, ent in enumerate(fg.entities)}
-    assignment[TARGET] = state
-    return assignment
-
-
-def _map_max_product(fg: FactorGraph, bp: "BpConfig | None" = None) -> dict[int, int]:
-    state = run_bp(fg, bp or BpConfig(), mode="max")
-    # argmax takes the lowest index on ties
-    return {var: int(marginal(fg, state, var).argmax()) for var in fg.variables}
-
-
 def map_assignment(fg: FactorGraph) -> dict[int, int]:
-    """Most probable assignment; exhaustive up to 20 variables, then
-    max-product message passing.
+    """Most probable assignment, exact, by max-sum bucket elimination.
 
-    Exhaustive search costs 2^n * target_card scores for n entities.  Of
-    the assignments with the highest score (a sum of satisfied factor
-    weights, added in factor order) it returns the first in
-    itertools.product order over (entities in sorted order..., T), the
-    last variable varying fastest: the one that reads lowest as a binary
-    number over the entities, then the lowest target state.  Max-product
-    takes each variable's lowest-index maximal state.
+    Tables are over (T, entities...), T first.  Entities are eliminated
+    in greedy min-degree order: an entity's bucket is summed and maximised
+    into one table over its neighbours, and a traceback reads off the
+    maximising states.  At elimination width w (the most neighbours an
+    entity has when eliminated) the cost is about entities * target_card
+    * 2^(w + 1), against 2^n * target_card for exhaustive search.
+
+    Of the assignments with the highest score (the sum of satisfied factor
+    weights) it returns the first in itertools.product order over
+    (entities in order..., T): each score carries the product-order rank
+    of the sub-assignment behind it, a Python int, and ties go to the
+    lower rank.  Scores are summed in elimination order, so sums that tie
+    in decimal arithmetic (0.1 + 0.2 against 0.3) can round apart and
+    pick another maximiser than sums in factor order would.
     """
-    if len(fg.variables) <= 20:
-        return _map_exhaustive(fg)
-    return _map_max_product(fg)
+    n, card = len(fg.entities), fg.target_card
+    pos = {ent: i for i, ent in enumerate(fg.entities)}
+    scopes = [{pos[f.u], pos[f.v]} for f in fg.factors]
+    nbrs: dict[int, set[int]] = {i: set() for i in range(n)}
+    for scope in scopes:
+        for i in scope:
+            nbrs[i] |= scope
+    order = []
+    while nbrs:
+        i = min(nbrs, key=lambda v: (len(nbrs[v]), v))
+        order.append(i)
+        rest = nbrs.pop(i) - {i}
+        for v in rest:
+            nbrs[v] = (nbrs[v] | rest) - {i}
+    step = {i: k for k, i in enumerate(order)}.get
+    # scopes in elimination order: an entity leads every table it is in
+    scores: dict[tuple[int, ...], np.ndarray] = {}
+    for f, scope in zip(fg.factors, scopes):
+        key = tuple(sorted(scope, key=step))
+        table = scores.setdefault(key, np.zeros((card,) + (2,) * len(key)))
+        table[(f.target_state,) + (1,) * len(key)] += f.weight
+    tables = [(key, s, np.zeros(s.shape, dtype=object)) for key, s in scores.items()]
+    traceback = []
+    for i in order:
+        bucket = [t for t in tables if t[0][:1] == (i,)]
+        tables = [t for t in tables if t[0][:1] != (i,)]
+        rest = tuple(sorted({v for key, _, _ in bucket for v in key[1:]}, key=step))
+        score = np.zeros((card, 2) + (2,) * len(rest))
+        rank = np.zeros(score.shape, dtype=object)
+        rank[:, 1] = card << (n - 1 - i)
+        for key, s, r in bucket:
+            shape = (card, 2) + tuple(2 if v in key else 1 for v in rest)
+            score, rank = score + s.reshape(shape), rank + r.reshape(shape)
+        take = (score[:, 1] > score[:, 0]) | (
+            (score[:, 1] == score[:, 0]) & (rank[:, 1] < rank[:, 0]))
+        tables.append((rest, np.where(take, score[:, 1], score[:, 0]),
+                       np.where(take, rank[:, 1], rank[:, 0])))
+        traceback.append((i, rest, take))
+    score = sum((s for _, s, _ in tables), np.zeros(card))
+    rank = sum((r for _, _, r in tables), np.arange(card).astype(object))
+    state = min(range(card), key=lambda t: (-score[t], rank[t]))
+    bits: dict[int, int] = {}
+    for i, rest, take in reversed(traceback):
+        bits[i] = int(take[(state,) + tuple(bits[v] for v in rest)])
+    return {**{ent: bits[i] for i, ent in enumerate(fg.entities)}, TARGET: state}
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +184,10 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
     class factors and clipped to [-10, 10].  Returns a new graph; fg is
     not modified.
     """
-    if learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError("learning_rate must be finite and >= 0")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     n_expl = len(s.explanations)
     relations = s.relations
     weights: dict[Edge, float] = {}
@@ -226,7 +222,7 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
 
 
 # ---------------------------------------------------------------------------
-# Sum-product / max-product message passing
+# Sum-product message passing
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -268,7 +264,7 @@ class MessageState:
 
 
 def propagate(cards: dict[int, int], clusters: list[Cluster],
-              cfg: BpConfig | None = None, mode: str = "sum"):
+              cfg: BpConfig | None = None):
     """Damped flooding-schedule message passing on a cluster graph.
 
     Every iteration refreshes all variable-to-factor messages, then all
@@ -340,7 +336,7 @@ def propagate(cards: dict[int, int], clusters: list[Cluster],
                         shape[j + 1] = cj
                         prod = prod * nu[cj][lj:hj].reshape(shape)
                 axes = tuple(j + 1 for j in range(len(runs)) if j != slot)
-                msg = prod.sum(axis=axes) if mode == "sum" else prod.max(axis=axes)
+                msg = prod.sum(axis=axes)
                 msg = msg / msg.sum(axis=1, keepdims=True)
                 new = (1.0 - cfg.damping) * msg + cfg.damping * mu[c][lo:hi]
                 residual = max(residual, float(np.abs(new - mu[c][lo:hi]).max()))
@@ -374,12 +370,11 @@ def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:
     return clusters, factor_cluster
 
 
-def run_bp(fg: FactorGraph, cfg: BpConfig | None = None,
-           mode: str = "sum") -> MessageState:
+def run_bp(fg: FactorGraph, cfg: BpConfig | None = None) -> MessageState:
     """Calibrate the factor graph; see propagate for the schedule."""
     cards = {v: fg.card(v) for v in fg.variables}
     clusters, factor_cluster = _build_clusters(fg)
-    nu, mu, iterations, converged, residual = propagate(cards, clusters, cfg, mode)
+    nu, mu, iterations, converged, residual = propagate(cards, clusters, cfg)
     return MessageState(clusters=clusters, factor_cluster=factor_cluster,
                         cards=cards, nu=nu, mu=mu, iterations=iterations,
                         converged=converged, residual=residual)

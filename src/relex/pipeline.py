@@ -96,6 +96,8 @@ class PipelineConfig:
         if self.scorer not in ("bp", "is", "both"):
             raise ValueError("scorer must be 'bp', 'is' or 'both'")
         check_split_fractions(self.split_fractions)
+        if self.max_targets is not None and self.max_targets < 1:
+            raise ValueError("max_targets must be >= 1")
 
     @property
     def scorers(self) -> tuple[str, ...]:

@@ -189,18 +189,18 @@ def test_criterion_4_bmf_oracle():
     details = []
     ok = True
 
-    f = bmf_factorize(np.ones((3, 3), dtype=np.int8), 1, RankSearchConfig(seed=0))
+    f = bmf_factorize(np.ones((3, 3), dtype=np.int8), 1)
     ok &= f.error == 0
     details.append(f"all-ones 3x3 k=1 error {f.error}")
 
     p = np.zeros((4, 4), dtype=np.int8)
     p[:2, :2] = 1
     p[2:, 2:] = 1
-    f2 = bmf_factorize(p, 2, RankSearchConfig(seed=0))
+    f2 = bmf_factorize(p, 2)
     ok &= f2.error == 0
     oracle1 = exhaustive_bmf_error(p, 1)
     ok &= oracle1 == 4
-    f1 = bmf_factorize(p, 1, RankSearchConfig(seed=0))
+    f1 = bmf_factorize(p, 1)
     ok &= f1.error <= oracle1 + 4
     details.append(f"blockdiag k=2 error {f2.error}, k=1 error {f1.error} "
                    f"(oracle {oracle1} + slack 4)")
@@ -211,7 +211,7 @@ def test_criterion_4_bmf_oracle():
         mat = (rng.random((6, 6)) < 0.4).astype(np.int8)
         o1, o2 = exhaustive_bmf_error(mat, 1), exhaustive_bmf_error(mat, 2)
         ok &= o2 <= o1  # oracle side exact and monotone
-        errs = [bmf_factorize(mat, k, RankSearchConfig(seed=trial)).error
+        errs = [bmf_factorize(mat, k).error
                 for k in range(1, 6)]
         ok &= errs[0] <= o1 + slack and errs[1] <= o2 + slack
         ok &= all(errs[i + 1] <= errs[i] + slack for i in range(len(errs) - 1))

@@ -93,32 +93,31 @@ class TestBooleanError:
 class TestBmfFactorize:
     def test_all_ones_rank_one_exact(self):
         p = np.ones((3, 3), dtype=np.int8)
-        f = bmf_factorize(p, 1, RankSearchConfig())
+        f = bmf_factorize(p, 1)
         assert f.error == 0
         np.testing.assert_array_equal(f.reconstruction, p)
 
     def test_blockdiag_rank_two_exact(self):
-        f = bmf_factorize(blockdiag_j2(), 2, RankSearchConfig())
+        f = bmf_factorize(blockdiag_j2(), 2)
         assert f.error == 0
 
     def test_blockdiag_rank_one_near_oracle(self):
         p = blockdiag_j2()
         oracle = exhaustive_bmf_error(p, 1)
         assert oracle == 4
-        f = bmf_factorize(p, 1, RankSearchConfig())
+        f = bmf_factorize(p, 1)
         assert f.error <= oracle + 4  # documented heuristic slack
 
     def test_error_field_consistent_with_parts(self):
         p = blockdiag_j2()
-        f = bmf_factorize(p, 2, RankSearchConfig())
+        f = bmf_factorize(p, 2)
         assert f.error == boolean_error(p, boolean_product(f.q, f.r))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         p = (rng.random((5, 5)) < 0.5).astype(np.int8)
-        # the walk has no randomness: the config's seed is not read
-        f1 = bmf_factorize(p, 2, RankSearchConfig())
-        f2 = bmf_factorize(p, 2, RankSearchConfig(seed=7))
+        f1 = bmf_factorize(p, 2)
+        f2 = bmf_factorize(p, 2)
         np.testing.assert_array_equal(f1.q, f2.q)
         np.testing.assert_array_equal(f1.r, f2.r)
         assert f1.error == f2.error
@@ -126,7 +125,7 @@ class TestBmfFactorize:
     def test_full_rank_exact(self):
         rng = np.random.default_rng(2)
         p = (rng.random((5, 5)) < 0.4).astype(np.int8)
-        f = bmf_factorize(p, 5, RankSearchConfig())
+        f = bmf_factorize(p, 5)
         assert f.error == 0
 
     def test_solver_within_oracle_slack_5x5(self):
@@ -136,7 +135,7 @@ class TestBmfFactorize:
             slack = int(p.size * 0.25)
             for k in (1, 2):
                 oracle = exhaustive_bmf_error(p, k)
-                f = bmf_factorize(p, k, RankSearchConfig())
+                f = bmf_factorize(p, k)
                 assert f.error <= oracle + slack, (trial, k, f.error, oracle)
 
     def test_each_rank_adds_the_best_materialised_block(self):
@@ -151,7 +150,7 @@ class TestBmfFactorize:
             symmetric = bool((p == p.T).all())
             prev = None
             for k in range(1, 7):
-                fact = bmf_factorize(p, k, RankSearchConfig(), prefix=prev)
+                fact = bmf_factorize(p, k, prefix=prev)
                 covered = (np.zeros_like(p) if prev is None
                            else prev.reconstruction).astype(bool)
                 residual = p.astype(bool) & ~covered
@@ -176,8 +175,8 @@ class TestBmfFactorize:
     def test_solver_at_n_beats_n_minus_one(self):
         rng = np.random.default_rng(9)
         p = (rng.random((6, 6)) < 0.4).astype(np.int8)
-        f_n = bmf_factorize(p, 6, RankSearchConfig())
-        f_n1 = bmf_factorize(p, 5, RankSearchConfig())
+        f_n = bmf_factorize(p, 6)
+        f_n1 = bmf_factorize(p, 5)
         assert f_n.error <= f_n1.error
         assert f_n.error == 0  # the walk covers this P exactly by k = n
 
@@ -190,7 +189,7 @@ class TestSymmetryProxy:
         p = adjacency(g)
         distinct_p = np.unique(p, axis=1).shape[1]
         for k in (2, 3):
-            f = bmf_factorize(p, k, RankSearchConfig())
+            f = bmf_factorize(p, k)
             distinct_hat = np.unique(f.reconstruction, axis=1).shape[1]
             assert distinct_hat <= distinct_p
 
@@ -258,7 +257,7 @@ class TestRankLadder:
 
     def test_max_rank_zero_fails(self, pendant_setup):
         g, _ = pendant_setup
-        with pytest.raises(CreGenerationFailed):
+        with pytest.raises(ValueError, match="max_rank"):
             rank_ladder(adjacency(g), g.edge_count,
                         RankSearchConfig(max_rank=0))
 
@@ -272,7 +271,7 @@ class TestRankLadder:
         errors = [f.error for f in ladder]
         assert all(b <= a for a, b in zip(errors, errors[1:])), errors
         # each rung is the walk's rank-k prefix, however it is reached
-        fresh = bmf_factorize(adjacency(g), ranks[-1], RankSearchConfig())
+        fresh = bmf_factorize(adjacency(g), ranks[-1])
         np.testing.assert_array_equal(fresh.q, ladder[-1].q)
         np.testing.assert_array_equal(fresh.r, ladder[-1].r)
 
@@ -292,7 +291,7 @@ class TestRankLadder:
         before = {33: 24, 34: 22, 35: 20, 36: 26}
         fact = None
         for rank in range(1, 37):
-            fact = bmf_factorize(adjacency(g), rank, RankSearchConfig(), prefix=fact)
+            fact = bmf_factorize(adjacency(g), rank, prefix=fact)
             if rank in before:
                 assert fact.error <= before[rank], rank
 
@@ -334,7 +333,7 @@ class TestGenerateCres:
 
     def test_max_rank_zero_degenerate(self, pendant_setup):
         g, model = pendant_setup
-        with pytest.raises(CreGenerationFailed):
+        with pytest.raises(ValueError, match="max_rank"):
             generate_cres(g, model, 1, ExplainConfig(mask_steps=10, seed=0),
                           RankSearchConfig(max_rank=0))
 

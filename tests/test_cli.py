@@ -82,6 +82,13 @@ class TestExplainStage:
         assert blob["hops"] == 2
         assert len(blob["relations"]) >= 1
 
+    @pytest.mark.parametrize("flags", [["--top-k", "0"], ["--steps", "-5"]])
+    def test_senseless_setting_validation_error(self, workspace, tmp_path, flags):
+        assert run(["explain", "--graph", str(workspace / "graph.json"),
+                    "--model", str(workspace / "model.json"), "--target", "13",
+                    *flags, "--out", str(tmp_path / "e.json")]) == 2
+        assert not (tmp_path / "e.json").exists()
+
     def test_isolated_target_stage_failure(self, tmp_path):
         graph = {"n": 3, "edges": [[0, 1]], "labels": [0, 1, 0],
                  "features": [[1.0]] * 3, "classes": 2}
@@ -129,6 +136,23 @@ class TestCresLearnFgEvaluate:
         assert len(lines) >= 2
 
 
+    def test_zero_max_rank_validation_error(self, workspace, tmp_path):
+        assert run(["cres", "--graph", str(workspace / "graph.json"),
+                    "--model", str(workspace / "model.json"), "--target", "13",
+                    "--max-rank", "0", "--out", str(tmp_path / "cres.json")]) == 2
+        assert not (tmp_path / "cres.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--epochs", "-3"], ["--lr", "nan"]])
+    def test_senseless_learn_fg_setting_validation_error(self, tmp_path, flags):
+        (tmp_path / "cres.json").write_text(json.dumps(
+            {"target": 0, "class_count": 2, "ranks": [1], "errors": [1],
+             "explanations": [{"target": 0, "class": 1, "hops": 2,
+                               "relations": [{"u": 0, "v": 1, "gc": 0.8}]}]}))
+        assert run(["learn-fg", "--cres", str(tmp_path / "cres.json"), *flags,
+                    "--out", str(tmp_path / "fg.json")]) == 2
+        assert not (tmp_path / "fg.json").exists()
+
+
 class TestEvaluate:
     def test_skipped_relations_reported_on_stderr(self, tmp_path, capsys):
         (tmp_path / "fg.json").write_text(json.dumps(
@@ -172,6 +196,18 @@ class TestVerifyAndReport:
         assert run(["verify", "--dataset", "ba-shapes", "--test-fraction", fraction,
                     "--out", str(tmp_path / "run")]) == 2
         assert "split fractions must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flags", [["--top-k", "0"], ["--steps", "-5"],
+                                       ["--max-targets", "0"]])
+    def test_senseless_setting_exits_2_before_the_graph(self, tmp_path, monkeypatch,
+                                                        flags):
+        def build(spec, seed):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr("relex.pipeline.DatasetSpec.build", build)
+        assert run(["verify", "--dataset", "ba-shapes", *flags,
+                    "--out", str(tmp_path / "run")]) == 2
         assert not (tmp_path / "run").exists()
 
     def test_zero_test_fraction_writes_header_only_results(self, tmp_path):
