@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,13 +351,23 @@ class TestMapAssignment:
         assignment = map_assignment(fg)
         assert assignment == {0: 1, 1: 1, 2: 0, TARGET: 1}
 
-    def test_matches_reference_loop(self):
+    @pytest.mark.parametrize("relabel_seed", [15, 2, 0])
+    def test_matches_reference_loop(self, relabel_seed):
+        # seed 0 keeps the drawn labels; the others permute the entity labels
+        # of the same graphs, so min-degree ties and product-order ranks
+        # fall on other positions
         rng = np.random.default_rng(21)
+        relabel = np.random.default_rng(relabel_seed)
         for trial in range(200):
             fg = random_factor_graph(rng, int(rng.integers(1, 8)),
                                      int(rng.choice([2, 3, 4, 5, 8])),
                                      int(rng.integers(0, 14)),
                                      TIE_WEIGHTS if trial % 2 else None)
+            if relabel_seed:
+                perm = [int(x) for x in relabel.permutation(len(fg.entities))]
+                fg.factors = [replace(f, u=min(perm[f.u], perm[f.v]),
+                                      v=max(perm[f.u], perm[f.v]))
+                              for f in fg.factors]
             assert map_assignment(fg) == loop_map(fg), trial
 
     def test_zero_and_equal_weights(self):
