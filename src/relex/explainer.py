@@ -8,10 +8,19 @@ the mask stays small and close to binary:
         + size_penalty * sum(sigmoid(mask))
         + entropy_penalty * sum(binary_entropy(sigmoid(mask)))
 
-Masked edges carry weight sigmoid(mask) symmetrically in the adjacency;
-the GCN normalization is recomputed every step.  Updates use gradient
-descent with backtracking line search, so the objective is non-increasing
-over accepted steps.  The top-k edges by final sigmoid(mask) form the
+Masked edges carry weight sigmoid(mask) symmetrically in the adjacency.
+The GCN has two layers, so the target's logits read only the nodes
+within two BFS steps of it and those nodes' full-graph degrees.  Each
+call therefore works on the ball of nodes within max(hops, 2) steps: the
+adjacency among them, plus each one's count of edges that leave the
+ball, a degree offset that no mask weight touches.  An evaluation
+normalizes and forwards that ball alone, O(|ball|^2) rather than O(n^2)
+in the graph's node count n, and equals the full-graph computation up
+to rounding.  Updates use gradient descent with backtracking line
+search, so the objective is non-increasing over accepted steps.  Each
+step's gradient backpropagates from the forward pass that accepted its
+mask, so each evaluation runs one forward pass.  The top-k edges by
+final sigmoid(mask) form the
 explanation; their sigmoid values are the per-relation confidences.
 """
 
@@ -24,10 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from relex.gcn import (GcnModel, _forward, gcn_forward, normalize_adjacency,
-                       predict)
-from relex.graphs import (Edge, RelationalGraph, adjacency, normalize_edge,
-                          remove_edges)
+from relex.gcn import GcnModel, _forward, normalize_adjacency, predict
+from relex.graphs import Edge, RelationalGraph, normalize_edge
 
 
 class SingleNodeExplanation(ValueError):
@@ -76,8 +83,8 @@ class Explanation:
         raise KeyError(edge)
 
 
-def computation_subgraph(g: RelationalGraph, target: int, hops: int) -> list[Edge]:
-    """Edges whose endpoints both lie within `hops` BFS steps of target."""
+def _distances(g: RelationalGraph, target: int, radius: int) -> dict[int, int]:
+    """BFS distance from target of every node within ``radius`` steps."""
     dist = {target: 0}
     queue = deque([target])
     adj: dict[int, list[int]] = {}
@@ -86,12 +93,18 @@ def computation_subgraph(g: RelationalGraph, target: int, hops: int) -> list[Edg
         adj.setdefault(v, []).append(u)
     while queue:
         node = queue.popleft()
-        if dist[node] == hops:
+        if dist[node] == radius:
             continue
         for nb in adj.get(node, ()):
             if nb not in dist:
                 dist[nb] = dist[node] + 1
                 queue.append(nb)
+    return dist
+
+
+def computation_subgraph(g: RelationalGraph, target: int, hops: int) -> list[Edge]:
+    """Edges whose endpoints both lie within `hops` BFS steps of target."""
+    dist = _distances(g, target, hops)
     return sorted(e for e in g.edges if e[0] in dist and e[1] in dist)
 
 
@@ -106,17 +119,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _MaskProblem:
-    """Everything one target's mask optimisation holds fixed.
+    """Everything one target's mask optimisation holds fixed, on the ball
+    of nodes within max(hops, 2) steps of the target, in node order.
 
-    ``a_soft`` starts as the graph's adjacency; masked edge i sits at
-    (rows[i], cols[i]) and (cols[i], rows[i]).  Each evaluation writes its
-    mask weights into those entries before it reads the matrix, so the one
-    buffer always holds the current mask's adjacency; a fresh n x n copy
-    per evaluation would cost more than the write.  ``explain`` builds the
-    problem once per call.
+    ``a_soft`` is the adjacency among the ball's nodes, and ``outside``
+    counts each one's edges to nodes beyond the ball, so that ``a_soft``'s
+    row sums plus ``outside`` are the full-graph degrees.  Masked edge i
+    sits at ball positions (rows[i], cols[i]) and (cols[i], rows[i]).
+    Each evaluation writes its mask weights into those entries before it
+    reads the matrix, so the one buffer always holds the current mask's
+    adjacency.  ``target`` is the target's ball position.  ``explain``
+    builds the problem once per call.
     """
 
     a_soft: np.ndarray
+    outside: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     features: np.ndarray
@@ -130,9 +147,23 @@ class _MaskProblem:
 def _mask_problem(g: RelationalGraph, model: GcnModel, target: int,
                   predicted: int, masked_edges: list[Edge],
                   cfg: ExplainConfig) -> _MaskProblem:
-    idx = np.array(masked_edges, dtype=np.intp).reshape(-1, 2)
-    return _MaskProblem(adjacency(g).astype(np.float64), idx[:, 0], idx[:, 1],
-                        g.features, model, target, predicted,
+    # two GCN layers: the logits read the nodes within 2 steps, even at hops 1
+    ball = sorted(_distances(g, target, max(cfg.hops, 2)))
+    pos = {node: i for i, node in enumerate(ball)}
+    a_soft = np.zeros((len(ball), len(ball)))
+    outside = np.zeros(len(ball))
+    for (u, v) in g.edges:
+        i, j = pos.get(u), pos.get(v)
+        if i is not None and j is not None:
+            a_soft[i, j] = a_soft[j, i] = 1.0
+        elif i is not None:
+            outside[i] += 1.0
+        elif j is not None:
+            outside[j] += 1.0
+    idx = np.array([(pos[u], pos[v]) for (u, v) in masked_edges],
+                   dtype=np.intp).reshape(-1, 2)
+    return _MaskProblem(a_soft, outside, idx[:, 0], idx[:, 1], g.features[ball],
+                        model, pos[target], predicted,
                         cfg.size_penalty, cfg.entropy_penalty)
 
 
@@ -152,9 +183,10 @@ def _objective(pred_loss, s, size_penalty, entropy_penalty):
 
 
 def _masked_forward(p: _MaskProblem, mask: np.ndarray):
-    """The GCN forward pass on the masked graph, and the loss it gives."""
+    """The GCN forward pass on the masked ball, and the loss it gives."""
     s = _sigmoid(mask)
-    a_hat = normalize_adjacency(soft_adjacency(p.a_soft, p.rows, p.cols, s))
+    a_hat = normalize_adjacency(soft_adjacency(p.a_soft, p.rows, p.cols, s),
+                                p.outside)
     m = p.model
     z1, h1, probs = _forward(a_hat, a_hat @ p.features, m.w0, m.w1, m.b0, m.b1)
     pred_loss = -np.log(probs[p.target, p.predicted] + 1e-12)
@@ -162,17 +194,14 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     return loss, s, a_hat, z1, h1, probs
 
 
-def _masked_loss(p: _MaskProblem, mask: np.ndarray) -> float:
-    return _masked_forward(p, mask)[0]
-
-
-def _masked_loss_and_grad(p: _MaskProblem, mask: np.ndarray):
-    """Loss and its analytic gradient wrt the mask values.
+def _masked_grad(p: _MaskProblem, mask: np.ndarray, fwd) -> np.ndarray:
+    """The loss's analytic gradient wrt the mask values, from the mask's
+    ``_masked_forward`` outputs ``fwd``.
 
     Backpropagates through the two GCN layers into dL/dA_hat, then through
     the degree normalization into each symmetric edge weight.
     """
-    loss, s, a_hat, z1, h1, probs = _masked_forward(p, mask)
+    _, s, a_hat, z1, h1, probs = fwd
     m = p.model
 
     # dL/dZ2 is nonzero only in the target row
@@ -186,7 +215,9 @@ def _masked_loss_and_grad(p: _MaskProblem, mask: np.ndarray):
 
     # A_hat = w_i w_j (A + I) with w = d^-1/2, and A has a zero diagonal,
     # so diag(A_hat) = 1/d.  An edge weight enters A_hat directly at (u, v)
-    # and (v, u), and through the degrees d_u and d_v.
+    # and (v, u), and through the degrees d_u and d_v.  m_hat is nonzero
+    # only in the rows of the target and its neighbours, whose A_hat
+    # entries all lie inside the ball, so the sums below miss nothing.
     inv_d = np.diag(a_hat)
     t = 0.5 * inv_d * (np.einsum("ij,ij->i", m_hat, a_hat)
                        + np.einsum("ij,ij->j", m_hat, a_hat))
@@ -197,7 +228,7 @@ def _masked_loss_and_grad(p: _MaskProblem, mask: np.ndarray):
     grad = grad_s * ds_dm
     grad += p.size_penalty * ds_dm
     grad += p.entropy_penalty * (-mask) * ds_dm  # d binary_entropy(sigmoid(m))/dm
-    return loss, grad
+    return grad
 
 
 def explain(model: GcnModel, g: RelationalGraph, target: int,
@@ -220,19 +251,18 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
     rng = np.random.default_rng(cfg.seed)
     mask = rng.uniform(-0.1, 0.1, size=len(masked_edges))
 
+    fwd = _masked_forward(problem, mask)
     for _ in range(cfg.mask_steps):
-        loss, grad = _masked_loss_and_grad(problem, mask)
+        grad = _masked_grad(problem, mask, fwd)
         step = MASK_LR
-        accepted = False
         for _ in range(20):
             candidate = mask - step * grad
-            cand_loss = _masked_loss(problem, candidate)
-            if cand_loss < loss:
-                mask = candidate
-                accepted = True
+            cand_fwd = _masked_forward(problem, candidate)
+            if cand_fwd[0] < fwd[0]:
+                mask, fwd = candidate, cand_fwd
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
 
     confidences = np.clip(_sigmoid(mask), 1e-12, 1.0 - 1e-12)
@@ -247,27 +277,6 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
 def is_scores(e: Explanation) -> dict[Edge, float]:
     """The raw explainer confidences, used verbatim as the IS baseline."""
     return {edge: gc for (edge, gc) in e.relations}
-
-
-def deletion_impact(model: GcnModel, g: RelationalGraph, target: int,
-                    hops: int = 2) -> dict[Edge, float]:
-    """Exhaustive single-edge-removal oracle.
-
-    For every computation-subgraph edge, the drop in the predicted class
-    probability at the target when that edge alone is removed.  Slow;
-    intended for tests.
-    """
-    a_hat = normalize_adjacency(adjacency(g))
-    probs = gcn_forward(model, g.features, a_hat=a_hat)
-    predicted = int(probs[target].argmax())
-    base = probs[target, predicted]
-    impact: dict[Edge, float] = {}
-    for edge in computation_subgraph(g, target, hops):
-        reduced, _ = remove_edges(g, [edge])
-        a_red = normalize_adjacency(adjacency(reduced))
-        p = gcn_forward(model, g.features, a_hat=a_red)[target, predicted]
-        impact[edge] = float(base - p)
-    return impact
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,8 @@ class BpConfig:
             raise ValueError("max_iters must be >= 1")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must be in [0, 1)")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and >= 0")
 
 
 # The message-passing engine works on "clusters": factor nodes with an

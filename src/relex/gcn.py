@@ -87,14 +87,22 @@ class GcnModel:
         return self.w1.shape[1]
 
 
-def normalize_adjacency(a: np.ndarray) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} for a 0/1 or weighted symmetric matrix."""
+def normalize_adjacency(a: np.ndarray,
+                        degree_offset: np.ndarray | None = None) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} for a 0/1 or weighted symmetric matrix.
+
+    ``degree_offset``, one value per node, is added to D: the weight of
+    edges that ``a`` leaves out, such as a subgraph's edges to nodes
+    outside it.
+    """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("adjacency must be square")
     a_tilde = a + np.eye(n)
     d = a_tilde.sum(axis=1)
+    if degree_offset is not None:
+        d += degree_offset
     inv_sqrt = 1.0 / np.sqrt(d)
     # scaled in place: at a few hundred nodes, allocating a fresh n x n
     # product costs several times the multiply itself

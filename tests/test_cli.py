@@ -170,6 +170,19 @@ class TestEvaluate:
                "(1, 7), (5, 6)" in err
         assert len((tmp_path / "u.csv").read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("tol, code", [("-1", 2), ("nan", 2), ("inf", 2), ("0", 0)])
+    def test_bp_tolerance_validated(self, tmp_path, tol, code):
+        (tmp_path / "fg.json").write_text(json.dumps(
+            {"entities": [0, 1], "target_card": 2,
+             "factors": [{"u": 0, "v": 1, "t": 1, "weight": 0.5, "kind": "learned"}]}))
+        (tmp_path / "expl.json").write_text(json.dumps(
+            {"target": 0, "class": 1, "hops": 2,
+             "relations": [{"u": 0, "v": 1, "gc": 0.8}]}))
+        assert run(["evaluate", "--fg", str(tmp_path / "fg.json"),
+                    "--explanation", str(tmp_path / "expl.json"), "--bp-tol", tol,
+                    "--out", str(tmp_path / "u.csv")]) == code
+        assert (tmp_path / "u.csv").exists() == (code == 0)
+
 
 class TestVerifyAndReport:
     def test_verify_writes_results_and_exit_zero(self, tmp_path):

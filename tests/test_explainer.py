@@ -1,17 +1,47 @@
 import numpy as np
 import pytest
 
+import relex.explainer
 from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
-                             SingleNodeExplanation,
-                             _mask_problem, _masked_loss, _masked_loss_and_grad,
-                             _sigmoid, computation_subgraph, deletion_impact,
-                             explain, explanation_from_dict, explanation_to_dict,
+                             SingleNodeExplanation, _mask_problem,
+                             _masked_forward, _masked_grad, _sigmoid,
+                             computation_subgraph, explain,
+                             explanation_from_dict, explanation_to_dict,
                              is_scores, load_explanation, save_explanation,
                              soft_adjacency)
 from relex.gcn import (TrainConfig, gcn_forward, normalize_adjacency, predict,
                        train_gcn)
-from relex.graphs import NodeSplit, adjacency, make_graph, split_nodes
+from relex.graphs import (NodeSplit, adjacency, make_graph, remove_edges,
+                          split_nodes)
 from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
+
+
+def masked_loss(p, mask):
+    return _masked_forward(p, mask)[0]
+
+
+def masked_loss_and_grad(p, mask):
+    fwd = _masked_forward(p, mask)
+    return fwd[0], _masked_grad(p, mask, fwd)
+
+
+def deletion_impact(model, g, target, hops=2):
+    """Exhaustive single-edge-removal oracle.
+
+    For every computation-subgraph edge, the drop in the predicted class
+    probability at the target when that edge alone is removed.
+    """
+    a_hat = normalize_adjacency(adjacency(g))
+    probs = gcn_forward(model, g.features, a_hat=a_hat)
+    predicted = int(probs[target].argmax())
+    base = probs[target, predicted]
+    impact = {}
+    for edge in computation_subgraph(g, target, hops):
+        reduced, _ = remove_edges(g, [edge])
+        a_red = normalize_adjacency(adjacency(reduced))
+        p = gcn_forward(model, g.features, a_hat=a_red)[target, predicted]
+        impact[edge] = float(base - p)
+    return impact
 
 
 @pytest.fixture(scope="module")
@@ -148,14 +178,14 @@ class TestMaskGradient:
         p = _mask_problem(g, model, 4, 0, edges, ExplainConfig())
         rng = np.random.default_rng(3)
         mask = rng.normal(scale=0.8, size=len(edges))
-        _, grad = _masked_loss_and_grad(p, mask)
+        _, grad = masked_loss_and_grad(p, mask)
         h = 1e-6
         fd = np.zeros_like(mask)
         for i in range(len(mask)):
             up, dn = mask.copy(), mask.copy()
             up[i] += h
             dn[i] -= h
-            fd[i] = (_masked_loss(p, up) - _masked_loss(p, dn)) / (2 * h)
+            fd[i] = (masked_loss(p, up) - masked_loss(p, dn)) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-4
 
@@ -170,7 +200,7 @@ class TestMaskGradient:
                 ref_loss, ref_grad = reference_loss_and_grad(
                     g, model, target, predicted, edges, mask,
                     cfg.size_penalty, cfg.entropy_penalty)
-                loss, grad = _masked_loss_and_grad(p, mask)
+                loss, grad = masked_loss_and_grad(p, mask)
                 worst = np.abs(grad - ref_grad).max() / np.abs(ref_grad).max()
                 assert worst < 1e-10, (kind, target, scale, worst)
                 assert loss == pytest.approx(ref_loss, rel=1e-12)
@@ -182,7 +212,7 @@ class TestMaskGradient:
             p = _mask_problem(g, model, target, predicted, edges, cfg)
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
-                assert _masked_loss_and_grad(p, mask)[0] == _masked_loss(p, mask)
+                assert masked_loss_and_grad(p, mask)[0] == masked_loss(p, mask)
 
 
 class TestExplain:
@@ -235,22 +265,123 @@ class TestExplain:
         p = _mask_problem(g, model, 4, 0, edges, cfg)
         rng = np.random.default_rng(cfg.seed)
         mask = rng.uniform(-0.1, 0.1, size=len(edges))
-        losses = [_masked_loss(p, mask)]
-        for _ in range(cfg.mask_steps):
-            loss, grad = _masked_loss_and_grad(p, mask)
-            step = MASK_LR
-            accepted = False
-            for _ in range(20):
-                cand = mask - step * grad
-                cl = _masked_loss(p, cand)
-                if cl < loss:
-                    mask, accepted = cand, True
-                    losses.append(cl)
-                    break
-                step *= 0.5
-            if not accepted:
-                break
+        _, losses, _ = line_search(mask, cfg.mask_steps,
+                                   lambda m: masked_loss_and_grad(p, m),
+                                   lambda m: masked_loss(p, m))
+        losses = [masked_loss(p, mask)] + losses
         assert all(b < a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    def test_one_forward_pass_per_evaluation(self, generator_problems,
+                                             monkeypatch):
+        """explain backpropagates from the accepted candidate's forward
+        pass instead of running it again, and ends where a descent that
+        recomputes every step's forward pass ends, bit for bit."""
+        calls = []
+        real = relex.explainer._masked_forward
+
+        def counting(p, mask):
+            calls.append(1)
+            return real(p, mask)
+
+        monkeypatch.setattr(relex.explainer, "_masked_forward", counting)
+        for (kind, g, model, target, predicted, edges) in generator_problems:
+            cfg = ExplainConfig(mask_steps=60, top_k=len(edges), seed=3)
+            calls.clear()
+            e = explain(model, g, target, cfg)
+            forwards = len(calls)
+
+            p = _mask_problem(g, model, target, predicted, edges, cfg)
+            mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(edges))
+            mask, _, evaluations = line_search(
+                mask, cfg.mask_steps, lambda m: masked_loss_and_grad(p, m),
+                lambda m: masked_loss(p, m))
+            assert forwards == evaluations + 1, (kind, target)
+            confidences = np.clip(_sigmoid(mask), 1e-12, 1.0 - 1e-12)
+            assert e.relations == tuple(zip(edges, confidences.tolist())), (kind, target)
+
+
+def line_search(mask, steps, loss_and_grad, loss):
+    """explain's mask descent, with a fresh loss-and-gradient evaluation
+    at every step; returns the final mask, the loss of each accepted step
+    and the number of line-search loss evaluations."""
+    losses, evaluations = [], 0
+    for _ in range(steps):
+        current, grad = loss_and_grad(mask)
+        step = MASK_LR
+        for _ in range(20):
+            candidate = mask - step * grad
+            evaluations += 1
+            cand_loss = loss(candidate)
+            if cand_loss < current:
+                mask = candidate
+                losses.append(cand_loss)
+                break
+            step *= 0.5
+        else:
+            break
+    return mask, losses, evaluations
+
+
+def reference_explain(model, g, target, cfg):
+    """explain on the whole graph: every evaluation writes the mask into
+    the full n x n adjacency, normalizes it with normalize_adjacency and
+    runs the full-graph forward pass, and the gradient is
+    reference_loss_and_grad's.  The line search is explain's."""
+    edges = computation_subgraph(g, target, cfg.hops)
+    predicted = int(predict(model, g)[target])
+    rows, cols = np.array(edges).T
+    a_soft = adjacency(g).astype(np.float64)
+
+    def loss(mask):
+        s = _sigmoid(mask)
+        a_hat = normalize_adjacency(soft_adjacency(a_soft, rows, cols, s))
+        probs = gcn_forward(model, g.features, a_hat)
+        ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
+        return (-np.log(probs[target, predicted] + 1e-12)
+                + cfg.size_penalty * s.sum() + cfg.entropy_penalty * ent.sum())
+
+    def loss_and_grad(mask):
+        return reference_loss_and_grad(g, model, target, predicted, edges, mask,
+                                       cfg.size_penalty, cfg.entropy_penalty)
+
+    mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(edges))
+    mask, _, _ = line_search(mask, cfg.mask_steps, loss_and_grad, loss)
+    confidences = np.clip(_sigmoid(mask), 1e-12, 1.0 - 1e-12)
+    order = sorted(range(len(edges)), key=lambda i: (-confidences[i], edges[i]))
+    return predicted, {edges[i]: float(confidences[i]) for i in order[:cfg.top_k]}
+
+
+class TestLocalProblem:
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_matches_dense_explainer(self, generator_problems, hops):
+        """The ball of max(hops, 2) steps gives the dense explainer's
+        relations; at hops 1 the masked edges lie within 1 step, but the
+        logits still read the 2-step nodes."""
+        assert {kind for (kind, *_) in generator_problems} == set(GENERATORS)
+        cfg = ExplainConfig(hops=hops, seed=5)
+        for (kind, g, model, target, *_) in generator_problems:
+            predicted, ref = reference_explain(model, g, target, cfg)
+            e = explain(model, g, target, cfg)
+            assert e.predicted_class == predicted
+            assert e.edges() == sorted(ref), (kind, target, hops)
+            for edge, gc in e.relations:
+                assert gc == pytest.approx(ref[edge], abs=1e-9), (kind, target, edge)
+
+    def test_outside_counts_edges_leaving_the_ball(self):
+        # target 3 at hops 1: the ball is {0, 1, 3, 5, 6}, and the 2-step
+        # nodes 1 and 6 have neighbours 2, 4 and 7 beyond it
+        g = make_graph(8, [(0, 3), (0, 1), (1, 2), (1, 4), (3, 5), (5, 6), (6, 7)],
+                       features=np.arange(16.0).reshape(8, 2))
+        edges = computation_subgraph(g, 3, 1)
+        p = _mask_problem(g, None, 3, 0, edges, ExplainConfig(hops=1))
+        ball = [0, 1, 3, 5, 6]
+        degree = adjacency(g).sum(axis=1)
+        np.testing.assert_array_equal(p.outside, [0, 2, 0, 0, 1])
+        np.testing.assert_array_equal(p.outside, degree[ball] - p.a_soft.sum(axis=1))
+        np.testing.assert_array_equal(p.a_soft, adjacency(g)[np.ix_(ball, ball)])
+        np.testing.assert_array_equal(p.features, g.features[ball])
+        assert p.target == 2
+        assert [(ball[i], ball[j]) for i, j in zip(p.rows, p.cols)] == edges
 
 
 class TestIsScores:
