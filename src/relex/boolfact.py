@@ -23,7 +23,7 @@ small instances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -180,20 +180,11 @@ class CreSet:
     explanations: list[Explanation]
     ranks_used: list[int]
     errors_per_rank: list[int]
-    relation_index: dict[Edge, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.relation_index:
-            self.relation_index = _index_relations(self.explanations)
 
     @property
     def relations(self) -> list[Edge]:
-        return sorted(self.relation_index, key=self.relation_index.get)
-
-
-def _index_relations(explanations: list[Explanation]) -> dict[Edge, int]:
-    union = sorted({e for expl in explanations for e in expl.edges()})
-    return {edge: i for i, edge in enumerate(union)}
+        """The union of the explained edges, sorted."""
+        return sorted({e for expl in self.explanations for e in expl.edges()})
 
 
 def generate_cres(g: RelationalGraph, model: GcnModel, target: int,
@@ -206,9 +197,8 @@ def generate_cres(g: RelationalGraph, model: GcnModel, target: int,
     where the target's computation subgraph is empty.  A precomputed
     ladder may be passed to share factorization work across targets.
     """
-    p = adjacency(g)
     if ladder is None:
-        ladder = rank_ladder(p, g.edge_count, rcfg)
+        ladder = rank_ladder(adjacency(g), g.edge_count, rcfg)
 
     explanations: list[Explanation] = []
     ranks: list[int] = []

@@ -16,12 +16,13 @@ adjacency among them, plus each one's count of edges that leave the
 ball, a degree offset that no mask weight touches.  An evaluation
 normalizes and forwards that ball alone, O(|ball|^2) rather than O(n^2)
 in the graph's node count n, and equals the full-graph computation up
-to rounding.  Updates use gradient descent with backtracking line
-search, so the objective is non-increasing over accepted steps.  Each
-step's gradient backpropagates from the forward pass that accepted its
-mask, so each evaluation runs one forward pass.  The top-k edges by
-final sigmoid(mask) form the
-explanation; their sigmoid values are the per-relation confidences.
+to rounding; the predicted class is the unmasked ball's argmax.
+Updates use gradient descent with backtracking line search, so the
+objective is non-increasing over accepted steps.  Each step's gradient
+backpropagates from the forward pass that accepted its mask, so each
+evaluation runs one forward pass.  The top-k edges by final
+sigmoid(mask) form the explanation; their sigmoid values are the
+per-relation confidences.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relex.gcn import GcnModel, _forward, normalize_adjacency, predict
+from relex.gcn import GcnModel, _forward, gcn_forward, normalize_adjacency
 from relex.graphs import Edge, RelationalGraph, normalize_edge
 
 
@@ -128,8 +129,9 @@ class _MaskProblem:
     sits at ball positions (rows[i], cols[i]) and (cols[i], rows[i]).
     Each evaluation writes its mask weights into those entries before it
     reads the matrix, so the one buffer always holds the current mask's
-    adjacency.  ``target`` is the target's ball position.  ``explain``
-    builds the problem once per call.
+    adjacency.  ``target`` is the target's ball position, and ``predicted``
+    the argmax of its unmasked logits.  ``explain`` builds the problem once
+    per call.
     """
 
     a_soft: np.ndarray
@@ -145,8 +147,7 @@ class _MaskProblem:
 
 
 def _mask_problem(g: RelationalGraph, model: GcnModel, target: int,
-                  predicted: int, masked_edges: list[Edge],
-                  cfg: ExplainConfig) -> _MaskProblem:
+                  masked_edges: list[Edge], cfg: ExplainConfig) -> _MaskProblem:
     # two GCN layers: the logits read the nodes within 2 steps, even at hops 1
     ball = sorted(_distances(g, target, max(cfg.hops, 2)))
     pos = {node: i for i, node in enumerate(ball)}
@@ -162,8 +163,12 @@ def _mask_problem(g: RelationalGraph, model: GcnModel, target: int,
             outside[j] += 1.0
     idx = np.array([(pos[u], pos[v]) for (u, v) in masked_edges],
                    dtype=np.intp).reshape(-1, 2)
-    return _MaskProblem(a_soft, outside, idx[:, 0], idx[:, 1], g.features[ball],
-                        model, pos[target], predicted,
+    features = g.features[ball]
+    # before any mask is written, the ball's forward pass gives the target's
+    # full-graph class probabilities; argmax ties go to the lower class
+    probs = gcn_forward(model, features, normalize_adjacency(a_soft, outside))
+    return _MaskProblem(a_soft, outside, idx[:, 0], idx[:, 1], features,
+                        model, pos[target], int(probs[pos[target]].argmax()),
                         cfg.size_penalty, cfg.entropy_penalty)
 
 
@@ -235,8 +240,10 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
             cfg: ExplainConfig) -> Explanation:
     """Optimize an edge mask around the target and return the top-k edges.
 
-    The predicted class is the model's prediction on the unmasked graph.
-    Deterministic for a fixed config seed.
+    The predicted class is the model's prediction on the unmasked graph,
+    read off the target's ball.  A model whose input dim differs from the
+    graph's feature dim raises ValueError.  Deterministic for a fixed
+    config seed.
     """
     if not (0 <= target < g.node_count):
         raise ValueError(f"target {target} out of range")
@@ -245,8 +252,7 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
         raise SingleNodeExplanation(
             f"node {target} has an empty {cfg.hops}-hop computation subgraph")
 
-    predicted = int(predict(model, g)[target])
-    problem = _mask_problem(g, model, target, predicted, masked_edges, cfg)
+    problem = _mask_problem(g, model, target, masked_edges, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     mask = rng.uniform(-0.1, 0.1, size=len(masked_edges))
@@ -270,7 +276,7 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
                    key=lambda i: (-confidences[i], masked_edges[i]))
     keep = order[:cfg.top_k]
     relations = tuple((masked_edges[i], float(confidences[i])) for i in sorted(keep))
-    return Explanation(target=target, predicted_class=predicted,
+    return Explanation(target=target, predicted_class=problem.predicted,
                        relations=relations, hop_radius=cfg.hops)
 
 

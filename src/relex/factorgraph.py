@@ -78,7 +78,7 @@ def build_factor_graph(s: CreSet) -> FactorGraph:
     """Variables and zero-weight learned factors for a CRE set."""
     if not s.explanations:
         raise EmptyCreSet("cannot build a factor graph from an empty CRE set")
-    entities = tuple(sorted({node for (u, v) in s.relation_index for node in (u, v)}))
+    entities = tuple(sorted({node for (u, v) in s.relations for node in (u, v)}))
     target_card = max(2, s.class_count)
     factors: list[Factor] = []
     for (u, v) in s.relations:

@@ -219,36 +219,15 @@ def split_nodes(g: RelationalGraph, seed: int,
 # File I/O
 # ---------------------------------------------------------------------------
 #
-# Edge-list format: one "i j" pair per line, '#' comments, UTF-8; companion
-# files "<stem>.labels" (one integer per line) and "<stem>.features" (CSV,
-# one row per node).  JSON bundle:
+# JSON bundle:
 #   {"n": int, "edges": [[i, j], ...], "labels": [...],
 #    "features": [[...], ...], "classes": int}
 
-def load_graph(path: str | Path, format: str = "json-bundle") -> RelationalGraph:
+def load_graph(path: str | Path) -> RelationalGraph:
+    """Read the JSON bundle representation."""
     path = Path(path)
     if not path.exists():
         raise GraphFormatError(f"no such file: {path}")
-    if format == "json-bundle":
-        return _load_json_bundle(path)
-    if format == "edge-list":
-        return _load_edge_list(path)
-    raise GraphFormatError(f"unknown graph format: {format!r}")
-
-
-def save_graph(g: RelationalGraph, path: str | Path) -> None:
-    """Write the JSON bundle representation."""
-    bundle = {
-        "n": g.node_count,
-        "edges": sorted([u, v] for (u, v) in g.edges),
-        "labels": g.labels.tolist(),
-        "features": g.features.tolist(),
-        "classes": g.class_count,
-    }
-    Path(path).write_text(json.dumps(bundle), encoding="utf-8")
-
-
-def _load_json_bundle(path: Path) -> RelationalGraph:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -262,69 +241,19 @@ def _load_json_bundle(path: Path) -> RelationalGraph:
         raise GraphFormatError(f"{path}: malformed bundle ({exc})") from exc
     features = raw.get("features")
     feats = None if features is None else np.asarray(features, dtype=np.float64)
-    for (u, v) in edges:
-        if u == v:
-            raise GraphFormatError(f"{path}: self-loop ({u}, {v}) rejected")
     try:
         return make_graph(n, edges, features=feats, labels=labels, class_count=classes)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
 
 
-def _load_edge_list(path: Path) -> RelationalGraph:
-    edges: list[Edge] = []
-    max_node = -1
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}:{lineno}: non-integer endpoint in {line!r}") from exc
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"{path}:{lineno}: negative node index in {line!r}")
-        if u == v:
-            raise GraphFormatError(f"{path}:{lineno}: self-loop ({u}, {v}) rejected")
-        edges.append(normalize_edge(u, v))
-        max_node = max(max_node, u, v)
-
-    labels_path = path.with_suffix(".labels")
-    if not labels_path.exists():
-        raise GraphFormatError(f"missing companion labels file: {labels_path}")
-    labels: list[int] = []
-    for lineno, line in enumerate(labels_path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            labels.append(int(stripped))
-        except ValueError as exc:
-            raise GraphFormatError(f"{labels_path}:{lineno}: non-integer label {line!r}") from exc
-    n = len(labels)
-    if max_node >= n:
-        raise GraphFormatError(
-            f"{path}: edge endpoint {max_node} exceeds label count {n}")
-
-    features_path = path.with_suffix(".features")
-    feats = None
-    if features_path.exists():
-        rows = []
-        for lineno, line in enumerate(features_path.read_text(encoding="utf-8").splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                rows.append([float(x) for x in stripped.split(",")])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{features_path}:{lineno}: malformed feature row {line!r}") from exc
-        feats = np.asarray(rows, dtype=np.float64)
-        if feats.shape[0] != n:
-            raise GraphFormatError(
-                f"{features_path}: {feats.shape[0]} feature rows for {n} nodes")
-
-    return make_graph(n, edges, features=feats, labels=labels)
+def save_graph(g: RelationalGraph, path: str | Path) -> None:
+    """Write the JSON bundle representation."""
+    bundle = {
+        "n": g.node_count,
+        "edges": sorted([u, v] for (u, v) in g.edges),
+        "labels": g.labels.tolist(),
+        "features": g.features.tolist(),
+        "classes": g.class_count,
+    }
+    Path(path).write_text(json.dumps(bundle), encoding="utf-8")

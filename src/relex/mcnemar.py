@@ -26,15 +26,12 @@ class McNemarResult:
 
 
 def mcnemar_test(pred_a: Sequence[int], pred_b: Sequence[int],
-                 truth: Sequence[int], nodes: Sequence[int],
-                 exact: bool = False) -> McNemarResult:
+                 truth: Sequence[int], nodes: Sequence[int]) -> McNemarResult:
     """Continuity-corrected McNemar test over the given node set.
 
     statistic = (|b - c| - 1)^2 / (b + c) with a chi-square (1 dof)
     p-value, significant when p < ALPHA; b + c = 0 degenerates to
-    statistic 0, p = 1.  With exact=True the p-value comes from the
-    two-sided binomial instead (preferable when b + c < 25); the statistic
-    is reported either way.
+    statistic 0, p = 1.
     """
     pred_a = np.asarray(pred_a)
     pred_b = np.asarray(pred_b)
@@ -53,9 +50,6 @@ def mcnemar_test(pred_a: Sequence[int], pred_b: Sequence[int],
         return McNemarResult(b=b, c=c, statistic=0.0, p_value=1.0,
                              significant=False)
     statistic = (abs(b - c) - 1) ** 2 / (b + c)
-    if exact:
-        p_value = min(1.0, 2.0 * float(stats.binom.cdf(min(b, c), b + c, 0.5)))
-    else:
-        p_value = float(stats.chi2.sf(statistic, df=1))
+    p_value = float(stats.chi2.sf(statistic, df=1))
     return McNemarResult(b=b, c=c, statistic=float(statistic), p_value=p_value,
                          significant=p_value < ALPHA)

@@ -72,7 +72,7 @@ class DatasetSpec:
         if self.kind == "file":
             if not self.path:
                 raise ValueError("file dataset needs a path")
-            return load_graph(self.path, format="json-bundle")
+            return load_graph(self.path)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
 
 
@@ -368,24 +368,26 @@ def bundle_to_dict(bundle: VerificationBundle) -> dict:
 
 
 def bundle_from_dict(blob: dict) -> VerificationBundle:
+    """The bundle that ``bundle_to_dict`` wrote; a missing key raises
+    KeyError."""
     rankings = {
         scorer: {int(t): [((int(u), int(v)), float(s)) for (u, v, s) in ranking]
                  for t, ranking in per.items()}
-        for scorer, per in blob.get("rankings", {}).items()
+        for scorer, per in blob["rankings"].items()
     }
     reports = {int(t): UncertaintyReport(
                    target=r["target"], converged=r["converged"],
                    entries=[RelationUncertainty((u, v), gc, delta, nld)
                             for (u, v, gc, delta, nld) in r["entries"]],
                    skipped=[(u, v) for (u, v) in r["skipped"]])
-               for t, r in blob.get("reports", {}).items()}
+               for t, r in blob["reports"].items()}
     return VerificationBundle(
         dataset=blob["dataset"], seed=int(blob["seed"]),
-        targets=[int(t) for t in blob.get("targets", [])],
-        base_predictions=[int(p) for p in blob.get("base_predictions", [])],
-        results=list(blob.get("results", [])),
-        removed_counts=dict(blob.get("removed_counts", {})),
-        warnings=list(blob.get("warnings", [])),
+        targets=[int(t) for t in blob["targets"]],
+        base_predictions=[int(p) for p in blob["base_predictions"]],
+        results=list(blob["results"]),
+        removed_counts=dict(blob["removed_counts"]),
+        warnings=list(blob["warnings"]),
         reports=reports,
         rankings=rankings,
     )

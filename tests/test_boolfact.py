@@ -315,9 +315,7 @@ class TestGenerateCres:
         # every accepted reconstruction differs from the original graph
         for expl, rank, err in zip(s.explanations, s.ranks_used, s.errors_per_rank):
             assert err > 0
-        assert s.relation_index == {
-            e: i for i, e in enumerate(sorted({r for ex in s.explanations
-                                               for r in ex.edges()}))}
+        assert s.relations == sorted({r for ex in s.explanations for r in ex.edges()})
 
     def test_identical_reconstruction_skipped(self, pendant_setup):
         _, model = pendant_setup
@@ -357,11 +355,11 @@ class TestCreSetSerialization:
         assert s2.target == 2
         assert s2.explanations == [e1, e2]
         assert s2.ranks_used == [3, 4]
-        assert s2.relation_index == s.relation_index
+        assert s2.relations == s.relations == [(0, 2), (1, 2)]
 
     def test_relation_index_covers_union(self):
         e1 = Explanation(target=0, predicted_class=0,
                          relations=(((0, 1), 0.5),), hop_radius=2)
         s = CreSet(target=0, class_count=2, explanations=[e1],
                    ranks_used=[2], errors_per_rank=[1])
-        assert set(s.relation_index) == {(0, 1)}
+        assert s.relations == [(0, 1)]

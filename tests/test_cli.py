@@ -54,6 +54,13 @@ class TestTrain:
         assert run(["train", "--graph", str(tmp_path / "none.json"),
                     "--out", str(tmp_path / "m.json")]) == 2
 
+    def test_edge_list_graph_validation_error(self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n")
+        assert run(["train", "--graph", str(tmp_path / "g.edges"),
+                    "--out", str(tmp_path / "m.json")]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("flags", [["--patience", "0"], ["--lr", "-0.1"],
                                        ["--lr", "nan"]])
     def test_senseless_setting_validation_error(self, workspace, tmp_path, flags):
@@ -235,14 +242,19 @@ class TestVerifyAndReport:
                "scorer,i,class,b,c,statistic,p_value,reported_statistic\n"
         assert (out / "plotdata.csv").read_text() == "class,i,scorer,reported_statistic\n"
 
-    def test_report_regenerates_from_bundle(self, tmp_path):
-        out = tmp_path / "run"
+    @pytest.fixture(scope="class")
+    def verify_out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("verify") / "run"
         assert run(["verify", "--dataset", "ba-shapes", "--base-nodes", "12",
                     "--motifs", "2", "--seed", "5", "--hidden-dim", "16",
                     "--epochs", "600", "--steps", "60", "--scorer", "both",
                     "--g-max", "1", "--min-class-count", "1",
                     "--max-targets", "2", "--test-fraction", "0.3",
                     "--out", str(out)]) == 0
+        return out
+
+    def test_report_regenerates_from_bundle(self, verify_out, tmp_path):
+        out = verify_out
         redo = tmp_path / "redo"
         assert run(["report", "--bundle", str(out / "bundle.json"),
                     "--out", str(redo)]) == 0
@@ -251,6 +263,18 @@ class TestVerifyAndReport:
         assert sorted(p.name for p in redo.iterdir()) == names
         for name in names:
             assert (redo / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("key", ["dataset", "seed", "targets", "base_predictions",
+                                     "results", "removed_counts", "warnings",
+                                     "rankings", "reports"])
+    def test_report_on_truncated_bundle_validation_error(self, verify_out, tmp_path,
+                                                         key):
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        del blob[key]
+        (tmp_path / "bundle.json").write_text(json.dumps(blob))
+        assert run(["report", "--bundle", str(tmp_path / "bundle.json"),
+                    "--out", str(tmp_path / "redo")]) == 2
+        assert not (tmp_path / "redo").exists()
 
 
 class TestStagedChainReproducesVerify:

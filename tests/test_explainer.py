@@ -9,8 +9,8 @@ from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
                              explanation_from_dict, explanation_to_dict,
                              is_scores, load_explanation, save_explanation,
                              soft_adjacency)
-from relex.gcn import (TrainConfig, gcn_forward, normalize_adjacency, predict,
-                       train_gcn)
+from relex.gcn import (GcnModel, TrainConfig, gcn_forward, normalize_adjacency,
+                       predict, train_gcn)
 from relex.graphs import (NodeSplit, adjacency, make_graph, remove_edges,
                           split_nodes)
 from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
@@ -175,7 +175,7 @@ class TestMaskGradient:
     def test_matches_finite_differences(self, bridge_setup):
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
-        p = _mask_problem(g, model, 4, 0, edges, ExplainConfig())
+        p = _mask_problem(g, model, 4, edges, ExplainConfig())
         rng = np.random.default_rng(3)
         mask = rng.normal(scale=0.8, size=len(edges))
         _, grad = masked_loss_and_grad(p, mask)
@@ -194,7 +194,7 @@ class TestMaskGradient:
         cfg = ExplainConfig()
         rng = np.random.default_rng(17)
         for (kind, g, model, target, predicted, edges) in generator_problems:
-            p = _mask_problem(g, model, target, predicted, edges, cfg)
+            p = _mask_problem(g, model, target, edges, cfg)
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
                 ref_loss, ref_grad = reference_loss_and_grad(
@@ -209,7 +209,7 @@ class TestMaskGradient:
         cfg = ExplainConfig()
         rng = np.random.default_rng(18)
         for (kind, g, model, target, predicted, edges) in generator_problems:
-            p = _mask_problem(g, model, target, predicted, edges, cfg)
+            p = _mask_problem(g, model, target, edges, cfg)
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
                 assert masked_loss_and_grad(p, mask)[0] == masked_loss(p, mask)
@@ -245,6 +245,29 @@ class TestExplain:
         with pytest.raises(SingleNodeExplanation):
             explain(model, g, 5, ExplainConfig())
 
+    def test_class_is_the_full_graph_prediction(self, generator_problems):
+        """The unmasked ball's argmax is predict's class at every eligible
+        target on all four generators."""
+        cfg = ExplainConfig(mask_steps=0)
+        seen = set()
+        for (kind, g, model, *_) in generator_problems:
+            if kind in seen:
+                continue
+            seen.add(kind)
+            pred = predict(model, g)
+            for target in eligible_targets(g, True):
+                if computation_subgraph(g, target, cfg.hops):
+                    e = explain(model, g, target, cfg)
+                    assert e.predicted_class == pred[target], (kind, target)
+        assert seen == set(GENERATORS)
+
+    def test_wrong_input_dim_raises(self, bridge_setup):
+        g, model = bridge_setup
+        g3 = make_graph(g.node_count, g.edges, features=np.ones((g.node_count, 3)),
+                        labels=g.labels)
+        with pytest.raises(ValueError, match="feature dim"):
+            explain(model, g3, 4, ExplainConfig(mask_steps=0))
+
     def test_confidences_strictly_inside_unit_interval(self, bridge_setup):
         g, model = bridge_setup
         e = explain(model, g, 4, ExplainConfig(mask_steps=300,
@@ -262,7 +285,7 @@ class TestExplain:
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
         cfg = ExplainConfig(mask_steps=40, seed=2)
-        p = _mask_problem(g, model, 4, 0, edges, cfg)
+        p = _mask_problem(g, model, 4, edges, cfg)
         rng = np.random.default_rng(cfg.seed)
         mask = rng.uniform(-0.1, 0.1, size=len(edges))
         _, losses, _ = line_search(mask, cfg.mask_steps,
@@ -290,7 +313,7 @@ class TestExplain:
             e = explain(model, g, target, cfg)
             forwards = len(calls)
 
-            p = _mask_problem(g, model, target, predicted, edges, cfg)
+            p = _mask_problem(g, model, target, edges, cfg)
             mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(edges))
             mask, _, evaluations = line_search(
                 mask, cfg.mask_steps, lambda m: masked_loss_and_grad(p, m),
@@ -373,7 +396,9 @@ class TestLocalProblem:
         g = make_graph(8, [(0, 3), (0, 1), (1, 2), (1, 4), (3, 5), (5, 6), (6, 7)],
                        features=np.arange(16.0).reshape(8, 2))
         edges = computation_subgraph(g, 3, 1)
-        p = _mask_problem(g, None, 3, 0, edges, ExplainConfig(hops=1))
+        model = GcnModel(w0=np.zeros((2, 3)), w1=np.zeros((3, 2)), b0=np.zeros(3),
+                         b1=np.zeros(2), seed=0)
+        p = _mask_problem(g, model, 3, edges, ExplainConfig(hops=1))
         ball = [0, 1, 3, 5, 6]
         degree = adjacency(g).sum(axis=1)
         np.testing.assert_array_equal(p.outside, [0, 2, 0, 0, 1])

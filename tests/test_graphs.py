@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,49 +14,32 @@ def path_graph(n=3, labels=None, classes=2):
                       class_count=classes)
 
 
-class TestLoadGraph:
-    def test_edge_list_parse(self, tmp_path):
-        (tmp_path / "g.edges").write_text("0 1\n1 2\n")
-        (tmp_path / "g.labels").write_text("0\n1\n0\n")
-        g = load_graph(tmp_path / "g.edges", format="edge-list")
-        assert g.node_count == 3
-        assert g.edges == {(0, 1), (1, 2)}
-        assert g.class_count == 2
+def write_bundle(path, n, edges):
+    path.write_text(json.dumps({"n": n, "edges": edges, "labels": [0] * n,
+                                "features": None, "classes": 1}))
+    return path
 
+
+class TestLoadGraph:
     def test_reversed_duplicate_edges_dedup(self, tmp_path):
-        (tmp_path / "g.edges").write_text("0 1\n1 0\n0 1\n")
-        (tmp_path / "g.labels").write_text("0\n0\n")
-        g = load_graph(tmp_path / "g.edges", format="edge-list")
+        g = load_graph(write_bundle(tmp_path / "g.json", 2, [[0, 1], [1, 0], [0, 1]]))
         assert g.edges == {(0, 1)}
 
-    def test_self_loop_rejected_with_line_number(self, tmp_path):
-        (tmp_path / "g.edges").write_text("0 1\n5 5\n")
-        (tmp_path / "g.labels").write_text("0\n" * 6)
-        with pytest.raises(GraphFormatError, match=":2"):
-            load_graph(tmp_path / "g.edges", format="edge-list")
-
-    def test_malformed_line_reports_lineno(self, tmp_path):
-        (tmp_path / "g.edges").write_text("0 1\nbanana\n")
-        (tmp_path / "g.labels").write_text("0\n0\n")
-        with pytest.raises(GraphFormatError, match=":2"):
-            load_graph(tmp_path / "g.edges", format="edge-list")
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        (tmp_path / "g.edges").write_text("# header\n0 1  # inline\n\n1 2\n")
-        (tmp_path / "g.labels").write_text("0\n1\n0\n")
-        g = load_graph(tmp_path / "g.edges", format="edge-list")
-        assert g.edges == {(0, 1), (1, 2)}
+    def test_self_loop_rejected_with_path(self, tmp_path):
+        path = write_bundle(tmp_path / "g.json", 6, [[0, 1], [5, 5]])
+        with pytest.raises(GraphFormatError, match=r"g\.json: self-loop \(5, 5\)"):
+            load_graph(path)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         blob = '{"n": 2, "edges": [[0, 1]], "labels": [0, 7], "features": null, "classes": 2}'
         (tmp_path / "g.json").write_text(blob)
         with pytest.raises(GraphFormatError):
-            load_graph(tmp_path / "g.json", format="json-bundle")
+            load_graph(tmp_path / "g.json")
 
     def test_json_bundle_roundtrip(self, tmp_path):
         g = path_graph(4)
         save_graph(g, tmp_path / "g.json")
-        g2 = load_graph(tmp_path / "g.json", format="json-bundle")
+        g2 = load_graph(tmp_path / "g.json")
         assert g2.edges == g.edges
         assert g2.class_count == g.class_count
         np.testing.assert_array_equal(g2.labels, g.labels)
@@ -63,13 +48,6 @@ class TestLoadGraph:
     def test_missing_file(self, tmp_path):
         with pytest.raises(GraphFormatError, match="no such file"):
             load_graph(tmp_path / "absent.json")
-
-    def test_features_companion_file(self, tmp_path):
-        (tmp_path / "g.edges").write_text("0 1\n")
-        (tmp_path / "g.labels").write_text("0\n1\n")
-        (tmp_path / "g.features").write_text("1.5,2.0\n3.0,4.0\n")
-        g = load_graph(tmp_path / "g.edges", format="edge-list")
-        np.testing.assert_allclose(g.features, [[1.5, 2.0], [3.0, 4.0]])
 
 
 class TestAdjacency:

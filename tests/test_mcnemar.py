@@ -54,20 +54,6 @@ class TestStatistic:
         assert res.statistic == pytest.approx(1 / 8)
 
 
-class TestExactVariant:
-    def test_exact_binomial_small_sample(self):
-        pa, pb, truth, nodes = vectors_with_counts(10, 2)
-        res = mcnemar_test(pa, pb, truth, nodes, exact=True)
-        expected = min(1.0, 2 * stats.binom.cdf(2, 12, 0.5))
-        assert res.p_value == pytest.approx(expected)
-        assert res.statistic == pytest.approx(49 / 12)
-
-    def test_exact_degenerate(self):
-        pa, pb, truth, nodes = vectors_with_counts(0, 0)
-        res = mcnemar_test(pa, pb, truth, nodes, exact=True)
-        assert res.p_value == 1.0
-
-
 class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
