@@ -46,6 +46,19 @@ EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 
 
+def _load(load, path):
+    """``load(path)``; a key missing from the file's JSON is a validation
+    error that names the key and the file."""
+    try:
+        return load(path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+
+
+def _load_bundle(path):
+    return bundle_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
 def _add_dataset_args(p: argparse.ArgumentParser, **dataset_kwargs) -> None:
     p.add_argument("--dataset", required=True, **dataset_kwargs)
     p.add_argument("--base-nodes", type=int, default=DatasetSpec.base_nodes)
@@ -177,7 +190,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_explain(args) -> int:
     g = load_graph(args.graph)
-    model = load_model(args.model)
+    model = _load(load_model, args.model)
     ecfg = seeded(_explain_config(args), args.seed, args.target)
     e = explain(model, g, args.target, ecfg)
     save_explanation(e, args.out)
@@ -188,7 +201,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_cres(args) -> int:
     g = load_graph(args.graph)
-    model = load_model(args.model)
+    model = _load(load_model, args.model)
     ecfg = seeded(_explain_config(args), args.seed, args.target)
     rcfg = seeded(RankSearchConfig(max_rank=args.max_rank), args.seed)
     s = generate_cres(g, model, args.target, ecfg, rcfg)
@@ -199,7 +212,7 @@ def _cmd_cres(args) -> int:
 
 
 def _cmd_learn_fg(args) -> int:
-    s = load_creset(args.cres)
+    s = _load(load_creset, args.cres)
     fg = build_factor_graph(s)
     fg = learn_weights(fg, s, learning_rate=args.lr, epochs=args.epochs)
     save_factorgraph(fg, args.out)
@@ -209,8 +222,8 @@ def _cmd_learn_fg(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    fg = load_factorgraph(args.fg)
-    e = load_explanation(args.explanation)
+    fg = _load(load_factorgraph, args.fg)
+    e = _load(load_explanation, args.explanation)
     bp = BpConfig(max_iters=args.bp_iters, tol=args.bp_tol,
                   damping=args.bp_damping)
     report = quantify_uncertainty(fg, e, bp)
@@ -250,8 +263,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    blob = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
-    bundle = bundle_from_dict(blob)
+    bundle = _load(_load_bundle, args.bundle)
     files = emit_report(bundle, args.out)
     print(f"wrote {len(files)} files to {args.out}")
     return EXIT_OK
@@ -277,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             EmptyCreSet, SingleNodeExplanation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
-    except (GraphFormatError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (GraphFormatError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,15 +1,19 @@
-"""Minimal dense two-layer GCN for node classification.
+"""Two-layer GCN for node classification, trained and run on a sparse A_hat.
 
-Forward pass: softmax(A_hat . relu(A_hat . X . W0 + b0) . W1 + b1) where
+Forward pass: softmax(A_hat . (relu(A_hat . X . W0 + b0) . W1) + b1) where
 A_hat is the symmetrically normalized adjacency with self-loops.  Training
-is full-batch Adam with manually derived gradients, which keeps runs
-deterministic and makes the finite-difference gradient check simple.  Plain
-gradient descent cannot escape the class-prior plateau on the
-structure-only benchmarks (constant features leave only a normalized
-degree scalar as input, and the layer-1 gradients are orders of magnitude
-below layer-2's); Adam's per-parameter scaling fixes that.  The seeded
-restarts train in lockstep, stacked on a leading axis, and the restart
-with the best monitored accuracy wins.
+and prediction hold A_hat as a scipy.sparse CSR matrix built from the edge
+list, so a propagation costs O(nnz(A_hat)) per column and no n x n array
+is made; layer 2 multiplies by W1 before it propagates, so it moves C
+columns rather than h.  The explainer runs the same forward pass on a
+dense A_hat of the target's ball.  Training is full-batch Adam with
+manually derived gradients, which keeps runs deterministic and makes the
+finite-difference gradient check simple.  Plain gradient descent cannot
+escape the class-prior plateau on the structure-only benchmarks (constant
+features leave only a normalized degree scalar as input, and the layer-1
+gradients are orders of magnitude below layer-2's); Adam's per-parameter
+scaling fixes that.  The seeded restarts train in lockstep, stacked on a
+leading axis, and the restart with the best monitored accuracy wins.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
-from relex.graphs import NodeSplit, RelationalGraph, adjacency
+from relex.graphs import NodeSplit, RelationalGraph
 
 
 class TrainingDiverged(RuntimeError):
@@ -87,23 +92,30 @@ class GcnModel:
         return self.w1.shape[1]
 
 
-def normalize_adjacency(a: np.ndarray,
-                        degree_offset: np.ndarray | None = None) -> np.ndarray:
+def normalize_adjacency(a, degree_offset: np.ndarray | None = None):
     """D^{-1/2} (A + I) D^{-1/2} for a 0/1 or weighted symmetric matrix.
 
-    ``degree_offset``, one value per node, is added to D: the weight of
-    edges that ``a`` leaves out, such as a subgraph's edges to nodes
-    outside it.
+    ``a`` is a dense array, or a scipy.sparse 0/1 matrix with a zero
+    diagonal, whose result is CSR and equals the dense result entry for
+    entry.  ``degree_offset``, one value per node, is added to D: the
+    weight of edges that ``a`` leaves out, such as a subgraph's edges to
+    nodes outside it.
     """
-    a = np.asarray(a, dtype=np.float64)
+    sparse = sp.issparse(a)
+    a = sp.csr_array(a, dtype=np.float64) if sparse else np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("adjacency must be square")
-    a_tilde = a + np.eye(n)
+    a_tilde = a + (sp.eye_array(n, format="csr") if sparse else np.eye(n))
     d = a_tilde.sum(axis=1)
     if degree_offset is not None:
         d += degree_offset
     inv_sqrt = 1.0 / np.sqrt(d)
+    if sparse:
+        rows = np.repeat(np.arange(n), np.diff(a_tilde.indptr))
+        a_tilde.data *= inv_sqrt[rows]
+        a_tilde.data *= inv_sqrt[a_tilde.indices]
+        return a_tilde
     # scaled in place: at a few hundred nodes, allocating a fresh n x n
     # product costs several times the multiply itself
     a_tilde *= inv_sqrt[:, None]
@@ -111,28 +123,53 @@ def normalize_adjacency(a: np.ndarray,
     return a_tilde
 
 
-def _forward(a_hat: np.ndarray, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray,
+def sparse_a_hat(g: RelationalGraph) -> sp.csr_array:
+    """g's normalized adjacency as CSR, built from its edge list."""
+    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    a = sp.csr_array((np.ones(len(rows)), (rows, cols)),
+                     shape=(g.node_count, g.node_count))
+    return normalize_adjacency(a)
+
+
+def _propagate(a_hat, h: np.ndarray) -> np.ndarray:
+    """A_hat . h for one (n, k) matrix h, or for each of R stacked on a
+    leading axis, (R, n, k), as one product with an (n, R k) matrix.
+
+    A CSR product sums each output column over its row's entries in
+    index order whatever the column count, so a stacked matrix's result
+    equals its matrices' results one by one, bit for bit.
+    """
+    if h.ndim == 2:
+        return a_hat @ h
+    r, n, k = h.shape
+    out = a_hat @ h.transpose(1, 0, 2).reshape(n, r * k)
+    return out.reshape(n, r, k).transpose(1, 0, 2)
+
+
+def _forward(a_hat, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray,
              b0: np.ndarray, b1: np.ndarray):
     """Layer 1's pre-activations z1 and activations h1, and the class
     probabilities.
 
-    ``ax`` is A_hat . X, which no weight changes.  The weights are one
-    model's, shaped (d, h), (h, C), (h,), (C,), or R models' stacked on a
-    leading axis, shaped (R, d, h), (R, h, C), (R, 1, h), (R, 1, C); the
-    outputs stack the same way.
+    ``a_hat`` is dense or CSR, and ``ax`` is A_hat . X, which no weight
+    changes.  The weights are one model's, shaped (d, h), (h, C), (h,),
+    (C,), or R models' stacked on a leading axis, shaped (R, d, h),
+    (R, h, C), (R, 1, h), (R, 1, C); the outputs stack the same way.
     """
     z1 = ax @ w0 + b0
     h1 = np.maximum(z1, 0.0)
-    z2 = a_hat @ h1 @ w1 + b1
+    z2 = _propagate(a_hat, h1 @ w1) + b1
     z2 = z2 - z2.max(axis=-1, keepdims=True)
     exp = np.exp(z2)
     probs = exp / exp.sum(axis=-1, keepdims=True)
     return z1, h1, probs
 
 
-def gcn_forward(m: GcnModel, features: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
-    """Class-probability matrix (n, C) on the normalized adjacency a_hat;
-    rows sum to 1."""
+def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
+    """Class-probability matrix (n, C) on the normalized adjacency a_hat,
+    dense or CSR; rows sum to 1."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != m.input_dim:
         raise ValueError(f"feature dim {features.shape[1]} != model input dim {m.input_dim}")
@@ -141,24 +178,36 @@ def gcn_forward(m: GcnModel, features: np.ndarray, a_hat: np.ndarray) -> np.ndar
 
 def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
     """Argmax labels on g; ties break toward the lower class index."""
-    a_hat = normalize_adjacency(adjacency(g))
-    probs = gcn_forward(m, g.features, a_hat=a_hat)
+    probs = gcn_forward(m, g.features, a_hat=sparse_a_hat(g))
     return probs.argmax(axis=1)
 
 
-def _loss_and_grads(a_hat, ax, y, train_idx, w1, z1, h1, probs):
-    """Mean cross-entropy over the train nodes of each of R stacked models,
-    shape (R,), and its gradients, from those models' forward pass."""
-    eps = 1e-12
-    loss = -np.log(probs[:, train_idx, y[train_idx]] + eps).sum(axis=-1) / len(train_idx)
+def _train_targets(y: np.ndarray, class_count: int, train_idx: np.ndarray):
+    """What the loss reads of the labels, built once per training: the
+    positions (node * C + label) of the train nodes' labels in a flat
+    (n, C) probability matrix, a mask (n, 1) of the train rows, and the
+    one-hot labels (n, C) of the train nodes, zero in the other rows."""
+    picks = train_idx * class_count + y[train_idx]
+    rows = np.zeros((len(y), 1), dtype=bool)
+    rows[train_idx] = True
+    onehot = np.zeros((len(y), class_count))
+    onehot.ravel()[picks] = 1.0
+    return picks, rows, onehot
 
-    g2 = np.zeros_like(probs)
-    g2[:, train_idx] = probs[:, train_idx]
-    g2[:, train_idx, y[train_idx]] -= 1.0
-    g2 /= len(train_idx)
+
+def _loss_and_grads(a_hat, ax, targets, w1, z1, h1, probs):
+    """Mean cross-entropy over the train nodes of each of R stacked models,
+    shape (R,), and its gradients, from those models' forward pass and
+    the ``_train_targets`` of their labels."""
+    picks, rows, onehot = targets
+    eps = 1e-12
+    loss = -np.log(probs.reshape(len(probs), -1)[:, picks] + eps).sum(axis=-1) / len(picks)
+
+    g2 = np.where(rows, probs - onehot, 0.0)
+    g2 /= len(picks)
 
     grad_b1 = g2.sum(axis=1, keepdims=True)
-    ah_g2 = a_hat @ g2                    # A_hat symmetric, so A^T = A
+    ah_g2 = _propagate(a_hat, g2)         # A_hat symmetric, so A^T = A
     grad_w1 = h1.transpose(0, 2, 1) @ ah_g2
     g1 = (ah_g2 @ w1.transpose(0, 2, 1)) * (z1 > 0)
     grad_b0 = g1.sum(axis=1, keepdims=True)
@@ -166,15 +215,17 @@ def _loss_and_grads(a_hat, ax, y, train_idx, w1, z1, h1, probs):
     return loss, grad_w0, grad_w1, grad_b0, grad_b1
 
 
-def loss_and_grads(a_hat: np.ndarray, x: np.ndarray, y: np.ndarray,
+def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
                    train_idx: np.ndarray, w0: np.ndarray, w1: np.ndarray,
                    b0: np.ndarray, b1: np.ndarray):
-    """Mean cross-entropy over train nodes and its gradients, for one model:
-    the training loop's computation with a single restart."""
+    """Mean cross-entropy over train nodes and its gradients, for one model
+    on a dense or CSR ``a_hat``: the training loop's computation with a
+    single restart."""
     ax = a_hat @ x
     params = (w0, w1, b0, b1)
     stacked = (w0[None], w1[None], b0[None, None], b1[None, None])
-    loss, *grads = _loss_and_grads(a_hat, ax, y, train_idx, stacked[1],
+    targets = _train_targets(y, w1.shape[1], train_idx)
+    loss, *grads = _loss_and_grads(a_hat, ax, targets, stacked[1],
                                    *_forward(a_hat, ax, *stacked))
     return (loss[0], *(grad.reshape(p.shape) for grad, p in zip(grads, params)))
 
@@ -210,6 +261,12 @@ def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
     next epoch's loss forward.  A restart that stops leaves the stack.
     """
     ax = a_hat @ x
+    targets = _train_targets(y, class_count, train_idx)
+    # one column per accuracy, (monitored, train): a 1 in each row it scores
+    scored = np.zeros((len(y), 2))
+    scored[monitor_idx, 0] = 1.0
+    scored[train_idx, 1] = 1.0
+    sizes = np.array([len(monitor_idx), len(train_idx)])
     h = cfg.hidden_dim
     shapes = ((x.shape[1], h), (h, class_count), (1, h), (1, class_count))
     # one row of w0, w1, b0, b1 per restart; the stacked weights are views
@@ -227,7 +284,7 @@ def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
     params = _unstack(flat, shapes)
     fwd = _forward(a_hat, ax, *params)
     for t in range(1, cfg.max_epochs + 1):
-        loss, *grads = _loss_and_grads(a_hat, ax, y, train_idx, params[1], *fwd)
+        loss, *grads = _loss_and_grads(a_hat, ax, targets, params[1], *fwd)
         losses = loss.tolist()
         for value in losses:
             if not math.isfinite(value):
@@ -242,8 +299,7 @@ def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
         flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         fwd = _forward(a_hat, ax, *params)
         hits = fwd[2].argmax(axis=-1) == y
-        accs = zip((hits[:, monitor_idx].sum(axis=1) / len(monitor_idx)).tolist(),
-                   (hits[:, train_idx].sum(axis=1) / len(train_idx)).tolist())
+        accs = map(tuple, ((hits @ scored) / sizes).tolist())
         going = []
         for i, (r, acc) in enumerate(zip(live, accs)):
             improved = False
@@ -281,7 +337,7 @@ def train_gcn(g: RelationalGraph, split: NodeSplit, cfg: TrainConfig) -> GcnMode
     """
     if len(split.train) == 0:
         raise ValueError("training split is empty")
-    a_hat = normalize_adjacency(adjacency(g))
+    a_hat = sparse_a_hat(g)
     train_idx = np.asarray(split.train)
     monitor_idx = np.asarray(split.validation if split.validation else split.train)
     (w0, w1, b0, b1), best_acc = _train_restarts(a_hat, g.features, g.labels,

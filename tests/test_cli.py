@@ -191,6 +191,36 @@ class TestEvaluate:
         assert (tmp_path / "u.csv").exists() == (code == 0)
 
 
+class TestMissingJsonKey:
+    FG = {"entities": [0, 1], "target_card": 2,
+          "factors": [{"u": 0, "v": 1, "t": 1, "weight": 0.5, "kind": "learned"}]}
+    EXPLANATION = {"target": 0, "class": 1, "hops": 2,
+                   "relations": [{"u": 0, "v": 1, "gc": 0.8}]}
+    CRES = {"target": 0, "class_count": 2, "ranks": [1], "errors": [1],
+            "explanations": [EXPLANATION]}
+
+    @pytest.mark.parametrize("command, broken, key", [
+        ("learn-fg", "cres.json", "explanations"),
+        ("evaluate", "fg.json", "factors"),
+        ("evaluate", "expl.json", "relations"),
+    ])
+    def test_error_names_the_key_and_the_file(self, tmp_path, capsys, command,
+                                              broken, key):
+        files = {"cres.json": self.CRES, "fg.json": self.FG,
+                 "expl.json": self.EXPLANATION}
+        for name, blob in files.items():
+            if name == broken:
+                blob = {k: v for k, v in blob.items() if k != key}
+            (tmp_path / name).write_text(json.dumps(blob))
+        flags = (["--cres", str(tmp_path / "cres.json")] if command == "learn-fg" else
+                 ["--fg", str(tmp_path / "fg.json"),
+                  "--explanation", str(tmp_path / "expl.json")])
+        assert run([command, *flags, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / broken}: missing key '{key}'\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerifyAndReport:
     def test_verify_writes_results_and_exit_zero(self, tmp_path):
         out = tmp_path / "run"
@@ -274,6 +304,17 @@ class TestVerifyAndReport:
         (tmp_path / "bundle.json").write_text(json.dumps(blob))
         assert run(["report", "--bundle", str(tmp_path / "bundle.json"),
                     "--out", str(tmp_path / "redo")]) == 2
+        assert not (tmp_path / "redo").exists()
+
+    def test_report_error_names_the_missing_key_and_the_bundle(self, verify_out,
+                                                               tmp_path, capsys):
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        del blob["reports"]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(blob))
+        assert run(["report", "--bundle", str(bundle),
+                    "--out", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == f"error: {bundle}: missing key 'reports'\n"
         assert not (tmp_path / "redo").exists()
 
 

@@ -1,14 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from relex.datasets import generate_ba_shapes, generate_tree_motif
 from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _train_restarts,
                        gcn_forward, init_weights, load_model, loss_and_grads,
-                       normalize_adjacency, predict, save_model, train_gcn)
+                       normalize_adjacency, predict, save_model, sparse_a_hat,
+                       train_gcn)
 from relex.graphs import NodeSplit, adjacency, make_graph, split_nodes
+from relex.pipeline import GENERATORS, DatasetSpec
 
 
 def two_cliques(k=4):
@@ -24,10 +28,26 @@ def two_cliques(k=4):
 
 def reference_loss_and_grads(a_hat, x, y, train_idx, w0, w1, b0, b1):
     """The one-model forward pass, loss and gradients as written before
-    training ran its restarts in lockstep."""
+    training ran its restarts in lockstep, with layer 2 multiplied by W1
+    before it propagates, as the training loop does."""
+    z1 = a_hat @ x @ w0 + b0
+    h1 = np.maximum(z1, 0.0)
+    z2 = a_hat @ (h1 @ w1) + b1
+    return reference_loss_and_grads_from(a_hat, x, y, train_idx, w1, z1, h1, z2)
+
+
+def dense_reference_loss_and_grads(a_hat, x, y, train_idx, w0, w1, b0, b1):
+    """The same with layer 2 propagated before it multiplies by W1: the
+    formulas of the GCN that trained on a dense A_hat."""
     z1 = a_hat @ x @ w0 + b0
     h1 = np.maximum(z1, 0.0)
     z2 = a_hat @ h1 @ w1 + b1
+    return reference_loss_and_grads_from(a_hat, x, y, train_idx, w1, z1, h1, z2)
+
+
+def reference_loss_and_grads_from(a_hat, x, y, train_idx, w1, z1, h1, z2):
+    """Probabilities, loss and gradients from layer 1's z1 and h1 and the
+    logits z2."""
     z2 = z2 - z2.max(axis=1, keepdims=True)
     exp = np.exp(z2)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -93,9 +113,10 @@ def reference_adam_run(a_hat, x, y, class_count, train_idx, monitor_idx, cfg, se
 
 
 def reference_train(g, split, cfg):
-    """The restarts run one after another; returns each restart's
-    (best weights, best accuracy, last epoch) and the winning model."""
-    a_hat = normalize_adjacency(adjacency(g))
+    """The restarts run one after another on the CSR A_hat; returns each
+    restart's (best weights, best accuracy, last epoch) and the winning
+    model."""
+    a_hat = sparse_a_hat(g)
     train_idx = np.asarray(split.train)
     monitor_idx = np.asarray(split.validation if split.validation else split.train)
     runs = [reference_adam_run(a_hat, g.features, g.labels, g.class_count, train_idx,
@@ -188,28 +209,81 @@ class TestGradients:
         g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)],
                        features=np.random.default_rng(1).normal(size=(6, 3)),
                        labels=[0, 1, 2, 0, 1, 2], class_count=3)
-        a_hat = normalize_adjacency(adjacency(g))
         train_idx = np.array([0, 1, 2, 3, 4, 5])
         w0, w1, b0, b1 = init_weights(3, 4, 3, seed=9)
         params = [w0, w1, b0, b1]
-        _, *grads = loss_and_grads(a_hat, g.features, g.labels, train_idx, *params)
-        h = 1e-5
-        for pi, p in enumerate(params):
-            fd = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + h
-                lp = loss_and_grads(a_hat, g.features, g.labels, train_idx, *params)[0]
-                p[idx] = orig - h
-                lm = loss_and_grads(a_hat, g.features, g.labels, train_idx, *params)[0]
-                p[idx] = orig
-                fd[idx] = (lp - lm) / (2 * h)
-                it.iternext()
-            denom = np.maximum(np.abs(fd), 1e-8)
-            rel = np.abs(grads[pi] - fd) / denom
-            assert rel.max() < 1e-4, f"param {pi}: max rel err {rel.max()}"
+        for a_hat in (normalize_adjacency(adjacency(g)), sparse_a_hat(g)):
+            _, *grads = loss_and_grads(a_hat, g.features, g.labels, train_idx, *params)
+            h = 1e-5
+            for pi, p in enumerate(params):
+                fd = np.zeros_like(p)
+                it = np.nditer(p, flags=["multi_index"])
+                while not it.finished:
+                    idx = it.multi_index
+                    orig = p[idx]
+                    p[idx] = orig + h
+                    lp = loss_and_grads(a_hat, g.features, g.labels, train_idx, *params)[0]
+                    p[idx] = orig - h
+                    lm = loss_and_grads(a_hat, g.features, g.labels, train_idx, *params)[0]
+                    p[idx] = orig
+                    fd[idx] = (lp - lm) / (2 * h)
+                    it.iternext()
+                denom = np.maximum(np.abs(fd), 1e-8)
+                rel = np.abs(grads[pi] - fd) / denom
+                assert rel.max() < 1e-4, f"param {pi}: max rel err {rel.max()}"
+
+
+class TestSparsePath:
+    """Training and prediction run on a CSR A_hat built from the edge list,
+    with layer 2 multiplied by W1 before it propagates."""
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_csr_a_hat_equals_dense_bit_for_bit(self, kind):
+        g = DatasetSpec(kind=kind).build(1)
+        dense = normalize_adjacency(adjacency(g))
+        for a_hat in (sparse_a_hat(g), normalize_adjacency(sp.csr_array(adjacency(g)))):
+            assert sp.issparse(a_hat) and a_hat.format == "csr"
+            assert a_hat.nnz == np.count_nonzero(dense) == 2 * g.edge_count + g.node_count
+            assert (a_hat.toarray() == dense).all()
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_forward_and_gradients_match_the_dense_formulas(self, kind):
+        """Within 1e-12 of each array's largest entry: CSR sums and the
+        reordered layer 2 round differently from dense products."""
+        g = DatasetSpec(kind=kind).build(1)
+        train_idx = np.asarray(split_nodes(g, 1).train)
+        model = train_gcn(g, split_nodes(g, 1),
+                          TrainConfig(max_epochs=30, restarts=1, seed=2))
+        params = [model.w0, model.w1, model.b0, model.b1]
+        loss, probs, grads = dense_reference_loss_and_grads(
+            normalize_adjacency(adjacency(g)), g.features, g.labels, train_idx, *params)
+        a_hat = sparse_a_hat(g)
+        got_loss, *got_grads = loss_and_grads(a_hat, g.features, g.labels, train_idx,
+                                              *params)
+        pairs = [(gcn_forward(model, g.features, a_hat), probs), (got_loss, loss),
+                 *zip(got_grads, grads)]
+        for got, want in pairs:
+            scale = np.abs(want).max()
+            assert scale > 0
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_train_and_predict_hold_no_n_by_n_array(self):
+        """At 3,000 nodes a dense A_hat alone takes n^2 * 8 bytes (72 MB)."""
+        g = generate_ba_shapes(1500, 300, 1)
+        split = split_nodes(g, 1)
+        limit = g.node_count ** 2 * 8 // 4
+        tracemalloc.start()
+        try:
+            model = train_gcn(g, split, TrainConfig(max_epochs=3))
+            train_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            predict(model, g)
+            predict_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.node_count == 3000
+        assert train_peak < limit, train_peak
+        assert predict_peak < limit, predict_peak
 
 
 class TestTraining:
@@ -290,7 +364,7 @@ class TestLockstepTrainingOracle:
         runs, expected = reference_train(g, split, cfg)
         train_idx = np.asarray(split.train)
         monitor_idx = np.asarray(split.validation if split.validation else split.train)
-        stacked, best_acc = _train_restarts(normalize_adjacency(adjacency(g)),
+        stacked, best_acc = _train_restarts(sparse_a_hat(g),
                                             g.features, g.labels, g.class_count,
                                             train_idx, monitor_idx, cfg)
         for r, (params, acc, _) in enumerate(runs):
@@ -334,7 +408,7 @@ class TestDivergence:
         cfg = TrainConfig(hidden_dim=8, max_epochs=60, patience=3, restarts=3,
                           learning_rate=2e153, seed=0)
         train_idx = np.asarray(split.train)
-        a_hat = normalize_adjacency(adjacency(g))
+        a_hat = sparse_a_hat(g)
         with np.errstate(all="ignore"):
             runs, expected = reference_train(g, split, cfg)
             assert [t for _, _, t in runs] == [5, 5, 9]
