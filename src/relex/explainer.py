@@ -13,7 +13,9 @@ The GCN has two layers, so the target's logits read only the nodes
 within two BFS steps of it and those nodes' full-graph degrees.  Each
 call therefore works on the ball of nodes within max(hops, 2) steps: the
 adjacency among them, plus each one's count of edges that leave the
-ball, a degree offset that no mask weight touches.  An evaluation
+ball, a degree offset that no mask weight touches.  One BFS over the
+edge list, read once per call, gives the ball, those counts and the
+masked edges.  An evaluation
 normalizes and forwards that ball alone, O(|ball|^2) rather than O(n^2)
 in the graph's node count n, and equals the full-graph computation up
 to rounding; the predicted class is the unmasked ball's argmax.
@@ -28,13 +30,13 @@ per-relation confidences.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from relex.gcn import GcnModel, _forward, gcn_forward, normalize_adjacency
+from relex.gcn import GcnModel, _forward, _one_model, gcn_forward, normalize_adjacency
 from relex.graphs import Edge, RelationalGraph, normalize_edge
 
 
@@ -84,54 +86,84 @@ class Explanation:
         raise KeyError(edge)
 
 
-def _distances(g: RelationalGraph, target: int, radius: int) -> dict[int, int]:
-    """BFS distance from target of every node within ``radius`` steps."""
-    dist = {target: 0}
-    queue = deque([target])
-    adj: dict[int, list[int]] = {}
-    for (u, v) in g.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    while queue:
-        node = queue.popleft()
-        if dist[node] == radius:
-            continue
-        for nb in adj.get(node, ()):
-            if nb not in dist:
-                dist[nb] = dist[node] + 1
-                queue.append(nb)
-    return dist
+@dataclass(frozen=True, eq=False)
+class _Ball:
+    """A target's receptive field: the nodes within max(hops, 2) BFS steps
+    of it, in node order.
+
+    ``edges`` is the computation subgraph, the edges whose endpoints both
+    lie within ``hops`` steps, sorted; edge i joins ball positions
+    ``rows[i]`` and ``cols[i]``.  ``adjacency`` is the 0/1 adjacency among
+    the ball's nodes, and ``outside`` counts each one's edges to nodes
+    beyond the ball, so that the two add up to the full-graph degrees.
+    ``target`` is the target's ball position.
+    """
+
+    nodes: np.ndarray
+    edges: list[Edge]
+    rows: np.ndarray
+    cols: np.ndarray
+    adjacency: np.ndarray
+    outside: np.ndarray
+    target: int
+
+
+def _ball(g: RelationalGraph, target: int, hops: int) -> _Ball:
+    """One BFS from target over g's edge list, read once into arrays."""
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp,
+                       count=2 * g.edge_count).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    # every edge in both directions: each node's neighbours, as pairs
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    # two GCN layers: the logits read the nodes within 2 steps, even at hops 1
+    radius = max(hops, 2)
+    dist = np.full(g.node_count, radius + 1)
+    dist[target] = 0
+    for step in range(1, radius + 1):
+        reached = dst[dist[src] == step - 1]
+        dist[reached[dist[reached] > step]] = step
+    inside = dist <= radius
+    nodes = np.flatnonzero(inside)
+    pos = np.cumsum(inside) - 1
+    both = inside[u] & inside[v]
+    adjacency = np.zeros((len(nodes), len(nodes)))
+    adjacency[pos[u[both]], pos[v[both]]] = 1.0
+    adjacency[pos[v[both]], pos[u[both]]] = 1.0
+    leaving = np.concatenate([u[inside[u] & ~inside[v]], v[inside[v] & ~inside[u]]])
+    outside = np.bincount(pos[leaving], minlength=len(nodes)).astype(np.float64)
+    within = both & (dist[u] <= hops) & (dist[v] <= hops)
+    order = np.lexsort((v[within], u[within]))
+    eu, ev = u[within][order], v[within][order]
+    return _Ball(nodes, list(zip(eu.tolist(), ev.tolist())), pos[eu], pos[ev],
+                 adjacency, outside, int(pos[target]))
 
 
 def computation_subgraph(g: RelationalGraph, target: int, hops: int) -> list[Edge]:
     """Edges whose endpoints both lie within `hops` BFS steps of target."""
-    dist = _distances(g, target, hops)
-    return sorted(e for e in g.edges if e[0] in dist and e[1] in dist)
+    return _ball(g, target, hops).edges
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no
+    exponential overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 @dataclass(frozen=True)
 class _MaskProblem:
-    """Everything one target's mask optimisation holds fixed, on the ball
-    of nodes within max(hops, 2) steps of the target, in node order.
+    """Everything one target's mask optimisation holds fixed, on its
+    ``_Ball``'s nodes, in node order.
 
-    ``a_soft`` is the adjacency among the ball's nodes, and ``outside``
-    counts each one's edges to nodes beyond the ball, so that ``a_soft``'s
-    row sums plus ``outside`` are the full-graph degrees.  Masked edge i
-    sits at ball positions (rows[i], cols[i]) and (cols[i], rows[i]).
-    Each evaluation writes its mask weights into those entries before it
-    reads the matrix, so the one buffer always holds the current mask's
-    adjacency.  ``target`` is the target's ball position, and ``predicted``
-    the argmax of its unmasked logits.  ``explain`` builds the problem once
-    per call.
+    ``a_soft`` starts as the ball's adjacency and ``outside`` is the
+    ball's; masked edge i, the ball's edge i, sits at ball positions
+    (rows[i], cols[i]) and (cols[i], rows[i]).  Each evaluation writes its
+    mask weights into those entries before it reads the matrix, so the
+    one buffer always holds the current mask's adjacency.  ``weights`` are
+    the model's in ``_forward``'s layouts, and ``features_w0`` is the
+    ball's features times W0, which no mask changes.  ``target`` is the
+    target's ball position, and ``predicted`` the argmax of its unmasked
+    logits.  ``explain`` builds the problem once per call.
     """
 
     a_soft: np.ndarray
@@ -140,35 +172,26 @@ class _MaskProblem:
     cols: np.ndarray
     features: np.ndarray
     model: GcnModel
+    weights: tuple
+    features_w0: np.ndarray
     target: int
     predicted: int
     size_penalty: float
     entropy_penalty: float
 
 
-def _mask_problem(g: RelationalGraph, model: GcnModel, target: int,
-                  masked_edges: list[Edge], cfg: ExplainConfig) -> _MaskProblem:
-    # two GCN layers: the logits read the nodes within 2 steps, even at hops 1
-    ball = sorted(_distances(g, target, max(cfg.hops, 2)))
-    pos = {node: i for i, node in enumerate(ball)}
-    a_soft = np.zeros((len(ball), len(ball)))
-    outside = np.zeros(len(ball))
-    for (u, v) in g.edges:
-        i, j = pos.get(u), pos.get(v)
-        if i is not None and j is not None:
-            a_soft[i, j] = a_soft[j, i] = 1.0
-        elif i is not None:
-            outside[i] += 1.0
-        elif j is not None:
-            outside[j] += 1.0
-    idx = np.array([(pos[u], pos[v]) for (u, v) in masked_edges],
-                   dtype=np.intp).reshape(-1, 2)
-    features = g.features[ball]
+def _mask_problem(g: RelationalGraph, model: GcnModel, ball: _Ball,
+                  cfg: ExplainConfig) -> _MaskProblem:
+    """The mask problem on ``ball``, the target's ``_Ball``; it takes over
+    the ball's adjacency as its ``a_soft`` buffer."""
+    features = g.features[ball.nodes]
     # before any mask is written, the ball's forward pass gives the target's
     # full-graph class probabilities; argmax ties go to the lower class
-    probs = gcn_forward(model, features, normalize_adjacency(a_soft, outside))
-    return _MaskProblem(a_soft, outside, idx[:, 0], idx[:, 1], features,
-                        model, pos[target], int(probs[pos[target]].argmax()),
+    probs = gcn_forward(model, features, normalize_adjacency(ball.adjacency, ball.outside))
+    weights = _one_model(model.w0, model.w1, model.b0, model.b1)
+    return _MaskProblem(ball.adjacency, ball.outside, ball.rows, ball.cols, features,
+                        model, weights, features @ model.w0, ball.target,
+                        int(probs[ball.target].argmax()),
                         cfg.size_penalty, cfg.entropy_penalty)
 
 
@@ -192,11 +215,11 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     s = _sigmoid(mask)
     a_hat = normalize_adjacency(soft_adjacency(p.a_soft, p.rows, p.cols, s),
                                 p.outside)
-    m = p.model
-    z1, h1, probs = _forward(a_hat, a_hat @ p.features, m.w0, m.w1, m.b0, m.b1)
+    h1, probs = _forward(a_hat, a_hat @ p.features, *p.weights)
+    probs = probs[0].T
     pred_loss = -np.log(probs[p.target, p.predicted] + 1e-12)
     loss = _objective(pred_loss, s, p.size_penalty, p.entropy_penalty)
-    return loss, s, a_hat, z1, h1, probs
+    return loss, s, a_hat, h1, probs
 
 
 def _masked_grad(p: _MaskProblem, mask: np.ndarray, fwd) -> np.ndarray:
@@ -206,24 +229,24 @@ def _masked_grad(p: _MaskProblem, mask: np.ndarray, fwd) -> np.ndarray:
     Backpropagates through the two GCN layers into dL/dA_hat, then through
     the degree normalization into each symmetric edge weight.
     """
-    _, s, a_hat, z1, h1, probs = fwd
+    _, s, a_hat, h1, probs = fwd
     m = p.model
 
-    # dL/dZ2 is nonzero only in the target row
-    g2 = np.zeros_like(probs)
-    g2[p.target] = probs[p.target]
-    g2[p.target, p.predicted] -= 1.0
+    # dL/dZ2 is nonzero only in the target row, g2, so A_hat . dL/dZ2 is
+    # the outer product of A_hat's target column and g2
+    g2 = probs[p.target].copy()
+    g2[p.predicted] -= 1.0
 
-    g1 = (a_hat @ g2 @ m.w1.T) * (z1 > 0)
-    m_hat = g1 @ (p.features @ m.w0).T                 # A_hat in layer 1
-    m_hat[p.target] += g2[p.target] @ (h1 @ m.w1).T    # A_hat in layer 2
+    g1 = (np.outer(a_hat[:, p.target], g2) @ m.w1.T) * (h1 > 0)
+    m_hat = g1 @ p.features_w0.T                       # A_hat in layer 1
+    m_hat[p.target] += g2 @ (h1 @ m.w1).T              # A_hat in layer 2
 
     # A_hat = w_i w_j (A + I) with w = d^-1/2, and A has a zero diagonal,
     # so diag(A_hat) = 1/d.  An edge weight enters A_hat directly at (u, v)
     # and (v, u), and through the degrees d_u and d_v.  m_hat is nonzero
     # only in the rows of the target and its neighbours, whose A_hat
     # entries all lie inside the ball, so the sums below miss nothing.
-    inv_d = np.diag(a_hat)
+    inv_d = a_hat.diagonal()
     t = 0.5 * inv_d * (np.einsum("ij,ij->i", m_hat, a_hat)
                        + np.einsum("ij,ij->j", m_hat, a_hat))
     u, v = p.rows, p.cols
@@ -247,12 +270,13 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
     """
     if not (0 <= target < g.node_count):
         raise ValueError(f"target {target} out of range")
-    masked_edges = computation_subgraph(g, target, cfg.hops)
+    ball = _ball(g, target, cfg.hops)
+    masked_edges = ball.edges
     if not masked_edges:
         raise SingleNodeExplanation(
             f"node {target} has an empty {cfg.hops}-hop computation subgraph")
 
-    problem = _mask_problem(g, model, target, masked_edges, cfg)
+    problem = _mask_problem(g, model, ball, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     mask = rng.uniform(-0.1, 0.1, size=len(masked_edges))

@@ -12,8 +12,18 @@ finite-difference gradient check simple.  Plain gradient descent cannot
 escape the class-prior plateau on the structure-only benchmarks (constant
 features leave only a normalized degree scalar as input, and the layer-1
 gradients are orders of magnitude below layer-2's); Adam's per-parameter
-scaling fixes that.  The seeded restarts train in lockstep, stacked on a
-leading axis, and the restart with the best monitored accuracy wins.
+scaling fixes that.  The seeded restarts train in lockstep and the
+restart with the best monitored accuracy wins.
+
+The loss reads only the train rows and the early stop only the train
+and monitored rows, so an epoch runs layer 2, the softmax and the
+accuracies on those scored rows alone, through A_hat[scored], and
+carries only the train rows' gradient back, through A_hat[:, train].
+Layer 1 runs on every node, node-major: the restarts' hidden units sit
+side by side in one (n, R h) matrix, so A_hat . X . W0 is one product.
+The probabilities are class-major, (R, C, rows), so the softmax's max
+reduces over C rows.  Every weight stays bit-identical to training the
+restarts one by one on every row.
 """
 
 from __future__ import annotations
@@ -106,7 +116,11 @@ def normalize_adjacency(a, degree_offset: np.ndarray | None = None):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("adjacency must be square")
-    a_tilde = a + (sp.eye_array(n, format="csr") if sparse else np.eye(n))
+    if sparse:
+        a_tilde = a + sp.eye_array(n, format="csr")
+    else:
+        a_tilde = a.copy()
+        a_tilde.flat[::n + 1] += 1.0  # A + I, with no n x n identity made
     d = a_tilde.sum(axis=1)
     if degree_offset is not None:
         d += degree_offset
@@ -133,38 +147,49 @@ def sparse_a_hat(g: RelationalGraph) -> sp.csr_array:
     return normalize_adjacency(a)
 
 
-def _propagate(a_hat, h: np.ndarray) -> np.ndarray:
-    """A_hat . h for one (n, k) matrix h, or for each of R stacked on a
-    leading axis, (R, n, k), as one product with an (n, R k) matrix.
+def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
+             w1: np.ndarray, b1: np.ndarray):
+    """Layer 1's activations h1 on every node, and the class probabilities
+    of the rows of A_hat that ``a_rows`` holds.
 
-    A CSR product sums each output column over its row's entries in
-    index order whatever the column count, so a stacked matrix's result
-    equals its matrices' results one by one, bit for bit.
+    ``a_rows`` is A_hat or a subset of its rows, dense or CSR, and ``ax``
+    is A_hat . X, which no weight changes.  The weights are R models' in
+    ``_side_by_side``'s layouts.  h1 is node-major, (n, R h), with model
+    r in columns r h .. (r + 1) h - 1; the probabilities are class-major,
+    (R, C, rows), so the softmax's max reduces over C rows.
     """
-    if h.ndim == 2:
-        return a_hat @ h
-    r, n, k = h.shape
-    out = a_hat @ h.transpose(1, 0, 2).reshape(n, r * k)
-    return out.reshape(n, r, k).transpose(1, 0, 2)
+    h1 = ax @ w0
+    h1 += b0
+    np.maximum(h1, 0.0, out=h1)
+    n = len(h1)
+    r, h, c = w1.shape
+    # layer 2 multiplies by W1 before it propagates, so it moves C columns
+    hw = np.empty((n, r, c))
+    np.matmul(h1.reshape(n, r, h).transpose(1, 0, 2), w1, out=hw.transpose(1, 0, 2))
+    probs = np.ascontiguousarray((a_rows @ hw.reshape(n, r * c)).T).reshape(r, c, -1)
+    probs += b1
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    # numpy sums a contiguous axis of 8 or more entries pairwise, so each
+    # row's denominator is summed node-major, as an (n, C) softmax sums it
+    probs /= np.ascontiguousarray(probs.transpose(0, 2, 1)).sum(axis=-1)[:, None, :]
+    return h1, probs
 
 
-def _forward(a_hat, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray,
-             b0: np.ndarray, b1: np.ndarray):
-    """Layer 1's pre-activations z1 and activations h1, and the class
-    probabilities.
+def _side_by_side(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
+    """R models' weights, stacked as (R, d, h), (R, h, C), (R, 1, h),
+    (R, 1, C), in ``_forward``'s order and layouts: w0 (d, R h) and b0
+    (R h,), so layer 1 is one product with a row-broadcast bias, then w1
+    (R, h, C) and b1 (R, C, 1)."""
+    r, d, h = w0.shape
+    return (w0.transpose(1, 0, 2).reshape(d, r * h), b0.reshape(r * h),
+            w1, b1.reshape(r, -1, 1))
 
-    ``a_hat`` is dense or CSR, and ``ax`` is A_hat . X, which no weight
-    changes.  The weights are one model's, shaped (d, h), (h, C), (h,),
-    (C,), or R models' stacked on a leading axis, shaped (R, d, h),
-    (R, h, C), (R, 1, h), (R, 1, C); the outputs stack the same way.
-    """
-    z1 = ax @ w0 + b0
-    h1 = np.maximum(z1, 0.0)
-    z2 = _propagate(a_hat, h1 @ w1) + b1
-    z2 = z2 - z2.max(axis=-1, keepdims=True)
-    exp = np.exp(z2)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
-    return z1, h1, probs
+
+def _one_model(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
+    """One model's weights, shaped (d, h), (h, C), (h,), (C,), as
+    ``_forward`` takes R = 1 models."""
+    return _side_by_side(w0[None], w1[None], b0[None, None], b1[None, None])
 
 
 def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
@@ -173,7 +198,7 @@ def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != m.input_dim:
         raise ValueError(f"feature dim {features.shape[1]} != model input dim {m.input_dim}")
-    return _forward(a_hat, a_hat @ features, m.w0, m.w1, m.b0, m.b1)[2]
+    return _forward(a_hat, a_hat @ features, *_one_model(m.w0, m.w1, m.b0, m.b1))[1][0].T
 
 
 def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
@@ -182,37 +207,73 @@ def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
     return probs.argmax(axis=1)
 
 
-def _train_targets(y: np.ndarray, class_count: int, train_idx: np.ndarray):
-    """What the loss reads of the labels, built once per training: the
-    positions (node * C + label) of the train nodes' labels in a flat
-    (n, C) probability matrix, a mask (n, 1) of the train rows, and the
-    one-hot labels (n, C) of the train nodes, zero in the other rows."""
-    picks = train_idx * class_count + y[train_idx]
-    rows = np.zeros((len(y), 1), dtype=bool)
-    rows[train_idx] = True
-    onehot = np.zeros((len(y), class_count))
-    onehot.ravel()[picks] = 1.0
-    return picks, rows, onehot
+@dataclass(frozen=True, eq=False)
+class _Targets:
+    """What training reads of A_hat and the labels, built once per
+    training.  The scored rows S are the train nodes, sorted, then the
+    monitored nodes that are not train nodes.
+
+    ``a_scored`` is A_hat[S], the rows that layer 2 computes, and
+    ``a_train`` A_hat[:, sorted train nodes], which carries their dL/dZ2
+    back.  ``picks`` holds the positions (label * |S| + row) of the train
+    labels, in train order, in one model's flat (C, |S|) probabilities;
+    ``onehot`` (|train|, 1, C) the sorted train nodes' one-hot labels.
+    ``labels`` are S's labels, and ``scored`` (|S|, 2) has a 1 in each row
+    that the (monitored, train) accuracy counts, out of ``sizes``.
+    """
+
+    a_scored: sp.csr_array | np.ndarray
+    a_train: sp.csr_array | np.ndarray
+    picks: np.ndarray
+    onehot: np.ndarray
+    count: int
+    labels: np.ndarray
+    scored: np.ndarray
+    sizes: np.ndarray
 
 
-def _loss_and_grads(a_hat, ax, targets, w1, z1, h1, probs):
-    """Mean cross-entropy over the train nodes of each of R stacked models,
-    shape (R,), and its gradients, from those models' forward pass and
-    the ``_train_targets`` of their labels."""
-    picks, rows, onehot = targets
-    eps = 1e-12
-    loss = -np.log(probs.reshape(len(probs), -1)[:, picks] + eps).sum(axis=-1) / len(picks)
+def _targets(a_hat, y: np.ndarray, class_count: int, train_idx: np.ndarray,
+             monitor_idx: np.ndarray) -> _Targets:
+    train = np.unique(train_idx)
+    rows = np.concatenate([train, np.setdiff1d(monitor_idx, train)])
+    pos = np.empty(len(y), dtype=np.intp)
+    pos[rows] = np.arange(len(rows))
+    onehot = np.zeros((len(train), 1, class_count))
+    onehot[np.arange(len(train)), 0, y[train]] = 1.0
+    scored = np.zeros((len(rows), 2))
+    scored[pos[monitor_idx], 0] = 1.0
+    scored[:len(train), 1] = 1.0
+    return _Targets(a_scored=a_hat[rows], a_train=a_hat[:, train],
+                    picks=y[train_idx] * len(rows) + pos[train_idx], onehot=onehot,
+                    count=len(train_idx), labels=y[rows], scored=scored,
+                    sizes=np.array([len(monitor_idx), len(train_idx)]))
 
-    g2 = np.where(rows, probs - onehot, 0.0)
-    g2 /= len(picks)
 
-    grad_b1 = g2.sum(axis=1, keepdims=True)
-    ah_g2 = _propagate(a_hat, g2)         # A_hat symmetric, so A^T = A
-    grad_w1 = h1.transpose(0, 2, 1) @ ah_g2
-    g1 = (ah_g2 @ w1.transpose(0, 2, 1)) * (z1 > 0)
-    grad_b0 = g1.sum(axis=1, keepdims=True)
+def _loss_and_grads(ax: np.ndarray, t: _Targets, w1: np.ndarray,
+                    h1: np.ndarray, probs: np.ndarray):
+    """Mean cross-entropy over the train nodes of each of R models, shape
+    (R,), and its gradients in ``_forward``'s layouts, from those models'
+    forward pass on ``t``'s scored rows."""
+    r, c, _ = probs.shape
+    n, h = len(h1), w1.shape[1]
+    loss = -np.log(probs.reshape(r, -1)[:, t.picks] + 1e-12).sum(axis=-1) / t.count
+
+    # dL/dZ2 is nonzero only in the train rows, which lead the scored rows
+    g2 = np.ascontiguousarray(probs[:, :, :len(t.onehot)].transpose(2, 0, 1))
+    g2 -= t.onehot
+    g2 /= t.count
+    g2 = g2.reshape(-1, r * c)
+
+    grad_b1 = g2.sum(axis=0)
+    ah_g2 = (t.a_train @ g2).reshape(n, r, c).transpose(1, 0, 2)  # A_hat = A_hat^T
+    grad_w1 = h1.reshape(n, r, h).transpose(1, 2, 0) @ ah_g2
+    g1 = np.empty((n, r, h))
+    np.matmul(ah_g2, w1.transpose(0, 2, 1), out=g1.transpose(1, 0, 2))
+    g1 = g1.reshape(n, r * h)
+    np.multiply(g1, h1 > 0, out=g1)
+    grad_b0 = g1.sum(axis=0)
     grad_w0 = ax.T @ g1
-    return loss, grad_w0, grad_w1, grad_b0, grad_b1
+    return loss, grad_w0, grad_b0, grad_w1, grad_b1
 
 
 def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
@@ -222,12 +283,11 @@ def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
     on a dense or CSR ``a_hat``: the training loop's computation with a
     single restart."""
     ax = a_hat @ x
-    params = (w0, w1, b0, b1)
-    stacked = (w0[None], w1[None], b0[None, None], b1[None, None])
-    targets = _train_targets(y, w1.shape[1], train_idx)
-    loss, *grads = _loss_and_grads(a_hat, ax, targets, stacked[1],
-                                   *_forward(a_hat, ax, *stacked))
-    return (loss[0], *(grad.reshape(p.shape) for grad, p in zip(grads, params)))
+    t = _targets(a_hat, y, w1.shape[1], train_idx, train_idx)
+    weights = _one_model(w0, w1, b0, b1)
+    loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(
+        ax, t, weights[2], *_forward(t.a_scored, ax, *weights))
+    return loss[0], grad_w0, grad_w1[0], grad_b0, grad_b1
 
 
 def init_weights(d: int, hidden: int, classes: int, seed: int):
@@ -261,17 +321,12 @@ def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
     next epoch's loss forward.  A restart that stops leaves the stack.
     """
     ax = a_hat @ x
-    targets = _train_targets(y, class_count, train_idx)
-    # one column per accuracy, (monitored, train): a 1 in each row it scores
-    scored = np.zeros((len(y), 2))
-    scored[monitor_idx, 0] = 1.0
-    scored[train_idx, 1] = 1.0
-    sizes = np.array([len(monitor_idx), len(train_idx)])
-    h = cfg.hidden_dim
-    shapes = ((x.shape[1], h), (h, class_count), (1, h), (1, class_count))
+    t = _targets(a_hat, y, class_count, train_idx, monitor_idx)
+    d, h = x.shape[1], cfg.hidden_dim
+    shapes = ((d, h), (h, class_count), (1, h), (1, class_count))
     # one row of w0, w1, b0, b1 per restart; the stacked weights are views
     flat = np.stack([np.concatenate([p.ravel() for p in
-                                     init_weights(x.shape[1], h, class_count, cfg.seed + r)])
+                                     init_weights(d, h, class_count, cfg.seed + r)])
                      for r in range(cfg.restarts)])
     mom = np.zeros_like(flat)
     vel = np.zeros_like(flat)
@@ -282,24 +337,27 @@ def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
     best_loss = [math.inf] * cfg.restarts
     stale = [0] * cfg.restarts
     params = _unstack(flat, shapes)
-    fwd = _forward(a_hat, ax, *params)
-    for t in range(1, cfg.max_epochs + 1):
-        loss, *grads = _loss_and_grads(a_hat, ax, targets, params[1], *fwd)
+    fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
+    for step in range(1, cfg.max_epochs + 1):
+        loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(ax, t, params[1], *fwd)
         losses = loss.tolist()
         for value in losses:
             if not math.isfinite(value):
-                raise TrainingDiverged(f"non-finite loss {value} at epoch {t}")
-        grad = np.concatenate([part.reshape(len(live), -1) for part in grads], axis=1)
+                raise TrainingDiverged(f"non-finite loss {value} at epoch {step}")
+        k = len(live)
+        grad = np.concatenate([grad_w0.reshape(d, k, h).transpose(1, 0, 2).reshape(k, -1),
+                               grad_w1.reshape(k, -1), grad_b0.reshape(k, -1),
+                               grad_b1.reshape(k, -1)], axis=1)
         mom *= beta1
         mom += (1 - beta1) * grad
         vel *= beta2
         vel += (1 - beta2) * grad * grad
-        m_hat = mom / (1 - beta1 ** t)
-        v_hat = vel / (1 - beta2 ** t)
+        m_hat = mom / (1 - beta1 ** step)
+        v_hat = vel / (1 - beta2 ** step)
         flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        fwd = _forward(a_hat, ax, *params)
-        hits = fwd[2].argmax(axis=-1) == y
-        accs = map(tuple, ((hits @ scored) / sizes).tolist())
+        fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
+        hits = fwd[1].argmax(axis=1) == t.labels
+        accs = map(tuple, ((hits @ t.scored) / t.sizes).tolist())
         going = []
         for i, (r, acc) in enumerate(zip(live, accs)):
             improved = False
@@ -320,7 +378,7 @@ def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
                 break
             flat, mom, vel = flat[going], mom[going], vel[going]
             params = _unstack(flat, shapes)
-            fwd = tuple(a[going] for a in fwd)
+            fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
     return _unstack(best, shapes), best_acc
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import relex.explainer
 from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
-                             SingleNodeExplanation, _mask_problem,
+                             SingleNodeExplanation, _ball, _mask_problem,
                              _masked_forward, _masked_grad, _sigmoid,
                              computation_subgraph, explain,
                              explanation_from_dict, explanation_to_dict,
@@ -79,6 +79,60 @@ class TestComputationSubgraph:
     def test_edges_within_radius(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         assert computation_subgraph(g, 2, 1) == [(1, 2), (2, 3)]
+
+
+def brute_force_distances(g, target, radius):
+    """BFS distances within ``radius`` of target, one sweep over every
+    edge per step."""
+    dist = {target: 0}
+    for step in range(1, radius + 1):
+        frontier = [node for node, d in dist.items() if d == step - 1]
+        for (u, v) in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in frontier and b not in dist:
+                    dist[b] = step
+    return dist
+
+
+BALL_GRAPHS = {kind: DatasetSpec(kind, base_nodes=12, motif_count=3, height=3).build(4)
+               for kind in GENERATORS}
+# node 6 has no edges
+BALL_GRAPHS["isolated-node"] = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+
+
+class TestBall:
+    """One BFS builds the computation subgraph, the ball, and the mask
+    problem's adjacency and outside degrees; each against a brute-force
+    reference."""
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BALL_GRAPHS))
+    def test_matches_brute_force_bfs(self, name, hops):
+        g = BALL_GRAPHS[name]
+        a = adjacency(g).astype(np.float64)
+        model = GcnModel(w0=np.zeros((g.features.shape[1], 2)), w1=np.zeros((2, 2)),
+                         b0=np.zeros(2), b1=np.zeros(2), seed=0)
+        cfg = ExplainConfig(hops=hops)
+        for target in range(g.node_count):
+            dist = brute_force_distances(g, target, max(hops, 2))
+            ball = sorted(dist)
+            edges = sorted(e for e in g.edges
+                           if dist.get(e[0], hops + 1) <= hops
+                           and dist.get(e[1], hops + 1) <= hops)
+            assert computation_subgraph(g, target, hops) == edges, (name, target)
+            p = _mask_problem(g, model, _ball(g, target, hops), cfg)
+            inner = a[np.ix_(ball, ball)]
+            np.testing.assert_array_equal(p.a_soft, inner)
+            np.testing.assert_array_equal(p.outside, a[ball].sum(axis=1) - inner.sum(axis=1))
+            np.testing.assert_array_equal(p.features, g.features[ball])
+            assert ball[p.target] == target
+            assert [(ball[i], ball[j]) for i, j in zip(p.rows, p.cols)] == edges
+
+    def test_isolated_node_is_a_ball_of_one(self):
+        b = _ball(BALL_GRAPHS["isolated-node"], 6, 2)
+        assert b.nodes.tolist() == [6] and b.edges == [] and b.target == 0
+        np.testing.assert_array_equal(b.adjacency, [[0.0]])
+        np.testing.assert_array_equal(b.outside, [0.0])
 
 
 def unit_soft_adjacency(g, edges):
@@ -175,7 +229,7 @@ class TestMaskGradient:
     def test_matches_finite_differences(self, bridge_setup):
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
-        p = _mask_problem(g, model, 4, edges, ExplainConfig())
+        p = _mask_problem(g, model, _ball(g, 4, 2), ExplainConfig())
         rng = np.random.default_rng(3)
         mask = rng.normal(scale=0.8, size=len(edges))
         _, grad = masked_loss_and_grad(p, mask)
@@ -194,7 +248,7 @@ class TestMaskGradient:
         cfg = ExplainConfig()
         rng = np.random.default_rng(17)
         for (kind, g, model, target, predicted, edges) in generator_problems:
-            p = _mask_problem(g, model, target, edges, cfg)
+            p = _mask_problem(g, model, _ball(g, target, cfg.hops), cfg)
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
                 ref_loss, ref_grad = reference_loss_and_grad(
@@ -209,7 +263,7 @@ class TestMaskGradient:
         cfg = ExplainConfig()
         rng = np.random.default_rng(18)
         for (kind, g, model, target, predicted, edges) in generator_problems:
-            p = _mask_problem(g, model, target, edges, cfg)
+            p = _mask_problem(g, model, _ball(g, target, cfg.hops), cfg)
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
                 assert masked_loss_and_grad(p, mask)[0] == masked_loss(p, mask)
@@ -285,7 +339,7 @@ class TestExplain:
         g, model = bridge_setup
         edges = computation_subgraph(g, 4, 2)
         cfg = ExplainConfig(mask_steps=40, seed=2)
-        p = _mask_problem(g, model, 4, edges, cfg)
+        p = _mask_problem(g, model, _ball(g, 4, cfg.hops), cfg)
         rng = np.random.default_rng(cfg.seed)
         mask = rng.uniform(-0.1, 0.1, size=len(edges))
         _, losses, _ = line_search(mask, cfg.mask_steps,
@@ -313,7 +367,7 @@ class TestExplain:
             e = explain(model, g, target, cfg)
             forwards = len(calls)
 
-            p = _mask_problem(g, model, target, edges, cfg)
+            p = _mask_problem(g, model, _ball(g, target, cfg.hops), cfg)
             mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(edges))
             mask, _, evaluations = line_search(
                 mask, cfg.mask_steps, lambda m: masked_loss_and_grad(p, m),
@@ -398,7 +452,7 @@ class TestLocalProblem:
         edges = computation_subgraph(g, 3, 1)
         model = GcnModel(w0=np.zeros((2, 3)), w1=np.zeros((3, 2)), b0=np.zeros(3),
                          b1=np.zeros(2), seed=0)
-        p = _mask_problem(g, model, 3, edges, ExplainConfig(hops=1))
+        p = _mask_problem(g, model, _ball(g, 3, 1), ExplainConfig(hops=1))
         ball = [0, 1, 3, 5, 6]
         degree = adjacency(g).sum(axis=1)
         np.testing.assert_array_equal(p.outside, [0, 2, 0, 0, 1])

@@ -355,26 +355,75 @@ def oracle_case(name, restarts, patience, epochs, empty_validation):
     return g, split, cfg
 
 
+def lockstep_restarts(g, split, cfg):
+    """_train_restarts on g's CSR A_hat, as train_gcn calls it."""
+    train_idx = np.asarray(split.train)
+    monitor_idx = np.asarray(split.validation if split.validation else split.train)
+    return _train_restarts(sparse_a_hat(g), g.features, g.labels, g.class_count,
+                           train_idx, monitor_idx, cfg)
+
+
+def assert_lockstep_matches_reference(g, split, cfg):
+    """Each restart's best weights and accuracy pair, and the model, equal
+    reference_train's, with ==; returns reference_train's runs."""
+    runs, expected = reference_train(g, split, cfg)
+    stacked, best_acc = lockstep_restarts(g, split, cfg)
+    for r, (params, acc, _) in enumerate(runs):
+        assert tuple(best_acc[r]) == acc, f"restart {r}"
+        for got, want in zip(stacked, params):
+            assert (got[r].reshape(want.shape) == want).all(), f"restart {r}"
+    model = train_gcn(g, split, cfg)
+    for key in ("w0", "w1", "b0", "b1"):
+        got, want = getattr(model, key), getattr(expected, key)
+        assert got.shape == want.shape and (got == want).all(), key
+    return runs
+
+
+def shuffled_split(g, seed, empty_validation):
+    """A hand-built split of g whose train and validation tuples are not
+    sorted: half the nodes train, a fifth validate, in a seeded order."""
+    order = np.random.default_rng(seed).permutation(g.node_count).tolist()
+    half, fifth = g.node_count // 2, g.node_count // 5
+    train, validation = tuple(order[:half]), tuple(order[half:half + fifth])
+    assert list(train) != sorted(train) and list(validation) != sorted(validation)
+    if empty_validation:
+        return NodeSplit(train=train, validation=(), test=tuple(order[half:]))
+    return NodeSplit(train=train, validation=validation, test=tuple(order[half + fifth:]))
+
+
 class TestLockstepTrainingOracle:
     """The lockstep restarts against the restarts run one by one, with ==."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
     def test_each_restart_and_the_model_match(self, case):
-        g, split, cfg = oracle_case(*case)
-        runs, expected = reference_train(g, split, cfg)
-        train_idx = np.asarray(split.train)
-        monitor_idx = np.asarray(split.validation if split.validation else split.train)
-        stacked, best_acc = _train_restarts(sparse_a_hat(g),
-                                            g.features, g.labels, g.class_count,
-                                            train_idx, monitor_idx, cfg)
-        for r, (params, acc, _) in enumerate(runs):
-            assert tuple(best_acc[r]) == acc, f"restart {r}"
-            for got, want in zip(stacked, params):
-                assert (got[r].reshape(want.shape) == want).all(), f"restart {r}"
-        model = train_gcn(g, split, cfg)
-        for key in ("w0", "w1", "b0", "b1"):
-            got, want = getattr(model, key), getattr(expected, key)
-            assert got.shape == want.shape and (got == want).all(), key
+        assert_lockstep_matches_reference(*oracle_case(*case))
+
+    @pytest.mark.parametrize("epochs, patience", [(200, 200), (80, 5)])
+    def test_benchmark_shaped_case(self, epochs, patience):
+        """ba-shapes(150, 30) split (0.5, 0.1, 0.4) at h = 32, as the
+        benchmark trains it, so 40 % of the rows are never scored.  In 200
+        epochs two restarts leave the class-prior plateau; at patience 5
+        the restarts stop at different epochs on it."""
+        g = generate_ba_shapes(150, 30, 1)
+        split = split_nodes(g, 1, (0.5, 0.1, 0.4))
+        assert len(split.test) >= 0.35 * g.node_count
+        cfg = TrainConfig(hidden_dim=32, max_epochs=epochs, patience=patience,
+                          restarts=3, seed=3)
+        runs = assert_lockstep_matches_reference(g, split, cfg)
+        last = [t for _, _, t in runs]
+        if patience < epochs:
+            assert len(set(last)) > 1 and max(last) < epochs, last
+        else:
+            assert max(acc for _, acc, _ in runs) > (0.5, 0.5)
+
+    @pytest.mark.parametrize("empty_validation", [False, True])
+    def test_unsorted_split(self, empty_validation):
+        """The loss sums over the train nodes in split order, while the
+        scored rows hold them sorted."""
+        g = generate_ba_shapes(25, 5, 1)
+        split = shuffled_split(g, 7, empty_validation)
+        cfg = TrainConfig(hidden_dim=8, max_epochs=200, patience=10, restarts=3, seed=3)
+        assert_lockstep_matches_reference(g, split, cfg)
 
     def test_cases_stop_apart_and_tie(self):
         """The grid holds restarts that stop at different epochs before
@@ -392,6 +441,29 @@ class TestLockstepTrainingOracle:
                 ties.add(case[0])
         assert stops >= {"ba-shapes", "tree-cycles"}
         assert ties >= {"ba-shapes", "two-cliques"}
+
+
+class TestUnscoredLabels:
+    """Training reads the labels of the train and validation nodes only."""
+
+    @pytest.mark.parametrize("graph", ["ba-shapes", "tree-cycles"])
+    def test_test_labels_are_never_read(self, graph):
+        g = ORACLE_GRAPHS[graph]()
+        split = split_nodes(g, 1, (0.5, 0.1, 0.4))
+        labels = g.labels.copy()
+        labels[list(split.test)] = (labels[list(split.test)] + 1) % g.class_count
+        relabelled = make_graph(g.node_count, g.edges, features=g.features,
+                                labels=labels, class_count=g.class_count)
+        assert (relabelled.labels != g.labels).sum() == len(split.test) > 0
+        cfg = TrainConfig(hidden_dim=8, max_epochs=120, patience=10, restarts=3, seed=3)
+        stacked, best_acc = lockstep_restarts(g, split, cfg)
+        stacked_relabelled, best_acc_relabelled = lockstep_restarts(relabelled, split, cfg)
+        assert best_acc_relabelled == best_acc
+        for got, want in zip(stacked_relabelled, stacked):
+            assert (got == want).all()
+        model, model_relabelled = train_gcn(g, split, cfg), train_gcn(relabelled, split, cfg)
+        for key in ("w0", "w1", "b0", "b1"):
+            assert (getattr(model_relabelled, key) == getattr(model, key)).all(), key
 
 
 class TestDivergence:
