@@ -6,44 +6,10 @@ low-rank factorization of the adjacency matrix, learn a factor graph over
 those explanations, and score each explained relation by the change in
 calibrated beliefs when the explanation is injected.  A McNemar retrain
 protocol verifies the resulting rankings.
+
+The package re-exports nothing, so importing one module loads only what
+that module imports.  Import names from their modules, for example
+``from relex.pipeline import run_verification``.
 """
 
 __version__ = "0.1.0"
-
-from relex.graphs import RelationalGraph, NodeSplit, GraphFormatError
-from relex.gcn import GcnModel, TrainConfig
-from relex.explainer import Explanation, ExplainConfig, SingleNodeExplanation
-from relex.boolfact import (
-    BooleanFactorization,
-    CreSet,
-    RankSearchConfig,
-    CreGenerationFailed,
-    EmptyCreSet,
-)
-from relex.factorgraph import FactorGraph, BpConfig, UncertaintyReport
-from relex.mcnemar import McNemarResult, mcnemar_test
-from relex.pipeline import PipelineConfig, run_verification, emit_report
-
-__all__ = [
-    "RelationalGraph",
-    "NodeSplit",
-    "GraphFormatError",
-    "GcnModel",
-    "TrainConfig",
-    "Explanation",
-    "ExplainConfig",
-    "SingleNodeExplanation",
-    "BooleanFactorization",
-    "CreSet",
-    "RankSearchConfig",
-    "CreGenerationFailed",
-    "EmptyCreSet",
-    "FactorGraph",
-    "BpConfig",
-    "UncertaintyReport",
-    "McNemarResult",
-    "mcnemar_test",
-    "PipelineConfig",
-    "run_verification",
-    "emit_report",
-]

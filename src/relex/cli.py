@@ -47,12 +47,14 @@ EXIT_STAGE = 3
 
 
 def _load(load, path):
-    """``load(path)``; a key missing from the file's JSON is a validation
-    error that names the key and the file."""
+    """``load(path)``; a key missing from the file's JSON, or a value the
+    loader rejects, is a validation error that names the file."""
     try:
         return load(path)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_bundle(path):
@@ -251,8 +253,7 @@ def _cmd_verify(args) -> int:
     try:
         bundle = run_verification(cfg)
     except PipelineStageError as exc:
-        if exc.partial is not None:  # flush partial results before aborting
-            emit_report(exc.partial, args.out)
+        emit_report(exc.partial, args.out)  # flush partial results before aborting
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
     files = emit_report(bundle, args.out)
@@ -285,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PipelineStageError, TrainingDiverged, CreGenerationFailed,
-            EmptyCreSet, SingleNodeExplanation) as exc:
+    except (TrainingDiverged, CreGenerationFailed, EmptyCreSet,
+            SingleNodeExplanation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
     except (GraphFormatError, ValueError, FileNotFoundError) as exc:

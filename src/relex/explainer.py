@@ -323,8 +323,13 @@ def explanation_to_dict(e: Explanation) -> dict:
 
 
 def explanation_from_dict(blob: dict) -> Explanation:
+    """The explanation that ``explanation_to_dict`` wrote; a confidence
+    outside (0, 1], or not finite, raises ValueError."""
     relations = tuple((normalize_edge(int(r["u"]), int(r["v"])), float(r["gc"]))
                       for r in blob["relations"])
+    for ((u, v), gc) in relations:
+        if not 0.0 < gc <= 1.0:
+            raise ValueError(f"relation ({u}, {v}) gc {gc!r} is not in (0, 1]")
     return Explanation(target=int(blob["target"]),
                        predicted_class=int(blob["class"]),
                        relations=relations,

@@ -170,6 +170,7 @@ def map_assignment(fg: FactorGraph) -> dict[int, int]:
 
 LEARN_RATE = 0.02
 LEARN_EPOCHS = 30
+WEIGHT_BOUND = 10.0  # learn_weights clips |weight| to it; loading rejects more
 
 
 def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
@@ -181,8 +182,8 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
     is |S| times an indicator of the relation's clause holding under the
     current MAP assignment; the gradient is (observed - expected) and
     weights move up it.  Weights are shared across a relation's parallel
-    class factors and clipped to [-10, 10].  Returns a new graph; fg is
-    not modified.
+    class factors and clipped to [-WEIGHT_BOUND, WEIGHT_BOUND].  Returns a
+    new graph; fg is not modified.
     """
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ValueError("learning_rate must be finite and >= 0")
@@ -213,7 +214,8 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
             step = learning_rate * grad
             if step != 0.0:
                 moved = True
-            weights[rel] = float(np.clip(weights[rel] + step, -10.0, 10.0))
+            weights[rel] = float(np.clip(weights[rel] + step,
+                                         -WEIGHT_BOUND, WEIGHT_BOUND))
             for i in learned[rel]:  # the MAP assignment above stays fixed
                 factors[i].weight = weights[rel]
         if not moved:
@@ -533,9 +535,15 @@ def factorgraph_to_dict(fg: FactorGraph) -> dict:
 
 
 def factorgraph_from_dict(blob: dict) -> FactorGraph:
+    """The graph that ``factorgraph_to_dict`` wrote; a weight outside
+    [-WEIGHT_BOUND, WEIGHT_BOUND], or not finite, raises ValueError."""
     factors = [Factor(u=int(f["u"]), v=int(f["v"]), target_state=int(f["t"]),
                       weight=float(f["weight"]), kind=str(f["kind"]))
                for f in blob["factors"]]
+    for f in factors:
+        if not -WEIGHT_BOUND <= f.weight <= WEIGHT_BOUND:
+            raise ValueError(f"factor ({f.u}, {f.v}) weight {f.weight!r} is not "
+                             f"in [-{WEIGHT_BOUND:g}, {WEIGHT_BOUND:g}]")
     return FactorGraph(entities=tuple(int(x) for x in blob["entities"]),
                        target_card=int(blob["target_card"]), factors=factors)
 

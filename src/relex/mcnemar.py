@@ -1,4 +1,10 @@
-"""McNemar's paired test on the disagreements of two classifiers."""
+"""McNemar's paired test on the disagreements of two classifiers.
+
+The chi-square (1 dof) tail is ``scipy.special.chdtrc``, the function that
+``scipy.stats.chi2.sf`` evaluates: the p-values are scipy.stats' to the
+bit, without an import of scipy.stats that takes longer than all of
+relex's other imports together.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 ALPHA = 0.05  # significance level
 
@@ -50,6 +56,6 @@ def mcnemar_test(pred_a: Sequence[int], pred_b: Sequence[int],
         return McNemarResult(b=b, c=c, statistic=0.0, p_value=1.0,
                              significant=False)
     statistic = (abs(b - c) - 1) ** 2 / (b + c)
-    p_value = float(stats.chi2.sf(statistic, df=1))
+    p_value = float(chdtrc(1, statistic))
     return McNemarResult(b=b, c=c, statistic=float(statistic), p_value=p_value,
                          significant=p_value < ALPHA)

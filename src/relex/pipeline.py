@@ -41,7 +41,7 @@ class PipelineStageError(RuntimeError):
     """A pipeline stage failed; carries the stage tag and partial results."""
 
     def __init__(self, stage: str, cause: BaseException,
-                 partial: "VerificationBundle | None" = None):
+                 partial: "VerificationBundle"):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause

@@ -221,6 +221,62 @@ class TestMissingJsonKey:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutOfRangeValue:
+    """A confidence outside (0, 1] or a factor weight outside the learning
+    clip, NaN and infinities included, exits 2 with the file's name and
+    writes nothing."""
+
+    FG = TestMissingJsonKey.FG
+    EXPLANATION = TestMissingJsonKey.EXPLANATION
+
+    def _evaluate(self, tmp_path, fg, explanation):
+        (tmp_path / "fg.json").write_text(json.dumps(fg))
+        (tmp_path / "expl.json").write_text(json.dumps(explanation))
+        return run(["evaluate", "--fg", str(tmp_path / "fg.json"),
+                    "--explanation", str(tmp_path / "expl.json"),
+                    "--out", str(tmp_path / "u.csv")])
+
+    @staticmethod
+    def _with_gc(gc):
+        return {**TestMissingJsonKey.EXPLANATION,
+                "relations": [{"u": 0, "v": 1, "gc": gc}]}
+
+    @staticmethod
+    def _with_weight(weight):
+        return {**TestMissingJsonKey.FG,
+                "factors": [{"u": 0, "v": 1, "t": 1, "weight": weight,
+                             "kind": "learned"}]}
+
+    @pytest.mark.parametrize("gc", [float("nan"), float("inf"), 1.5, 0.0, -0.2])
+    def test_evaluate_rejects_explanation_gc(self, tmp_path, capsys, gc):
+        assert self._evaluate(tmp_path, self.FG, self._with_gc(gc)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'expl.json'}: ")
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"),
+                                        1000.0, -1000.0, 10.5])
+    def test_evaluate_rejects_factor_weight(self, tmp_path, capsys, weight):
+        assert self._evaluate(tmp_path, self._with_weight(weight), self.EXPLANATION) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'fg.json'}: ")
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("gc, weight", [(1.0, 10.0), (1e-12, -10.0)])
+    def test_evaluate_accepts_the_bounds(self, tmp_path, gc, weight):
+        assert self._evaluate(tmp_path, self._with_weight(weight),
+                              self._with_gc(gc)) == 0
+        assert (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("gc", [float("nan"), 1.5, 0.0, -0.2])
+    def test_learn_fg_rejects_cre_gc(self, tmp_path, capsys, gc):
+        cres = {**TestMissingJsonKey.CRES,
+                "explanations": [self.EXPLANATION, self._with_gc(gc)]}
+        (tmp_path / "cres.json").write_text(json.dumps(cres))
+        assert run(["learn-fg", "--cres", str(tmp_path / "cres.json"),
+                    "--out", str(tmp_path / "fg.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'cres.json'}: ")
+        assert not (tmp_path / "fg.json").exists()
+
+
 class TestVerifyAndReport:
     def test_verify_writes_results_and_exit_zero(self, tmp_path):
         out = tmp_path / "run"

@@ -924,6 +924,16 @@ class TestSerialization:
             assert (a.u, a.v, a.target_state, a.weight, a.kind) == \
                    (b.u, b.v, b.target_state, b.weight, b.kind)
 
+    def test_clipped_weights_load(self):
+        """The loader's weight bound is the learning clip: weights learned
+        up to the clip load back."""
+        s = make_creset([[(0, 1)], [], [], [], [], [], [], []],
+                        gcs={(0, 1): 0.5})
+        fg = learn_weights(build_factor_graph(s), s, learning_rate=50.0, epochs=1)
+        assert [f.weight for f in fg.factors] == [-factorgraph.WEIGHT_BOUND]
+        fg2 = factorgraph_from_dict(factorgraph_to_dict(fg))
+        assert [f.weight for f in fg2.factors] == [-factorgraph.WEIGHT_BOUND]
+
     def test_report_csv(self, tmp_path):
         fg = single_factor_graph(math.log(2))
         e = Explanation(target=0, predicted_class=1,

@@ -54,6 +54,16 @@ class TestStatistic:
         assert res.statistic == pytest.approx(1 / 8)
 
 
+class TestPValue:
+    def test_equals_scipy_stats_chi2_sf_bit_for_bit(self):
+        """The tail comes from scipy.special; scipy.stats is the oracle."""
+        counts = [(b, total - b) for total in range(1, 201) for b in range(total + 1)]
+        results = [mcnemar_test(*vectors_with_counts(b, c)) for b, c in counts]
+        oracle = stats.chi2.sf([r.statistic for r in results], 1)
+        for (b, c), res, p_value in zip(counts, results, oracle):
+            assert res.p_value == float(p_value), (b, c)
+
+
 class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
