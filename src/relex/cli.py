@@ -226,6 +226,9 @@ def _cmd_learn_fg(args) -> int:
 def _cmd_evaluate(args) -> int:
     fg = _load(load_factorgraph, args.fg)
     e = _load(load_explanation, args.explanation)
+    if not 0 <= e.predicted_class < fg.target_card:
+        raise ValueError(f"{args.explanation}: class {e.predicted_class} is outside "
+                         f"0..{fg.target_card - 1}, the target states of {args.fg}")
     bp = BpConfig(max_iters=args.bp_iters, tol=args.bp_tol,
                   damping=args.bp_damping)
     report = quantify_uncertainty(fg, e, bp)

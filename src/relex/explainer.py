@@ -215,11 +215,11 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     s = _sigmoid(mask)
     a_hat = normalize_adjacency(soft_adjacency(p.a_soft, p.rows, p.cols, s),
                                 p.outside)
-    h1, probs = _forward(a_hat, a_hat @ p.features, *p.weights)
+    h1, probs = _forward(a_hat, (a_hat @ p.features)[None], *p.weights)
     probs = probs[0].T
     pred_loss = -np.log(probs[p.target, p.predicted] + 1e-12)
     loss = _objective(pred_loss, s, p.size_penalty, p.entropy_penalty)
-    return loss, s, a_hat, h1, probs
+    return loss, s, a_hat, h1[0], probs
 
 
 def _masked_grad(p: _MaskProblem, mask: np.ndarray, fwd) -> np.ndarray:

@@ -536,7 +536,8 @@ def factorgraph_to_dict(fg: FactorGraph) -> dict:
 
 def factorgraph_from_dict(blob: dict) -> FactorGraph:
     """The graph that ``factorgraph_to_dict`` wrote; a weight outside
-    [-WEIGHT_BOUND, WEIGHT_BOUND], or not finite, raises ValueError."""
+    [-WEIGHT_BOUND, WEIGHT_BOUND], or not finite, or a kind other than
+    "learned" and "injected" raises ValueError."""
     factors = [Factor(u=int(f["u"]), v=int(f["v"]), target_state=int(f["t"]),
                       weight=float(f["weight"]), kind=str(f["kind"]))
                for f in blob["factors"]]
@@ -544,6 +545,9 @@ def factorgraph_from_dict(blob: dict) -> FactorGraph:
         if not -WEIGHT_BOUND <= f.weight <= WEIGHT_BOUND:
             raise ValueError(f"factor ({f.u}, {f.v}) weight {f.weight!r} is not "
                              f"in [-{WEIGHT_BOUND:g}, {WEIGHT_BOUND:g}]")
+        if f.kind not in ("learned", "injected"):
+            raise ValueError(f"factor ({f.u}, {f.v}) kind {f.kind!r} is neither "
+                             f"'learned' nor 'injected'")
     return FactorGraph(entities=tuple(int(x) for x in blob["entities"]),
                        target_card=int(blob["target_card"]), factors=factors)
 

@@ -13,17 +13,21 @@ escape the class-prior plateau on the structure-only benchmarks (constant
 features leave only a normalized degree scalar as input, and the layer-1
 gradients are orders of magnitude below layer-2's); Adam's per-parameter
 scaling fixes that.  The seeded restarts train in lockstep and the
-restart with the best monitored accuracy wins.
+restart with the best monitored accuracy wins.  ``train_gcns`` trains
+K graphs that differ only in their edges, as ``verify``'s reduced graphs
+do, in the same lockstep run: K R models advance in one Adam loop.
 
 The loss reads only the train rows and the early stop only the train
 and monitored rows, so an epoch runs layer 2, the softmax and the
 accuracies on those scored rows alone, through A_hat[scored], and
-carries only the train rows' gradient back, through A_hat[:, train].
-Layer 1 runs on every node, node-major: the restarts' hidden units sit
-side by side in one (n, R h) matrix, so A_hat . X . W0 is one product.
-The probabilities are class-major, (R, C, rows), so the softmax's max
-reduces over C rows.  Every weight stays bit-identical to training the
-restarts one by one on every row.
+carries only the train rows' gradient back, through A_hat[:, train];
+with K graphs each is one CSR product through the block-diagonal of
+the graphs' matrices.  Layer 1 runs on every node, node-major: a
+graph's restarts' hidden units sit side by side in one (n, R h) matrix,
+stacked to (K, n, R h), so A_hat . X . W0 is one batched product.  The
+probabilities are class-major, (K R, C, rows), so the softmax's max
+reduces over C rows.  Every weight stays bit-identical to training each
+graph's restarts one by one on every row.
 """
 
 from __future__ import annotations
@@ -40,7 +44,12 @@ from relex.graphs import NodeSplit, RelationalGraph
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss becomes non-finite; ``graph`` is the
+    position of the graph whose model diverged in ``train_gcns``'s list."""
+
+    def __init__(self, message: str, graph: int = 0):
+        super().__init__(message)
+        self.graph = graph
 
 
 @dataclass
@@ -149,24 +158,29 @@ def sparse_a_hat(g: RelationalGraph) -> sp.csr_array:
 
 def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
              w1: np.ndarray, b1: np.ndarray):
-    """Layer 1's activations h1 on every node, and the class probabilities
-    of the rows of A_hat that ``a_rows`` holds.
+    """Layer 1's activations h1 on every node of K graphs, and the class
+    probabilities of the rows of their A_hat that ``a_rows`` holds.
 
-    ``a_rows`` is A_hat or a subset of its rows, dense or CSR, and ``ax``
-    is A_hat . X, which no weight changes.  The weights are R models' in
-    ``_side_by_side``'s layouts.  h1 is node-major, (n, R h), with model
-    r in columns r h .. (r + 1) h - 1; the probabilities are class-major,
-    (R, C, rows), so the softmax's max reduces over C rows.
+    ``ax`` (K, n, d) holds each graph's A_hat . X, which no weight
+    changes.  ``a_rows`` is A_hat or a subset of its rows, dense or CSR,
+    for K = 1, and the block-diagonal CSR matrix of the K graphs' row
+    subsets for K > 1.  The weights are R models per graph in
+    ``_side_by_side``'s layouts.  h1 is node-major, (K, n, R h), with
+    graph k's model r in columns r h .. (r + 1) h - 1 of h1[k]; the
+    probabilities are class-major, (K R, C, rows), with graph k's model r
+    at k R + r, so the softmax's max reduces over C rows.
     """
     h1 = ax @ w0
     h1 += b0
     np.maximum(h1, 0.0, out=h1)
-    n = len(h1)
-    r, h, c = w1.shape
+    k, n, _ = h1.shape
+    _, r, h, c = w1.shape
     # layer 2 multiplies by W1 before it propagates, so it moves C columns
-    hw = np.empty((n, r, c))
-    np.matmul(h1.reshape(n, r, h).transpose(1, 0, 2), w1, out=hw.transpose(1, 0, 2))
-    probs = np.ascontiguousarray((a_rows @ hw.reshape(n, r * c)).T).reshape(r, c, -1)
+    hw = np.empty((k, n, r, c))
+    np.matmul(h1.reshape(k, n, r, h).transpose(0, 2, 1, 3), w1,
+              out=hw.transpose(0, 2, 1, 3))
+    z2 = (a_rows @ hw.reshape(k * n, r * c)).reshape(k, -1, r, c)
+    probs = np.ascontiguousarray(z2.transpose(0, 2, 3, 1)).reshape(k * r, c, -1)
     probs += b1
     probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
@@ -177,19 +191,20 @@ def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
 
 
 def _side_by_side(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
-    """R models' weights, stacked as (R, d, h), (R, h, C), (R, 1, h),
-    (R, 1, C), in ``_forward``'s order and layouts: w0 (d, R h) and b0
-    (R h,), so layer 1 is one product with a row-broadcast bias, then w1
-    (R, h, C) and b1 (R, C, 1)."""
-    r, d, h = w0.shape
-    return (w0.transpose(1, 0, 2).reshape(d, r * h), b0.reshape(r * h),
-            w1, b1.reshape(r, -1, 1))
+    """K R models' weights, stacked as (K, R, d, h), (K, R, h, C),
+    (K, R, 1, h), (K, R, 1, C), in ``_forward``'s order and layouts: w0
+    (K, d, R h) and b0 (K, 1, R h), so layer 1 is one batched product
+    with a row-broadcast bias, then w1 (K, R, h, C) and b1 (K R, C, 1)."""
+    k, r, d, h = w0.shape
+    return (w0.transpose(0, 2, 1, 3).reshape(k, d, r * h), b0.reshape(k, 1, r * h),
+            w1, b1.reshape(k * r, -1, 1))
 
 
 def _one_model(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
     """One model's weights, shaped (d, h), (h, C), (h,), (C,), as
-    ``_forward`` takes R = 1 models."""
-    return _side_by_side(w0[None], w1[None], b0[None, None], b1[None, None])
+    ``_forward`` takes K = R = 1 models."""
+    return _side_by_side(w0[None, None], w1[None, None], b0[None, None, None],
+                         b1[None, None, None])
 
 
 def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
@@ -198,7 +213,8 @@ def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != m.input_dim:
         raise ValueError(f"feature dim {features.shape[1]} != model input dim {m.input_dim}")
-    return _forward(a_hat, a_hat @ features, *_one_model(m.w0, m.w1, m.b0, m.b1))[1][0].T
+    return _forward(a_hat, (a_hat @ features)[None],
+                    *_one_model(m.w0, m.w1, m.b0, m.b1))[1][0].T
 
 
 def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
@@ -209,17 +225,19 @@ def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Targets:
-    """What training reads of A_hat and the labels, built once per
-    training.  The scored rows S are the train nodes, sorted, then the
-    monitored nodes that are not train nodes.
+    """What training reads of K graphs' A_hat and of their shared labels,
+    built once per training and again when a graph leaves it.  The scored
+    rows S are the train nodes, sorted, then the monitored nodes that are
+    not train nodes.
 
-    ``a_scored`` is A_hat[S], the rows that layer 2 computes, and
-    ``a_train`` A_hat[:, sorted train nodes], which carries their dL/dZ2
-    back.  ``picks`` holds the positions (label * |S| + row) of the train
-    labels, in train order, in one model's flat (C, |S|) probabilities;
-    ``onehot`` (|train|, 1, C) the sorted train nodes' one-hot labels.
-    ``labels`` are S's labels, and ``scored`` (|S|, 2) has a 1 in each row
-    that the (monitored, train) accuracy counts, out of ``sizes``.
+    ``a_scored`` holds each graph's A_hat[S], the rows that layer 2
+    computes, and ``a_train`` each graph's A_hat[:, sorted train nodes],
+    which carries their dL/dZ2 back, block-diagonally for K > 1.
+    ``picks`` holds the positions (label * |S| + row) of the train labels,
+    in train order, in one model's flat (C, |S|) probabilities; ``onehot``
+    (|train|, 1, C) the sorted train nodes' one-hot labels.  ``labels``
+    are S's labels, and ``scored`` (|S|, 2) has a 1 in each row that the
+    (monitored, train) accuracy counts, out of ``sizes``.
     """
 
     a_scored: sp.csr_array | np.ndarray
@@ -232,7 +250,12 @@ class _Targets:
     sizes: np.ndarray
 
 
-def _targets(a_hat, y: np.ndarray, class_count: int, train_idx: np.ndarray,
+def _block_diag(blocks: list):
+    """The block-diagonal CSR matrix of ``blocks``, or the one block."""
+    return blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
+
+
+def _targets(a_hats: list, y: np.ndarray, class_count: int, train_idx: np.ndarray,
              monitor_idx: np.ndarray) -> _Targets:
     train = np.unique(train_idx)
     rows = np.concatenate([train, np.setdiff1d(monitor_idx, train)])
@@ -243,7 +266,8 @@ def _targets(a_hat, y: np.ndarray, class_count: int, train_idx: np.ndarray,
     scored = np.zeros((len(rows), 2))
     scored[pos[monitor_idx], 0] = 1.0
     scored[:len(train), 1] = 1.0
-    return _Targets(a_scored=a_hat[rows], a_train=a_hat[:, train],
+    return _Targets(a_scored=_block_diag([a[rows] for a in a_hats]),
+                    a_train=_block_diag([a[:, train] for a in a_hats]),
                     picks=y[train_idx] * len(rows) + pos[train_idx], onehot=onehot,
                     count=len(train_idx), labels=y[rows], scored=scored,
                     sizes=np.array([len(monitor_idx), len(train_idx)]))
@@ -251,28 +275,30 @@ def _targets(a_hat, y: np.ndarray, class_count: int, train_idx: np.ndarray,
 
 def _loss_and_grads(ax: np.ndarray, t: _Targets, w1: np.ndarray,
                     h1: np.ndarray, probs: np.ndarray):
-    """Mean cross-entropy over the train nodes of each of R models, shape
-    (R,), and its gradients in ``_forward``'s layouts, from those models'
-    forward pass on ``t``'s scored rows."""
-    r, c, _ = probs.shape
-    n, h = len(h1), w1.shape[1]
-    loss = -np.log(probs.reshape(r, -1)[:, t.picks] + 1e-12).sum(axis=-1) / t.count
+    """Mean cross-entropy over the train nodes of each of K R models, shape
+    (K R,), and its gradients in ``_forward``'s layouts, one row per
+    graph, from those models' forward pass on ``t``'s scored rows."""
+    k, n, _ = h1.shape
+    _, r, h, c = w1.shape
+    loss = -np.log(probs.reshape(k * r, -1)[:, t.picks] + 1e-12).sum(axis=-1) / t.count
 
     # dL/dZ2 is nonzero only in the train rows, which lead the scored rows
-    g2 = np.ascontiguousarray(probs[:, :, :len(t.onehot)].transpose(2, 0, 1))
+    rows = len(t.onehot)
+    g2 = np.ascontiguousarray(probs.reshape(k, r, c, -1)[..., :rows].transpose(0, 3, 1, 2))
     g2 -= t.onehot
     g2 /= t.count
-    g2 = g2.reshape(-1, r * c)
+    g2 = g2.reshape(k, rows, r * c)
 
-    grad_b1 = g2.sum(axis=0)
-    ah_g2 = (t.a_train @ g2).reshape(n, r, c).transpose(1, 0, 2)  # A_hat = A_hat^T
-    grad_w1 = h1.reshape(n, r, h).transpose(1, 2, 0) @ ah_g2
-    g1 = np.empty((n, r, h))
-    np.matmul(ah_g2, w1.transpose(0, 2, 1), out=g1.transpose(1, 0, 2))
-    g1 = g1.reshape(n, r * h)
+    grad_b1 = g2.sum(axis=1)
+    ah_g2 = (t.a_train @ g2.reshape(k * rows, r * c)).reshape(k, n, r, c)  # A_hat = A_hat^T
+    ah_g2 = ah_g2.transpose(0, 2, 1, 3)
+    grad_w1 = h1.reshape(k, n, r, h).transpose(0, 2, 3, 1) @ ah_g2
+    g1 = np.empty((k, n, r, h))
+    np.matmul(ah_g2, w1.transpose(0, 1, 3, 2), out=g1.transpose(0, 2, 1, 3))
+    g1 = g1.reshape(k, n, r * h)
     np.multiply(g1, h1 > 0, out=g1)
-    grad_b0 = g1.sum(axis=0)
-    grad_w0 = ax.T @ g1
+    grad_b0 = g1.sum(axis=1)
+    grad_w0 = ax.transpose(0, 2, 1) @ g1
     return loss, grad_w0, grad_b0, grad_w1, grad_b1
 
 
@@ -281,13 +307,13 @@ def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
                    b0: np.ndarray, b1: np.ndarray):
     """Mean cross-entropy over train nodes and its gradients, for one model
     on a dense or CSR ``a_hat``: the training loop's computation with a
-    single restart."""
-    ax = a_hat @ x
-    t = _targets(a_hat, y, w1.shape[1], train_idx, train_idx)
+    single graph and restart."""
+    ax = (a_hat @ x)[None]
+    t = _targets([a_hat], y, w1.shape[1], train_idx, train_idx)
     weights = _one_model(w0, w1, b0, b1)
     loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(
         ax, t, weights[2], *_forward(t.a_scored, ax, *weights))
-    return loss[0], grad_w0, grad_w1[0], grad_b0, grad_b1
+    return loss[0], grad_w0[0], grad_w1[0, 0], grad_b0[0], grad_b1[0]
 
 
 def init_weights(d: int, hidden: int, classes: int, seed: int):
@@ -300,54 +326,69 @@ def init_weights(d: int, hidden: int, classes: int, seed: int):
 
 
 def _unstack(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of the rows of ``flat``, one row per model, as stacked
-    (R, *shape) arrays, one array per shape, in order."""
+    """Views of ``flat`` (K, R, P), one row of P per model, as stacked
+    (K, R, *shape) arrays, one array per shape, in order."""
     views, start = [], 0
     for rows, cols in shapes:
-        views.append(flat[:, start:start + rows * cols].reshape(len(flat), rows, cols))
+        views.append(flat[..., start:start + rows * cols].reshape(*flat.shape[:2], rows, cols))
         start += rows * cols
     return views
 
 
-def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
+def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
                     cfg: TrainConfig):
-    """cfg.restarts seeded full-batch Adam runs in lockstep; returns each
-    restart's best weights, stacked as w0, w1, b0, b1 of shapes
-    (R, d, h), (R, h, C), (R, 1, h), (R, 1, C), and its best (monitored,
-    train) accuracy pair.
+    """cfg.restarts seeded full-batch Adam runs on each of K graphs, all in
+    lockstep; the graphs share x, y and the split and differ only in their
+    A_hat.  Returns each model's best weights, stacked as w0, w1, b0, b1 of
+    shapes (K, R, d, h), (K, R, h, C), (K, R, 1, h), (K, R, 1, C), and its
+    best (monitored, train) accuracy pair, as K lists of R pairs.
 
     An epoch is one forward pass, one backward pass and one Adam update
-    for all live restarts: the forward pass that scores an update is the
-    next epoch's loss forward.  A restart that stops leaves the stack.
+    for every model on the grid: the graphs that still train a model,
+    times the restart indices that one of those graphs still trains.  The
+    forward pass that scores an update is the next epoch's loss forward.
+    A model that stops stays on the grid, its loss and accuracy unread,
+    until its graph or its restart index has no model left training; then
+    the grid shrinks.  The models share no sum, so one that stopped, even
+    with non-finite weights, changes no other model's result.
     """
-    ax = a_hat @ x
-    t = _targets(a_hat, y, class_count, train_idx, monitor_idx)
+    n_graphs, n_restarts = len(a_hats), cfg.restarts
+    axs = np.stack([a @ x for a in a_hats])
     d, h = x.shape[1], cfg.hidden_dim
     shapes = ((d, h), (h, class_count), (1, h), (1, class_count))
-    # one row of w0, w1, b0, b1 per restart; the stacked weights are views
-    flat = np.stack([np.concatenate([p.ravel() for p in
+    # one row of w0, w1, b0, b1 per model; the stacked weights are views
+    init = np.stack([np.concatenate([p.ravel() for p in
                                      init_weights(d, h, class_count, cfg.seed + r)])
-                     for r in range(cfg.restarts)])
+                     for r in range(n_restarts)])
+    flat = np.repeat(init[None], n_graphs, axis=0)
     mom = np.zeros_like(flat)
     vel = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    live = list(range(cfg.restarts))              # restarts still training
-    best = flat.copy()
-    best_acc = [(-1.0, -1.0)] * cfg.restarts      # (monitored, train) accuracy
-    best_loss = [math.inf] * cfg.restarts
-    stale = [0] * cfg.restarts
+    # model m is graph m // R's restart m % R; best, best_acc, best_loss
+    # and stale are per model, the rest per grid position
+    models = n_graphs * n_restarts
+    live = list(range(models))                    # models still training
+    best = flat.reshape(models, -1).copy()
+    best_acc = [(-1.0, -1.0)] * models            # (monitored, train) accuracy
+    best_loss = [math.inf] * models
+    stale = [0] * models
+    graphs, restarts = list(range(n_graphs)), list(range(n_restarts))
+    at = live                                     # live models' grid positions
+    ax, t = axs, _targets(a_hats, y, class_count, train_idx, monitor_idx)
     params = _unstack(flat, shapes)
     fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
     for step in range(1, cfg.max_epochs + 1):
         loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(ax, t, params[1], *fwd)
         losses = loss.tolist()
-        for value in losses:
-            if not math.isfinite(value):
-                raise TrainingDiverged(f"non-finite loss {value} at epoch {step}")
-        k = len(live)
-        grad = np.concatenate([grad_w0.reshape(d, k, h).transpose(1, 0, 2).reshape(k, -1),
-                               grad_w1.reshape(k, -1), grad_b0.reshape(k, -1),
-                               grad_b1.reshape(k, -1)], axis=1)
+        for m, i in zip(live, at):
+            if not math.isfinite(losses[i]):
+                raise TrainingDiverged(f"non-finite loss {losses[i]} at epoch {step} "
+                                       f"on graph {m // n_restarts}", m // n_restarts)
+        k, r = flat.shape[:2]
+        grad = np.concatenate([grad_w0.reshape(k, d, r, h).transpose(0, 2, 1, 3)
+                               .reshape(k, r, -1),
+                               grad_w1.reshape(k, r, -1), grad_b0.reshape(k, r, -1),
+                               grad_b1.reshape(k, r, -1)], axis=-1)
         mom *= beta1
         mom += (1 - beta1) * grad
         vel *= beta2
@@ -357,29 +398,79 @@ def _train_restarts(a_hat, x, y, class_count, train_idx, monitor_idx,
         flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
         hits = fwd[1].argmax(axis=1) == t.labels
-        accs = map(tuple, ((hits @ t.scored) / t.sizes).tolist())
-        going = []
-        for i, (r, acc) in enumerate(zip(live, accs)):
+        accs = ((hits @ t.scored) / t.sizes).tolist()
+        stopped = set()
+        for m, i in zip(live, at):
+            acc = tuple(accs[i])
             improved = False
-            if acc > best_acc[r]:
-                best_acc[r] = acc
-                best[r] = flat[i]
+            if acc > best_acc[m]:
+                best_acc[m] = acc
+                best[m] = flat.reshape(k * r, -1)[i]
                 improved = True
             # patience also resets while the train loss improves; tiny
             # validation sets saturate long before the optimizer is done
-            if losses[i] < best_loss[r] - 1e-6:
-                best_loss[r] = losses[i]
+            if losses[i] < best_loss[m] - 1e-6:
+                best_loss[m] = losses[i]
                 improved = True
-            stale[r] = 0 if improved else stale[r] + 1
-            going.append(stale[r] < cfg.patience)
-        if not all(going):
-            live = [r for r, keep in zip(live, going) if keep]
+            stale[m] = 0 if improved else stale[m] + 1
+            if stale[m] >= cfg.patience:
+                stopped.add(m)
+        if stopped:
+            live = [m for m in live if m not in stopped]
             if not live:
                 break
-            flat, mom, vel = flat[going], mom[going], vel[going]
-            params = _unstack(flat, shapes)
-            fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
-    return _unstack(best, shapes), best_acc
+            kept_g = sorted({m // n_restarts for m in live})
+            kept_r = sorted({m % n_restarts for m in live})
+            if (kept_g, kept_r) != (graphs, restarts):
+                grid = np.ix_([graphs.index(g) for g in kept_g],
+                              [restarts.index(r) for r in kept_r])
+                flat, mom, vel = flat[grid], mom[grid], vel[grid]
+                graphs, restarts = kept_g, kept_r
+                ax = axs[graphs]
+                t = _targets([a_hats[g] for g in graphs], y, class_count,
+                             train_idx, monitor_idx)
+                params = _unstack(flat, shapes)
+                fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
+            at = [graphs.index(m // n_restarts) * len(restarts)
+                  + restarts.index(m % n_restarts) for m in live]
+    stacked = _unstack(best.reshape(n_graphs, n_restarts, -1), shapes)
+    return stacked, [best_acc[k * n_restarts:(k + 1) * n_restarts] for k in range(n_graphs)]
+
+
+def train_gcns(graphs: list[RelationalGraph], split: NodeSplit,
+               cfg: TrainConfig) -> list[GcnModel]:
+    """One model per graph, each as ``train_gcn`` trains it alone; the
+    graphs must share their nodes, features and labels, and may differ
+    in their edges.
+
+    All graphs' restarts train in one lockstep run, and every model is
+    bit-identical to training its graph alone.  A non-finite loss raises
+    TrainingDiverged, whose ``graph`` is that graph's position in
+    ``graphs``.
+    """
+    if not graphs:
+        raise ValueError("no graph to train on")
+    if len(split.train) == 0:
+        raise ValueError("training split is empty")
+    first = graphs[0]
+    for k, g in enumerate(graphs[1:], start=1):
+        for what, same in (("node count", g.node_count == first.node_count),
+                           ("features", np.array_equal(g.features, first.features)),
+                           ("labels", g.class_count == first.class_count
+                            and np.array_equal(g.labels, first.labels))):
+            if not same:
+                raise ValueError(f"graph {k} differs from graph 0 in its {what}")
+    train_idx = np.asarray(split.train)
+    monitor_idx = np.asarray(split.validation if split.validation else split.train)
+    (w0, w1, b0, b1), best_acc = _train_restarts(
+        [sparse_a_hat(g) for g in graphs], first.features, first.labels,
+        first.class_count, train_idx, monitor_idx, cfg)
+    models = []
+    for k, accs in enumerate(best_acc):
+        win = max(range(cfg.restarts), key=accs.__getitem__)  # ties go to the first
+        models.append(GcnModel(w0=w0[k, win], w1=w1[k, win], b0=b0[k, win, 0],
+                               b1=b1[k, win, 0], seed=cfg.seed))
+    return models
 
 
 def train_gcn(g: RelationalGraph, split: NodeSplit, cfg: TrainConfig) -> GcnModel:
@@ -393,20 +484,7 @@ def train_gcn(g: RelationalGraph, split: NodeSplit, cfg: TrainConfig) -> GcnMode
     that pair nor its train loss has improved for cfg.patience epochs.
     Of restarts that tie, the first wins.
     """
-    if len(split.train) == 0:
-        raise ValueError("training split is empty")
-    a_hat = sparse_a_hat(g)
-    train_idx = np.asarray(split.train)
-    monitor_idx = np.asarray(split.validation if split.validation else split.train)
-    (w0, w1, b0, b1), best_acc = _train_restarts(a_hat, g.features, g.labels,
-                                                 g.class_count, train_idx,
-                                                 monitor_idx, cfg)
-    win = 0
-    for r in range(1, cfg.restarts):
-        if best_acc[r] > best_acc[win]:
-            win = r
-    return GcnModel(w0=w0[win], w1=w1[win], b0=b0[win, 0], b1=b1[win, 0],
-                    seed=cfg.seed)
+    return train_gcns([g], split, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

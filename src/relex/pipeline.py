@@ -4,7 +4,9 @@ Train a GCN, explain eligible targets, score each explained relation with
 the factor-graph path (BP) or the raw explainer confidences (IS), remove
 each target's i-th ranked relation to form a reduced graph, retrain from
 the identical seed, and compare predictions per class with McNemar's test
-over the test split.
+over the test split.  The reduced graphs of every scorer and depth i
+retrain in one lockstep run (``gcn.train_gcns``), each model
+bit-identical to training its graph alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from relex.explainer import (ExplainConfig, Explanation, SingleNodeExplanation,
 from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
                                build_factor_graph, learn_weights,
                                quantify_uncertainty, report_to_csv)
-from relex.gcn import TrainConfig, predict, train_gcn
+from relex.gcn import TrainConfig, TrainingDiverged, predict, train_gcn, train_gcns
 from relex.graphs import (SPLIT_FRACTIONS, Edge, RelationalGraph, adjacency,
                           check_split_fractions, load_graph, remove_edges,
                           split_nodes)
@@ -248,29 +250,37 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
         }
     bundle.rankings = rankings_by_scorer
 
+    reduced: dict[tuple[str, int], RelationalGraph] = {}
+    for scorer in cfg.scorers:
+        for i in range(1, cfg.g_max + 1):
+            selected = select_removal_edges(rankings_by_scorer[scorer], i)
+            reduced[scorer, i], _ = remove_edges(g, selected)
+            bundle.removed_counts[f"{scorer}/{i}"] = len(selected & g.edges)
+
+    def retrain():
+        try:
+            return train_gcns(list(reduced.values()), split, train_cfg)
+        except TrainingDiverged as exc:
+            scorer, i = list(reduced)[exc.graph]
+            raise TrainingDiverged(f"{scorer}/{i}: {exc}", exc.graph) from exc
+
+    retrained = stage("retrain", retrain)
     test_nodes = np.asarray(split.test, dtype=np.int64)
     classes = [c for c in range(g.class_count)
                if not (cfg.dataset.synthetic and c == 0)]
-    for scorer in cfg.scorers:
-        rankings = rankings_by_scorer[scorer]
-        for i in range(1, cfg.g_max + 1):
-            selected = select_removal_edges(rankings, i)
-            g_reduced, _ = remove_edges(g, selected)
-            bundle.removed_counts[f"{scorer}/{i}"] = len(selected & g.edges)
-            model_i = stage(f"retrain[{scorer}/{i}]", train_gcn, g_reduced,
-                            split, train_cfg)
-            pred_i = predict(model_i, g_reduced)
-            for cls in classes:
-                cls_nodes = test_nodes[g.labels[test_nodes] == cls]
-                if cls_nodes.size < max(1, cfg.min_class_count):
-                    continue
-                res = mcnemar_test(base_pred, pred_i, g.labels, cls_nodes)
-                bundle.results.append({
-                    "scorer": scorer, "i": i, "class": cls,
-                    "b": res.b, "c": res.c,
-                    "statistic": res.statistic, "p_value": res.p_value,
-                    "reported_statistic": res.reported_statistic,
-                })
+    for ((scorer, i), g_reduced), model_i in zip(reduced.items(), retrained):
+        pred_i = predict(model_i, g_reduced)
+        for cls in classes:
+            cls_nodes = test_nodes[g.labels[test_nodes] == cls]
+            if cls_nodes.size < max(1, cfg.min_class_count):
+                continue
+            res = mcnemar_test(base_pred, pred_i, g.labels, cls_nodes)
+            bundle.results.append({
+                "scorer": scorer, "i": i, "class": cls,
+                "b": res.b, "c": res.c,
+                "statistic": res.statistic, "p_value": res.p_value,
+                "reported_statistic": res.reported_statistic,
+            })
 
     if set(cfg.scorers) == {"bp", "is"}:
         for msg in edge_count_warnings(bundle.removed_counts, cfg.g_max):

@@ -223,8 +223,9 @@ class TestMissingJsonKey:
 
 class TestOutOfRangeValue:
     """A confidence outside (0, 1] or a factor weight outside the learning
-    clip, NaN and infinities included, exits 2 with the file's name and
-    writes nothing."""
+    clip, NaN and infinities included, a factor kind other than "learned"
+    and "injected", or an explanation class outside the factor graph's
+    target states exits 2 with the file's name and writes nothing."""
 
     FG = TestMissingJsonKey.FG
     EXPLANATION = TestMissingJsonKey.EXPLANATION
@@ -264,6 +265,31 @@ class TestOutOfRangeValue:
     def test_evaluate_accepts_the_bounds(self, tmp_path, gc, weight):
         assert self._evaluate(tmp_path, self._with_weight(weight),
                               self._with_gc(gc)) == 0
+        assert (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["bogus", "", "Learned"])
+    def test_evaluate_rejects_factor_kind(self, tmp_path, capsys, kind):
+        fg = {**self.FG, "factors": [{**self.FG["factors"][0], "kind": kind}]}
+        assert self._evaluate(tmp_path, fg, self.EXPLANATION) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'fg.json'}: ") and repr(kind) in err
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("target_card, cls", [(2, 2), (2, -1), (3, 7)])
+    def test_evaluate_rejects_explanation_class(self, tmp_path, capsys, target_card,
+                                                cls):
+        fg = {**self.FG, "target_card": target_card}
+        assert self._evaluate(tmp_path, fg, {**self.EXPLANATION, "class": cls}) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'expl.json'}: class {cls} is outside "
+                       f"0..{target_card - 1}, the target states of "
+                       f"{tmp_path / 'fg.json'}\n")
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("target_card, cls", [(2, 0), (3, 2)])
+    def test_evaluate_accepts_every_target_state(self, tmp_path, target_card, cls):
+        fg = {**self.FG, "target_card": target_card}
+        assert self._evaluate(tmp_path, fg, {**self.EXPLANATION, "class": cls}) == 0
         assert (tmp_path / "u.csv").exists()
 
     @pytest.mark.parametrize("gc", [float("nan"), 1.5, 0.0, -0.2])

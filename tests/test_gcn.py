@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from relex.datasets import generate_ba_shapes, generate_tree_motif
 from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _train_restarts,
                        gcn_forward, init_weights, load_model, loss_and_grads,
                        normalize_adjacency, predict, save_model, sparse_a_hat,
-                       train_gcn)
-from relex.graphs import NodeSplit, adjacency, make_graph, split_nodes
+                       train_gcn, train_gcns)
+from relex.graphs import NodeSplit, adjacency, make_graph, remove_edges, split_nodes
 from relex.pipeline import GENERATORS, DatasetSpec
 
 
@@ -356,11 +357,13 @@ def oracle_case(name, restarts, patience, epochs, empty_validation):
 
 
 def lockstep_restarts(g, split, cfg):
-    """_train_restarts on g's CSR A_hat, as train_gcn calls it."""
+    """_train_restarts on g's CSR A_hat alone, as train_gcn calls it; the
+    stacked weights and accuracy pairs of g's restarts."""
     train_idx = np.asarray(split.train)
     monitor_idx = np.asarray(split.validation if split.validation else split.train)
-    return _train_restarts(sparse_a_hat(g), g.features, g.labels, g.class_count,
-                           train_idx, monitor_idx, cfg)
+    stacked, best_acc = _train_restarts([sparse_a_hat(g)], g.features, g.labels,
+                                        g.class_count, train_idx, monitor_idx, cfg)
+    return [w[0] for w in stacked], best_acc[0]
 
 
 def assert_lockstep_matches_reference(g, split, cfg):
@@ -425,6 +428,33 @@ class TestLockstepTrainingOracle:
         cfg = TrainConfig(hidden_dim=8, max_epochs=200, patience=10, restarts=3, seed=3)
         assert_lockstep_matches_reference(g, split, cfg)
 
+    @pytest.mark.parametrize("patience, last", [
+        (200, [[300, 300, 300]] * 4),
+        (5, [[14, 300, 15], [14, 300, 16], [14, 13, 15], [14, 300, 15]]),
+    ])
+    def test_reduced_graphs_match_training_each_alone(self, patience, last):
+        """ba-shapes(25, 5) split (0.5, 0.1, 0.4) at h = 32, as a verify-bp
+        run trains it, and four reduced graphs without 4, 6, 6 and 6 of its
+        edges, as that run retrains on them.  At patience 200 no restart
+        stops; at patience 5 graph 2 leaves the lockstep run, and so does
+        restart index 0, while graph 2's restart 1 and graph 0's restart 2
+        each stop while their graph and their restart index still train."""
+        g = generate_ba_shapes(25, 5, 1)
+        split = split_nodes(g, 1, (0.5, 0.1, 0.4))
+        edges = sorted(g.edges)
+        rng = np.random.default_rng(0)
+        graphs = [remove_edges(g, [edges[j] for j in
+                                   rng.choice(len(edges), size, replace=False)])[0]
+                  for size in (4, 6, 6, 6)]
+        cfg = TrainConfig(hidden_dim=32, max_epochs=300, patience=patience,
+                          restarts=3, seed=3)
+        for graph, model in zip(graphs, train_gcns(graphs, split, cfg), strict=True):
+            alone = train_gcn(graph, split, cfg)
+            for key in ("w0", "w1", "b0", "b1"):
+                assert (getattr(model, key) == getattr(alone, key)).all(), key
+        assert [[t for _, _, t in reference_train(graph, split, cfg)[0]]
+                for graph in graphs] == last
+
     def test_cases_stop_apart_and_tie(self):
         """The grid holds restarts that stop at different epochs before
         max_epochs, and restarts whose best accuracies tie, so an early
@@ -473,26 +503,87 @@ class TestDivergence:
                 pytest.raises(TrainingDiverged, match="non-finite loss nan at epoch 2"):
             train_gcn(g, split_nodes(g, 1), TrainConfig(learning_rate=1e300))
 
+    @staticmethod
+    def check_stops_and_divergence(graph, split, cfg, last, restart, epoch):
+        """reference_train's restarts on graph stop at epochs ``last``, and
+        ``restart`` would have raised at ``epoch`` had it gone on; returns
+        reference_train's model."""
+        train_idx = np.asarray(split.train)
+        runs, model = reference_train(graph, split, cfg)
+        assert [t for _, _, t in runs] == last
+        with pytest.raises(TrainingDiverged, match=f"at epoch {epoch}$"):
+            reference_adam_run(sparse_a_hat(graph), graph.features, graph.labels,
+                               graph.class_count, train_idx, train_idx,
+                               replace(cfg, patience=cfg.max_epochs),
+                               seed=cfg.seed + restart)
+        return model
+
+    @staticmethod
+    def assert_same_models(got, want):
+        for model, expected in zip(got, want, strict=True):
+            for key in ("w0", "w1", "b0", "b1"):
+                assert (getattr(model, key) == getattr(expected, key)).all(), key
+
     def test_stopped_restart_never_raises(self):
-        # at this rate the three restarts stop at epochs 5, 5 and 9; restart
-        # 0's loss would turn non-finite at epoch 8 had it gone on
+        """On two-cliques at this rate the three restarts stop at epochs 5,
+        5 and 9; restart 0's loss would turn non-finite at epoch 8 had it
+        gone on.  At seed 1, graph 0, two-cliques without every other edge,
+        stops its restart 2 at epoch 5, which would turn non-finite at epoch
+        7; its restart 1 trains to epoch 9, and graph 1's (two-cliques and
+        edge (3, 4)) restart 2 to epoch 8, so in one lockstep run the
+        stopped model stays while its loss turns non-finite."""
         g, split, _ = oracle_case("two-cliques", 3, 3, 60, True)
         cfg = TrainConfig(hidden_dim=8, max_epochs=60, patience=3, restarts=3,
                           learning_rate=2e153, seed=0)
-        train_idx = np.asarray(split.train)
-        a_hat = sparse_a_hat(g)
+        half, _ = remove_edges(g, sorted(g.edges)[::2])
+        bridged = make_graph(g.node_count, [*g.edges, (3, 4)], features=g.features,
+                             labels=g.labels)
         with np.errstate(all="ignore"):
-            runs, expected = reference_train(g, split, cfg)
-            assert [t for _, _, t in runs] == [5, 5, 9]
-            with pytest.raises(TrainingDiverged, match="at epoch 8"):
-                reference_adam_run(a_hat, g.features, g.labels, g.class_count,
-                                   train_idx, train_idx,
-                                   TrainConfig(hidden_dim=8, max_epochs=60,
-                                               patience=60, learning_rate=2e153),
-                                   seed=0)
-            model = train_gcn(g, split, cfg)
-        for key in ("w0", "w1", "b0", "b1"):
-            assert (getattr(model, key) == getattr(expected, key)).all(), key
+            expected = self.check_stops_and_divergence(g, split, cfg, [5, 5, 9], 0, 8)
+            self.assert_same_models([train_gcn(g, split, cfg)], [expected])
+            cfg = replace(cfg, seed=1)
+            runs, bridged_model = reference_train(bridged, split, cfg)
+            assert [t for _, _, t in runs] == [4, 10, 8]
+            expected = [self.check_stops_and_divergence(half, split, cfg, [5, 9, 5], 2, 7),
+                        bridged_model]
+            self.assert_same_models(train_gcns([half, bridged], split, cfg), expected)
+
+    def test_divergence_names_the_graph(self):
+        """At patience 10 a restart's loss turns non-finite at epoch 8 on
+        two-cliques and at epoch 7 on it without every other edge."""
+        g, split, _ = oracle_case("two-cliques", 3, 10, 60, True)
+        half, _ = remove_edges(g, sorted(g.edges)[::2])
+        cfg = TrainConfig(hidden_dim=8, max_epochs=60, patience=10, restarts=3,
+                          learning_rate=2e153, seed=0)
+        for graphs, graph, epoch in (([g], 0, 8), ([g, half], 1, 7), ([half, g], 0, 7)):
+            with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
+                train_gcns(graphs, split, cfg)
+            assert str(exc.value) == f"non-finite loss nan at epoch {epoch} on graph {graph}"
+            assert exc.value.graph == graph
+
+
+class TestTrainGcnsChecks:
+    def test_graphs_must_share_nodes_features_and_labels(self):
+        g = two_cliques()
+        split = NodeSplit(train=tuple(range(8)), validation=(), test=())
+        others = {
+            "node count": make_graph(9, g.edges, features=np.vstack([g.features, [0, 1]]),
+                                     labels=[*g.labels, 1]),
+            "features": make_graph(8, g.edges, features=g.features[::-1], labels=g.labels),
+            "labels": make_graph(8, g.edges, features=g.features, labels=g.labels[::-1]),
+        }
+        others["class count"] = make_graph(8, g.edges, features=g.features,
+                                           labels=g.labels, class_count=3)
+        cfg = TrainConfig(hidden_dim=4, max_epochs=2, restarts=1)
+        for what, other in others.items():
+            with pytest.raises(ValueError,
+                               match=f"graph 2 differs from graph 0 in its "
+                                     f"{'labels' if what == 'class count' else what}"):
+                train_gcns([g, g, other], split, cfg)
+
+    def test_no_graph_rejected(self):
+        with pytest.raises(ValueError, match="no graph"):
+            train_gcns([], NodeSplit(train=(0,), validation=(), test=()), TrainConfig())
 
 
 class TestTrainConfigChecks:

@@ -6,9 +6,10 @@ module runs the full-size protocol.
 
 import pytest
 
+import relex.pipeline
 from relex.boolfact import RankSearchConfig
 from relex.explainer import ExplainConfig
-from relex.gcn import TrainConfig
+from relex.gcn import TrainConfig, TrainingDiverged
 from relex.pipeline import (DatasetSpec, PipelineConfig, PipelineStageError,
                             emit_report, run_verification)
 
@@ -139,3 +140,24 @@ class TestStageErrors:
         with pytest.raises(PipelineStageError) as exc:
             run_verification(cfg)
         assert exc.value.stage == "cres"
+
+    def test_retrain_divergence_names_scorer_and_depth(self, monkeypatch):
+        """All reduced graphs retrain in one train_gcns call, in scorer and
+        depth order; a divergence names its graph's scorer/i and leaves no
+        McNemar rows."""
+        calls = []
+
+        def diverge(graphs, split, cfg):
+            calls.append(len(graphs))
+            raise TrainingDiverged("non-finite loss nan at epoch 3 on graph 2", 2)
+
+        monkeypatch.setattr(relex.pipeline, "train_gcns", diverge)
+        with pytest.raises(PipelineStageError) as exc:
+            run_verification(tiny_config(g_max=2))
+        assert calls == [4]
+        assert exc.value.stage == "retrain"
+        assert str(exc.value) == ("stage 'retrain' failed: is/1: non-finite loss nan "
+                                  "at epoch 3 on graph 2")
+        assert exc.value.cause.graph == 2
+        assert exc.value.partial.results == []
+        assert sorted(exc.value.partial.removed_counts) == ["bp/1", "bp/2", "is/1", "is/2"]
