@@ -256,6 +256,9 @@ def _cmd_verify(args) -> int:
     try:
         bundle = run_verification(cfg)
     except PipelineStageError as exc:
+        if exc.stage == "dataset":  # nothing ran; generate and train exit 2 too
+            print(f"error: {exc.cause}", file=sys.stderr)
+            return EXIT_VALIDATION
         emit_report(exc.partial, args.out)  # flush partial results before aborting
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE

@@ -138,11 +138,6 @@ def _ball(g: RelationalGraph, target: int, hops: int) -> _Ball:
                  adjacency, outside, int(pos[target]))
 
 
-def computation_subgraph(g: RelationalGraph, target: int, hops: int) -> list[Edge]:
-    """Edges whose endpoints both lie within `hops` BFS steps of target."""
-    return _ball(g, target, hops).edges
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no
     exponential overflows."""

@@ -15,7 +15,8 @@ gradients are orders of magnitude below layer-2's); Adam's per-parameter
 scaling fixes that.  The seeded restarts train in lockstep and the
 restart with the best monitored accuracy wins.  ``train_gcns`` trains
 K graphs that differ only in their edges, as ``verify``'s reduced graphs
-do, in the same lockstep run: K R models advance in one Adam loop.
+do, in the same lockstep run: K R models advance in one Adam loop,
+all of them until the last one stops.
 
 The loss reads only the train rows and the early stop only the train
 and monitored rows, so an epoch runs layer 2, the softmax and the
@@ -226,9 +227,8 @@ def predict(m: GcnModel, g: RelationalGraph) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Targets:
     """What training reads of K graphs' A_hat and of their shared labels,
-    built once per training and again when a graph leaves it.  The scored
-    rows S are the train nodes, sorted, then the monitored nodes that are
-    not train nodes.
+    built once per training.  The scored rows S are the train nodes,
+    sorted, then the monitored nodes that are not train nodes.
 
     ``a_scored`` holds each graph's A_hat[S], the rows that layer 2
     computes, and ``a_train`` each graph's A_hat[:, sorted train nodes],
@@ -344,16 +344,15 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     best (monitored, train) accuracy pair, as K lists of R pairs.
 
     An epoch is one forward pass, one backward pass and one Adam update
-    for every model on the grid: the graphs that still train a model,
-    times the restart indices that one of those graphs still trains.  The
-    forward pass that scores an update is the next epoch's loss forward.
-    A model that stops stays on the grid, its loss and accuracy unread,
-    until its graph or its restart index has no model left training; then
-    the grid shrinks.  The models share no sum, so one that stopped, even
+    for all K R models.  The forward pass that scores an update is the
+    next epoch's loss forward.  Every model stays in the run until the
+    last one stops or cfg.max_epochs is reached; a model that stopped is
+    still updated, but nothing reads its loss, its accuracy or its
+    weights again.  The models share no sum, so one that stopped, even
     with non-finite weights, changes no other model's result.
     """
     n_graphs, n_restarts = len(a_hats), cfg.restarts
-    axs = np.stack([a @ x for a in a_hats])
+    ax = np.stack([a @ x for a in a_hats])
     d, h = x.shape[1], cfg.hidden_dim
     shapes = ((d, h), (h, class_count), (1, h), (1, class_count))
     # one row of w0, w1, b0, b1 per model; the stacked weights are views
@@ -364,31 +363,29 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     mom = np.zeros_like(flat)
     vel = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # model m is graph m // R's restart m % R; best, best_acc, best_loss
-    # and stale are per model, the rest per grid position
+    # model m is graph m // R's restart m % R, row m of ``rows``
     models = n_graphs * n_restarts
+    rows = flat.reshape(models, -1)
     live = list(range(models))                    # models still training
-    best = flat.reshape(models, -1).copy()
+    best = rows.copy()
     best_acc = [(-1.0, -1.0)] * models            # (monitored, train) accuracy
     best_loss = [math.inf] * models
     stale = [0] * models
-    graphs, restarts = list(range(n_graphs)), list(range(n_restarts))
-    at = live                                     # live models' grid positions
-    ax, t = axs, _targets(a_hats, y, class_count, train_idx, monitor_idx)
+    t = _targets(a_hats, y, class_count, train_idx, monitor_idx)
     params = _unstack(flat, shapes)
     fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
     for step in range(1, cfg.max_epochs + 1):
         loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(ax, t, params[1], *fwd)
         losses = loss.tolist()
-        for m, i in zip(live, at):
-            if not math.isfinite(losses[i]):
-                raise TrainingDiverged(f"non-finite loss {losses[i]} at epoch {step} "
+        for m in live:
+            if not math.isfinite(losses[m]):
+                raise TrainingDiverged(f"non-finite loss {losses[m]} at epoch {step} "
                                        f"on graph {m // n_restarts}", m // n_restarts)
-        k, r = flat.shape[:2]
-        grad = np.concatenate([grad_w0.reshape(k, d, r, h).transpose(0, 2, 1, 3)
-                               .reshape(k, r, -1),
-                               grad_w1.reshape(k, r, -1), grad_b0.reshape(k, r, -1),
-                               grad_b1.reshape(k, r, -1)], axis=-1)
+        grad = np.concatenate([grad_w0.reshape(n_graphs, d, n_restarts, h)
+                               .transpose(0, 2, 1, 3).reshape(n_graphs, n_restarts, -1),
+                               grad_w1.reshape(n_graphs, n_restarts, -1),
+                               grad_b0.reshape(n_graphs, n_restarts, -1),
+                               grad_b1.reshape(n_graphs, n_restarts, -1)], axis=-1)
         mom *= beta1
         mom += (1 - beta1) * grad
         vel *= beta2
@@ -399,40 +396,22 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
         fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
         hits = fwd[1].argmax(axis=1) == t.labels
         accs = ((hits @ t.scored) / t.sizes).tolist()
-        stopped = set()
-        for m, i in zip(live, at):
-            acc = tuple(accs[i])
+        for m in live:
+            acc = tuple(accs[m])
             improved = False
             if acc > best_acc[m]:
                 best_acc[m] = acc
-                best[m] = flat.reshape(k * r, -1)[i]
+                best[m] = rows[m]
                 improved = True
             # patience also resets while the train loss improves; tiny
             # validation sets saturate long before the optimizer is done
-            if losses[i] < best_loss[m] - 1e-6:
-                best_loss[m] = losses[i]
+            if losses[m] < best_loss[m] - 1e-6:
+                best_loss[m] = losses[m]
                 improved = True
             stale[m] = 0 if improved else stale[m] + 1
-            if stale[m] >= cfg.patience:
-                stopped.add(m)
-        if stopped:
-            live = [m for m in live if m not in stopped]
-            if not live:
-                break
-            kept_g = sorted({m // n_restarts for m in live})
-            kept_r = sorted({m % n_restarts for m in live})
-            if (kept_g, kept_r) != (graphs, restarts):
-                grid = np.ix_([graphs.index(g) for g in kept_g],
-                              [restarts.index(r) for r in kept_r])
-                flat, mom, vel = flat[grid], mom[grid], vel[grid]
-                graphs, restarts = kept_g, kept_r
-                ax = axs[graphs]
-                t = _targets([a_hats[g] for g in graphs], y, class_count,
-                             train_idx, monitor_idx)
-                params = _unstack(flat, shapes)
-                fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
-            at = [graphs.index(m // n_restarts) * len(restarts)
-                  + restarts.index(m % n_restarts) for m in live]
+        live = [m for m in live if stale[m] < cfg.patience]
+        if not live:
+            break
     stacked = _unstack(best.reshape(n_graphs, n_restarts, -1), shapes)
     return stacked, [best_acc[k * n_restarts:(k + 1) * n_restarts] for k in range(n_graphs)]
 

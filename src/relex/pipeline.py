@@ -378,8 +378,8 @@ def bundle_to_dict(bundle: VerificationBundle) -> dict:
 
 
 def bundle_from_dict(blob: dict) -> VerificationBundle:
-    """The bundle that ``bundle_to_dict`` wrote; a missing key raises
-    KeyError."""
+    """The bundle that ``bundle_to_dict`` wrote; a missing key, in the
+    bundle or in one of its result rows, raises KeyError."""
     rankings = {
         scorer: {int(t): [((int(u), int(v)), float(s)) for (u, v, s) in ranking]
                  for t, ranking in per.items()}
@@ -395,7 +395,7 @@ def bundle_from_dict(blob: dict) -> VerificationBundle:
         dataset=blob["dataset"], seed=int(blob["seed"]),
         targets=[int(t) for t in blob["targets"]],
         base_predictions=[int(p) for p in blob["base_predictions"]],
-        results=list(blob["results"]),
+        results=[{c: r[c] for c in RESULT_COLUMNS} for r in blob["results"]],
         removed_counts=dict(blob["removed_counts"]),
         warnings=list(blob["warnings"]),
         reports=reports,

@@ -342,6 +342,19 @@ class TestVerifyAndReport:
                     "--out", str(tmp_path / "run")]) == 2
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("dataset, message", [
+        (["ba-shapes", "--base-nodes", "3"], "base_nodes must be >= 5"),
+        (["ba-shapes", "--motifs", "0"], "motif_count must be >= 1"),
+        (["tree-cycles", "--height", "1"], "height must be >= 2"),
+        (["missing.json"], "no such file: missing.json"),
+    ])
+    def test_unbuildable_dataset_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                           dataset, message):
+        assert run(["verify", "--dataset", *dataset,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_zero_test_fraction_writes_header_only_results(self, tmp_path):
         out = tmp_path / "run"
         assert run(["verify", "--dataset", "ba-shapes", "--base-nodes", "12",
@@ -386,6 +399,19 @@ class TestVerifyAndReport:
         (tmp_path / "bundle.json").write_text(json.dumps(blob))
         assert run(["report", "--bundle", str(tmp_path / "bundle.json"),
                     "--out", str(tmp_path / "redo")]) == 2
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("column", ["scorer", "class", "p_value",
+                                        "reported_statistic"])
+    def test_report_on_result_row_missing_column_validation_error(
+            self, verify_out, tmp_path, capsys, column):
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        del blob["results"][0][column]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(blob))
+        assert run(["report", "--bundle", str(bundle),
+                    "--out", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == f"error: {bundle}: missing key '{column}'\n"
         assert not (tmp_path / "redo").exists()
 
     def test_report_error_names_the_missing_key_and_the_bundle(self, verify_out,

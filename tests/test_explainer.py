@@ -5,8 +5,7 @@ import relex.explainer
 from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
                              SingleNodeExplanation, _ball, _mask_problem,
                              _masked_forward, _masked_grad, _sigmoid,
-                             computation_subgraph, explain,
-                             explanation_from_dict, explanation_to_dict,
+                             explain, explanation_from_dict, explanation_to_dict,
                              is_scores, load_explanation, save_explanation,
                              soft_adjacency)
 from relex.gcn import (GcnModel, TrainConfig, gcn_forward, normalize_adjacency,
@@ -36,7 +35,7 @@ def deletion_impact(model, g, target, hops=2):
     predicted = int(probs[target].argmax())
     base = probs[target, predicted]
     impact = {}
-    for edge in computation_subgraph(g, target, hops):
+    for edge in _ball(g, target, hops).edges:
         reduced, _ = remove_edges(g, [edge])
         a_red = normalize_adjacency(adjacency(reduced))
         p = gcn_forward(model, g.features, a_hat=a_red)[target, predicted]
@@ -66,19 +65,19 @@ def bridge_setup():
 class TestComputationSubgraph:
     def test_isolated_node_empty(self):
         g = make_graph(3, [(1, 2)])
-        assert computation_subgraph(g, 0, 2) == []
+        assert _ball(g, 0, 2).edges == []
 
     def test_star_center_one_hop(self):
         g = make_graph(5, [(0, i) for i in range(1, 5)])
-        assert computation_subgraph(g, 0, 1) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert _ball(g, 0, 1).edges == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_path_two_hops(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert computation_subgraph(g, 0, 2) == [(0, 1), (1, 2)]
+        assert _ball(g, 0, 2).edges == [(0, 1), (1, 2)]
 
     def test_edges_within_radius(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-        assert computation_subgraph(g, 2, 1) == [(1, 2), (2, 3)]
+        assert _ball(g, 2, 1).edges == [(1, 2), (2, 3)]
 
 
 def brute_force_distances(g, target, radius):
@@ -119,7 +118,7 @@ class TestBall:
             edges = sorted(e for e in g.edges
                            if dist.get(e[0], hops + 1) <= hops
                            and dist.get(e[1], hops + 1) <= hops)
-            assert computation_subgraph(g, target, hops) == edges, (name, target)
+            assert _ball(g, target, hops).edges == edges, (name, target)
             p = _mask_problem(g, model, _ball(g, target, hops), cfg)
             inner = a[np.ix_(ball, ball)]
             np.testing.assert_array_equal(p.a_soft, inner)
@@ -144,7 +143,7 @@ def unit_soft_adjacency(g, edges):
 class TestSoftAdjacency:
     def test_weights_one_reproduce_unmasked(self, bridge_setup):
         g, model = bridge_setup
-        edges = computation_subgraph(g, 4, 2)
+        edges = _ball(g, 4, 2).edges
         a_soft = unit_soft_adjacency(g, edges)
         np.testing.assert_array_equal(a_soft, adjacency(g).astype(float))
         np.testing.assert_allclose(normalize_adjacency(a_soft),
@@ -152,7 +151,7 @@ class TestSoftAdjacency:
 
     def test_forward_identical_at_unit_weights(self, bridge_setup):
         g, model = bridge_setup
-        edges = computation_subgraph(g, 4, 2)
+        edges = _ball(g, 4, 2).edges
         a_hat = normalize_adjacency(unit_soft_adjacency(g, edges))
         p1 = gcn_forward(model, g.features, a_hat=a_hat)
         p2 = gcn_forward(model, g.features,
@@ -220,7 +219,7 @@ def generator_problems():
                           TrainConfig(hidden_dim=8, max_epochs=60, seed=4, restarts=1))
         pred = predict(model, g)
         for target in eligible_targets(g, True)[::4][:3]:
-            edges = computation_subgraph(g, target, cfg.hops)
+            edges = _ball(g, target, cfg.hops).edges
             problems.append((kind, g, model, target, int(pred[target]), edges))
     return problems
 
@@ -228,7 +227,7 @@ def generator_problems():
 class TestMaskGradient:
     def test_matches_finite_differences(self, bridge_setup):
         g, model = bridge_setup
-        edges = computation_subgraph(g, 4, 2)
+        edges = _ball(g, 4, 2).edges
         p = _mask_problem(g, model, _ball(g, 4, 2), ExplainConfig())
         rng = np.random.default_rng(3)
         mask = rng.normal(scale=0.8, size=len(edges))
@@ -310,7 +309,7 @@ class TestExplain:
             seen.add(kind)
             pred = predict(model, g)
             for target in eligible_targets(g, True):
-                if computation_subgraph(g, target, cfg.hops):
+                if _ball(g, target, cfg.hops).edges:
                     e = explain(model, g, target, cfg)
                     assert e.predicted_class == pred[target], (kind, target)
         assert seen == set(GENERATORS)
@@ -332,12 +331,12 @@ class TestExplain:
     def test_relations_within_hop_radius(self, bridge_setup):
         g, model = bridge_setup
         e = explain(model, g, 4, ExplainConfig(hops=1, mask_steps=20, seed=0))
-        allowed = set(computation_subgraph(g, 4, 1))
+        allowed = set(_ball(g, 4, 1).edges)
         assert set(e.edges()) <= allowed
 
     def test_objective_nonincreasing_over_accepted_steps(self, bridge_setup):
         g, model = bridge_setup
-        edges = computation_subgraph(g, 4, 2)
+        edges = _ball(g, 4, 2).edges
         cfg = ExplainConfig(mask_steps=40, seed=2)
         p = _mask_problem(g, model, _ball(g, 4, cfg.hops), cfg)
         rng = np.random.default_rng(cfg.seed)
@@ -404,7 +403,7 @@ def reference_explain(model, g, target, cfg):
     the full n x n adjacency, normalizes it with normalize_adjacency and
     runs the full-graph forward pass, and the gradient is
     reference_loss_and_grad's.  The line search is explain's."""
-    edges = computation_subgraph(g, target, cfg.hops)
+    edges = _ball(g, target, cfg.hops).edges
     predicted = int(predict(model, g)[target])
     rows, cols = np.array(edges).T
     a_soft = adjacency(g).astype(np.float64)
@@ -449,7 +448,7 @@ class TestLocalProblem:
         # nodes 1 and 6 have neighbours 2, 4 and 7 beyond it
         g = make_graph(8, [(0, 3), (0, 1), (1, 2), (1, 4), (3, 5), (5, 6), (6, 7)],
                        features=np.arange(16.0).reshape(8, 2))
-        edges = computation_subgraph(g, 3, 1)
+        edges = _ball(g, 3, 1).edges
         model = GcnModel(w0=np.zeros((2, 3)), w1=np.zeros((3, 2)), b0=np.zeros(3),
                          b1=np.zeros(2), seed=0)
         p = _mask_problem(g, model, _ball(g, 3, 1), ExplainConfig(hops=1))

@@ -436,9 +436,10 @@ class TestLockstepTrainingOracle:
         """ba-shapes(25, 5) split (0.5, 0.1, 0.4) at h = 32, as a verify-bp
         run trains it, and four reduced graphs without 4, 6, 6 and 6 of its
         edges, as that run retrains on them.  At patience 200 no restart
-        stops; at patience 5 graph 2 leaves the lockstep run, and so does
-        restart index 0, while graph 2's restart 1 and graph 0's restart 2
-        each stop while their graph and their restart index still train."""
+        stops; at patience 5 every restart of graph 2 stops, and so does
+        restart 0 of every graph, while graph 2's restart 1 and graph 0's
+        restart 2 each stop while their graph and their restart index still
+        train."""
         g = generate_ba_shapes(25, 5, 1)
         split = split_nodes(g, 1, (0.5, 0.1, 0.4))
         edges = sorted(g.edges)
