@@ -7,7 +7,10 @@ reconstruction is itself a graph, and it is exactly the graph that
 `generate_cres` explains.  Each low-rank reconstruction has more
 repeated structure than the original; explaining the target on those
 graphs produces the counterfactual explanation set that the factor graph
-is later learned from.
+is later learned from.  `generate_cre_sets` does this for many targets
+at once: it builds each rank's graph once and explains every (target,
+rank) pair in one lockstep `explain_all` call; `generate_cres` is its
+one-target case.
 
 The factorization grows greedily, one block per rank, in the manner of
 Asso (Miettinen et al., The Discrete Basis Problem, IEEE TKDE 2008): the
@@ -25,11 +28,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from relex.explainer import (Explanation, ExplainConfig, SingleNodeExplanation,
-                             explain, explanation_from_dict, explanation_to_dict)
+from relex.explainer import (Explanation, ExplainConfig, explain_all,
+                             explanation_from_dict, explanation_to_dict)
 from relex.gcn import GcnModel
 from relex.graphs import Edge, RelationalGraph, adjacency, graph_from_adjacency, validate_boolean_matrix
 
@@ -187,6 +191,47 @@ class CreSet:
         return sorted({e for expl in self.explanations for e in expl.edges()})
 
 
+def generate_cre_sets(g: RelationalGraph, model: GcnModel,
+                      targets: Sequence[tuple[int, ExplainConfig]],
+                      rcfg: RankSearchConfig,
+                      ladder: list[BooleanFactorization] | None = None
+                      ) -> list[CreSet | EmptyCreSet]:
+    """``generate_cres`` for each (target, explain config) pair, in order:
+    the target's CreSet, or the EmptyCreSet that ``generate_cres`` would
+    raise for it, returned rather than raised.
+
+    Each accepted rank's reconstruction becomes a graph once, for every
+    target, and all (target, rank) pairs are explained in one
+    ``explain_all`` call, so each set equals the one ``generate_cres``
+    makes for its target alone.
+    """
+    if ladder is None:
+        ladder = rank_ladder(adjacency(g), g.edge_count, rcfg)
+    # reconstructions identical to the original graph are skipped: a
+    # counterfactual must differ in at least one relation
+    approx = []
+    for fact in ladder:
+        graph = graph_from_adjacency(fact.reconstruction, g)
+        if graph.edges != g.edges:
+            approx.append((fact, graph))
+    explained = iter(explain_all(model, [(graph, target, ecfg) for target, ecfg in targets
+                                         for _, graph in approx]))
+    sets: list[CreSet | EmptyCreSet] = []
+    for target, _ in targets:
+        # ranks where the target's computation subgraph is empty are skipped
+        kept = [(fact, e) for (fact, _), e in zip(approx, explained) if e is not None]
+        if not kept:
+            sets.append(EmptyCreSet(
+                f"no counterfactual explanation for target {target} "
+                f"(ranks tried: {[f.rank for f in ladder]})"))
+            continue
+        sets.append(CreSet(target=target, class_count=g.class_count,
+                           explanations=[e for _, e in kept],
+                           ranks_used=[fact.rank for fact, _ in kept],
+                           errors_per_rank=[fact.error for fact, _ in kept]))
+    return sets
+
+
 def generate_cres(g: RelationalGraph, model: GcnModel, target: int,
                   ecfg: ExplainConfig, rcfg: RankSearchConfig,
                   ladder: list[BooleanFactorization] | None = None) -> CreSet:
@@ -194,33 +239,15 @@ def generate_cres(g: RelationalGraph, model: GcnModel, target: int,
 
     Reconstructions identical to the original graph are skipped (a
     counterfactual must differ in at least one relation), as are ranks
-    where the target's computation subgraph is empty.  A precomputed
-    ladder may be passed to share factorization work across targets.
+    where the target's computation subgraph is empty; EmptyCreSet is
+    raised when no rank is left.  A precomputed ladder may be passed to
+    share factorization work across targets.  ``generate_cre_sets`` with
+    this one target.
     """
-    if ladder is None:
-        ladder = rank_ladder(adjacency(g), g.edge_count, rcfg)
-
-    explanations: list[Explanation] = []
-    ranks: list[int] = []
-    errors: list[int] = []
-    for fact in ladder:
-        approx = graph_from_adjacency(fact.reconstruction, g)
-        if approx.edges == g.edges:
-            continue
-        try:
-            expl = explain(model, approx, target, ecfg)
-        except SingleNodeExplanation:
-            continue
-        explanations.append(expl)
-        ranks.append(fact.rank)
-        errors.append(fact.error)
-    if not explanations:
-        raise EmptyCreSet(
-            f"no counterfactual explanation for target {target} "
-            f"(ranks tried: {[f.rank for f in ladder]})")
-    return CreSet(target=target, class_count=g.class_count,
-                  explanations=explanations, ranks_used=ranks,
-                  errors_per_rank=errors)
+    cres = generate_cre_sets(g, model, [(target, ecfg)], rcfg, ladder)[0]
+    if isinstance(cres, EmptyCreSet):
+        raise cres
+    return cres
 
 
 # ---------------------------------------------------------------------------

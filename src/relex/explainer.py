@@ -25,6 +25,16 @@ backpropagates from the forward pass that accepted its mask, so each
 evaluation runs one forward pass.  The top-k edges by final
 sigmoid(mask) form the explanation; their sigmoid values are the
 per-relation confidences.
+
+``explain_all`` explains many (graph, target, config) problems in one
+call, and ``explain`` is that call with one problem, so there is one
+mask loop.  Problems whose balls share their node count and
+masked-edge count are optimised in lockstep, as one (P, b, b) stack:
+an evaluation writes, normalizes and forwards all P masked balls at
+once, and each problem keeps its own seed, penalties, step count and
+line search.  Balls of other shapes never share a stack and none is
+padded, and no sum or product mixes two problems, so every explanation
+equals explaining its problem alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +43,11 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from relex.gcn import GcnModel, _forward, _one_model, gcn_forward, normalize_adjacency
+from relex.gcn import GcnModel, _forward, _one_model, normalize_self_looped
 from relex.graphs import Edge, RelationalGraph, normalize_edge
 
 
@@ -138,120 +149,296 @@ def _ball(g: RelationalGraph, target: int, hops: int) -> _Ball:
                  adjacency, outside, int(pos[target]))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no
-    exponential overflows."""
+    exponential overflows; written to ``out`` when given."""
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    return np.divide(np.where(x >= 0, 1.0, ex), 1.0 + ex, out=out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MaskProblem:
-    """Everything one target's mask optimisation holds fixed, on its
-    ``_Ball``'s nodes, in node order.
+    """P mask problems whose balls share their node count b and masked-edge
+    count E, stacked on a leading axis in the order given; everything
+    their optimisation holds fixed.
 
-    ``a_soft`` starts as the ball's adjacency and ``outside`` is the
-    ball's; masked edge i, the ball's edge i, sits at ball positions
-    (rows[i], cols[i]) and (cols[i], rows[i]).  Each evaluation writes its
-    mask weights into those entries before it reads the matrix, so the
-    one buffer always holds the current mask's adjacency.  ``weights`` are
-    the model's in ``_forward``'s layouts, and ``features_w0`` is the
-    ball's features times W0, which no mask changes.  ``target`` is the
-    target's ball position, and ``predicted`` the argmax of its unmasked
-    logits.  ``explain`` builds the problem once per call.
+    ``a_tilde`` (P, b, b) starts as the balls' adjacencies plus I, and
+    ``outside`` (P, b) holds their outside counts.  Each evaluation writes
+    its masks' weights into ``a_tilde`` before it reads it, so the one
+    buffer always holds the current masks' A + I.  ``weights`` are the
+    model's in ``_forward``'s layouts, ``features`` (P, b, d) the balls'
+    features, and ``features_w0_t`` (P, h, b) those times W0, transposed,
+    which no mask changes.  ``predicted`` holds the argmax of each
+    target's unmasked logits, ``onehot`` (P, C) that class as a one-hot
+    row, and the penalties (P, E) each problem's, repeated along its
+    masked edges, so that the gradient's products need no broadcast.
+
+    The rest are flat positions, built once, so that an evaluation reads
+    and writes every problem's entries with one ``take`` or ``put``.
+    Problem k's masked edge i is its ball's edge i, joining ball positions
+    u and v.  In a (P, b, b) array: ``pairs`` (2, P, E), each masked
+    edge's (u, v) entry, then its (v, u) entry; ``diagonal`` (P, b); and
+    each target's row and column, ``target_row`` and ``target_column``
+    (P, b).  In a (P, b) array: ``ends`` (2, P, E), each masked edge's u,
+    then its v.  In the (P, C, b) class probabilities: each target's,
+    ``target_probs`` (P, C), and its predicted class's, ``predicted_prob``
+    (P,).
     """
 
-    a_soft: np.ndarray
+    a_tilde: np.ndarray
     outside: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
     features: np.ndarray
-    model: GcnModel
+    features_w0_t: np.ndarray
+    w1: np.ndarray
     weights: tuple
-    features_w0: np.ndarray
-    target: int
-    predicted: int
-    size_penalty: float
-    entropy_penalty: float
+    predicted: np.ndarray
+    onehot: np.ndarray
+    size_penalty: np.ndarray
+    entropy_penalty: np.ndarray
+    pairs: np.ndarray
+    diagonal: np.ndarray
+    target_row: np.ndarray
+    target_column: np.ndarray
+    ends: np.ndarray
+    target_probs: np.ndarray
+    predicted_prob: np.ndarray
 
 
-def _mask_problem(g: RelationalGraph, model: GcnModel, ball: _Ball,
-                  cfg: ExplainConfig) -> _MaskProblem:
-    """The mask problem on ``ball``, the target's ``_Ball``; it takes over
-    the ball's adjacency as its ``a_soft`` buffer."""
-    features = g.features[ball.nodes]
-    # before any mask is written, the ball's forward pass gives the target's
-    # full-graph class probabilities; argmax ties go to the lower class
-    probs = gcn_forward(model, features, normalize_adjacency(ball.adjacency, ball.outside))
+def _mask_problem(model: GcnModel,
+                  problems: Sequence[tuple[RelationalGraph, _Ball, ExplainConfig]]
+                  ) -> _MaskProblem:
+    """The stacked mask problem of (graph, ball, config) triples whose
+    balls share their node and masked-edge counts."""
+    graphs, balls, cfgs = zip(*problems)
+    count, b, c = len(balls), len(balls[0].nodes), model.class_count
+    edges = len(balls[0].edges)
+    features = np.stack([g.features[ball.nodes] for g, ball in zip(graphs, balls)])
+    a_tilde = np.stack([ball.adjacency for ball in balls])
+    a_tilde.reshape(count, b * b)[:, ::b + 1] = 1.0
+    outside = np.stack([ball.outside for ball in balls])
+    rows = np.stack([ball.rows for ball in balls])
+    cols = np.stack([ball.cols for ball in balls])
+    target = np.array([ball.target for ball in balls])
     weights = _one_model(model.w0, model.w1, model.b0, model.b1)
-    return _MaskProblem(ball.adjacency, ball.outside, ball.rows, ball.cols, features,
-                        model, weights, features @ model.w0, ball.target,
-                        int(probs[ball.target].argmax()),
-                        cfg.size_penalty, cfg.entropy_penalty)
+    # before any mask is written, the balls' forward pass gives each target's
+    # full-graph class probabilities; argmax ties go to the lower class
+    a_hat = normalize_self_looped(a_tilde.copy(), outside)
+    k = np.arange(count)
+    predicted = _forward(a_hat, a_hat @ features, *weights)[1][k, :, target].argmax(axis=1)
+    onehot = np.zeros((count, c))
+    onehot[k, predicted] = 1.0
+    cells, nodes = (k * b * b)[:, None], (k * b)[:, None]
+    line = np.arange(b)
+    return _MaskProblem(
+        a_tilde=a_tilde, outside=outside, features=features,
+        features_w0_t=(features @ model.w0).transpose(0, 2, 1), w1=model.w1,
+        weights=weights, predicted=predicted, onehot=onehot,
+        size_penalty=np.repeat([[cfg.size_penalty] for cfg in cfgs], edges, axis=1),
+        entropy_penalty=np.repeat([[cfg.entropy_penalty] for cfg in cfgs], edges, axis=1),
+        pairs=np.stack([cells + rows * b + cols, cells + cols * b + rows]),
+        diagonal=cells + line * (b + 1),
+        target_row=cells + target[:, None] * b + line,
+        target_column=cells + line * b + target[:, None],
+        ends=np.stack([nodes + rows, nodes + cols]),
+        target_probs=(k[:, None] * c + np.arange(c)) * b + target[:, None],
+        predicted_prob=(k * c + predicted) * b + target)
 
 
-def soft_adjacency(a: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                   weights: np.ndarray) -> np.ndarray:
-    """Write each masked edge's weight into ``a`` symmetrically, in place;
+def soft_adjacency(a: np.ndarray, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Write each masked edge's weight into ``a`` symmetrically, in place:
+    ``pairs[0]`` holds the edges' flat (u, v) positions in ``a`` and
+    ``pairs[1]`` their (v, u) positions, both shaped as ``weights``;
     returns ``a``."""
-    a[rows, cols] = weights
-    a[cols, rows] = weights
+    # put repeats the weights, so they land in both halves of the positions
+    np.put(a, pairs, weights)
     return a
 
 
-def _objective(pred_loss, s, size_penalty, entropy_penalty):
-    """The prediction loss plus the mask's size and entropy penalties."""
-    ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
-    return pred_loss + size_penalty * s.sum() + entropy_penalty * ent.sum()
-
-
 def _masked_forward(p: _MaskProblem, mask: np.ndarray):
-    """The GCN forward pass on the masked ball, and the loss it gives."""
-    s = _sigmoid(mask)
-    a_hat = normalize_adjacency(soft_adjacency(p.a_soft, p.rows, p.cols, s),
-                                p.outside)
-    h1, probs = _forward(a_hat, (a_hat @ p.features)[None], *p.weights)
-    probs = probs[0].T
-    pred_loss = -np.log(probs[p.target, p.predicted] + 1e-12)
-    loss = _objective(pred_loss, s, p.size_penalty, p.entropy_penalty)
-    return loss, s, a_hat, h1[0], probs
+    """The GCN forward pass on each problem's masked ball, one mask per row
+    of ``mask``, and the loss each gives.
+
+    A loss is -log P(predicted) + size_penalty * sum(s) + entropy_penalty
+    * sum(H(s)), with s = sigmoid(mask) and H(s) = -(s log s + (1 - s)
+    log(1 - s)).  Negation is exact in floating point, so the two minus
+    signs come out of the sums as subtractions, and each loss is that
+    sum's value bit for bit.
+    """
+    s_r = np.empty((2, *mask.shape))  # s and 1 - s, whose logs are taken together
+    s, r = s_r
+    _sigmoid(mask, out=s)
+    np.subtract(1, s, out=r)
+    a_hat = normalize_self_looped(soft_adjacency(p.a_tilde, p.pairs, s).copy(), p.outside)
+    h1, probs, hw = _forward(a_hat, a_hat @ p.features, *p.weights)
+    s_log_s, r_log_r = s_r * np.log(s_r + 1e-12)
+    xlogx = s_log_s + r_log_r
+    loss = (p.size_penalty[:, 0] * np.add.reduce(s, axis=-1)
+            - np.log(probs.take(p.predicted_prob) + 1e-12)
+            - p.entropy_penalty[:, 0] * np.add.reduce(xlogx, axis=-1))
+    return loss, s, r, a_hat, h1, probs, hw
 
 
 def _masked_grad(p: _MaskProblem, mask: np.ndarray, fwd) -> np.ndarray:
-    """The loss's analytic gradient wrt the mask values, from the mask's
-    ``_masked_forward`` outputs ``fwd``.
+    """Each problem's loss gradient wrt its mask values, analytic, from the
+    masks' ``_masked_forward`` outputs ``fwd``.
 
     Backpropagates through the two GCN layers into dL/dA_hat, then through
     the degree normalization into each symmetric edge weight.
     """
-    _, s, a_hat, h1, probs = fwd
-    m = p.model
+    _, s, r, a_hat, h1, probs, hw = fwd
 
     # dL/dZ2 is nonzero only in the target row, g2, so A_hat . dL/dZ2 is
     # the outer product of A_hat's target column and g2
-    g2 = probs[p.target].copy()
-    g2[p.predicted] -= 1.0
+    g2 = probs.take(p.target_probs)
+    g2 -= p.onehot
 
-    g1 = (np.outer(a_hat[:, p.target], g2) @ m.w1.T) * (h1 > 0)
-    m_hat = g1 @ p.features_w0.T                       # A_hat in layer 1
-    m_hat[p.target] += g2 @ (h1 @ m.w1).T              # A_hat in layer 2
+    g1 = ((a_hat.take(p.target_column)[:, :, None] * g2[:, None, :]) @ p.w1.T) * (h1 > 0)
+    m_hat = g1 @ p.features_w0_t                                   # A_hat in layer 1
+    layer2 = (g2[:, None, :] @ hw.transpose(0, 2, 1))[:, 0]
+    m_hat.put(p.target_row, m_hat.take(p.target_row) + layer2)    # A_hat in layer 2
 
     # A_hat = w_i w_j (A + I) with w = d^-1/2, and A has a zero diagonal,
     # so diag(A_hat) = 1/d.  An edge weight enters A_hat directly at (u, v)
     # and (v, u), and through the degrees d_u and d_v.  m_hat is nonzero
     # only in the rows of the target and its neighbours, whose A_hat
     # entries all lie inside the ball, so the sums below miss nothing.
-    inv_d = a_hat.diagonal()
-    t = 0.5 * inv_d * (np.einsum("ij,ij->i", m_hat, a_hat)
-                       + np.einsum("ij,ij->j", m_hat, a_hat))
-    u, v = p.rows, p.cols
-    grad_s = (m_hat[u, v] + m_hat[v, u]) * np.sqrt(inv_d[u] * inv_d[v]) - t[u] - t[v]
+    inv_d = a_hat.take(p.diagonal)
+    t = 0.5 * inv_d * (np.einsum("kij,kij->ki", m_hat, a_hat)
+                       + np.einsum("kij,kij->kj", m_hat, a_hat))
+    m_pairs, d_ends, t_ends = m_hat.take(p.pairs), inv_d.take(p.ends), t.take(p.ends)
+    grad_s = ((m_pairs[0] + m_pairs[1]) * np.sqrt(d_ends[0] * d_ends[1])
+              - t_ends[0] - t_ends[1])
 
-    ds_dm = s * (1.0 - s)
+    ds_dm = s * r
     grad = grad_s * ds_dm
     grad += p.size_penalty * ds_dm
     grad += p.entropy_penalty * (-mask) * ds_dm  # d binary_entropy(sigmoid(m))/dm
     return grad
+
+
+def _descend(p: _MaskProblem, mask: np.ndarray, steps: Sequence[int]) -> np.ndarray:
+    """Gradient descent with a backtracking line search on every problem
+    of ``p`` in lockstep, from the masks ``mask``; returns the final masks.
+
+    Problem k takes up to ``steps[k]`` steps.  Each step starts at MASK_LR
+    and halves until the problem's loss falls, and a problem whose 20th
+    halving still fails stops there, so the loss never rises.  A round
+    evaluates one gradient and one forward pass for the whole stack: a
+    problem that accepts its candidate moves on to its next step, one that
+    rejects it tries half the step from the same mask, whose gradient the
+    round recomputes bit for bit.  Each gradient backpropagates from the
+    forward pass that accepted its mask.  A problem that has stopped stays
+    in the stack at step 0, so its candidate is its own mask: it is
+    computed, but nothing reads it.  The problems share no sum, so each
+    ends where it would end alone.
+    """
+    final = mask.copy()
+    live = [k for k, n in enumerate(steps) if n > 0]
+    if not live:
+        return final
+    lr = np.array([[MASK_LR if n > 0 else 0.0] for n in steps])
+    halvings = [0] * len(steps)
+    halving: list[int] = []        # live problems whose step is below MASK_LR
+    # due[k] is the round at whose end problem k has taken its last step, if
+    # it accepts every step from now on; each rejection puts it off a round
+    due = list(steps)
+    next_due = min(due[k] for k in live)
+    unit = len(live) == len(steps)  # no problem halves or has stopped
+    fwd = _masked_forward(p, mask)
+    loss = fwd[0].tolist()
+    rounds = 0
+    while live:
+        rounds += 1
+        grad = _masked_grad(p, mask, fwd)
+        candidate = mask - grad if unit else mask - lr * grad
+        cand = _masked_forward(p, candidate)
+        cand_loss = cand[0].tolist()
+        accepted = [k for k in live if cand_loss[k] < loss[k]]
+        if len(accepted) == len(live):  # every live problem moves on: take the stack
+            mask, fwd, loss = candidate, cand, cand_loss
+            if halving:
+                for k in halving:
+                    lr[k] = MASK_LR
+                    halvings[k] = 0
+                halving = []
+                unit = len(live) == len(steps)
+            if rounds < next_due:
+                continue
+            stopped = [k for k in live if due[k] == rounds]
+        else:
+            if accepted:
+                mask[accepted] = candidate[accepted]
+                for old, new in zip(fwd[1:], cand[1:]):
+                    old[accepted] = new[accepted]
+            for k in accepted:
+                loss[k] = cand_loss[k]
+                lr[k] = MASK_LR
+                halvings[k] = 0
+            stopped = [k for k in accepted if due[k] == rounds]
+            moved = set(accepted)
+            for k in live:
+                if k not in moved:  # rejected: half the step, from the same mask
+                    due[k] += 1
+                    halvings[k] += 1
+                    if halvings[k] == 20:
+                        stopped.append(k)
+                    else:
+                        lr[k] *= 0.5
+            halving = [k for k in live if halvings[k] and k not in stopped]
+            unit = False
+        if stopped:
+            for k in stopped:
+                final[k] = mask[k]
+                lr[k] = 0.0
+            live = [k for k in live if k not in stopped]
+            unit = False
+        if live:
+            next_due = min(due[k] for k in live)
+    return final
+
+
+def explain_all(model: GcnModel,
+                problems: Sequence[tuple[RelationalGraph, int, ExplainConfig]]
+                ) -> list[Explanation | None]:
+    """``explain`` on each (graph, target, config) problem, in order; None
+    where the target's computation subgraph is empty.
+
+    The problems whose balls share their node and masked-edge counts are
+    optimised as one stack (``_descend``); balls of different shapes never
+    share one, and none is padded.  Each explanation therefore equals
+    explaining its problem alone, bit for bit, whatever else the call
+    holds.  A target out of range, or a model whose input dim differs
+    from a graph's feature dim, raises ValueError.
+    """
+    balls = []
+    for g, target, cfg in problems:
+        if not (0 <= target < g.node_count):
+            raise ValueError(f"target {target} out of range")
+        balls.append(_ball(g, target, cfg.hops))
+        if balls[-1].edges and g.features.shape[1] != model.input_dim:
+            raise ValueError(f"feature dim {g.features.shape[1]} != "
+                             f"model input dim {model.input_dim}")
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, ball in enumerate(balls):
+        if ball.edges:
+            shapes.setdefault((len(ball.nodes), len(ball.edges)), []).append(i)
+
+    out: list[Explanation | None] = [None] * len(problems)
+    for members in shapes.values():
+        group = [(problems[i][0], balls[i], problems[i][2]) for i in members]
+        p = _mask_problem(model, group)
+        masks = np.stack([np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(ball.edges))
+                          for _, ball, cfg in group])
+        masks = _descend(p, masks, [cfg.mask_steps for _, _, cfg in group])
+        confidences = np.clip(_sigmoid(masks), 1e-12, 1.0 - 1e-12)
+        for k, (i, (_, ball, cfg)) in enumerate(zip(members, group)):
+            edges = ball.edges
+            order = sorted(range(len(edges)), key=lambda j: (-confidences[k, j], edges[j]))
+            relations = tuple((edges[j], float(confidences[k, j]))
+                              for j in sorted(order[:cfg.top_k]))
+            out[i] = Explanation(target=problems[i][1], predicted_class=int(p.predicted[k]),
+                                 relations=relations, hop_radius=cfg.hops)
+    return out
 
 
 def explain(model: GcnModel, g: RelationalGraph, target: int,
@@ -261,42 +448,13 @@ def explain(model: GcnModel, g: RelationalGraph, target: int,
     The predicted class is the model's prediction on the unmasked graph,
     read off the target's ball.  A model whose input dim differs from the
     graph's feature dim raises ValueError.  Deterministic for a fixed
-    config seed.
+    config seed.  ``explain_all`` with this one problem.
     """
-    if not (0 <= target < g.node_count):
-        raise ValueError(f"target {target} out of range")
-    ball = _ball(g, target, cfg.hops)
-    masked_edges = ball.edges
-    if not masked_edges:
+    e = explain_all(model, [(g, target, cfg)])[0]
+    if e is None:
         raise SingleNodeExplanation(
             f"node {target} has an empty {cfg.hops}-hop computation subgraph")
-
-    problem = _mask_problem(g, model, ball, cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    mask = rng.uniform(-0.1, 0.1, size=len(masked_edges))
-
-    fwd = _masked_forward(problem, mask)
-    for _ in range(cfg.mask_steps):
-        grad = _masked_grad(problem, mask, fwd)
-        step = MASK_LR
-        for _ in range(20):
-            candidate = mask - step * grad
-            cand_fwd = _masked_forward(problem, candidate)
-            if cand_fwd[0] < fwd[0]:
-                mask, fwd = candidate, cand_fwd
-                break
-            step *= 0.5
-        else:
-            break
-
-    confidences = np.clip(_sigmoid(mask), 1e-12, 1.0 - 1e-12)
-    order = sorted(range(len(masked_edges)),
-                   key=lambda i: (-confidences[i], masked_edges[i]))
-    keep = order[:cfg.top_k]
-    relations = tuple((masked_edges[i], float(confidences[i])) for i in sorted(keep))
-    return Explanation(target=target, predicted_class=problem.predicted,
-                       relations=relations, hop_radius=cfg.hops)
+    return e
 
 
 def is_scores(e: Explanation) -> dict[Edge, float]:

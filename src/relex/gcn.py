@@ -115,35 +115,45 @@ class GcnModel:
 def normalize_adjacency(a, degree_offset: np.ndarray | None = None):
     """D^{-1/2} (A + I) D^{-1/2} for a 0/1 or weighted symmetric matrix.
 
-    ``a`` is a dense array, or a scipy.sparse 0/1 matrix with a zero
-    diagonal, whose result is CSR and equals the dense result entry for
-    entry.  ``degree_offset``, one value per node, is added to D: the
-    weight of edges that ``a`` leaves out, such as a subgraph's edges to
-    nodes outside it.
+    ``a`` is a dense array, a dense stack of them (..., n, n), normalized
+    matrix by matrix, or a scipy.sparse 0/1 matrix with a zero diagonal,
+    whose result is CSR and equals the dense result entry for entry.
+    ``degree_offset``, one value per node (per matrix of a stack), is
+    added to D: the weight of edges that ``a`` leaves out, such as a
+    subgraph's edges to nodes outside it.
     """
     sparse = sp.issparse(a)
     a = sp.csr_array(a, dtype=np.float64) if sparse else np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError("adjacency must be square")
-    if sparse:
-        a_tilde = a + sp.eye_array(n, format="csr")
-    else:
+    if not sparse:
         a_tilde = a.copy()
-        a_tilde.flat[::n + 1] += 1.0  # A + I, with no n x n identity made
+        a_tilde.reshape(-1, n * n)[:, ::n + 1] += 1.0  # A + I, with no n x n identity made
+        return normalize_self_looped(a_tilde, degree_offset)
+    a_tilde = a + sp.eye_array(n, format="csr")
     d = a_tilde.sum(axis=1)
     if degree_offset is not None:
         d += degree_offset
     inv_sqrt = 1.0 / np.sqrt(d)
-    if sparse:
-        rows = np.repeat(np.arange(n), np.diff(a_tilde.indptr))
-        a_tilde.data *= inv_sqrt[rows]
-        a_tilde.data *= inv_sqrt[a_tilde.indices]
-        return a_tilde
+    rows = np.repeat(np.arange(n), np.diff(a_tilde.indptr))
+    a_tilde.data *= inv_sqrt[rows]
+    a_tilde.data *= inv_sqrt[a_tilde.indices]
+    return a_tilde
+
+
+def normalize_self_looped(a_tilde: np.ndarray,
+                          degree_offset: np.ndarray | None = None) -> np.ndarray:
+    """``normalize_adjacency``'s dense result, computed in place from
+    A + I itself, a float array or a stack of them (..., n, n)."""
+    d = np.add.reduce(a_tilde, axis=-1)
+    if degree_offset is not None:
+        d += degree_offset
+    inv_sqrt = 1.0 / np.sqrt(d)
     # scaled in place: at a few hundred nodes, allocating a fresh n x n
     # product costs several times the multiply itself
-    a_tilde *= inv_sqrt[:, None]
-    a_tilde *= inv_sqrt[None, :]
+    a_tilde *= inv_sqrt[..., :, None]
+    a_tilde *= inv_sqrt[..., None, :]
     return a_tilde
 
 
@@ -159,17 +169,20 @@ def sparse_a_hat(g: RelationalGraph) -> sp.csr_array:
 
 def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
              w1: np.ndarray, b1: np.ndarray):
-    """Layer 1's activations h1 on every node of K graphs, and the class
-    probabilities of the rows of their A_hat that ``a_rows`` holds.
+    """Layer 1's activations h1 on every node of K graphs, the class
+    probabilities of the rows of their A_hat that ``a_rows`` holds, and
+    h1 . W1, which layer 2 propagates.
 
     ``ax`` (K, n, d) holds each graph's A_hat . X, which no weight
     changes.  ``a_rows`` is A_hat or a subset of its rows, dense or CSR,
-    for K = 1, and the block-diagonal CSR matrix of the K graphs' row
-    subsets for K > 1.  The weights are R models per graph in
-    ``_side_by_side``'s layouts.  h1 is node-major, (K, n, R h), with
-    graph k's model r in columns r h .. (r + 1) h - 1 of h1[k]; the
-    probabilities are class-major, (K R, C, rows), with graph k's model r
-    at k R + r, so the softmax's max reduces over C rows.
+    for K = 1; the block-diagonal CSR matrix of the K graphs' row subsets
+    for K > 1; or a dense (K, rows, n) stack of the K graphs' rows.  The
+    weights are R models per graph in ``_side_by_side``'s layouts, or
+    one graph's, which every graph then shares.  h1 is node-major,
+    (K, n, R h), with graph k's model r in columns r h .. (r + 1) h - 1
+    of h1[k]; the probabilities are class-major, (K R, C, rows), with
+    graph k's model r at k R + r, so the softmax's max reduces over C
+    rows.  h1 . W1 is (K, n, R C) for a dense stack, else (K n, R C).
     """
     h1 = ax @ w0
     h1 += b0
@@ -180,15 +193,17 @@ def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
     hw = np.empty((k, n, r, c))
     np.matmul(h1.reshape(k, n, r, h).transpose(0, 2, 1, 3), w1,
               out=hw.transpose(0, 2, 1, 3))
-    z2 = (a_rows @ hw.reshape(k * n, r * c)).reshape(k, -1, r, c)
-    probs = np.ascontiguousarray(z2.transpose(0, 2, 3, 1)).reshape(k * r, c, -1)
-    probs += b1
-    probs -= probs.max(axis=1, keepdims=True)
+    # a dense stack multiplies graph by graph, one matrix all graphs at once
+    hw = hw.reshape(k, n, r * c) if a_rows.ndim == 3 else hw.reshape(k * n, r * c)
+    z2 = (a_rows @ hw).reshape(k, -1, r, c)
+    probs = np.add(z2.transpose(0, 2, 3, 1), b1.reshape(-1, r, c, 1),
+                   order="C").reshape(k * r, c, -1)
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
     # numpy sums a contiguous axis of 8 or more entries pairwise, so each
     # row's denominator is summed node-major, as an (n, C) softmax sums it
-    probs /= np.ascontiguousarray(probs.transpose(0, 2, 1)).sum(axis=-1)[:, None, :]
-    return h1, probs
+    probs /= np.add.reduce(np.ascontiguousarray(probs.transpose(0, 2, 1)), axis=-1)[:, None, :]
+    return h1, probs, hw
 
 
 def _side_by_side(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
@@ -312,7 +327,7 @@ def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
     t = _targets([a_hat], y, w1.shape[1], train_idx, train_idx)
     weights = _one_model(w0, w1, b0, b1)
     loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(
-        ax, t, weights[2], *_forward(t.a_scored, ax, *weights))
+        ax, t, weights[2], *_forward(t.a_scored, ax, *weights)[:2])
     return loss[0], grad_w0[0], grad_w1[0, 0], grad_b0[0], grad_b1[0]
 
 
@@ -375,7 +390,7 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     params = _unstack(flat, shapes)
     fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
     for step in range(1, cfg.max_epochs + 1):
-        loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(ax, t, params[1], *fwd)
+        loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(ax, t, params[1], *fwd[:2])
         losses = loss.tolist()
         for m in live:
             if not math.isfinite(losses[m]):

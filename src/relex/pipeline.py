@@ -4,9 +4,12 @@ Train a GCN, explain eligible targets, score each explained relation with
 the factor-graph path (BP) or the raw explainer confidences (IS), remove
 each target's i-th ranked relation to form a reduced graph, retrain from
 the identical seed, and compare predictions per class with McNemar's test
-over the test split.  The reduced graphs of every scorer and depth i
-retrain in one lockstep run (``gcn.train_gcns``), each model
-bit-identical to training its graph alone.
+over the test split.  Every eligible target is explained in one lockstep
+call (``explainer.explain_all``), and every target's counterfactual
+re-explanations in a second (``boolfact.generate_cre_sets``); the
+reduced graphs of every scorer and depth i retrain in one lockstep run
+(``gcn.train_gcns``).  Each explanation and model is bit-identical to
+making it alone.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from relex.boolfact import (CreGenerationFailed, EmptyCreSet, RankSearchConfig,
-                            generate_cres, rank_ladder)
+from relex.boolfact import EmptyCreSet, RankSearchConfig, generate_cre_sets, rank_ladder
 from relex.datasets import (generate_ba_community, generate_ba_shapes,
                             generate_tree_motif)
-from relex.explainer import (ExplainConfig, Explanation, SingleNodeExplanation,
-                             explain, is_scores)
+from relex.explainer import ExplainConfig, Explanation, explain_all, is_scores
 from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
                                build_factor_graph, learn_weights,
                                quantify_uncertainty, report_to_csv)
@@ -203,14 +204,13 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
         candidates = sorted(rng.choice(candidates, size=cfg.max_targets,
                                        replace=False).tolist())
 
-    explanations: dict[int, Explanation] = {}
-    for target in candidates:
-        try:
-            e = explain(model, g, target, seeded(cfg.explain, cfg.seed, target))
-        except SingleNodeExplanation:
-            continue
-        if len(e.relations) > 1:  # single-edge explanations are filtered
-            explanations[target] = e
+    # targets with an empty computation subgraph get None, and single-edge
+    # explanations are filtered
+    explained = explain_all(model, [(g, target, seeded(cfg.explain, cfg.seed, target))
+                                    for target in candidates])
+    explanations: dict[int, Explanation] = {
+        target: e for target, e in zip(candidates, explained)
+        if e is not None and len(e.relations) > 1}
     bundle.targets = sorted(explanations)
     if not explanations:
         raise PipelineStageError("explain", RuntimeError("no eligible target survived filtering"),
@@ -222,16 +222,15 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
         rcfg = seeded(cfg.rank_search, cfg.seed)
         ladder = stage("cres", rank_ladder, adjacency(g), g.edge_count, rcfg)
 
-        for target in sorted(explanations):
-            try:
-                cres = generate_cres(g, model, target,
-                                     seeded(cfg.explain, cfg.seed, target), rcfg,
-                                     ladder=ladder)
-                fg = learn_weights(build_factor_graph(cres), cres)
-            except (EmptyCreSet, CreGenerationFailed) as exc:
-                bundle.warnings.append(f"target {target}: {exc}")
+        targets = sorted(explanations)
+        cre_sets = generate_cre_sets(g, model, [(t, seeded(cfg.explain, cfg.seed, t))
+                                                for t in targets], rcfg, ladder=ladder)
+        for target, cres in zip(targets, cre_sets):
+            if isinstance(cres, EmptyCreSet):
+                bundle.warnings.append(f"target {target}: {cres}")
                 continue
-            # scores the explanation the loop above made
+            fg = learn_weights(build_factor_graph(cres), cres)
+            # scores the explanation that explain_all made above
             bundle.reports[target] = quantify_uncertainty(fg, explanations[target],
                                                           cfg.bp)
         if not bundle.reports:
@@ -377,27 +376,52 @@ def bundle_to_dict(bundle: VerificationBundle) -> dict:
     }
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value``, which must be the JSON container ``kind`` (dict or
+    list); else ValueError naming it."""
+    if not isinstance(value, kind):
+        found = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, not {found}")
+    return value
+
+
 def bundle_from_dict(blob: dict) -> VerificationBundle:
-    """The bundle that ``bundle_to_dict`` wrote; a missing key, in the
-    bundle or in one of its result rows, raises KeyError."""
+    """The bundle that ``bundle_to_dict`` wrote.  A missing key, in the
+    bundle or in one of its result rows, raises KeyError; a key or row
+    that holds another JSON container than the one written raises
+    ValueError naming it."""
+    _typed(blob, dict, "the bundle")
+
+    def key(name: str, kind: type):
+        return _typed(blob[name], kind, f"key {name!r}")
+
     rankings = {
-        scorer: {int(t): [((int(u), int(v)), float(s)) for (u, v, s) in ranking]
-                 for t, ranking in per.items()}
-        for scorer, per in blob["rankings"].items()
+        scorer: {int(t): [((int(u), int(v)), float(s)) for (u, v, s)
+                          in _typed(ranking, list, f"key 'rankings' {scorer}/{t}")]
+                 for t, ranking in _typed(per, dict, f"key 'rankings' {scorer}").items()}
+        for scorer, per in key("rankings", dict).items()
     }
-    reports = {int(t): UncertaintyReport(
-                   target=r["target"], converged=r["converged"],
-                   entries=[RelationUncertainty((u, v), gc, delta, nld)
-                            for (u, v, gc, delta, nld) in r["entries"]],
-                   skipped=[(u, v) for (u, v) in r["skipped"]])
-               for t, r in blob["reports"].items()}
+    reports = {}
+    for t, r in key("reports", dict).items():
+        r = _typed(r, dict, f"key 'reports' {t}")
+        reports[int(t)] = UncertaintyReport(
+            target=r["target"], converged=r["converged"],
+            entries=[RelationUncertainty((u, v), gc, delta, nld) for (u, v, gc, delta, nld)
+                     in _typed(r["entries"], list, f"key 'reports' {t} entries")],
+            skipped=[(u, v) for (u, v) in _typed(r["skipped"], list, f"key 'reports' {t} skipped")])
+    results = [{c: _typed(r, dict, f"key 'results' row {i}")[c] for c in RESULT_COLUMNS}
+               for i, r in enumerate(key("results", list))]
     return VerificationBundle(
         dataset=blob["dataset"], seed=int(blob["seed"]),
-        targets=[int(t) for t in blob["targets"]],
-        base_predictions=[int(p) for p in blob["base_predictions"]],
-        results=[{c: r[c] for c in RESULT_COLUMNS} for r in blob["results"]],
-        removed_counts=dict(blob["removed_counts"]),
-        warnings=list(blob["warnings"]),
+        targets=[int(t) for t in key("targets", list)],
+        base_predictions=[int(p) for p in key("base_predictions", list)],
+        results=results,
+        removed_counts=dict(key("removed_counts", dict)),
+        warnings=list(key("warnings", list)),
         reports=reports,
         rankings=rankings,
     )

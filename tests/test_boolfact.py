@@ -6,11 +6,11 @@ import pytest
 from relex.boolfact import (CreGenerationFailed, CreSet, EmptyCreSet,
                             RankSearchConfig, bmf_factorize, boolean_error,
                             boolean_product, creset_from_dict, creset_to_dict,
-                            generate_cres, rank_ladder)
+                            generate_cre_sets, generate_cres, rank_ladder)
 from relex.explainer import ExplainConfig, Explanation
 from relex.gcn import TrainConfig, train_gcn
-from relex.graphs import NodeSplit, adjacency, graph_from_adjacency, make_graph
-from relex.pipeline import GENERATORS, DatasetSpec
+from relex.graphs import NodeSplit, adjacency, graph_from_adjacency, make_graph, split_nodes
+from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
 
 
 def exhaustive_bmf_error(p: np.ndarray, k: int) -> int:
@@ -340,6 +340,44 @@ class TestGenerateCres:
         s = generate_cres(g, model, 1, ExplainConfig(mask_steps=60, seed=0),
                           RankSearchConfig())
         assert all(e.target == 1 for e in s.explanations)
+
+
+class TestGenerateCreSets:
+    """Many targets in one call against generate_cres one target at a time."""
+
+    @staticmethod
+    def check(g, model, targets, rcfg, ladder=None):
+        """generate_cre_sets equals generate_cres on every target, its
+        EmptyCreSet included; returns the targets that got none."""
+        problems = [(t, ExplainConfig(mask_steps=60, seed=t)) for t in targets]
+        empty = []
+        for (t, ecfg), got in zip(problems,
+                                  generate_cre_sets(g, model, problems, rcfg, ladder)):
+            try:
+                want = generate_cres(g, model, t, ecfg, rcfg, ladder)
+            except EmptyCreSet as exc:
+                assert isinstance(got, EmptyCreSet) and str(got) == str(exc), t
+                empty.append(t)
+                continue
+            assert got == want, t
+        return empty
+
+    def test_a_target_with_no_counterfactual(self, pendant_setup):
+        g, model = pendant_setup
+        # node 7 has no edges, so no reconstruction gives it a computation
+        # subgraph; every accepted rank drops the pendant edge (0, 6)
+        lone = make_graph(8, g.edges, features=np.vstack([g.features, [[0.5, 0.5]]]),
+                          labels=[*g.labels, 0])
+        assert self.check(lone, model, range(8), RankSearchConfig()) == [6, 7]
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_generator_targets_on_a_shared_ladder(self, kind):
+        g = DatasetSpec(kind, base_nodes=12, motif_count=3, height=3).build(4)
+        model = train_gcn(g, split_nodes(g, 4), TrainConfig(hidden_dim=8, max_epochs=100,
+                                                            seed=4, restarts=1))
+        rcfg = RankSearchConfig(stop_fraction=0.1)
+        ladder = rank_ladder(adjacency(g), g.edge_count, rcfg)
+        self.check(g, model, eligible_targets(g, True)[::2], rcfg, ladder)
 
 
 class TestCreSetSerialization:

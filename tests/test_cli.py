@@ -414,6 +414,28 @@ class TestVerifyAndReport:
         assert capsys.readouterr().err == f"error: {bundle}: missing key '{column}'\n"
         assert not (tmp_path / "redo").exists()
 
+    @pytest.mark.parametrize("path, value, message", [
+        (["results"], 5, "key 'results' must be an array, not a number"),
+        (["results", 0], [1, 2], "key 'results' row 0 must be an object, not an array"),
+        (["rankings"], [], "key 'rankings' must be an object, not an array"),
+        (["reports"], [], "key 'reports' must be an object, not an array"),
+        (["targets"], 5, "key 'targets' must be an array, not a number"),
+        (["removed_counts"], [], "key 'removed_counts' must be an object, not an array"),
+    ], ids=["results", "results-row", "rankings", "reports", "targets", "removed_counts"])
+    def test_report_on_value_of_wrong_type_validation_error(
+            self, verify_out, tmp_path, capsys, path, value, message):
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        holder = blob
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(blob))
+        assert run(["report", "--bundle", str(bundle),
+                    "--out", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
+        assert not (tmp_path / "redo").exists()
+
     def test_report_error_names_the_missing_key_and_the_bundle(self, verify_out,
                                                                tmp_path, capsys):
         blob = json.loads((verify_out / "bundle.json").read_text())

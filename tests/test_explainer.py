@@ -2,26 +2,42 @@ import numpy as np
 import pytest
 
 import relex.explainer
+from relex.boolfact import RankSearchConfig, rank_ladder
 from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
                              SingleNodeExplanation, _ball, _mask_problem,
                              _masked_forward, _masked_grad, _sigmoid,
-                             explain, explanation_from_dict, explanation_to_dict,
-                             is_scores, load_explanation, save_explanation,
-                             soft_adjacency)
-from relex.gcn import (GcnModel, TrainConfig, gcn_forward, normalize_adjacency,
-                       predict, train_gcn)
-from relex.graphs import (NodeSplit, adjacency, make_graph, remove_edges,
-                          split_nodes)
+                             explain, explain_all, explanation_from_dict,
+                             explanation_to_dict, is_scores, load_explanation,
+                             save_explanation, soft_adjacency)
+from relex.gcn import (GcnModel, TrainConfig, _forward, _one_model, gcn_forward,
+                       normalize_adjacency, predict, train_gcn)
+from relex.graphs import (NodeSplit, adjacency, graph_from_adjacency, make_graph,
+                          remove_edges, split_nodes)
 from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
 
 
+def one_problem(g, model, target, cfg):
+    """The stacked mask problem of one target."""
+    return _mask_problem(model, [(g, _ball(g, target, cfg.hops), cfg)])
+
+
+def ball_positions(p):
+    """Problem 0's target and masked edges as ball positions, read back
+    from the flat positions of a stack's (b, b) and (C, b) arrays, after
+    checking that each edge's (v, u) entry mirrors its (u, v) entry."""
+    b = p.a_tilde.shape[-1]
+    rows, cols = np.divmod(p.pairs[0][0], b)
+    np.testing.assert_array_equal(p.pairs[1][0], cols * b + rows)
+    return int(p.target_column[0][0]), list(zip(rows.tolist(), cols.tolist()))
+
+
 def masked_loss(p, mask):
-    return _masked_forward(p, mask)[0]
+    return _masked_forward(p, mask[None])[0][0]
 
 
 def masked_loss_and_grad(p, mask):
-    fwd = _masked_forward(p, mask)
-    return fwd[0], _masked_grad(p, mask, fwd)
+    fwd = _masked_forward(p, mask[None])
+    return fwd[0][0], _masked_grad(p, mask[None], fwd)[0]
 
 
 def deletion_impact(model, g, target, hops=2):
@@ -119,13 +135,14 @@ class TestBall:
                            if dist.get(e[0], hops + 1) <= hops
                            and dist.get(e[1], hops + 1) <= hops)
             assert _ball(g, target, hops).edges == edges, (name, target)
-            p = _mask_problem(g, model, _ball(g, target, hops), cfg)
+            p = one_problem(g, model, target, cfg)
             inner = a[np.ix_(ball, ball)]
-            np.testing.assert_array_equal(p.a_soft, inner)
-            np.testing.assert_array_equal(p.outside, a[ball].sum(axis=1) - inner.sum(axis=1))
-            np.testing.assert_array_equal(p.features, g.features[ball])
-            assert ball[p.target] == target
-            assert [(ball[i], ball[j]) for i, j in zip(p.rows, p.cols)] == edges
+            np.testing.assert_array_equal(p.a_tilde[0], inner + np.eye(len(ball)))
+            np.testing.assert_array_equal(p.outside[0], a[ball].sum(axis=1) - inner.sum(axis=1))
+            np.testing.assert_array_equal(p.features[0], g.features[ball])
+            at, masked = ball_positions(p)
+            assert ball[at] == target
+            assert [(ball[i], ball[j]) for i, j in masked] == edges
 
     def test_isolated_node_is_a_ball_of_one(self):
         b = _ball(BALL_GRAPHS["isolated-node"], 6, 2)
@@ -134,9 +151,14 @@ class TestBall:
         np.testing.assert_array_equal(b.outside, [0.0])
 
 
-def unit_soft_adjacency(g, edges):
+def flat_pairs(edges, n):
+    """The flat (u, v) and (v, u) positions of ``edges`` in an n x n array."""
     rows, cols = np.array(edges).T
-    return soft_adjacency(adjacency(g).astype(float), rows, cols,
+    return np.stack([rows * n + cols, cols * n + rows])
+
+
+def unit_soft_adjacency(g, edges):
+    return soft_adjacency(adjacency(g).astype(float), flat_pairs(edges, g.node_count),
                           np.ones(len(edges)))
 
 
@@ -228,7 +250,7 @@ class TestMaskGradient:
     def test_matches_finite_differences(self, bridge_setup):
         g, model = bridge_setup
         edges = _ball(g, 4, 2).edges
-        p = _mask_problem(g, model, _ball(g, 4, 2), ExplainConfig())
+        p = one_problem(g, model, 4, ExplainConfig())
         rng = np.random.default_rng(3)
         mask = rng.normal(scale=0.8, size=len(edges))
         _, grad = masked_loss_and_grad(p, mask)
@@ -247,7 +269,7 @@ class TestMaskGradient:
         cfg = ExplainConfig()
         rng = np.random.default_rng(17)
         for (kind, g, model, target, predicted, edges) in generator_problems:
-            p = _mask_problem(g, model, _ball(g, target, cfg.hops), cfg)
+            p = one_problem(g, model, target, cfg)
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
                 ref_loss, ref_grad = reference_loss_and_grad(
@@ -262,7 +284,7 @@ class TestMaskGradient:
         cfg = ExplainConfig()
         rng = np.random.default_rng(18)
         for (kind, g, model, target, predicted, edges) in generator_problems:
-            p = _mask_problem(g, model, _ball(g, target, cfg.hops), cfg)
+            p = one_problem(g, model, target, cfg)
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
                 assert masked_loss_and_grad(p, mask)[0] == masked_loss(p, mask)
@@ -338,7 +360,7 @@ class TestExplain:
         g, model = bridge_setup
         edges = _ball(g, 4, 2).edges
         cfg = ExplainConfig(mask_steps=40, seed=2)
-        p = _mask_problem(g, model, _ball(g, 4, cfg.hops), cfg)
+        p = one_problem(g, model, 4, cfg)
         rng = np.random.default_rng(cfg.seed)
         mask = rng.uniform(-0.1, 0.1, size=len(edges))
         _, losses, _ = line_search(mask, cfg.mask_steps,
@@ -366,7 +388,7 @@ class TestExplain:
             e = explain(model, g, target, cfg)
             forwards = len(calls)
 
-            p = _mask_problem(g, model, _ball(g, target, cfg.hops), cfg)
+            p = one_problem(g, model, target, cfg)
             mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(edges))
             mask, _, evaluations = line_search(
                 mask, cfg.mask_steps, lambda m: masked_loss_and_grad(p, m),
@@ -398,19 +420,19 @@ def line_search(mask, steps, loss_and_grad, loss):
     return mask, losses, evaluations
 
 
-def reference_explain(model, g, target, cfg):
+def dense_reference_explain(model, g, target, cfg):
     """explain on the whole graph: every evaluation writes the mask into
     the full n x n adjacency, normalizes it with normalize_adjacency and
     runs the full-graph forward pass, and the gradient is
     reference_loss_and_grad's.  The line search is explain's."""
     edges = _ball(g, target, cfg.hops).edges
     predicted = int(predict(model, g)[target])
-    rows, cols = np.array(edges).T
+    pairs = flat_pairs(edges, g.node_count)
     a_soft = adjacency(g).astype(np.float64)
 
     def loss(mask):
         s = _sigmoid(mask)
-        a_hat = normalize_adjacency(soft_adjacency(a_soft, rows, cols, s))
+        a_hat = normalize_adjacency(soft_adjacency(a_soft, pairs, s))
         probs = gcn_forward(model, g.features, a_hat)
         ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
         return (-np.log(probs[target, predicted] + 1e-12)
@@ -436,7 +458,7 @@ class TestLocalProblem:
         assert {kind for (kind, *_) in generator_problems} == set(GENERATORS)
         cfg = ExplainConfig(hops=hops, seed=5)
         for (kind, g, model, target, *_) in generator_problems:
-            predicted, ref = reference_explain(model, g, target, cfg)
+            predicted, ref = dense_reference_explain(model, g, target, cfg)
             e = explain(model, g, target, cfg)
             assert e.predicted_class == predicted
             assert e.edges() == sorted(ref), (kind, target, hops)
@@ -451,15 +473,188 @@ class TestLocalProblem:
         edges = _ball(g, 3, 1).edges
         model = GcnModel(w0=np.zeros((2, 3)), w1=np.zeros((3, 2)), b0=np.zeros(3),
                          b1=np.zeros(2), seed=0)
-        p = _mask_problem(g, model, _ball(g, 3, 1), ExplainConfig(hops=1))
+        p = one_problem(g, model, 3, ExplainConfig(hops=1))
         ball = [0, 1, 3, 5, 6]
         degree = adjacency(g).sum(axis=1)
-        np.testing.assert_array_equal(p.outside, [0, 2, 0, 0, 1])
-        np.testing.assert_array_equal(p.outside, degree[ball] - p.a_soft.sum(axis=1))
-        np.testing.assert_array_equal(p.a_soft, adjacency(g)[np.ix_(ball, ball)])
-        np.testing.assert_array_equal(p.features, g.features[ball])
-        assert p.target == 2
-        assert [(ball[i], ball[j]) for i, j in zip(p.rows, p.cols)] == edges
+        inner = adjacency(g)[np.ix_(ball, ball)]
+        np.testing.assert_array_equal(p.outside[0], [0, 2, 0, 0, 1])
+        np.testing.assert_array_equal(p.outside[0], degree[ball] - inner.sum(axis=1))
+        np.testing.assert_array_equal(p.a_tilde[0], inner + np.eye(len(ball)))
+        np.testing.assert_array_equal(p.features[0], g.features[ball])
+        at, masked = ball_positions(p)
+        assert at == 2
+        assert [(ball[i], ball[j]) for i, j in masked] == edges
+
+
+def reference_explain(model, g, target, cfg):
+    """explain as it ran before the lockstep stack, one problem at a time
+    on its ball's 2-D arrays: the mask weights written into the ball's
+    adjacency, one forward pass per evaluation, each gradient taken from
+    the forward pass that accepted its mask, and the backtracking line
+    search.  Returns the explanation, or None for an empty computation
+    subgraph, with the number of steps taken, whether the line search
+    gave up, and the most halvings any step needed."""
+    ball = _ball(g, target, cfg.hops)
+    if not ball.edges:
+        return None, 0, False, 0
+    u, v, t = ball.rows, ball.cols, ball.target
+    features = g.features[ball.nodes]
+    features_w0 = features @ model.w0
+    weights = _one_model(model.w0, model.w1, model.b0, model.b1)
+    a_soft = ball.adjacency.copy()
+    predicted = int(gcn_forward(model, features,
+                                normalize_adjacency(a_soft, ball.outside))[t].argmax())
+
+    def forward(mask):
+        s = _sigmoid(mask)
+        a_soft[u, v] = s
+        a_soft[v, u] = s
+        a_hat = normalize_adjacency(a_soft, ball.outside)
+        h1, probs, _ = _forward(a_hat, (a_hat @ features)[None], *weights)
+        probs = probs[0].T
+        ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
+        loss = (-np.log(probs[t, predicted] + 1e-12) + cfg.size_penalty * s.sum()
+                + cfg.entropy_penalty * ent.sum())
+        return loss, s, a_hat, h1[0], probs
+
+    def gradient(mask, fwd):
+        _, s, a_hat, h1, probs = fwd
+        g2 = probs[t].copy()
+        g2[predicted] -= 1.0
+        g1 = (np.outer(a_hat[:, t], g2) @ model.w1.T) * (h1 > 0)
+        m_hat = g1 @ features_w0.T
+        m_hat[t] += g2 @ (h1 @ model.w1).T
+        inv_d = a_hat.diagonal()
+        tt = 0.5 * inv_d * (np.einsum("ij,ij->i", m_hat, a_hat)
+                            + np.einsum("ij,ij->j", m_hat, a_hat))
+        grad_s = (m_hat[u, v] + m_hat[v, u]) * np.sqrt(inv_d[u] * inv_d[v]) - tt[u] - tt[v]
+        ds_dm = s * (1.0 - s)
+        grad = grad_s * ds_dm
+        grad += cfg.size_penalty * ds_dm
+        grad += cfg.entropy_penalty * (-mask) * ds_dm
+        return grad
+
+    mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(ball.edges))
+    fwd = forward(mask)
+    steps, gave_up, most = 0, False, 0
+    for _ in range(cfg.mask_steps):
+        grad = gradient(mask, fwd)
+        step = MASK_LR
+        for halvings in range(20):
+            candidate = mask - step * grad
+            cand_fwd = forward(candidate)
+            if cand_fwd[0] < fwd[0]:
+                mask, fwd = candidate, cand_fwd
+                most = max(most, halvings)
+                break
+            step *= 0.5
+        else:
+            gave_up = True
+            break
+        steps += 1
+    confidences = np.clip(_sigmoid(mask), 1e-12, 1.0 - 1e-12)
+    edges = ball.edges
+    order = sorted(range(len(edges)), key=lambda i: (-confidences[i], edges[i]))
+    relations = tuple((edges[i], float(confidences[i])) for i in sorted(order[:cfg.top_k]))
+    return (Explanation(target=target, predicted_class=predicted, relations=relations,
+                        hop_radius=cfg.hops), steps, gave_up, most)
+
+
+@pytest.fixture(scope="module")
+def trained_generators():
+    """A graph from each generator, with a model trained on it as verify
+    trains, at verify's split."""
+    setups = {}
+    for kind in GENERATORS:
+        g = DatasetSpec(kind, base_nodes=12, motif_count=3, height=3).build(4)
+        model = train_gcn(g, split_nodes(g, 4, (0.5, 0.1, 0.4)), TrainConfig(seed=4))
+        setups[kind] = (g, model)
+    return setups
+
+
+def seeded_problems(graphs, targets, **cfg):
+    """(graph, target, config) for every graph and target, each with its
+    own seed."""
+    return [(g, t, ExplainConfig(seed=100 * i + t, **cfg))
+            for i, g in enumerate(graphs) for t in targets]
+
+
+class TestExplainAllOracle:
+    """explain_all against reference_explain, problem by problem, with ==."""
+
+    @staticmethod
+    def check(model, problems, monkeypatch=None):
+        """explain_all on ``problems`` in one call equals reference_explain
+        on each; returns the reference's (explanation, steps, gave up,
+        halvings) per problem and the stack sizes explain_all made."""
+        stacks = []
+        if monkeypatch is not None:
+            real = relex.explainer._mask_problem
+
+            def recording(model, members):
+                stacks.append(len(members))
+                return real(model, members)
+
+            monkeypatch.setattr(relex.explainer, "_mask_problem", recording)
+        got = explain_all(model, problems)
+        refs = [reference_explain(model, g, t, cfg) for (g, t, cfg) in problems]
+        for i, (e, ref) in enumerate(zip(got, refs)):
+            assert e == ref[0], (i, problems[i][1])
+        return refs, stacks
+
+    def test_every_eligible_target_of_each_generator(self, trained_generators, monkeypatch):
+        shapes_seen = halved = 0
+        for kind, (g, model) in trained_generators.items():
+            targets = eligible_targets(g, True)
+            refs, stacks = self.check(model, seeded_problems([g], targets), monkeypatch)
+            balls = [_ball(g, t, 2) for t in targets]
+            shapes = {(len(b.nodes), len(b.edges)) for b in balls if b.edges}
+            assert len(stacks) == len(shapes) and sum(stacks) == len(targets), kind
+            shapes_seen += len(shapes) > 1 and max(stacks) > 1
+            halved += sum(most > 0 for (_, _, _, most) in refs)
+        assert shapes_seen == len(GENERATORS)  # every call mixed shapes and stacked
+        assert halved > 0  # some line search halved its step
+
+    def test_targets_on_a_ladders_reconstructions(self, trained_generators):
+        for kind, (g, model) in trained_generators.items():
+            ladder = rank_ladder(adjacency(g), g.edge_count, RankSearchConfig(stop_fraction=0.1))
+            graphs = [graph_from_adjacency(f.reconstruction, g) for f in ladder]
+            self.check(model, seeded_problems(graphs, eligible_targets(g, True),
+                                              mask_steps=60))
+
+    def test_empty_subgraph_zero_steps_and_problems_that_stop_apart(self, bridge_setup,
+                                                                    monkeypatch):
+        g, model = bridge_setup
+        lone = make_graph(10, g.edges, features=np.vstack([g.features, [[1.0, 0.0]]]),
+                          labels=[*g.labels, 0])  # node 9 has no edges
+        problems = [(lone, 4, ExplainConfig(mask_steps=steps, seed=steps))
+                    for steps in (0, 1, 7, 60, 300)]
+        problems.insert(2, (lone, 9, ExplainConfig()))
+        problems.append((lone, 0, ExplainConfig(mask_steps=0, seed=1)))
+        refs, stacks = self.check(model, problems, monkeypatch)
+        assert refs[2][0] is None
+        assert stacks == [6]  # node 0's ball has node 4's shape
+        assert [steps for (_, steps, _, _) in refs] == [0, 1, 0, 7, 60, 300, 0]
+
+    def test_a_problem_that_gives_up_while_the_others_go_on(self, bridge_setup):
+        g, model = bridge_setup
+        # at 1000 times the weights the softmax saturates to exactly one-hot,
+        # so without penalties the gradient is exactly 0: no halving lowers
+        # the loss, and the line search gives up at the first step
+        saturated = GcnModel(w0=model.w0 * 1e3, w1=model.w1 * 1e3, b0=model.b0 * 1e3,
+                             b1=model.b1 * 1e3, seed=0)
+        problems = [(g, 4, ExplainConfig(seed=1)),
+                    (g, 4, ExplainConfig(seed=2, size_penalty=0.0, entropy_penalty=0.0)),
+                    (g, 4, ExplainConfig(seed=3, mask_steps=40))]
+        refs, _ = self.check(saturated, problems)
+        assert [(steps, gave_up) for (_, steps, gave_up, _) in refs] == \
+            [(300, False), (0, True), (40, False)]
+
+    def test_explain_is_explain_all_with_one_problem(self, trained_generators):
+        g, model = trained_generators["tree-cycles"]
+        for target in eligible_targets(g, True)[:4]:
+            cfg = ExplainConfig(seed=target)
+            assert explain(model, g, target, cfg) == reference_explain(model, g, target, cfg)[0]
 
 
 class TestIsScores:
