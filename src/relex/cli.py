@@ -47,13 +47,14 @@ EXIT_STAGE = 3
 
 
 def _load(load, path):
-    """``load(path)``; a key missing from the file's JSON, or a value the
-    loader rejects, is a validation error that names the file."""
+    """``load(path)``; a key missing from the file's JSON, a value of the
+    wrong JSON type, or a value the loader rejects, is a validation error
+    that names the file."""
     try:
         return load(path)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

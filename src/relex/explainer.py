@@ -31,10 +31,11 @@ call, and ``explain`` is that call with one problem, so there is one
 mask loop.  Problems whose balls share their node count and
 masked-edge count are optimised in lockstep, as one (P, b, b) stack:
 an evaluation writes, normalizes and forwards all P masked balls at
-once, and each problem keeps its own seed, penalties, step count and
-line search.  Balls of other shapes never share a stack and none is
-padded, and no sum or product mixes two problems, so every explanation
-equals explaining its problem alone, bit for bit.
+once.  Each problem keeps its own seed and penalties, and its own line
+search: the steps it has left, the halvings since its last accepted
+step, and its step size.  Balls of other shapes never share a stack
+and none is padded, and no sum or product mixes two problems, so every
+explanation equals explaining its problem alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -244,16 +245,6 @@ def _mask_problem(model: GcnModel,
         predicted_prob=(k * c + predicted) * b + target)
 
 
-def soft_adjacency(a: np.ndarray, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Write each masked edge's weight into ``a`` symmetrically, in place:
-    ``pairs[0]`` holds the edges' flat (u, v) positions in ``a`` and
-    ``pairs[1]`` their (v, u) positions, both shaped as ``weights``;
-    returns ``a``."""
-    # put repeats the weights, so they land in both halves of the positions
-    np.put(a, pairs, weights)
-    return a
-
-
 def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     """The GCN forward pass on each problem's masked ball, one mask per row
     of ``mask``, and the loss each gives.
@@ -268,7 +259,9 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     s, r = s_r
     _sigmoid(mask, out=s)
     np.subtract(1, s, out=r)
-    a_hat = normalize_self_looped(soft_adjacency(p.a_tilde, p.pairs, s).copy(), p.outside)
+    # put repeats s, so each weight lands at both its (u, v) and (v, u) entry
+    np.put(p.a_tilde, p.pairs, s)
+    a_hat = normalize_self_looped(p.a_tilde.copy(), p.outside)
     h1, probs, hw = _forward(a_hat, a_hat @ p.features, *p.weights)
     s_log_s, r_log_r = s_r * np.log(s_r + 1e-12)
     xlogx = s_log_s + r_log_r
@@ -323,77 +316,47 @@ def _descend(p: _MaskProblem, mask: np.ndarray, steps: Sequence[int]) -> np.ndar
     Problem k takes up to ``steps[k]`` steps.  Each step starts at MASK_LR
     and halves until the problem's loss falls, and a problem whose 20th
     halving still fails stops there, so the loss never rises.  A round
-    evaluates one gradient and one forward pass for the whole stack: a
-    problem that accepts its candidate moves on to its next step, one that
-    rejects it tries half the step from the same mask, whose gradient the
-    round recomputes bit for bit.  Each gradient backpropagates from the
-    forward pass that accepted its mask.  A problem that has stopped stays
-    in the stack at step 0, so its candidate is its own mask: it is
-    computed, but nothing reads it.  The problems share no sum, so each
-    ends where it would end alone.
+    evaluates one gradient and one forward pass for the whole stack, and
+    each problem keeps its steps left, its halvings since its last
+    accepted step and its step size.  A rejected candidate is retried at
+    half the step from the same mask, whose gradient the round recomputes
+    bit for bit; each gradient backpropagates from the forward pass that
+    accepted its mask.  A stopped problem stays in the stack with step
+    size 0: its candidate is computed, but nothing reads it.  The problems
+    share no sum, so each ends where it would end alone.
     """
     final = mask.copy()
     live = [k for k, n in enumerate(steps) if n > 0]
-    if not live:
-        return final
-    lr = np.array([[MASK_LR if n > 0 else 0.0] for n in steps])
+    left = list(steps)
     halvings = [0] * len(steps)
-    halving: list[int] = []        # live problems whose step is below MASK_LR
-    # due[k] is the round at whose end problem k has taken its last step, if
-    # it accepts every step from now on; each rejection puts it off a round
-    due = list(steps)
-    next_due = min(due[k] for k in live)
-    unit = len(live) == len(steps)  # no problem halves or has stopped
+    lr = np.array([[MASK_LR if n > 0 else 0.0] for n in steps])
     fwd = _masked_forward(p, mask)
     loss = fwd[0].tolist()
-    rounds = 0
     while live:
-        rounds += 1
-        grad = _masked_grad(p, mask, fwd)
-        candidate = mask - grad if unit else mask - lr * grad
+        candidate = mask - lr * _masked_grad(p, mask, fwd)
         cand = _masked_forward(p, candidate)
         cand_loss = cand[0].tolist()
         accepted = [k for k in live if cand_loss[k] < loss[k]]
         if len(accepted) == len(live):  # every live problem moves on: take the stack
-            mask, fwd, loss = candidate, cand, cand_loss
-            if halving:
-                for k in halving:
-                    lr[k] = MASK_LR
-                    halvings[k] = 0
-                halving = []
-                unit = len(live) == len(steps)
-            if rounds < next_due:
-                continue
-            stopped = [k for k in live if due[k] == rounds]
-        else:
-            if accepted:
-                mask[accepted] = candidate[accepted]
-                for old, new in zip(fwd[1:], cand[1:]):
-                    old[accepted] = new[accepted]
-            for k in accepted:
+            mask, fwd = candidate, cand
+        elif accepted:
+            mask[accepted] = candidate[accepted]
+            for old, new in zip(fwd[1:], cand[1:]):
+                old[accepted] = new[accepted]
+        moved = set(accepted)
+        for k in live:
+            if k in moved:
                 loss[k] = cand_loss[k]
-                lr[k] = MASK_LR
+                left[k] -= 1
                 halvings[k] = 0
-            stopped = [k for k in accepted if due[k] == rounds]
-            moved = set(accepted)
-            for k in live:
-                if k not in moved:  # rejected: half the step, from the same mask
-                    due[k] += 1
-                    halvings[k] += 1
-                    if halvings[k] == 20:
-                        stopped.append(k)
-                    else:
-                        lr[k] *= 0.5
-            halving = [k for k in live if halvings[k] and k not in stopped]
-            unit = False
-        if stopped:
-            for k in stopped:
+                lr[k] = MASK_LR
+            else:  # rejected: half the step, from the same mask
+                halvings[k] += 1
+                lr[k] *= 0.5
+            if not left[k] or halvings[k] == 20:
                 final[k] = mask[k]
                 lr[k] = 0.0
-            live = [k for k in live if k not in stopped]
-            unit = False
-        if live:
-            next_due = min(due[k] for k in live)
+        live = [k for k in live if lr[k, 0] > 0]  # a stopped problem's step is 0
     return final
 
 
@@ -477,10 +440,19 @@ def explanation_to_dict(e: Explanation) -> dict:
 
 def explanation_from_dict(blob: dict) -> Explanation:
     """The explanation that ``explanation_to_dict`` wrote; a confidence
-    outside (0, 1], or not finite, raises ValueError."""
+    outside (0, 1], or not finite, a negative node id, a self-loop or a
+    relation listed twice raises ValueError."""
     relations = tuple((normalize_edge(int(r["u"]), int(r["v"])), float(r["gc"]))
                       for r in blob["relations"])
+    seen: set[Edge] = set()
     for ((u, v), gc) in relations:
+        if u < 0:
+            raise ValueError(f"relation ({u}, {v}) has a negative node id")
+        if u == v:
+            raise ValueError(f"relation ({u}, {v}) is a self-loop")
+        if (u, v) in seen:
+            raise ValueError(f"relation ({u}, {v}) is listed twice")
+        seen.add((u, v))
         if not 0.0 < gc <= 1.0:
             raise ValueError(f"relation ({u}, {v}) gc {gc!r} is not in (0, 1]")
     return Explanation(target=int(blob["target"]),

@@ -535,21 +535,30 @@ def factorgraph_to_dict(fg: FactorGraph) -> dict:
 
 
 def factorgraph_from_dict(blob: dict) -> FactorGraph:
-    """The graph that ``factorgraph_to_dict`` wrote; a weight outside
-    [-WEIGHT_BOUND, WEIGHT_BOUND], or not finite, or a kind other than
-    "learned" and "injected" raises ValueError."""
+    """The graph that ``factorgraph_to_dict`` wrote; a negative or
+    repeated entity, a factor whose u and v are one entity, a weight
+    outside [-WEIGHT_BOUND, WEIGHT_BOUND], or not finite, or a kind other
+    than "learned" and "injected" raises ValueError."""
+    entities = tuple(int(x) for x in blob["entities"])
+    for x in entities:
+        if x < 0:  # TARGET is -1
+            raise ValueError(f"entity {x} is negative")
+    if len(set(entities)) < len(entities):
+        raise ValueError(f"entities {list(entities)} repeat an id")
     factors = [Factor(u=int(f["u"]), v=int(f["v"]), target_state=int(f["t"]),
                       weight=float(f["weight"]), kind=str(f["kind"]))
                for f in blob["factors"]]
     for f in factors:
+        if f.u == f.v:
+            raise ValueError(f"factor ({f.u}, {f.v}) joins an entity to itself")
         if not -WEIGHT_BOUND <= f.weight <= WEIGHT_BOUND:
             raise ValueError(f"factor ({f.u}, {f.v}) weight {f.weight!r} is not "
                              f"in [-{WEIGHT_BOUND:g}, {WEIGHT_BOUND:g}]")
         if f.kind not in ("learned", "injected"):
             raise ValueError(f"factor ({f.u}, {f.v}) kind {f.kind!r} is neither "
                              f"'learned' nor 'injected'")
-    return FactorGraph(entities=tuple(int(x) for x in blob["entities"]),
-                       target_card=int(blob["target_card"]), factors=factors)
+    return FactorGraph(entities=entities, target_card=int(blob["target_card"]),
+                       factors=factors)
 
 
 def save_factorgraph(fg: FactorGraph, path: str | Path) -> None:

@@ -115,21 +115,20 @@ class GcnModel:
 def normalize_adjacency(a, degree_offset: np.ndarray | None = None):
     """D^{-1/2} (A + I) D^{-1/2} for a 0/1 or weighted symmetric matrix.
 
-    ``a`` is a dense array, a dense stack of them (..., n, n), normalized
-    matrix by matrix, or a scipy.sparse 0/1 matrix with a zero diagonal,
-    whose result is CSR and equals the dense result entry for entry.
-    ``degree_offset``, one value per node (per matrix of a stack), is
-    added to D: the weight of edges that ``a`` leaves out, such as a
-    subgraph's edges to nodes outside it.
+    ``a`` is a dense array, or a scipy.sparse 0/1 matrix with a zero
+    diagonal, whose result is CSR and equals the dense result entry for
+    entry.  ``degree_offset``, one value per node, is added to D: the
+    weight of edges that ``a`` leaves out, such as a subgraph's edges to
+    nodes outside it.
     """
     sparse = sp.issparse(a)
     a = sp.csr_array(a, dtype=np.float64) if sparse else np.asarray(a, dtype=np.float64)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
+    n = a.shape[0]
+    if a.shape != (n, n):
         raise ValueError("adjacency must be square")
     if not sparse:
         a_tilde = a.copy()
-        a_tilde.reshape(-1, n * n)[:, ::n + 1] += 1.0  # A + I, with no n x n identity made
+        a_tilde.flat[::n + 1] += 1.0  # A + I, with no n x n identity made
         return normalize_self_looped(a_tilde, degree_offset)
     a_tilde = a + sp.eye_array(n, format="csr")
     d = a_tilde.sum(axis=1)
@@ -145,7 +144,8 @@ def normalize_adjacency(a, degree_offset: np.ndarray | None = None):
 def normalize_self_looped(a_tilde: np.ndarray,
                           degree_offset: np.ndarray | None = None) -> np.ndarray:
     """``normalize_adjacency``'s dense result, computed in place from
-    A + I itself, a float array or a stack of them (..., n, n)."""
+    A + I itself, a float array or a stack of them (..., n, n) normalized
+    matrix by matrix, with ``degree_offset`` (..., n) added to D."""
     d = np.add.reduce(a_tilde, axis=-1)
     if degree_offset is not None:
         d += degree_offset

@@ -303,6 +303,89 @@ class TestOutOfRangeValue:
         assert not (tmp_path / "fg.json").exists()
 
 
+class TestValueOfWrongType:
+    """A JSON value of the wrong type, where a loader reads a number or an
+    array, exits 2 with the file's name and writes nothing."""
+
+    @pytest.mark.parametrize("command, broken, blob", [
+        ("evaluate", "fg.json",
+         {**TestMissingJsonKey.FG, "factors": [{**TestMissingJsonKey.FG["factors"][0],
+                                                "weight": [0.5]}]}),
+        ("evaluate", "expl.json",
+         {**TestMissingJsonKey.EXPLANATION,
+          "relations": [{"u": [0], "v": 1, "gc": 0.8}]}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "explanations": 5}),
+    ], ids=["factor-weight", "relation-u", "cre-explanations"])
+    def test_exits_2_and_names_the_file(self, tmp_path, capsys, command, broken, blob):
+        files = {"cres.json": TestMissingJsonKey.CRES, "fg.json": TestMissingJsonKey.FG,
+                 "expl.json": TestMissingJsonKey.EXPLANATION, broken: blob}
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        flags = (["--cres", str(tmp_path / "cres.json")] if command == "learn-fg" else
+                 ["--fg", str(tmp_path / "fg.json"),
+                  "--explanation", str(tmp_path / "expl.json")])
+        assert run([command, *flags, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / broken}: ")
+        assert not (tmp_path / "out").exists()
+
+
+class TestNodeIds:
+    """A self-loop, a negative node id or a relation listed twice in an
+    explanation, and a negative or repeated entity or a factor over one
+    entity in a factor graph, exit 2 with the file's name and the
+    offending id, and write nothing."""
+
+    FG = TestMissingJsonKey.FG
+    EXPLANATION = TestMissingJsonKey.EXPLANATION
+
+    @staticmethod
+    def _with_relations(*pairs):
+        return {**TestMissingJsonKey.EXPLANATION,
+                "relations": [{"u": u, "v": v, "gc": 0.8} for (u, v) in pairs]}
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 0)], "relation (0, 0) is a self-loop"),
+        ([(0, 1), (1, 0)], "relation (0, 1) is listed twice"),
+        ([(-1, 0)], "relation (-1, 0) has a negative node id"),
+    ], ids=["self-loop", "repeat", "negative"])
+    def test_evaluate_rejects_explanation_relation(self, tmp_path, capsys, pairs,
+                                                   message):
+        explanation = self._with_relations(*pairs)
+        for name, blob in (("fg.json", self.FG), ("expl.json", explanation)):
+            (tmp_path / name).write_text(json.dumps(blob))
+        assert run(["evaluate", "--fg", str(tmp_path / "fg.json"),
+                    "--explanation", str(tmp_path / "expl.json"),
+                    "--out", str(tmp_path / "u.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'expl.json'}: {message}\n"
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"entities": [-1, 0, 1]}, "entity -1 is negative"),
+        ({"entities": [0, 1, 1]}, "entities [0, 1, 1] repeat an id"),
+        ({"factors": [{"u": 0, "v": 0, "t": 1, "weight": 0.5, "kind": "learned"}]},
+         "factor (0, 0) joins an entity to itself"),
+    ], ids=["negative-entity", "repeated-entity", "one-entity-factor"])
+    def test_evaluate_rejects_factor_graph(self, tmp_path, capsys, change, message):
+        for name, blob in (("fg.json", {**self.FG, **change}),
+                           ("expl.json", self.EXPLANATION)):
+            (tmp_path / name).write_text(json.dumps(blob))
+        assert run(["evaluate", "--fg", str(tmp_path / "fg.json"),
+                    "--explanation", str(tmp_path / "expl.json"),
+                    "--out", str(tmp_path / "u.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'fg.json'}: {message}\n"
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_learn_fg_rejects_cre_self_loop(self, tmp_path, capsys):
+        cres = {**TestMissingJsonKey.CRES,
+                "explanations": [self.EXPLANATION, self._with_relations((0, 0))]}
+        (tmp_path / "cres.json").write_text(json.dumps(cres))
+        assert run(["learn-fg", "--cres", str(tmp_path / "cres.json"),
+                    "--out", str(tmp_path / "fg.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'cres.json'}: relation (0, 0) is a self-loop\n"
+        assert not (tmp_path / "fg.json").exists()
+
+
 class TestVerifyAndReport:
     def test_verify_writes_results_and_exit_zero(self, tmp_path):
         out = tmp_path / "run"
@@ -434,6 +517,24 @@ class TestVerifyAndReport:
         assert run(["report", "--bundle", str(bundle),
                     "--out", str(tmp_path / "redo")]) == 2
         assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("targets", [[1]]), ("seed", [0]), ("rankings", [1, 2, [3]]),
+    ], ids=["targets", "seed", "rankings-entry"])
+    def test_report_on_scalar_of_wrong_type_validation_error(
+            self, verify_out, tmp_path, capsys, key, value):
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        if key == "rankings":  # the first scorer's first target's first entry
+            per_target = next(iter(blob["rankings"].values()))
+            next(iter(per_target.values()))[0] = value
+        else:
+            blob[key] = value
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(blob))
+        assert run(["report", "--bundle", str(bundle),
+                    "--out", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bundle}: ")
         assert not (tmp_path / "redo").exists()
 
     def test_report_error_names_the_missing_key_and_the_bundle(self, verify_out,

@@ -8,7 +8,7 @@ from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
                              _masked_forward, _masked_grad, _sigmoid,
                              explain, explain_all, explanation_from_dict,
                              explanation_to_dict, is_scores, load_explanation,
-                             save_explanation, soft_adjacency)
+                             save_explanation)
 from relex.gcn import (GcnModel, TrainConfig, _forward, _one_model, gcn_forward,
                        normalize_adjacency, predict, train_gcn)
 from relex.graphs import (NodeSplit, adjacency, graph_from_adjacency, make_graph,
@@ -158,8 +158,9 @@ def flat_pairs(edges, n):
 
 
 def unit_soft_adjacency(g, edges):
-    return soft_adjacency(adjacency(g).astype(float), flat_pairs(edges, g.node_count),
-                          np.ones(len(edges)))
+    a = adjacency(g).astype(float)
+    np.put(a, flat_pairs(edges, g.node_count), np.ones(len(edges)))
+    return a
 
 
 class TestSoftAdjacency:
@@ -432,7 +433,8 @@ def dense_reference_explain(model, g, target, cfg):
 
     def loss(mask):
         s = _sigmoid(mask)
-        a_hat = normalize_adjacency(soft_adjacency(a_soft, pairs, s))
+        np.put(a_soft, pairs, s)
+        a_hat = normalize_adjacency(a_soft)
         probs = gcn_forward(model, g.features, a_hat)
         ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
         return (-np.log(probs[target, predicted] + 1e-12)
