@@ -35,7 +35,8 @@ import numpy as np
 from relex.explainer import (Explanation, ExplainConfig, explain_all,
                              explanation_from_dict, explanation_to_dict)
 from relex.gcn import GcnModel
-from relex.graphs import Edge, RelationalGraph, adjacency, graph_from_adjacency, validate_boolean_matrix
+from relex.graphs import (Edge, RelationalGraph, adjacency, graph_from_adjacency,
+                          read_int, validate_boolean_matrix)
 
 
 class CreGenerationFailed(RuntimeError):
@@ -265,11 +266,11 @@ def creset_to_dict(s: CreSet) -> dict:
 
 
 def creset_from_dict(blob: dict) -> CreSet:
-    return CreSet(target=int(blob["target"]),
-                  class_count=int(blob["class_count"]),
+    return CreSet(target=read_int(blob["target"], "target"),
+                  class_count=read_int(blob["class_count"], "class_count"),
                   explanations=[explanation_from_dict(e) for e in blob["explanations"]],
-                  ranks_used=[int(r) for r in blob["ranks"]],
-                  errors_per_rank=[int(e) for e in blob["errors"]])
+                  ranks_used=[read_int(r, "rank") for r in blob["ranks"]],
+                  errors_per_rank=[read_int(e, "error") for e in blob["errors"]])
 
 
 def save_creset(s: CreSet, path: str | Path) -> None:

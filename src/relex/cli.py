@@ -17,12 +17,20 @@ factorgraph.LEARN_RATE and LEARN_EPOCHS), and the staged commands derive
 sub-seeds from --seed as verify does (relex.pipeline.seeded), so
 the staged chain run with verify's seed and flags repeats verify.
 
-Exit codes: 0 success, 2 validation error, 3 pipeline-stage failure.
+The parser is one table of commands.  Each flag group that several
+commands share (dataset size, --seed, --out, --graph, --model/--target,
+the explain flags, the training flags) is declared once, as an argparse
+parent parser; each command binds its handler with set_defaults; and
+build_parser builds the parser once per process.
+
+Exit codes: 0 success, 2 validation error (an output path that cannot be
+written included), 3 pipeline-stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,19 +70,6 @@ def _load_bundle(path):
     return bundle_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _add_dataset_args(p: argparse.ArgumentParser, **dataset_kwargs) -> None:
-    p.add_argument("--dataset", required=True, **dataset_kwargs)
-    p.add_argument("--base-nodes", type=int, default=DatasetSpec.base_nodes)
-    p.add_argument("--motifs", type=int, default=DatasetSpec.motif_count)
-    p.add_argument("--height", type=int, default=DatasetSpec.height)
-
-
-def _add_explain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hops", type=int, default=ExplainConfig.hops)
-    p.add_argument("--steps", type=int, default=ExplainConfig.mask_steps)
-    p.add_argument("--top-k", type=int, default=ExplainConfig.top_k)
-
-
 def _dataset_spec(args) -> DatasetSpec:
     if args.dataset in GENERATORS:
         return DatasetSpec(kind=args.dataset, base_nodes=args.base_nodes,
@@ -86,90 +81,11 @@ def _explain_config(args) -> ExplainConfig:
     return ExplainConfig(hops=args.hops, mask_steps=args.steps, top_k=args.top_k)
 
 
-def _add_test_fraction_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--test-fraction", type=float,
-                   default=PipelineConfig.split_fractions[2])
-
-
 def _split_fractions(args) -> tuple[float, float, float]:
     """Train/validation/test fractions: the default validation share, the
     given test share, and the rest for training."""
     validation = PipelineConfig.split_fractions[1]
     return (1.0 - validation - args.test_fraction, validation, args.test_fraction)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relex",
-        description="Uncertainty quantification for relational explanations")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a synthetic benchmark graph")
-    _add_dataset_args(p, choices=GENERATORS)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("train", help="train the GCN on a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim)
-    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
-    _add_test_fraction_arg(p)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("explain", help="explain one node prediction")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--target", type=int, required=True)
-    _add_explain_args(p)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("cres", help="generate the counterfactual explanation set")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--target", type=int, required=True)
-    _add_explain_args(p)
-    p.add_argument("--max-rank", type=int, default=RankSearchConfig.max_rank)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("learn-fg", help="build and train the factor graph")
-    p.add_argument("--cres", required=True)
-    p.add_argument("--lr", type=float, default=LEARN_RATE)
-    p.add_argument("--epochs", type=int, default=LEARN_EPOCHS)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("evaluate",
-                       help="quantify an explanation's uncertainty against a factor graph")
-    p.add_argument("--fg", required=True)
-    p.add_argument("--explanation", required=True)
-    p.add_argument("--bp-iters", type=int, default=BpConfig.max_iters)
-    p.add_argument("--bp-tol", type=float, default=BpConfig.tol)
-    p.add_argument("--bp-damping", type=float, default=BpConfig.damping)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("verify", help="run the full verification pipeline")
-    _add_dataset_args(p, help=f"one of {', '.join(GENERATORS)} or a graph.json path")
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim)
-    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
-    _add_explain_args(p)
-    p.add_argument("--scorer", choices=("bp", "is", "both"),
-                   default=PipelineConfig.scorer)
-    p.add_argument("--g-max", type=int, default=PipelineConfig.g_max)
-    p.add_argument("--max-targets", type=int, default=PipelineConfig.max_targets)
-    p.add_argument("--min-class-count", type=int,
-                   default=PipelineConfig.min_class_count)
-    _add_test_fraction_arg(p)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("report", help="regenerate CSV reports from a bundle")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--out", required=True)
-    return parser
 
 
 def _cmd_generate(args) -> int:
@@ -277,27 +193,92 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "train": _cmd_train,
-    "explain": _cmd_explain,
-    "cres": _cmd_cres,
-    "learn-fg": _cmd_learn_fg,
-    "evaluate": _cmd_evaluate,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-}
+def _flags(*flags: tuple[str, dict]) -> argparse.ArgumentParser:
+    """A parent parser declaring ``flags``, each a (name, ``add_argument``
+    keywords) pair."""
+    p = argparse.ArgumentParser(add_help=False)
+    for name, kwargs in flags:
+        p.add_argument(name, **kwargs)
+    return p
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``relex`` parser, built on the first call and returned by every
+    later one, so callers must not change it; a parse only reads it."""
+    seed = _flags(("--seed", dict(type=int, default=PipelineConfig.seed)))
+    out = _flags(("--out", dict(required=True)))
+    dataset = _flags(("--base-nodes", dict(type=int, default=DatasetSpec.base_nodes)),
+                     ("--motifs", dict(type=int, default=DatasetSpec.motif_count)),
+                     ("--height", dict(type=int, default=DatasetSpec.height)))
+    graph = _flags(("--graph", dict(required=True)))
+    model = _flags(("--model", dict(required=True)),
+                   ("--target", dict(type=int, required=True)))
+    explain = _flags(("--hops", dict(type=int, default=ExplainConfig.hops)),
+                     ("--steps", dict(type=int, default=ExplainConfig.mask_steps)),
+                     ("--top-k", dict(type=int, default=ExplainConfig.top_k)))
+    training = _flags(("--hidden-dim", dict(type=int, default=TrainConfig.hidden_dim)),
+                      ("--epochs", dict(type=int, default=TrainConfig.max_epochs)),
+                      ("--test-fraction", dict(
+                          type=float, default=PipelineConfig.split_fractions[2])))
+    commands = (
+        ("generate", "generate a synthetic benchmark graph", _cmd_generate,
+         _flags(("--dataset", dict(required=True, choices=GENERATORS))),
+         dataset, seed, out),
+        ("train", "train the GCN on a graph", _cmd_train, graph, seed, training,
+         _flags(("--lr", dict(type=float, default=TrainConfig.learning_rate)),
+                ("--patience", dict(type=int, default=TrainConfig.patience))),
+         out),
+        ("explain", "explain one node prediction", _cmd_explain,
+         graph, model, explain, seed, out),
+        ("cres", "generate the counterfactual explanation set", _cmd_cres,
+         graph, model, explain,
+         _flags(("--max-rank", dict(type=int, default=RankSearchConfig.max_rank))),
+         seed, out),
+        ("learn-fg", "build and train the factor graph", _cmd_learn_fg,
+         _flags(("--cres", dict(required=True)),
+                ("--lr", dict(type=float, default=LEARN_RATE)),
+                ("--epochs", dict(type=int, default=LEARN_EPOCHS))),
+         out),
+        ("evaluate", "quantify an explanation's uncertainty against a factor graph",
+         _cmd_evaluate,
+         _flags(("--fg", dict(required=True)), ("--explanation", dict(required=True)),
+                ("--bp-iters", dict(type=int, default=BpConfig.max_iters)),
+                ("--bp-tol", dict(type=float, default=BpConfig.tol)),
+                ("--bp-damping", dict(type=float, default=BpConfig.damping))),
+         out),
+        ("verify", "run the full verification pipeline", _cmd_verify,
+         _flags(("--dataset", dict(required=True, help=f"one of {', '.join(GENERATORS)}"
+                                                        " or a graph.json path"))),
+         dataset, seed, training, explain,
+         _flags(("--scorer", dict(choices=("bp", "is", "both"),
+                                  default=PipelineConfig.scorer)),
+                ("--g-max", dict(type=int, default=PipelineConfig.g_max)),
+                ("--max-targets", dict(type=int, default=PipelineConfig.max_targets)),
+                ("--min-class-count", dict(type=int,
+                                           default=PipelineConfig.min_class_count))),
+         out),
+        ("report", "regenerate CSV reports from a bundle", _cmd_report,
+         _flags(("--bundle", dict(required=True))), out),
+    )
+    parser = argparse.ArgumentParser(
+        prog="relex",
+        description="Uncertainty quantification for relational explanations")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, handler, *parents in commands:
+        sub.add_parser(name, help=summary, parents=parents).set_defaults(handler=handler)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (TrainingDiverged, CreGenerationFailed, EmptyCreSet,
             SingleNodeExplanation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
-    except (GraphFormatError, ValueError, FileNotFoundError) as exc:
+    except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

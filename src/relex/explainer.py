@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from relex.gcn import GcnModel, _forward, _one_model, normalize_self_looped
-from relex.graphs import Edge, RelationalGraph, normalize_edge
+from relex.graphs import Edge, RelationalGraph, normalize_edge, read_int
 
 
 class SingleNodeExplanation(ValueError):
@@ -439,10 +439,12 @@ def explanation_to_dict(e: Explanation) -> dict:
 
 
 def explanation_from_dict(blob: dict) -> Explanation:
-    """The explanation that ``explanation_to_dict`` wrote; a confidence
-    outside (0, 1], or not finite, a negative node id, a self-loop or a
-    relation listed twice raises ValueError."""
-    relations = tuple((normalize_edge(int(r["u"]), int(r["v"])), float(r["gc"]))
+    """The explanation that ``explanation_to_dict`` wrote; a node id,
+    class or hop count that is not a JSON integer, a confidence outside
+    (0, 1], or not finite, a negative node id, a self-loop or a relation
+    listed twice raises ValueError."""
+    relations = tuple((normalize_edge(read_int(r["u"], "relation u"),
+                                      read_int(r["v"], "relation v")), float(r["gc"]))
                       for r in blob["relations"])
     seen: set[Edge] = set()
     for ((u, v), gc) in relations:
@@ -455,10 +457,10 @@ def explanation_from_dict(blob: dict) -> Explanation:
         seen.add((u, v))
         if not 0.0 < gc <= 1.0:
             raise ValueError(f"relation ({u}, {v}) gc {gc!r} is not in (0, 1]")
-    return Explanation(target=int(blob["target"]),
-                       predicted_class=int(blob["class"]),
+    return Explanation(target=read_int(blob["target"], "target"),
+                       predicted_class=read_int(blob["class"], "class"),
                        relations=relations,
-                       hop_radius=int(blob["hops"]))
+                       hop_radius=read_int(blob["hops"], "hops"))
 
 
 def save_explanation(e: Explanation, path: str | Path) -> None:

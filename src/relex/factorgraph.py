@@ -27,7 +27,7 @@ import numpy as np
 
 from relex.boolfact import CreSet, EmptyCreSet
 from relex.explainer import Explanation
-from relex.graphs import Edge
+from relex.graphs import Edge, read_int
 
 TARGET = -1  # variable id of the target node T
 
@@ -535,17 +535,19 @@ def factorgraph_to_dict(fg: FactorGraph) -> dict:
 
 
 def factorgraph_from_dict(blob: dict) -> FactorGraph:
-    """The graph that ``factorgraph_to_dict`` wrote; a negative or
-    repeated entity, a factor whose u and v are one entity, a weight
+    """The graph that ``factorgraph_to_dict`` wrote; an entity, target
+    cardinality or factor u, v or t that is not a JSON integer, a negative
+    or repeated entity, a factor whose u and v are one entity, a weight
     outside [-WEIGHT_BOUND, WEIGHT_BOUND], or not finite, or a kind other
     than "learned" and "injected" raises ValueError."""
-    entities = tuple(int(x) for x in blob["entities"])
+    entities = tuple(read_int(x, "entity") for x in blob["entities"])
     for x in entities:
         if x < 0:  # TARGET is -1
             raise ValueError(f"entity {x} is negative")
     if len(set(entities)) < len(entities):
         raise ValueError(f"entities {list(entities)} repeat an id")
-    factors = [Factor(u=int(f["u"]), v=int(f["v"]), target_state=int(f["t"]),
+    factors = [Factor(u=read_int(f["u"], "factor u"), v=read_int(f["v"], "factor v"),
+                      target_state=read_int(f["t"], "factor t"),
                       weight=float(f["weight"]), kind=str(f["kind"]))
                for f in blob["factors"]]
     for f in factors:
@@ -557,7 +559,8 @@ def factorgraph_from_dict(blob: dict) -> FactorGraph:
         if f.kind not in ("learned", "injected"):
             raise ValueError(f"factor ({f.u}, {f.v}) kind {f.kind!r} is neither "
                              f"'learned' nor 'injected'")
-    return FactorGraph(entities=entities, target_card=int(blob["target_card"]),
+    return FactorGraph(entities=entities,
+                       target_card=read_int(blob["target_card"], "target_card"),
                        factors=factors)
 
 

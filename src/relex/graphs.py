@@ -223,8 +223,18 @@ def split_nodes(g: RelationalGraph, seed: int,
 #   {"n": int, "edges": [[i, j], ...], "labels": [...],
 #    "features": [[...], ...], "classes": int}
 
+def read_int(value, what: str) -> int:
+    """``value``, a node id or a count read from a JSON file, if it is an
+    integer; a float (0.7, even 1.0), a boolean or anything else raises
+    ValueError naming ``what``, where ``int`` would truncate or convert it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def load_graph(path: str | Path) -> RelationalGraph:
-    """Read the JSON bundle representation."""
+    """Read the JSON bundle representation; a node count, edge end, label
+    or class count that is not a JSON integer is a GraphFormatError."""
     path = Path(path)
     if not path.exists():
         raise GraphFormatError(f"no such file: {path}")
@@ -233,10 +243,11 @@ def load_graph(path: str | Path) -> RelationalGraph:
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        n = int(raw["n"])
-        edges = [(int(u), int(v)) for (u, v) in raw["edges"]]
-        labels = np.asarray(raw["labels"], dtype=np.int64)
-        classes = int(raw["classes"])
+        n = read_int(raw["n"], "n")
+        edges = [(read_int(u, "edge node"), read_int(v, "edge node"))
+                 for (u, v) in raw["edges"]]
+        labels = np.array([read_int(x, "label") for x in raw["labels"]], dtype=np.int64)
+        classes = read_int(raw["classes"], "classes")
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{path}: malformed bundle ({exc})") from exc
     features = raw.get("features")

@@ -5,11 +5,67 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relex.cli import main
+from relex.cli import build_parser, main
 
 
 def run(args):
     return main(args)
+
+
+def parsed_options(argv):
+    """Every value ``relex <argv>`` parses to; a handler the command binds
+    in the namespace is code, not an option, and is left out."""
+    return {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+            if not callable(v)}
+
+
+class TestInterface:
+    """The commands' flags and defaults, pinned: each command parsed with
+    only its required flags gives this whole namespace."""
+
+    @pytest.mark.parametrize("argv, options", [
+        (["generate", "--dataset", "ba-shapes", "--out", "graph.json"],
+         {"command": "generate", "dataset": "ba-shapes", "base_nodes": 25,
+          "motifs": 5, "height": 4, "seed": 0, "out": "graph.json"}),
+        (["train", "--graph", "graph.json", "--out", "model.json"],
+         {"command": "train", "graph": "graph.json", "seed": 0, "hidden_dim": 32,
+          "epochs": 2000, "lr": 0.02, "patience": 200, "test_fraction": 0.1,
+          "out": "model.json"}),
+        (["explain", "--graph", "graph.json", "--model", "model.json",
+          "--target", "3", "--out", "e.json"],
+         {"command": "explain", "graph": "graph.json", "model": "model.json",
+          "target": 3, "hops": 2, "steps": 300, "top_k": 6, "seed": 0,
+          "out": "e.json"}),
+        (["cres", "--graph", "graph.json", "--model", "model.json",
+          "--target", "3", "--out", "c.json"],
+         {"command": "cres", "graph": "graph.json", "model": "model.json",
+          "target": 3, "hops": 2, "steps": 300, "top_k": 6, "max_rank": 64,
+          "seed": 0, "out": "c.json"}),
+        (["learn-fg", "--cres", "c.json", "--out", "fg.json"],
+         {"command": "learn-fg", "cres": "c.json", "lr": 0.02, "epochs": 30,
+          "out": "fg.json"}),
+        (["evaluate", "--fg", "fg.json", "--explanation", "e.json", "--out", "u.csv"],
+         {"command": "evaluate", "fg": "fg.json", "explanation": "e.json",
+          "bp_iters": 200, "bp_tol": 1e-06, "bp_damping": 0.5, "out": "u.csv"}),
+        (["verify", "--dataset", "ba-shapes", "--out", "run"],
+         {"command": "verify", "dataset": "ba-shapes", "base_nodes": 25,
+          "motifs": 5, "height": 4, "seed": 0, "hidden_dim": 32, "epochs": 2000,
+          "hops": 2, "steps": 300, "top_k": 6, "scorer": "both", "g_max": 1,
+          "max_targets": None, "min_class_count": 10, "test_fraction": 0.1,
+          "out": "run"}),
+        (["report", "--bundle", "run/bundle.json", "--out", "again"],
+         {"command": "report", "bundle": "run/bundle.json", "out": "again"}),
+    ], ids=lambda x: x[0] if isinstance(x, list) else "")
+    def test_required_flags_only(self, argv, options):
+        assert parsed_options(argv) == options
+
+    def test_no_value_carries_over_between_parses(self):
+        assert parsed_options(["train", "--graph", "g.json", "--epochs", "5",
+                               "--seed", "7", "--out", "m.json"])["epochs"] == 5
+        options = parsed_options(["verify", "--dataset", "ba-shapes", "--out", "run"])
+        assert (options["epochs"], options["seed"]) == (2000, 0)
+        assert parsed_options(["train", "--graph", "g.json",
+                               "--out", "m.json"])["epochs"] == 2000
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +98,14 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             run(["generate", "--dataset", "nope", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    def test_out_under_a_file_validation_error(self, tmp_path, capsys):
+        (tmp_path / "graph.json").write_text("{}")
+        out = tmp_path / "graph.json" / "x.json"
+        assert run(["generate", "--dataset", "ba-shapes", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert (tmp_path / "graph.json").read_text() == "{}"
 
 
 class TestTrain:
@@ -315,7 +379,21 @@ class TestValueOfWrongType:
          {**TestMissingJsonKey.EXPLANATION,
           "relations": [{"u": [0], "v": 1, "gc": 0.8}]}),
         ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "explanations": 5}),
-    ], ids=["factor-weight", "relation-u", "cre-explanations"])
+        ("evaluate", "expl.json", {**TestMissingJsonKey.EXPLANATION, "target": 0.9}),
+        ("evaluate", "expl.json", {**TestMissingJsonKey.EXPLANATION, "class": 1.5}),
+        ("evaluate", "expl.json", {**TestMissingJsonKey.EXPLANATION, "class": True}),
+        ("evaluate", "expl.json", {**TestMissingJsonKey.EXPLANATION, "hops": 2.7}),
+        ("evaluate", "fg.json", {**TestMissingJsonKey.FG, "target_card": 2.9}),
+        ("evaluate", "fg.json", {**TestMissingJsonKey.FG, "target_card": 2.0}),
+        ("evaluate", "fg.json",
+         {**TestMissingJsonKey.FG, "factors": [{**TestMissingJsonKey.FG["factors"][0],
+                                                "t": 1.2}]}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "class_count": 2.5}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "ranks": [1.0]}),
+    ], ids=["factor-weight", "relation-u", "cre-explanations", "explanation-target-float",
+            "explanation-class-float", "explanation-class-bool", "explanation-hops-float",
+            "fg-target-card-float", "fg-target-card-whole-float", "factor-t-float",
+            "cre-class-count-float", "cre-rank-float"])
     def test_exits_2_and_names_the_file(self, tmp_path, capsys, command, broken, blob):
         files = {"cres.json": TestMissingJsonKey.CRES, "fg.json": TestMissingJsonKey.FG,
                  "expl.json": TestMissingJsonKey.EXPLANATION, broken: blob}
@@ -327,6 +405,24 @@ class TestValueOfWrongType:
         assert run([command, *flags, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / broken}: ")
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("change, message", [
+        ({"edges": [[0.7, 1.9]]}, "edge node 0.7 is not an integer"),
+        ({"n": 3.0}, "n 3.0 is not an integer"),
+        ({"labels": [0, 1.5, 1]}, "label 1.5 is not an integer"),
+        ({"classes": 2.9}, "classes 2.9 is not an integer"),
+        ({"edges": [[0, True]]}, "edge node True is not an integer"),
+    ], ids=["edge-float", "n-float", "label-float", "classes-float", "edge-bool"])
+    def test_train_rejects_graph_non_integer(self, tmp_path, capsys, change, message):
+        graph = {"n": 3, "edges": [[0, 1], [1, 2]], "labels": [0, 1, 1],
+                 "features": None, "classes": 2, **change}
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        assert run(["train", "--graph", str(tmp_path / "g.json"),
+                    "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'g.json'}: malformed bundle ({message})\n"
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestNodeIds:
@@ -347,7 +443,10 @@ class TestNodeIds:
         ([(0, 0)], "relation (0, 0) is a self-loop"),
         ([(0, 1), (1, 0)], "relation (0, 1) is listed twice"),
         ([(-1, 0)], "relation (-1, 0) has a negative node id"),
-    ], ids=["self-loop", "repeat", "negative"])
+        ([(0.2, 1)], "relation u 0.2 is not an integer"),
+        ([(0, 1.8)], "relation v 1.8 is not an integer"),
+        ([(0, False)], "relation v False is not an integer"),
+    ], ids=["self-loop", "repeat", "negative", "float-u", "float-v", "bool-v"])
     def test_evaluate_rejects_explanation_relation(self, tmp_path, capsys, pairs,
                                                    message):
         explanation = self._with_relations(*pairs)
@@ -364,7 +463,13 @@ class TestNodeIds:
         ({"entities": [0, 1, 1]}, "entities [0, 1, 1] repeat an id"),
         ({"factors": [{"u": 0, "v": 0, "t": 1, "weight": 0.5, "kind": "learned"}]},
          "factor (0, 0) joins an entity to itself"),
-    ], ids=["negative-entity", "repeated-entity", "one-entity-factor"])
+        ({"entities": [0, 1.5]}, "entity 1.5 is not an integer"),
+        ({"factors": [{"u": 0.0, "v": 1, "t": 1, "weight": 0.5, "kind": "learned"}]},
+         "factor u 0.0 is not an integer"),
+        ({"factors": [{"u": 0, "v": 1.9, "t": 1, "weight": 0.5, "kind": "learned"}]},
+         "factor v 1.9 is not an integer"),
+    ], ids=["negative-entity", "repeated-entity", "one-entity-factor", "float-entity",
+            "float-factor-u", "float-factor-v"])
     def test_evaluate_rejects_factor_graph(self, tmp_path, capsys, change, message):
         for name, blob in (("fg.json", {**self.FG, **change}),
                            ("expl.json", self.EXPLANATION)):
@@ -471,6 +576,14 @@ class TestVerifyAndReport:
         assert sorted(p.name for p in redo.iterdir()) == names
         for name in names:
             assert (redo / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_report_out_is_a_file_validation_error(self, verify_out, tmp_path, capsys):
+        (tmp_path / "taken").write_text("kept")
+        assert run(["report", "--bundle", str(verify_out / "bundle.json"),
+                    "--out", str(tmp_path / "taken")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "taken") in err
+        assert (tmp_path / "taken").read_text() == "kept"
 
     @pytest.mark.parametrize("key", ["dataset", "seed", "targets", "base_predictions",
                                      "results", "removed_counts", "warnings",
