@@ -24,7 +24,8 @@ parent parser; each command binds its handler with set_defaults; and
 build_parser builds the parser once per process.
 
 Exit codes: 0 success, 2 validation error (an output path that cannot be
-written included), 3 pipeline-stage failure.
+written included; verify checks its --out before it runs), 3
+pipeline-stage failure.
 """
 
 from __future__ import annotations
@@ -158,7 +159,19 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(out: str) -> None:
+    """Raise ValueError if ``out``, or the nearest of its ancestors that
+    exists, is not a directory, so that a verify which could not write its
+    report fails before any work."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"--out {out}: {path} exists and is not a directory")
+            return
+
+
 def _cmd_verify(args) -> int:
+    _check_out_dir(args.out)
     cfg = PipelineConfig(
         dataset=_dataset_spec(args),
         train=TrainConfig(hidden_dim=args.hidden_dim, max_epochs=args.epochs),

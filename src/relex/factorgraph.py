@@ -11,9 +11,11 @@ Weights are learned by a voted-perceptron-style rule: the gradient of the
 log-likelihood is approximated by replacing the intractable expected
 clause count with a count under the current MAP assignment, found exactly
 by max-sum bucket elimination.  Calibration runs damped sum-product
-message passing on a flooding schedule; the uncertainty of an explained
-relation is the drop in the clause-satisfying joint belief after factors
-encoding the explanation are injected.
+message passing on a flooding schedule, over a stack of graphs in one
+loop (relex.bp.propagate_all).  The uncertainty of an explained relation
+is the drop in the clause-satisfying joint belief after factors encoding
+the explanation are injected; quantify_uncertainty calibrates the graph
+before and after injection as one two-graph stack.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from relex.boolfact import CreSet, EmptyCreSet
+from relex.bp import BpConfig, Cluster, propagate_all
 from relex.explainer import Explanation
 from relex.graphs import Edge, read_int
 
@@ -227,33 +230,12 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
 # Sum-product message passing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BpConfig:
-    max_iters: int = 200
-    tol: float = 1e-6
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (0.0 <= self.damping < 1.0):
-            raise ValueError("damping must be in [0, 1)")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError("tol must be finite and >= 0")
-
-
-# The message-passing engine works on "clusters": factor nodes with an
+# Message passing (relex.bp) works on "clusters": factor nodes with an
 # arbitrary scope and potential table.  Factors sharing an identical scope
 # (a relation's parallel class clauses, or an injected twin of a learned
 # clause) are merged into one cluster by multiplying their potentials --
 # the joint distribution is unchanged and the message graph has fewer
 # cycles, so e.g. injecting onto a single-factor graph stays exact.
-
-@dataclass
-class Cluster:
-    scope: tuple[int, ...]
-    table: np.ndarray
-
 
 @dataclass
 class MessageState:
@@ -269,88 +251,10 @@ class MessageState:
 
 def propagate(cards: dict[int, int], clusters: list[Cluster],
               cfg: BpConfig | None = None):
-    """Damped flooding-schedule message passing on a cluster graph.
-
-    Every iteration refreshes all variable-to-factor messages, then all
-    factor-to-variable messages; each message is normalized and damped
-    (new = (1 - damping) * computed + damping * old).  Convergence is a
-    max-norm residual below tol; non-convergence is reported, not raised.
-    Returns (nu, mu, iterations, converged, residual), with nu[cid][slot]
-    and mu[cid][slot] the messages on each cluster's scope slots.
-
-    Messages live in one (edges, card) array per cardinality and
-    direction.  Clusters are grouped by table shape and each (group, slot)
-    owns a contiguous run of rows, so a factor-to-variable update is one
-    broadcast product and reduction per group and slot.  A
-    variable-to-factor message is the product of the variable's other
-    incoming messages in (cluster, slot) order, gathered through padded
-    row indexes whose self and padding entries point at a row of ones.
-    """
-    cfg = cfg or BpConfig()
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for cid, cluster in enumerate(clusters):
-        groups.setdefault(cluster.table.shape, []).append(cid)
-    size = {c: 0 for c in cards.values()}  # card -> rows in use
-    # edges[cid][slot] is the (card, row) that holds that slot's messages
-    edges: list[list[tuple[int, int]]] = [[] for _ in clusters]
-    layout = []  # (stacked tables, (card, first row, end row) per slot)
-    for shape, members in groups.items():
-        runs = []
-        for c in shape:
-            for k, cid in enumerate(members):
-                edges[cid].append((c, size[c] + k))
-            runs.append((c, size[c], size[c] + len(members)))
-            size[c] += len(members)
-        layout.append((np.stack([clusters[cid].table for cid in members]), runs))
-
-    incoming: dict[int, list[int]] = {v: [] for v in cards}
-    for cid, cluster in enumerate(clusters):
-        for var, (_, row) in zip(cluster.scope, edges[cid]):
-            incoming[var].append(row)
-    pools = [c for c in size if size[c]]
-    others: dict[int, np.ndarray] = {}  # card -> (rows, max degree) gather indexes
-    for c in pools:
-        same = [rows for v, rows in incoming.items() if cards[v] == c]
-        others[c] = np.full((size[c], max(map(len, same))), size[c])
-        for rows in same:
-            for row in rows:
-                others[c][row, :len(rows)] = [r if r != row else size[c] for r in rows]
-    nu = {c: np.full((size[c], c), 1.0 / c) for c in pools}
-    # mu carries one extra row of ones, the neutral factor for the gather
-    mu = {c: np.vstack([np.full((size[c], c), 1.0 / c), np.ones(c)]) for c in pools}
-
-    iterations = 0
-    residual = math.inf
-    converged = False
-    for iterations in range(1, cfg.max_iters + 1):
-        residual = 0.0
-        for c in pools:
-            msg = mu[c][others[c]].prod(axis=1)
-            msg = msg / msg.sum(axis=1, keepdims=True)
-            new = (1.0 - cfg.damping) * msg + cfg.damping * nu[c]
-            residual = max(residual, float(np.abs(new - nu[c]).max()))
-            nu[c] = new
-        for tables, runs in layout:
-            k = tables.shape[0]
-            for slot, (c, lo, hi) in enumerate(runs):
-                prod = tables
-                for j, (cj, lj, hj) in enumerate(runs):
-                    if j != slot:
-                        shape = [k] + [1] * len(runs)
-                        shape[j + 1] = cj
-                        prod = prod * nu[cj][lj:hj].reshape(shape)
-                axes = tuple(j + 1 for j in range(len(runs)) if j != slot)
-                msg = prod.sum(axis=axes)
-                msg = msg / msg.sum(axis=1, keepdims=True)
-                new = (1.0 - cfg.damping) * msg + cfg.damping * mu[c][lo:hi]
-                residual = max(residual, float(np.abs(new - mu[c][lo:hi]).max()))
-                mu[c][lo:hi] = new
-        if residual < cfg.tol:
-            converged = True
-            break
-    nu_out = [[nu[c][row] for c, row in slots] for slots in edges]
-    mu_out = [[mu[c][row] for c, row in slots] for slots in edges]
-    return nu_out, mu_out, iterations, converged, residual
+    """Damped flooding-schedule message passing on one cluster graph: the
+    one-problem stack of relex.bp.propagate_all, which documents the
+    schedule.  Returns (nu, mu, iterations, converged, residual)."""
+    return propagate_all([(cards, clusters)], cfg)[0]
 
 
 def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:
@@ -374,14 +278,20 @@ def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:
     return clusters, factor_cluster
 
 
+def _calibrate(fgs: list[FactorGraph], cfg: BpConfig | None) -> list[MessageState]:
+    """Calibrate every graph of ``fgs`` in one propagate_all stack."""
+    built = [({v: fg.card(v) for v in fg.variables}, *_build_clusters(fg)) for fg in fgs]
+    runs = propagate_all([(cards, clusters) for cards, clusters, _ in built], cfg)
+    return [MessageState(clusters=clusters, factor_cluster=factor_cluster, cards=cards,
+                         nu=nu, mu=mu, iterations=iterations, converged=converged,
+                         residual=residual)
+            for (cards, clusters, factor_cluster), (nu, mu, iterations, converged, residual)
+            in zip(built, runs)]
+
+
 def run_bp(fg: FactorGraph, cfg: BpConfig | None = None) -> MessageState:
-    """Calibrate the factor graph; see propagate for the schedule."""
-    cards = {v: fg.card(v) for v in fg.variables}
-    clusters, factor_cluster = _build_clusters(fg)
-    nu, mu, iterations, converged, residual = propagate(cards, clusters, cfg)
-    return MessageState(clusters=clusters, factor_cluster=factor_cluster,
-                        cards=cards, nu=nu, mu=mu, iterations=iterations,
-                        converged=converged, residual=residual)
+    """Calibrate the factor graph; see propagate_all for the schedule."""
+    return _calibrate([fg], cfg)[0]
 
 
 def marginal(fg: FactorGraph, ms: MessageState, var: int) -> np.ndarray:
@@ -428,10 +338,12 @@ def inject_explanation_factors(fg: FactorGraph,
     the relation in proportion to how unconfident the explainer was:
     GC = 1 is an identity factor and leaves the calibration unchanged.
     Relations with endpoints outside the entity set are returned as
-    skipped.  The original graph is not modified.
+    skipped.  The original graph is not modified: the new graph's factor
+    list starts with fg's own Factor objects, which nothing changes once
+    learn_weights has returned them.
     """
     ents = set(fg.entities)
-    factors = [replace(f) for f in fg.factors]
+    factors = list(fg.factors)
     skipped: list[Edge] = []
     for (edge, gc) in e.relations:
         u, v = edge
@@ -479,7 +391,8 @@ class UncertaintyReport:
 
 def quantify_uncertainty(fg: FactorGraph, e: Explanation,
                          bp: BpConfig | None = None) -> UncertaintyReport:
-    """Calibrate, inject the explanation, re-calibrate and report deltas.
+    """Calibrate before and after injecting the explanation, as one
+    two-problem propagate_all stack, and report deltas.
 
     delta for a relation is the mean over its clause factors of the
     satisfying-assignment belief before injection minus after.  Beliefs
@@ -495,8 +408,7 @@ def quantify_uncertainty(fg: FactorGraph, e: Explanation,
                        hop_radius=e.hop_radius)
     fg_pre, skipped = inject_explanation_factors(fg, zero)
     fg_post, _ = inject_explanation_factors(fg, e)
-    ms_pre = run_bp(fg_pre, bp)
-    ms_post = run_bp(fg_post, bp)
+    ms_pre, ms_post = _calibrate([fg_pre, fg_post], bp)
 
     n_learned = len(fg.factors)
     injected_by_relation: dict[Edge, int] = {}

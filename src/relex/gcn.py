@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from relex.graphs import NodeSplit, RelationalGraph
+from relex.graphs import NodeSplit, RelationalGraph, read_int
 
 
 class TrainingDiverged(RuntimeError):
@@ -501,14 +501,15 @@ def save_model(m: GcnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GcnModel:
-    """Read a model; its stored dims must match its weight shapes."""
+    """Read a model; its seed and stored dims must be JSON integers, and
+    the dims must match its weight shapes."""
     blob = json.loads(Path(path).read_text(encoding="utf-8"))
     m = GcnModel(w0=np.asarray(blob["w0"], dtype=np.float64),
                  w1=np.asarray(blob["w1"], dtype=np.float64),
                  b0=np.asarray(blob["b0"], dtype=np.float64),
                  b1=np.asarray(blob["b1"], dtype=np.float64),
-                 seed=int(blob["seed"]))
+                 seed=read_int(blob["seed"], "seed"))
     for key in ("input_dim", "hidden_dim", "class_count"):
-        if int(blob[key]) != getattr(m, key):
+        if read_int(blob[key], key) != getattr(m, key):
             raise ValueError(f"stored {key} {blob[key]} disagrees with the weights")
     return m

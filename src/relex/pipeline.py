@@ -31,8 +31,8 @@ from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
                                quantify_uncertainty, report_to_csv)
 from relex.gcn import TrainConfig, TrainingDiverged, predict, train_gcn, train_gcns
 from relex.graphs import (SPLIT_FRACTIONS, Edge, RelationalGraph, adjacency,
-                          check_split_fractions, load_graph, remove_edges,
-                          split_nodes)
+                          check_split_fractions, load_graph, read_int,
+                          remove_edges, split_nodes)
 from relex.mcnemar import mcnemar_test
 
 log = logging.getLogger("relex")
@@ -389,26 +389,45 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _target_key(key: str, name: str) -> int:
+    """A target id that ``bundle_to_dict`` wrote as a JSON object key, the
+    decimal string of an integer; any other key raises ValueError naming
+    it, where ``int`` would accept "+25" or " 25"."""
+    try:
+        target = int(key)
+    except ValueError:
+        target = None
+    if target is None or str(target) != key:
+        raise ValueError(f"{name}: {key!r} is not an integer target")
+    return target
+
+
 def bundle_from_dict(blob: dict) -> VerificationBundle:
     """The bundle that ``bundle_to_dict`` wrote.  A missing key, in the
     bundle or in one of its result rows, raises KeyError; a key or row
-    that holds another JSON container than the one written raises
-    ValueError naming it."""
+    that holds another JSON container than the one written, or an id,
+    count or target key that is not an integer, raises ValueError naming
+    it."""
     _typed(blob, dict, "the bundle")
 
     def key(name: str, kind: type):
         return _typed(blob[name], kind, f"key {name!r}")
 
+    def end(node) -> int:
+        return read_int(node, "ranked relation end")
+
     rankings = {
-        scorer: {int(t): [((int(u), int(v)), float(s)) for (u, v, s)
-                          in _typed(ranking, list, f"key 'rankings' {scorer}/{t}")]
+        scorer: {_target_key(t, f"key 'rankings' {scorer}"):
+                 [((end(u), end(v)), float(s)) for (u, v, s)
+                  in _typed(ranking, list, f"key 'rankings' {scorer}/{t}")]
                  for t, ranking in _typed(per, dict, f"key 'rankings' {scorer}").items()}
         for scorer, per in key("rankings", dict).items()
     }
     reports = {}
     for t, r in key("reports", dict).items():
+        target = _target_key(t, "key 'reports'")
         r = _typed(r, dict, f"key 'reports' {t}")
-        reports[int(t)] = UncertaintyReport(
+        reports[target] = UncertaintyReport(
             target=r["target"], converged=r["converged"],
             entries=[RelationUncertainty((u, v), gc, delta, nld) for (u, v, gc, delta, nld)
                      in _typed(r["entries"], list, f"key 'reports' {t} entries")],
@@ -416,9 +435,9 @@ def bundle_from_dict(blob: dict) -> VerificationBundle:
     results = [{c: _typed(r, dict, f"key 'results' row {i}")[c] for c in RESULT_COLUMNS}
                for i, r in enumerate(key("results", list))]
     return VerificationBundle(
-        dataset=blob["dataset"], seed=int(blob["seed"]),
-        targets=[int(t) for t in key("targets", list)],
-        base_predictions=[int(p) for p in key("base_predictions", list)],
+        dataset=blob["dataset"], seed=read_int(blob["seed"], "seed"),
+        targets=[read_int(t, "target") for t in key("targets", list)],
+        base_predictions=[read_int(p, "base prediction") for p in key("base_predictions", list)],
         results=results,
         removed_counts=dict(key("removed_counts", dict)),
         warnings=list(key("warnings", list)),

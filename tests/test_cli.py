@@ -160,6 +160,22 @@ class TestExplainStage:
                     *flags, "--out", str(tmp_path / "e.json")]) == 2
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 0.9), ("hidden_dim", 16.0), ("class_count", 4.5), ("input_dim", True),
+    ])
+    def test_non_integer_model_field_validation_error(self, workspace, tmp_path, capsys,
+                                                       key, value):
+        blob = json.loads((workspace / "model.json").read_text())
+        blob[key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(blob))
+        assert run(["explain", "--graph", str(workspace / "graph.json"),
+                    "--model", str(model), "--target", "13",
+                    "--out", str(tmp_path / "e.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {model}: {key} {value!r} is not an integer\n"
+        assert not (tmp_path / "e.json").exists()
+
     def test_isolated_target_stage_failure(self, tmp_path):
         graph = {"n": 3, "edges": [[0, 1]], "labels": [0, 1, 0],
                  "features": [[1.0]] * 3, "classes": 2}
@@ -649,6 +665,57 @@ class TestVerifyAndReport:
                     "--out", str(tmp_path / "redo")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bundle}: ")
         assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ("seed", "seed 0.9 is not an integer"),
+        ("targets", "target 25.5 is not an integer"),
+        ("base_predictions", "base prediction 1.5 is not an integer"),
+        ("ranking-end", "ranked relation end 2.5 is not an integer"),
+        ("rankings-key-float", "key 'rankings' bp: '25.5' is not an integer target"),
+        ("rankings-key-word", "key 'rankings' bp: 'x' is not an integer target"),
+        ("reports-key-float", "key 'reports': '25.5' is not an integer target"),
+        ("reports-key-word", "key 'reports': 'x' is not an integer target"),
+    ])
+    def test_report_on_non_integer_id_validation_error(self, verify_out, tmp_path,
+                                                       capsys, change, message):
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        ranking = next(iter(blob["rankings"]["bp"].values()))
+        bad_key = "x" if change.endswith("word") else "25.5"
+        if change == "seed":
+            blob["seed"] = 0.9
+        elif change == "targets":
+            blob["targets"][0] = 25.5
+        elif change == "base_predictions":
+            blob["base_predictions"][0] = 1.5
+        elif change == "ranking-end":
+            ranking[0][0] = 2.5
+        elif change.startswith("rankings-key"):
+            blob["rankings"]["bp"][bad_key] = ranking
+        else:
+            blob["reports"][bad_key] = next(iter(blob["reports"].values()))
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(blob))
+        assert run(["report", "--bundle", str(bundle),
+                    "--out", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"])
+    def test_verify_out_not_a_directory_fails_before_the_pipeline(
+            self, tmp_path, monkeypatch, capsys, out):
+        def run_verification(cfg):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr("relex.cli.run_verification", run_verification)
+        (tmp_path / "taken").write_text("kept")
+        assert run(["verify", "--dataset", "ba-shapes",
+                    "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --out {tmp_path / out}: {tmp_path / 'taken'} "
+                                f"exists and is not a directory\n")
+        assert "wrote" not in captured.out
+        assert (tmp_path / "taken").read_text() == "kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_report_error_names_the_missing_key_and_the_bundle(self, verify_out,
                                                                tmp_path, capsys):

@@ -13,8 +13,8 @@ from relex.factorgraph import (TARGET, BpConfig, Cluster, Factor, FactorGraph,
                                factorgraph_to_dict,
                                inject_explanation_factors, joint_distribution,
                                learn_weights, map_assignment, marginal,
-                               propagate, quantify_uncertainty, report_to_csv,
-                               run_bp)
+                               propagate, propagate_all, quantify_uncertainty,
+                               report_to_csv, run_bp)
 
 EXACT_BP = BpConfig(max_iters=400, tol=1e-14, damping=0.0)
 
@@ -203,6 +203,24 @@ def assert_propagate_matches_loop(cards, clusters, cfg):
         for got_c, ref_c in zip(got, ref):
             for a, b in zip(got_c, ref_c):
                 assert np.array_equal(a, b), (a, b)
+
+
+def assert_stack_matches_loop(problems, cfg):
+    """propagate_all on the stack gives every problem the messages,
+    iteration count, flag and residual of loop_propagate on it alone."""
+    runs = propagate_all(problems, cfg)
+    assert len(runs) == len(problems)
+    for (cards, clusters), run in zip(problems, runs):
+        nu, mu, iterations, converged, residual = run
+        ref_nu, ref_mu, ref_iterations, ref_converged, ref_residual = loop_propagate(
+            cards, clusters, cfg)
+        assert (iterations, converged, residual) == \
+               (ref_iterations, ref_converged, ref_residual)
+        for got, ref in ((nu, ref_nu), (mu, ref_mu)):
+            assert [len(m) for m in got] == [len(m) for m in ref]
+            for got_c, ref_c in zip(got, ref):
+                for a, b in zip(got_c, ref_c):
+                    assert np.array_equal(a, b), (a, b)
 
 
 def single_factor_graph(w, target_card=2):
@@ -664,6 +682,78 @@ class TestRunBp:
                     assert (m > 0).all()
 
 
+class TestPropagateAll:
+    """The stacked loop against loop_propagate run on each problem alone."""
+
+    def test_random_stacks_match_reference_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            problems = [random_cluster_graph(rng) for _ in range(int(rng.integers(1, 7)))]
+            cfg = BpConfig(max_iters=int(rng.integers(1, 60)),
+                           damping=float(rng.choice([0.0, 0.5, 0.9])))
+            assert_stack_matches_loop(problems, cfg)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.9])
+    def test_stacks_with_an_empty_problem(self, damping):
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            problems = [random_cluster_graph(rng), ({0: 2, TARGET: 3}, []),
+                        random_cluster_graph(rng)]
+            assert_stack_matches_loop(problems, BpConfig(damping=damping))
+            assert_stack_matches_loop(problems, BpConfig(tol=0.0, max_iters=7,
+                                                         damping=damping))
+
+    def test_empty_stack(self):
+        assert propagate_all([]) == []
+
+    @pytest.mark.parametrize("damping", [0.0, 0.9])
+    def test_one_problem_stops_at_max_iters_while_another_converged(self, damping):
+        loopy = FactorGraph(entities=(0, 1, 2), target_card=2, factors=[
+            Factor(u=0, v=1, target_state=1, weight=3.0, kind="learned"),
+            Factor(u=1, v=2, target_state=1, weight=-3.0, kind="learned"),
+            Factor(u=0, v=2, target_state=1, weight=2.0, kind="learned")])
+        problems = []
+        for fg in (single_factor_graph(0.0, target_card=3), loopy,
+                   single_factor_graph(-0.5)):
+            clusters, _ = _build_clusters(fg)
+            problems.append(({v: fg.card(v) for v in fg.variables}, clusters))
+        cfg = BpConfig(max_iters=12, damping=damping)
+        runs = [loop_propagate(cards, clusters, cfg) for cards, clusters in problems]
+        assert [r[2:4] for r in runs[:2]] == [(1, True), (12, False)]
+        assert_stack_matches_loop(problems, cfg)
+        assert_stack_matches_loop(problems[::-1], cfg)
+
+    @pytest.mark.parametrize("target_card", [2, 8])
+    def test_quantify_uncertainty_stacks_pre_and_post(self, monkeypatch, target_card):
+        rng = np.random.default_rng(43 + target_card)
+        calls = []
+
+        def recording(problems, cfg=None):
+            calls.append((problems, cfg))
+            return propagate_all(problems, cfg)
+
+        monkeypatch.setattr(factorgraph, "propagate_all", recording)
+        for trial in range(12):
+            fg = random_factor_graph(rng, int(rng.integers(2, 7)), target_card,
+                                     int(rng.integers(1, 12)),
+                                     TIE_WEIGHTS if trial % 2 else None)
+            relations = sorted({f.relation for f in fg.factors if f.u != f.v})
+            if not relations:
+                continue
+            e = Explanation(target=0, predicted_class=int(rng.integers(target_card)),
+                            hop_radius=2,
+                            relations=tuple((r, float(rng.uniform(0.05, 1.0)))
+                                            for r in relations))
+            calls.clear()
+            report = quantify_uncertainty(fg, e)
+            assert len(calls) == 1
+            problems, cfg = calls[0]
+            assert len(problems) == 2
+            assert_stack_matches_loop(problems, cfg)
+            assert report.converged == all(loop_propagate(cards, clusters, cfg)[3]
+                                           for cards, clusters in problems)
+
+
 class TestLoopyDiagnostic:
     def test_kl_reported_on_loopy_graphs(self):
         # clause graphs with >= 2 factors are loopy (every clause shares the
@@ -765,6 +855,21 @@ class TestInjectExplanationFactors:
         for var in fg.variables:
             np.testing.assert_allclose(marginal(fg, s1, var),
                                        marginal(fg2, s2, var), atol=1e-9)
+
+    def test_factors_shared_and_fg_unchanged(self):
+        rng = np.random.default_rng(44)
+        fg = random_factor_graph(rng, 5, 3, 9)
+        before = factorgraph_to_dict(fg)
+        originals = list(fg.factors)
+        e = Explanation(target=0, predicted_class=2, hop_radius=2,
+                        relations=(((0, 1), 0.4), ((2, 4), 0.7), ((3, 9), 0.5)))
+        fg2, skipped = inject_explanation_factors(fg, e)
+        assert factorgraph_to_dict(fg) == before
+        assert len(fg.factors) == len(originals)
+        assert all(a is b for a, b in zip(fg.factors, originals))
+        assert all(a is b for a, b in zip(fg2.factors, fg.factors))
+        assert [f.kind for f in fg2.factors[len(fg.factors):]] == ["injected"] * 2
+        assert skipped == [(3, 9)]
 
     def test_injected_weight_is_log_confidence(self):
         fg = single_factor_graph(0.5)

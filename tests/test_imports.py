@@ -11,7 +11,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PIPELINE_MODULES = {"relex.boolfact", "relex.explainer", "relex.gcn", "relex.graphs",
-                    "relex.factorgraph", "relex.mcnemar", "relex.pipeline", "relex.cli"}
+                    "relex.bp", "relex.factorgraph", "relex.mcnemar", "relex.pipeline",
+                    "relex.cli"}
 
 
 def loaded_after(statement):
