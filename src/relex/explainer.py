@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from relex.gcn import GcnModel, _forward, _one_model, normalize_self_looped
-from relex.graphs import Edge, RelationalGraph, normalize_edge, read_int
+from relex.graphs import Edge, RelationalGraph, normalize_edge, read_float, read_int
 
 
 class SingleNodeExplanation(ValueError):
@@ -440,11 +440,12 @@ def explanation_to_dict(e: Explanation) -> dict:
 
 def explanation_from_dict(blob: dict) -> Explanation:
     """The explanation that ``explanation_to_dict`` wrote; a node id,
-    class or hop count that is not a JSON integer, a confidence outside
-    (0, 1], or not finite, a negative node id, a self-loop or a relation
-    listed twice raises ValueError."""
+    class or hop count that is not a JSON integer, a confidence that is
+    not a JSON number, or outside (0, 1], or not finite, a negative node
+    id, a self-loop or a relation listed twice raises ValueError."""
     relations = tuple((normalize_edge(read_int(r["u"], "relation u"),
-                                      read_int(r["v"], "relation v")), float(r["gc"]))
+                                      read_int(r["v"], "relation v")),
+                       read_float(r["gc"], "relation gc"))
                       for r in blob["relations"])
     seen: set[Edge] = set()
     for ((u, v), gc) in relations:

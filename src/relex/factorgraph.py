@@ -30,7 +30,7 @@ import numpy as np
 from relex.boolfact import CreSet, EmptyCreSet
 from relex.bp import BpConfig, Cluster, propagate_all
 from relex.explainer import Explanation
-from relex.graphs import Edge, read_int
+from relex.graphs import Edge, read_float, read_int
 
 TARGET = -1  # variable id of the target node T
 
@@ -73,8 +73,16 @@ class FactorGraph:
         return self.target_card if var == TARGET else 2
 
     def learned_factors(self, relation: Edge) -> list[int]:
-        return [i for i, f in enumerate(self.factors)
-                if f.kind == "learned" and f.relation == relation]
+        return self.learned_by_relation().get(relation, [])
+
+    def learned_by_relation(self) -> dict[Edge, list[int]]:
+        """Each relation's learned factor ids, ascending, from one pass
+        over the factors."""
+        by_relation: dict[Edge, list[int]] = {}
+        for i, f in enumerate(self.factors):
+            if f.kind == "learned":
+                by_relation.setdefault((f.u, f.v), []).append(i)
+        return by_relation
 
 
 def build_factor_graph(s: CreSet) -> FactorGraph:
@@ -206,7 +214,8 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
                for f in fg.factors]
     current = FactorGraph(entities=fg.entities, target_card=fg.target_card,
                           factors=factors)
-    learned = {rel: fg.learned_factors(rel) for rel in relations}
+    by_relation = fg.learned_by_relation()
+    learned = {rel: by_relation.get(rel, []) for rel in relations}
     for _ in range(epochs):
         assignment = map_assignment(current)
         moved = False
@@ -415,11 +424,12 @@ def quantify_uncertainty(fg: FactorGraph, e: Explanation,
     for fid in range(n_learned, len(fg_pre.factors)):
         injected_by_relation[fg_pre.factors[fid].relation] = fid
 
+    learned = fg.learned_by_relation()
     entries: list[RelationUncertainty] = []
     for (edge, gc) in e.relations:
         if edge in skipped:
             continue
-        fids = fg.learned_factors(edge) or [injected_by_relation[edge]]
+        fids = learned.get(edge) or [injected_by_relation[edge]]
         # the factors share the relation's scope, so one belief serves all
         states = [fg_pre.factors[fid].target_state for fid in fids]
         before = joint_distribution(fg_pre, ms_pre, fids[0])[1, 1, states]
@@ -450,8 +460,9 @@ def factorgraph_from_dict(blob: dict) -> FactorGraph:
     """The graph that ``factorgraph_to_dict`` wrote; an entity, target
     cardinality or factor u, v or t that is not a JSON integer, a negative
     or repeated entity, a factor whose u and v are one entity, a weight
-    outside [-WEIGHT_BOUND, WEIGHT_BOUND], or not finite, or a kind other
-    than "learned" and "injected" raises ValueError."""
+    that is not a JSON number, or outside [-WEIGHT_BOUND, WEIGHT_BOUND],
+    or not finite, or a kind other than "learned" and "injected" raises
+    ValueError."""
     entities = tuple(read_int(x, "entity") for x in blob["entities"])
     for x in entities:
         if x < 0:  # TARGET is -1
@@ -460,7 +471,7 @@ def factorgraph_from_dict(blob: dict) -> FactorGraph:
         raise ValueError(f"entities {list(entities)} repeat an id")
     factors = [Factor(u=read_int(f["u"], "factor u"), v=read_int(f["v"], "factor v"),
                       target_state=read_int(f["t"], "factor t"),
-                      weight=float(f["weight"]), kind=str(f["kind"]))
+                      weight=read_float(f["weight"], "factor weight"), kind=str(f["kind"]))
                for f in blob["factors"]]
     for f in factors:
         if f.u == f.v:

@@ -29,6 +29,11 @@ stacked to (K, n, R h), so A_hat . X . W0 is one batched product.  The
 probabilities are class-major, (K R, C, rows), so the softmax's max
 reduces over C rows.  Every weight stays bit-identical to training each
 graph's restarts one by one on every row.
+
+scipy.sparse is imported inside the functions that build or combine CSR
+matrices (normalize_adjacency, sparse_a_hat, _block_diag), not with the
+module: its import takes longer than the rest of relex's, and the
+commands that only explain or calibrate never make a CSR matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from relex.graphs import NodeSplit, RelationalGraph, read_int
 
@@ -121,6 +125,8 @@ def normalize_adjacency(a, degree_offset: np.ndarray | None = None):
     weight of edges that ``a`` leaves out, such as a subgraph's edges to
     nodes outside it.
     """
+    import scipy.sparse as sp
+
     sparse = sp.issparse(a)
     a = sp.csr_array(a, dtype=np.float64) if sparse else np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -159,6 +165,8 @@ def normalize_self_looped(a_tilde: np.ndarray,
 
 def sparse_a_hat(g: RelationalGraph) -> sp.csr_array:
     """g's normalized adjacency as CSR, built from its edge list."""
+    import scipy.sparse as sp
+
     edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -267,6 +275,8 @@ class _Targets:
 
 def _block_diag(blocks: list):
     """The block-diagonal CSR matrix of ``blocks``, or the one block."""
+    import scipy.sparse as sp
+
     return blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
 
 

@@ -232,6 +232,17 @@ def read_int(value, what: str) -> int:
     return value
 
 
+def read_float(value, what: str) -> float:
+    """``value``, a weight, confidence or score read from a JSON file, if it
+    is a JSON number (an integer, a float, or the Infinity and NaN that
+    ``json`` writes for non-finite floats); a boolean, a string or
+    anything else raises ValueError naming ``what``, where ``float`` would
+    convert it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
 def load_graph(path: str | Path) -> RelationalGraph:
     """Read the JSON bundle representation; a node count, edge end, label
     or class count that is not a JSON integer is a GraphFormatError."""

@@ -3,7 +3,9 @@
 The chi-square (1 dof) tail is ``scipy.special.chdtrc``, the function that
 ``scipy.stats.chi2.sf`` evaluates: the p-values are scipy.stats' to the
 bit, without an import of scipy.stats that takes longer than all of
-relex's other imports together.
+relex's other imports together.  scipy.special itself is imported inside
+``mcnemar_test``, on its first call, so that importing the CLI, and every
+command but verify, never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 ALPHA = 0.05  # significance level
 
@@ -39,6 +40,8 @@ def mcnemar_test(pred_a: Sequence[int], pred_b: Sequence[int],
     p-value, significant when p < ALPHA; b + c = 0 degenerates to
     statistic 0, p = 1.
     """
+    from scipy.special import chdtrc
+
     pred_a = np.asarray(pred_a)
     pred_b = np.asarray(pred_b)
     truth = np.asarray(truth)

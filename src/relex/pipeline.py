@@ -31,7 +31,7 @@ from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
                                quantify_uncertainty, report_to_csv)
 from relex.gcn import TrainConfig, TrainingDiverged, predict, train_gcn, train_gcns
 from relex.graphs import (SPLIT_FRACTIONS, Edge, RelationalGraph, adjacency,
-                          check_split_fractions, load_graph, read_int,
+                          check_split_fractions, load_graph, read_float, read_int,
                           remove_edges, split_nodes)
 from relex.mcnemar import mcnemar_test
 
@@ -405,9 +405,9 @@ def _target_key(key: str, name: str) -> int:
 def bundle_from_dict(blob: dict) -> VerificationBundle:
     """The bundle that ``bundle_to_dict`` wrote.  A missing key, in the
     bundle or in one of its result rows, raises KeyError; a key or row
-    that holds another JSON container than the one written, or an id,
-    count or target key that is not an integer, raises ValueError naming
-    it."""
+    that holds another JSON container than the one written, an id, count
+    or target key that is not an integer, or a score, confidence or delta
+    that is not a JSON number, raises ValueError naming it."""
     _typed(blob, dict, "the bundle")
 
     def key(name: str, kind: type):
@@ -418,7 +418,7 @@ def bundle_from_dict(blob: dict) -> VerificationBundle:
 
     rankings = {
         scorer: {_target_key(t, f"key 'rankings' {scorer}"):
-                 [((end(u), end(v)), float(s)) for (u, v, s)
+                 [((end(u), end(v)), read_float(s, "ranked relation score")) for (u, v, s)
                   in _typed(ranking, list, f"key 'rankings' {scorer}/{t}")]
                  for t, ranking in _typed(per, dict, f"key 'rankings' {scorer}").items()}
         for scorer, per in key("rankings", dict).items()
@@ -429,7 +429,11 @@ def bundle_from_dict(blob: dict) -> VerificationBundle:
         r = _typed(r, dict, f"key 'reports' {t}")
         reports[target] = UncertaintyReport(
             target=r["target"], converged=r["converged"],
-            entries=[RelationUncertainty((u, v), gc, delta, nld) for (u, v, gc, delta, nld)
+            entries=[RelationUncertainty((read_int(u, "report u"), read_int(v, "report v")),
+                                         read_float(gc, "report gc"),
+                                         read_float(delta, "report delta"),
+                                         read_float(nld, "report neg_log_delta"))
+                     for (u, v, gc, delta, nld)
                      in _typed(r["entries"], list, f"key 'reports' {t} entries")],
             skipped=[(u, v) for (u, v) in _typed(r["skipped"], list, f"key 'reports' {t} skipped")])
     results = [{c: _typed(r, dict, f"key 'results' row {i}")[c] for c in RESULT_COLUMNS}

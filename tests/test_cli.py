@@ -422,6 +422,35 @@ class TestValueOfWrongType:
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / broken}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, broken, blob, message", [
+        ("evaluate", "expl.json", TestOutOfRangeValue._with_gc("0.8"),
+         "relation gc '0.8' is not a number"),
+        ("evaluate", "expl.json", TestOutOfRangeValue._with_gc(True),
+         "relation gc True is not a number"),
+        ("evaluate", "fg.json", TestOutOfRangeValue._with_weight(True),
+         "factor weight True is not a number"),
+        ("evaluate", "fg.json", TestOutOfRangeValue._with_weight("0.5"),
+         "factor weight '0.5' is not a number"),
+        ("evaluate", "fg.json", TestOutOfRangeValue._with_weight(None),
+         "factor weight None is not a number"),
+        ("learn-fg", "cres.json",
+         {**TestMissingJsonKey.CRES, "explanations": [TestOutOfRangeValue._with_gc("0.8")]},
+         "relation gc '0.8' is not a number"),
+    ], ids=["gc-string", "gc-bool", "weight-bool", "weight-string", "weight-null",
+            "cre-gc-string"])
+    def test_non_number_exits_2_and_names_the_file(self, tmp_path, capsys, command,
+                                                   broken, blob, message):
+        files = {"cres.json": TestMissingJsonKey.CRES, "fg.json": TestMissingJsonKey.FG,
+                 "expl.json": TestMissingJsonKey.EXPLANATION, broken: blob}
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        flags = (["--cres", str(tmp_path / "cres.json")] if command == "learn-fg" else
+                 ["--fg", str(tmp_path / "fg.json"),
+                  "--explanation", str(tmp_path / "expl.json")])
+        assert run([command, *flags, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / broken}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize("change, message", [
         ({"edges": [[0.7, 1.9]]}, "edge node 0.7 is not an integer"),
@@ -699,6 +728,55 @@ class TestVerifyAndReport:
                     "--out", str(tmp_path / "redo")]) == 2
         assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
         assert not (tmp_path / "redo").exists()
+
+    @staticmethod
+    def _first_entry(blob):
+        """The first entry of the first report that has one."""
+        return next(r["entries"][0] for r in blob["reports"].values() if r["entries"])
+
+    @pytest.mark.parametrize("change, message", [
+        ("entry-gc", "report gc '0.8' is not a number"),
+        ("entry-delta", "report delta True is not a number"),
+        ("entry-neg-log-delta", "report neg_log_delta 'x' is not a number"),
+        ("entry-u", "report u 0.5 is not an integer"),
+        ("ranking-score", "ranked relation score '2.5' is not a number"),
+    ], ids=["entry-gc", "entry-delta", "entry-neg-log-delta", "entry-u", "ranking-score"])
+    def test_report_on_non_number_validation_error(self, verify_out, tmp_path, capsys,
+                                                   change, message):
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        entry = self._first_entry(blob)
+        if change == "entry-gc":
+            entry[2] = "0.8"
+        elif change == "entry-delta":
+            entry[3] = True
+        elif change == "entry-neg-log-delta":
+            entry[4] = "x"
+        elif change == "entry-u":
+            entry[0] = 0.5
+        else:
+            next(iter(blob["rankings"]["bp"].values()))[0][2] = "2.5"
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(blob))
+        assert run(["report", "--bundle", str(bundle),
+                    "--out", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
+        assert not (tmp_path / "redo").exists()
+
+    def test_report_reads_infinity_where_relex_writes_it(self, verify_out, tmp_path):
+        """A delta of 0 is written with neg_log_delta Infinity, in the
+        report entries and in the bp ranking scores."""
+        blob = json.loads((verify_out / "bundle.json").read_text())
+        entry = self._first_entry(blob)
+        entry[3], entry[4] = 0.0, float("inf")
+        next(iter(blob["rankings"]["bp"].values()))[0][2] = float("inf")
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(blob))
+        assert "Infinity" in bundle.read_text()
+        assert run(["report", "--bundle", str(bundle),
+                    "--out", str(tmp_path / "redo")]) == 0
+        rows = [line.split(",") for p in (tmp_path / "redo").glob("uncertainty_t*.csv")
+                for line in p.read_text().splitlines()[1:]]
+        assert ["0.0", "inf"] in [row[3:5] for row in rows]
 
     @pytest.mark.parametrize("out", ["taken", "taken/run"])
     def test_verify_out_not_a_directory_fails_before_the_pipeline(
