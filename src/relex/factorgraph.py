@@ -11,11 +11,20 @@ Weights are learned by a voted-perceptron-style rule: the gradient of the
 log-likelihood is approximated by replacing the intractable expected
 clause count with a count under the current MAP assignment, found exactly
 by max-sum bucket elimination.  Calibration runs damped sum-product
-message passing on a flooding schedule, over a stack of graphs in one
-loop (relex.bp.propagate_all).  The uncertainty of an explained relation
-is the drop in the clause-satisfying joint belief after factors encoding
-the explanation are injected; quantify_uncertainty calibrates the graph
-before and after injection as one two-graph stack.
+message passing on a flooding schedule, over a stack of cluster graphs
+in one loop (relex.bp.propagate_all).
+
+The uncertainty of an explained relation is the drop in its
+clause-satisfying joint belief when the explanation is injected.
+Injection is evidence multiplied into the model (Pearl 1988): each
+explained relation's scope table is multiplied at (x_u = 1, x_v = 1,
+T = state) by the explainer confidence GC, floored at 1e-9, where state
+is the explanation's predicted class, or 1 for a binary target.  So
+GC = 1 leaves the graph unchanged and a low GC questions the relation.
+A relation with no factor in the graph gets a ones table first; one
+whose endpoints lie outside the entity set is skipped.
+quantify_uncertainty calibrates the graph's clusters before and after
+injection as one two-problem stack.
 """
 
 from __future__ import annotations
@@ -71,9 +80,6 @@ class FactorGraph:
 
     def card(self, var: int) -> int:
         return self.target_card if var == TARGET else 2
-
-    def learned_factors(self, relation: Edge) -> list[int]:
-        return self.learned_by_relation().get(relation, [])
 
     def learned_by_relation(self) -> dict[Edge, list[int]]:
         """Each relation's learned factor ids, ascending, from one pass
@@ -287,20 +293,14 @@ def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:
     return clusters, factor_cluster
 
 
-def _calibrate(fgs: list[FactorGraph], cfg: BpConfig | None) -> list[MessageState]:
-    """Calibrate every graph of ``fgs`` in one propagate_all stack."""
-    built = [({v: fg.card(v) for v in fg.variables}, *_build_clusters(fg)) for fg in fgs]
-    runs = propagate_all([(cards, clusters) for cards, clusters, _ in built], cfg)
-    return [MessageState(clusters=clusters, factor_cluster=factor_cluster, cards=cards,
-                         nu=nu, mu=mu, iterations=iterations, converged=converged,
-                         residual=residual)
-            for (cards, clusters, factor_cluster), (nu, mu, iterations, converged, residual)
-            in zip(built, runs)]
-
-
 def run_bp(fg: FactorGraph, cfg: BpConfig | None = None) -> MessageState:
     """Calibrate the factor graph; see propagate_all for the schedule."""
-    return _calibrate([fg], cfg)[0]
+    clusters, factor_cluster = _build_clusters(fg)
+    cards = {v: fg.card(v) for v in fg.variables}
+    nu, mu, iterations, converged, residual = propagate(cards, clusters, cfg)
+    return MessageState(clusters=clusters, factor_cluster=factor_cluster, cards=cards,
+                        nu=nu, mu=mu, iterations=iterations, converged=converged,
+                        residual=residual)
 
 
 def marginal(fg: FactorGraph, ms: MessageState, var: int) -> np.ndarray:
@@ -322,9 +322,13 @@ def joint_distribution(fg: FactorGraph, ms: MessageState, fid: int) -> np.ndarra
     if fid not in ms.factor_cluster:
         raise KeyError(f"unknown factor {fid}")
     cid = ms.factor_cluster[fid]
-    cluster = ms.clusters[cid]
+    return _scope_belief(ms.clusters[cid], ms.nu[cid])
+
+
+def _scope_belief(cluster: Cluster, nu: list[np.ndarray]) -> np.ndarray:
+    """The cluster's table times its incoming variable messages, normalized."""
     belief = cluster.table
-    for slot, m in enumerate(ms.nu[cid]):
+    for slot, m in enumerate(nu):
         shape = [1] * belief.ndim
         shape[slot] = m.shape[0]
         belief = belief * m.reshape(shape)
@@ -336,35 +340,6 @@ def joint_distribution(fg: FactorGraph, ms: MessageState, fid: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 _MIN_CONFIDENCE = 1e-9
-
-
-def inject_explanation_factors(fg: FactorGraph,
-                               e: Explanation) -> tuple[FactorGraph, list[Edge]]:
-    """Add one factor per explanation relation with known endpoints.
-
-    The injected potential equals the explainer confidence GC on the
-    satisfying assignment (weight log(GC) <= 0), so injection questions
-    the relation in proportion to how unconfident the explainer was:
-    GC = 1 is an identity factor and leaves the calibration unchanged.
-    Relations with endpoints outside the entity set are returned as
-    skipped.  The original graph is not modified: the new graph's factor
-    list starts with fg's own Factor objects, which nothing changes once
-    learn_weights has returned them.
-    """
-    ents = set(fg.entities)
-    factors = list(fg.factors)
-    skipped: list[Edge] = []
-    for (edge, gc) in e.relations:
-        u, v = edge
-        if u not in ents or v not in ents:
-            skipped.append(edge)
-            continue
-        state = e.predicted_class if fg.target_card > 2 else 1
-        weight = math.log(max(gc, _MIN_CONFIDENCE))
-        factors.append(Factor(u=u, v=v, target_state=state, weight=weight,
-                              kind="injected"))
-    return FactorGraph(entities=fg.entities, target_card=fg.target_card,
-                       factors=factors), skipped
 
 
 @dataclass
@@ -400,46 +375,63 @@ class UncertaintyReport:
 
 def quantify_uncertainty(fg: FactorGraph, e: Explanation,
                          bp: BpConfig | None = None) -> UncertaintyReport:
-    """Calibrate before and after injecting the explanation, as one
-    two-problem propagate_all stack, and report deltas.
+    """Calibrate fg's clusters before and after injecting the explanation,
+    as one two-problem propagate_all stack, and report deltas.
 
-    delta for a relation is the mean over its clause factors of the
-    satisfying-assignment belief before injection minus after.  Beliefs
-    are read from the relation's learned factors when it has them and
-    from its injected factor otherwise; the "before" run carries the
-    injected scopes at weight zero (identity factors do not perturb
-    message passing, they only expose the joint).  neg_log_delta is
-    -log|delta| with delta = 0 mapped to +inf.
+    Injection multiplies a copy of each explained relation's scope table
+    at [1, 1, state] by GC, floored at 1e-9 (as exp(log(GC)), the
+    potential of a factor of weight log(GC)); state is the predicted
+    class, or 1 for a binary target.  A relation with no cluster in fg
+    starts from a ones table, appended after fg's clusters in explanation
+    order; one with an endpoint outside the entity set is skipped.  A
+    predicted class outside 0..target_card - 1 of a multi-class graph
+    raises ValueError.  fg is not modified.
+
+    delta for a relation is the mean over its learned factors' target
+    states (or the injected state, when it has no learned factor) of the
+    satisfying-assignment belief before injection minus after.
+    neg_log_delta is -log|delta| with delta = 0 mapped to +inf.
     """
-    bp = bp or BpConfig()
-    zero = Explanation(target=e.target, predicted_class=e.predicted_class,
-                       relations=tuple((edge, 1.0) for (edge, _) in e.relations),
-                       hop_radius=e.hop_radius)
-    fg_pre, skipped = inject_explanation_factors(fg, zero)
-    fg_post, _ = inject_explanation_factors(fg, e)
-    ms_pre, ms_post = _calibrate([fg_pre, fg_post], bp)
-
-    n_learned = len(fg.factors)
-    injected_by_relation: dict[Edge, int] = {}
-    for fid in range(n_learned, len(fg_pre.factors)):
-        injected_by_relation[fg_pre.factors[fid].relation] = fid
+    if fg.target_card > 2 and not 0 <= e.predicted_class < fg.target_card:
+        raise ValueError(f"predicted class {e.predicted_class} outside "
+                         f"0..{fg.target_card - 1}")
+    state = e.predicted_class if fg.target_card > 2 else 1
+    before, _ = _build_clusters(fg)
+    cluster_of = {c.scope[:2]: cid for cid, c in enumerate(before)}
+    after = list(before)
+    ents = set(fg.entities)
+    scored: list[tuple[Edge, float, int]] = []
+    skipped: list[Edge] = []
+    for (edge, gc) in e.relations:
+        if edge[0] not in ents or edge[1] not in ents:
+            skipped.append(edge)
+            continue
+        if edge not in cluster_of:
+            cluster_of[edge] = len(before)
+            before.append(Cluster(scope=(*edge, TARGET),
+                                  table=np.ones((2, 2, fg.target_card))))
+            after.append(before[-1])
+        cid = cluster_of[edge]
+        if after[cid] is before[cid]:
+            after[cid] = Cluster(scope=before[cid].scope, table=before[cid].table.copy())
+        after[cid].table[1, 1, state] *= math.exp(math.log(max(gc, _MIN_CONFIDENCE)))
+        scored.append((edge, gc, cid))
+    cards = {v: fg.card(v) for v in fg.variables}
+    (nu_pre, _, _, pre_converged, _), (nu_post, _, _, post_converged, _) = propagate_all(
+        [(cards, before), (cards, after)], bp or BpConfig())
 
     learned = fg.learned_by_relation()
     entries: list[RelationUncertainty] = []
-    for (edge, gc) in e.relations:
-        if edge in skipped:
-            continue
-        fids = learned.get(edge) or [injected_by_relation[edge]]
-        # the factors share the relation's scope, so one belief serves all
-        states = [fg_pre.factors[fid].target_state for fid in fids]
-        before = joint_distribution(fg_pre, ms_pre, fids[0])[1, 1, states]
-        after = joint_distribution(fg_post, ms_post, fids[0])[1, 1, states]
-        delta = float(np.mean(before) - np.mean(after))
+    for (edge, gc, cid) in scored:
+        states = [fg.factors[fid].target_state for fid in learned.get(edge, [])] or [state]
+        p = _scope_belief(before[cid], nu_pre[cid])[1, 1, states]
+        p_hat = _scope_belief(after[cid], nu_post[cid])[1, 1, states]
+        delta = float(np.mean(p) - np.mean(p_hat))
         neg_log = math.inf if delta == 0.0 else -math.log(abs(delta))
         entries.append(RelationUncertainty(edge=edge, gc=gc, delta=delta,
                                            neg_log_delta=neg_log))
     return UncertaintyReport(target=e.target, entries=entries,
-                             converged=ms_pre.converged and ms_post.converged,
+                             converged=pre_converged and post_converged,
                              skipped=skipped)
 
 

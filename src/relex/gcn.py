@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relex.graphs import NodeSplit, RelationalGraph, read_int
+from relex.graphs import NodeSplit, RelationalGraph, read_floats, read_int
 
 
 class TrainingDiverged(RuntimeError):
@@ -511,13 +511,10 @@ def save_model(m: GcnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GcnModel:
-    """Read a model; its seed and stored dims must be JSON integers, and
-    the dims must match its weight shapes."""
+    """Read a model; its weights must be JSON numbers, its seed and stored
+    dims JSON integers, and the dims must match its weight shapes."""
     blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    m = GcnModel(w0=np.asarray(blob["w0"], dtype=np.float64),
-                 w1=np.asarray(blob["w1"], dtype=np.float64),
-                 b0=np.asarray(blob["b0"], dtype=np.float64),
-                 b1=np.asarray(blob["b1"], dtype=np.float64),
+    m = GcnModel(**{key: read_floats(blob[key], key) for key in ("w0", "w1", "b0", "b1")},
                  seed=read_int(blob["seed"], "seed"))
     for key in ("input_dim", "hidden_dim", "class_count"):
         if read_int(blob[key], key) != getattr(m, key):

@@ -243,9 +243,21 @@ def read_float(value, what: str) -> float:
     return float(value)
 
 
+def read_floats(values, what: str) -> np.ndarray:
+    """``values``, an array of weights or features read from a JSON file as
+    nested lists, as float64 if every entry is a JSON number (see
+    ``read_float``); a boolean, a string or anything else raises
+    ValueError naming ``what``, where numpy would convert it."""
+    entries = np.array(values, dtype=object)
+    for x in entries.flat:
+        read_float(x, what)
+    return entries.astype(np.float64)
+
+
 def load_graph(path: str | Path) -> RelationalGraph:
     """Read the JSON bundle representation; a node count, edge end, label
-    or class count that is not a JSON integer is a GraphFormatError."""
+    or class count that is not a JSON integer, or a feature that is not a
+    JSON number, is a GraphFormatError."""
     path = Path(path)
     if not path.exists():
         raise GraphFormatError(f"no such file: {path}")
@@ -259,10 +271,10 @@ def load_graph(path: str | Path) -> RelationalGraph:
                  for (u, v) in raw["edges"]]
         labels = np.array([read_int(x, "label") for x in raw["labels"]], dtype=np.int64)
         classes = read_int(raw["classes"], "classes")
+        features = raw.get("features")
+        feats = None if features is None else read_floats(features, "feature")
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{path}: malformed bundle ({exc})") from exc
-    features = raw.get("features")
-    feats = None if features is None else np.asarray(features, dtype=np.float64)
     try:
         return make_graph(n, edges, features=feats, labels=labels, class_count=classes)
     except GraphFormatError as exc:

@@ -26,7 +26,7 @@ from relex.boolfact import EmptyCreSet, RankSearchConfig, generate_cre_sets, ran
 from relex.datasets import (generate_ba_community, generate_ba_shapes,
                             generate_tree_motif)
 from relex.explainer import ExplainConfig, Explanation, explain_all, is_scores
-from relex.factorgraph import (BpConfig, RelationUncertainty, UncertaintyReport,
+from relex.factorgraph import (RelationUncertainty, UncertaintyReport,
                                build_factor_graph, learn_weights,
                                quantify_uncertainty, report_to_csv)
 from relex.gcn import TrainConfig, TrainingDiverged, predict, train_gcn, train_gcns
@@ -85,7 +85,6 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     explain: ExplainConfig = field(default_factory=ExplainConfig)
     rank_search: RankSearchConfig = field(default_factory=RankSearchConfig)
-    bp: BpConfig = field(default_factory=BpConfig)
     scorer: str = "both"           # "bp" | "is" | "both"
     g_max: int = 1
     min_class_count: int = 10
@@ -231,8 +230,7 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
                 continue
             fg = learn_weights(build_factor_graph(cres), cres)
             # scores the explanation that explain_all made above
-            bundle.reports[target] = quantify_uncertainty(fg, explanations[target],
-                                                          cfg.bp)
+            bundle.reports[target] = quantify_uncertainty(fg, explanations[target])
         if not bundle.reports:
             raise PipelineStageError(
                 "scores", RuntimeError("BP scoring failed for every target"),

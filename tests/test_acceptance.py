@@ -281,7 +281,7 @@ def test_criterion_6_weight_learning_direction():
     ok = True
     details = []
     for rel in ((0, 1), (1, 2)):
-        fid = init_fg.learned_factors(rel)[0]
+        fid = init_fg.learned_by_relation()[rel][0]
         f = init_fg.factors[fid]
         z = 0.0
         p_sat = 0.0

@@ -469,6 +469,42 @@ class TestValueOfWrongType:
             f"error: {tmp_path / 'g.json'}: malformed bundle ({message})\n"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("features, message", [
+        ([["0.8", 0.1], [0.2, 0.3], [0.4, 0.5]], "feature '0.8' is not a number"),
+        ([[1, True], [0, 1], [1, 0]], "feature True is not a number"),
+        ([[0.5, 0.1], [0.2, None], [0.4, 0.5]], "feature None is not a number"),
+    ], ids=["string", "bool-beside-int", "null"])
+    def test_train_rejects_graph_feature_non_number(self, tmp_path, capsys, features,
+                                                    message):
+        graph = {"n": 3, "edges": [[0, 1], [1, 2]], "labels": [0, 1, 1],
+                 "features": features, "classes": 2}
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        assert run(["train", "--graph", str(tmp_path / "g.json"),
+                    "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'g.json'}: malformed bundle ({message})\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("w0", "0.8"), ("w1", True), ("b0", "1"), ("b1", False),
+    ])
+    def test_explain_rejects_model_weight_non_number(self, workspace, tmp_path, capsys,
+                                                     key, value):
+        blob = json.loads((workspace / "model.json").read_text())
+        first = blob[key][0]
+        if isinstance(first, list):
+            first[0] = value
+        else:
+            blob[key][0] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(blob))
+        assert run(["explain", "--graph", str(workspace / "graph.json"),
+                    "--model", str(model), "--target", "13",
+                    "--out", str(tmp_path / "e.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {model}: {key} {value!r} is not a number\n"
+        assert not (tmp_path / "e.json").exists()
+
 
 class TestNodeIds:
     """A self-loop, a negative node id or a relation listed twice in an

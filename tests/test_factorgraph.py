@@ -10,8 +10,7 @@ from relex.boolfact import CreSet, EmptyCreSet
 from relex.explainer import Explanation
 from relex.factorgraph import (TARGET, BpConfig, Cluster, Factor, FactorGraph,
                                _build_clusters, build_factor_graph, factorgraph_from_dict,
-                               factorgraph_to_dict,
-                               inject_explanation_factors, joint_distribution,
+                               factorgraph_to_dict, joint_distribution,
                                learn_weights, map_assignment, marginal,
                                propagate, propagate_all, quantify_uncertainty,
                                report_to_csv, run_bp)
@@ -55,6 +54,43 @@ def exact_factor_joint(fg, fid):
     for st, p in zip(states, probs):
         table[st[idx[f.u]], st[idx[f.v]], st[idx[TARGET]]] += p
     return table
+
+
+def reference_inject(fg, e):
+    """Reference injection: a new graph that appends to fg's factors one
+    injected factor of weight log(max(GC, 1e-9)) per explained relation
+    with known endpoints, at the predicted class (state 1 if binary)."""
+    state = e.predicted_class if fg.target_card > 2 else 1
+    ents = set(fg.entities)
+    injected = [Factor(u=u, v=v, target_state=state, weight=math.log(max(gc, 1e-9)),
+                       kind="injected")
+                for (u, v), gc in e.relations if u in ents and v in ents]
+    return FactorGraph(entities=fg.entities, target_card=fg.target_card,
+                       factors=fg.factors + injected)
+
+
+def reference_deltas(fg, e):
+    """Each scored relation's delta from run_bp on the reference-injected
+    graphs, before (every GC at 1) and after: the mean over the relation's
+    learned factors, or its injected factor when it has none, of the
+    satisfying belief at the factor's own target state."""
+    ones = replace(e, relations=tuple((r, 1.0) for r, _ in e.relations))
+    fg_pre, fg_post = reference_inject(fg, ones), reference_inject(fg, e)
+    ms_pre, ms_post = run_bp(fg_pre), run_bp(fg_post)
+    learned = fg.learned_by_relation()
+    injected = {fg_pre.factors[fid].relation: fid
+                for fid in range(len(fg.factors), len(fg_pre.factors))}
+    deltas = []
+    for edge, _ in e.relations:
+        if edge not in injected:
+            continue
+        fids = learned.get(edge) or [injected[edge]]
+        before = [float(joint_distribution(fg_pre, ms_pre, fid)
+                        [1, 1, fg_pre.factors[fid].target_state]) for fid in fids]
+        after = [float(joint_distribution(fg_post, ms_post, fid)
+                       [1, 1, fg_pre.factors[fid].target_state]) for fid in fids]
+        deltas.append(float(np.mean(before) - np.mean(after)))
+    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +470,7 @@ class TestLearnWeights:
 
         # exact gradient: n_i - |S| * P(clause_i satisfied) with brute-force Z
         probe = learn_weights(fg, s, learning_rate=0.0, epochs=0)
-        for rel, fid in ((r, probe.learned_factors(r)[0]) for r in ((0, 1), (1, 2))):
+        for rel, fid in ((r, probe.learned_by_relation()[r][0]) for r in ((0, 1), (1, 2))):
             table = exact_factor_joint(probe, fid)
             p_sat = table[1, 1, 1]
             exact_grad = 1 - 6 * p_sat
@@ -826,59 +862,6 @@ class TestJointDistribution:
             joint_distribution(fg, state, 5)
 
 
-class TestInjectExplanationFactors:
-    def test_known_relation_adds_one_factor(self):
-        fg = single_factor_graph(0.5)
-        e = Explanation(target=0, predicted_class=1,
-                        relations=(((0, 1), 0.9),), hop_radius=2)
-        fg2, skipped = inject_explanation_factors(fg, e)
-        assert len(fg2.factors) == len(fg.factors) + 1
-        assert fg2.factors[-1].kind == "injected"
-        assert skipped == []
-        assert len(fg.factors) == 1  # original untouched
-
-    def test_unknown_endpoints_skipped(self):
-        fg = single_factor_graph(0.5)
-        e = Explanation(target=0, predicted_class=1,
-                        relations=(((7, 8), 0.9),), hop_radius=2)
-        fg2, skipped = inject_explanation_factors(fg, e)
-        assert len(fg2.factors) == len(fg.factors)
-        assert skipped == [(7, 8)]
-
-    def test_full_confidence_is_identity(self):
-        fg = single_factor_graph(math.log(2))
-        e = Explanation(target=0, predicted_class=1,
-                        relations=(((0, 1), 1.0),), hop_radius=2)
-        fg2, _ = inject_explanation_factors(fg, e)
-        s1 = run_bp(fg, EXACT_BP)
-        s2 = run_bp(fg2, EXACT_BP)
-        for var in fg.variables:
-            np.testing.assert_allclose(marginal(fg, s1, var),
-                                       marginal(fg2, s2, var), atol=1e-9)
-
-    def test_factors_shared_and_fg_unchanged(self):
-        rng = np.random.default_rng(44)
-        fg = random_factor_graph(rng, 5, 3, 9)
-        before = factorgraph_to_dict(fg)
-        originals = list(fg.factors)
-        e = Explanation(target=0, predicted_class=2, hop_radius=2,
-                        relations=(((0, 1), 0.4), ((2, 4), 0.7), ((3, 9), 0.5)))
-        fg2, skipped = inject_explanation_factors(fg, e)
-        assert factorgraph_to_dict(fg) == before
-        assert len(fg.factors) == len(originals)
-        assert all(a is b for a, b in zip(fg.factors, originals))
-        assert all(a is b for a, b in zip(fg2.factors, fg.factors))
-        assert [f.kind for f in fg2.factors[len(fg.factors):]] == ["injected"] * 2
-        assert skipped == [(3, 9)]
-
-    def test_injected_weight_is_log_confidence(self):
-        fg = single_factor_graph(0.5)
-        e = Explanation(target=0, predicted_class=1,
-                        relations=(((0, 1), 0.25),), hop_radius=2)
-        fg2, _ = inject_explanation_factors(fg, e)
-        assert fg2.factors[-1].weight == pytest.approx(math.log(0.25))
-
-
 class TestQuantifyUncertainty:
     def test_single_factor_enumeration_oracle(self):
         w = math.log(2)
@@ -961,6 +944,55 @@ class TestQuantifyUncertainty:
         assert [r.edge for r in report.entries] == [(1, 2)]
         assert report.entries[0].delta > 0
 
+    def test_fg_unchanged(self):
+        rng = np.random.default_rng(44)
+        fg = random_factor_graph(rng, 5, 3, 9)
+        before = factorgraph_to_dict(fg)
+        originals = list(fg.factors)
+        e = Explanation(target=0, predicted_class=2, hop_radius=2,
+                        relations=(((0, 1), 0.4), ((2, 4), 0.7), ((3, 9), 0.5)))
+        report = quantify_uncertainty(fg, e)
+        assert factorgraph_to_dict(fg) == before
+        assert len(fg.factors) == len(originals)
+        assert all(a is b for a, b in zip(fg.factors, originals))
+        assert [r.edge for r in report.entries] == [(0, 1), (2, 4)]
+        assert report.skipped == [(3, 9)]
+
+    @pytest.mark.parametrize("target_card", [2, 3, 8])
+    def test_full_confidence_moves_nothing_exactly(self, target_card):
+        rng = np.random.default_rng(45 + target_card)
+        for trial in range(10):
+            n = int(rng.integers(2, 7))
+            fg = random_factor_graph(rng, n, target_card, int(rng.integers(1, 12)),
+                                     TIE_WEIGHTS if trial % 2 else None)
+            e = Explanation(target=0, predicted_class=int(rng.integers(target_card)),
+                            hop_radius=2,
+                            relations=tuple(((u, v), 1.0) for u, v in
+                                            itertools.combinations(range(n), 2)))
+            report = quantify_uncertainty(fg, e)
+            assert len(report.entries) == n * (n - 1) // 2
+            assert all(r.delta == 0.0 for r in report.entries)
+
+    def test_confidence_below_floor_scores_as_floor(self):
+        rng = np.random.default_rng(46)
+        for target_card in (2, 8):
+            fg = random_factor_graph(rng, 5, target_card, 10)
+            relations = ((0, 1), (1, 3), (2, 4))
+            reports = [quantify_uncertainty(fg, Explanation(
+                target=0, predicted_class=1, hop_radius=2,
+                relations=tuple((r, gc) for r in relations))) for gc in (1e-12, 1e-9)]
+            assert [(r.edge, r.delta) for r in reports[0].entries] == \
+                   [(r.edge, r.delta) for r in reports[1].entries]
+            assert reports[0].entries[0].delta != 0.0
+
+    @pytest.mark.parametrize("cls", [3, -1])
+    def test_class_outside_target_states_raises(self, cls):
+        fg = single_factor_graph(0.5, target_card=3)
+        e = Explanation(target=0, predicted_class=cls,
+                        relations=(((0, 1), 0.5),), hop_radius=2)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            quantify_uncertainty(fg, e)
+
     def test_ranking_by_neg_log_descending(self):
         fg = FactorGraph(entities=(0, 1, 2), target_card=2, factors=[
             Factor(u=0, v=1, target_state=1, weight=1.0, kind="learned"),
@@ -998,21 +1030,43 @@ class TestMulticlass:
         e = Explanation(target=0, predicted_class=5, hop_radius=2,
                         relations=(((0, 1), 0.3), ((1, 2), 0.9), ((2, 4), 0.5)))
         report = quantify_uncertainty(fg, e)
-        zero = Explanation(target=0, predicted_class=5, hop_radius=2,
-                           relations=tuple((r, 1.0) for r, _ in e.relations))
-        fg_pre, _ = inject_explanation_factors(fg, zero)
-        fg_post, _ = inject_explanation_factors(fg, e)
-        ms_pre, ms_post = run_bp(fg_pre), run_bp(fg_post)
-        expected = []
-        for edge in ((0, 1), (1, 2)):
-            fids = fg.learned_factors(edge)
-            before = [float(joint_distribution(fg_pre, ms_pre, fid)
-                            [1, 1, fg.factors[fid].target_state]) for fid in fids]
-            after = [float(joint_distribution(fg_post, ms_post, fid)
-                           [1, 1, fg.factors[fid].target_state]) for fid in fids]
-            expected.append(float(np.mean(before) - np.mean(after)))
-        assert [r.delta for r in report.entries] == expected
+        assert [r.delta for r in report.entries] == reference_deltas(fg, e)
+        assert [r.edge for r in report.entries] == [(0, 1), (1, 2)]
         assert report.skipped == [(2, 4)]
+
+    def test_deltas_match_with_injected_factors_in_the_graph(self):
+        # a loaded factor graph may hold injected-kind factors: one beside
+        # a relation's learned factors, one alone on a scope
+        s = make_creset([[(0, 1), (1, 2)], [(1, 2), (2, 3)], [(0, 1)]],
+                        gcs={(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.95}, class_count=4)
+        learned = learn_weights(build_factor_graph(s), s)
+        fg = FactorGraph(entities=learned.entities, target_card=4, factors=[
+            *learned.factors,
+            Factor(u=1, v=2, target_state=3, weight=-0.7, kind="injected"),
+            Factor(u=0, v=3, target_state=1, weight=1.3, kind="injected")])
+        e = Explanation(target=0, predicted_class=2, hop_radius=2,
+                        relations=(((0, 3), 0.1), ((1, 2), 0.6), ((1, 3), 0.4),
+                                   ((0, 1), 1e-12), ((3, 7), 0.5)))
+        report = quantify_uncertainty(fg, e)
+        assert [r.delta for r in report.entries] == reference_deltas(fg, e)
+        assert [r.edge for r in report.entries] == [(0, 3), (1, 2), (1, 3), (0, 1)]
+        assert report.skipped == [(3, 7)]
+
+    @pytest.mark.parametrize("target_card", [2, 8])
+    def test_deltas_match_on_random_graphs(self, target_card):
+        rng = np.random.default_rng(47 + target_card)
+        for trial in range(12):
+            n = int(rng.integers(2, 7))
+            fg = random_factor_graph(rng, n, target_card, int(rng.integers(1, 12)),
+                                     TIE_WEIGHTS if trial % 2 else None)
+            pairs = list(itertools.combinations(range(n + 1), 2))
+            picks = rng.choice(len(pairs), size=min(len(pairs), 4), replace=False)
+            e = Explanation(target=0, predicted_class=int(rng.integers(target_card)),
+                            hop_radius=2,
+                            relations=tuple((pairs[i], float(rng.uniform(0.0, 1.0)))
+                                            for i in picks))
+            report = quantify_uncertainty(fg, e)
+            assert [r.delta for r in report.entries] == reference_deltas(fg, e)
 
 
 class TestSerialization:
