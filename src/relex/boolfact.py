@@ -2,15 +2,16 @@
 
 The adjacency matrix P is approximated by a union of k blocks, each the
 outer product u·bᵀ of a 0/1 usage vector u and a 0/1 basis vector b; for
-a symmetric P each block also covers its transpose b·uᵀ, so the
-reconstruction is itself a graph, and it is exactly the graph that
-`generate_cres` explains.  Each low-rank reconstruction has more
-repeated structure than the original; explaining the target on those
-graphs produces the counterfactual explanation set that the factor graph
-is later learned from.  `generate_cre_sets` does this for many targets
-at once: it builds each rank's graph once and explains every (target,
-rank) pair in one lockstep `explain_all` call; `generate_cres` is its
-one-target case.
+a symmetric P each block also covers its transpose b·uᵀ.  A block never
+covers a zero of P (below), so a rank's reconstruction is the input
+graph less the edges its blocks leave uncovered, its error is twice
+their count, and that edge subset is the graph `generate_cres` explains.
+Each low-rank reconstruction has more repeated structure than the
+original; explaining the target on those graphs produces the
+counterfactual explanation set that the factor graph is later learned
+from.  `generate_cre_sets` does this for many targets at once: it builds
+each rank's graph once and explains every (target, rank) pair in one
+lockstep `explain_all` call; `generate_cres` is its one-target case.
 
 The factorization grows greedily, one block per rank, in the manner of
 Asso (Miettinen et al., The Discrete Basis Problem, IEEE TKDE 2008): the
@@ -35,8 +36,8 @@ import numpy as np
 from relex.explainer import (Explanation, ExplainConfig, explain_all,
                              explanation_from_dict, explanation_to_dict)
 from relex.gcn import GcnModel
-from relex.graphs import (Edge, RelationalGraph, adjacency, graph_from_adjacency,
-                          read_int, validate_boolean_matrix)
+from relex.graphs import (Edge, RelationalGraph, adjacency, read_int, remove_edges,
+                          validate_boolean_matrix)
 
 
 class CreGenerationFailed(RuntimeError):
@@ -201,20 +202,22 @@ def generate_cre_sets(g: RelationalGraph, model: GcnModel,
     the target's CreSet, or the EmptyCreSet that ``generate_cres`` would
     raise for it, returned rather than raised.
 
-    Each accepted rank's reconstruction becomes a graph once, for every
-    target, and all (target, rank) pairs are explained in one
-    ``explain_all`` call, so each set equals the one ``generate_cres``
-    makes for its target alone.
+    Each accepted rank's graph is built once, for every target, and all
+    (target, rank) pairs are explained in one ``explain_all`` call, so
+    each set equals the one ``generate_cres`` makes for its target alone.
     """
     if ladder is None:
         ladder = rank_ladder(adjacency(g), g.edge_count, rcfg)
-    # reconstructions identical to the original graph are skipped: a
-    # counterfactual must differ in at least one relation
+    # a rank's graph is g less the edges its blocks leave uncovered, read at
+    # g's edge ends; at error 0 it is g itself, and a counterfactual must
+    # differ in at least one relation, so that rank is skipped
+    us, vs = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2).T
     approx = []
     for fact in ladder:
-        graph = graph_from_adjacency(fact.reconstruction, g)
-        if graph.edges != g.edges:
-            approx.append((fact, graph))
+        if fact.error:
+            left = ~(fact.q[us] & fact.r[:, vs].T).any(axis=1)
+            uncovered = zip(us[left].tolist(), vs[left].tolist())
+            approx.append((fact, remove_edges(g, uncovered)[0]))
     explained = iter(explain_all(model, [(graph, target, ecfg) for target, ecfg in targets
                                          for _, graph in approx]))
     sets: list[CreSet | EmptyCreSet] = []
@@ -238,7 +241,7 @@ def generate_cres(g: RelationalGraph, model: GcnModel, target: int,
                   ladder: list[BooleanFactorization] | None = None) -> CreSet:
     """Explain the target on each accepted low-rank reconstruction.
 
-    Reconstructions identical to the original graph are skipped (a
+    Ranks with error 0, whose graph is the original, are skipped (a
     counterfactual must differ in at least one relation), as are ranks
     where the target's computation subgraph is empty; EmptyCreSet is
     raised when no rank is left.  A precomputed ladder may be passed to
@@ -266,11 +269,27 @@ def creset_to_dict(s: CreSet) -> dict:
 
 
 def creset_from_dict(blob: dict) -> CreSet:
-    return CreSet(target=read_int(blob["target"], "target"),
-                  class_count=read_int(blob["class_count"], "class_count"),
-                  explanations=[explanation_from_dict(e) for e in blob["explanations"]],
-                  ranks_used=[read_int(r, "rank") for r in blob["ranks"]],
-                  errors_per_rank=[read_int(e, "error") for e in blob["errors"]])
+    """The set that ``creset_to_dict`` wrote; a class count below 1, an
+    explanation of another target or of a class outside
+    0..class_count-1, or ranks or errors that do not pair one to one
+    with the explanations raise ValueError."""
+    s = CreSet(target=read_int(blob["target"], "target"),
+               class_count=read_int(blob["class_count"], "class_count"),
+               explanations=[explanation_from_dict(e) for e in blob["explanations"]],
+               ranks_used=[read_int(r, "rank") for r in blob["ranks"]],
+               errors_per_rank=[read_int(e, "error") for e in blob["errors"]])
+    if s.class_count < 1:
+        raise ValueError(f"class_count {s.class_count} is below 1")
+    for e in s.explanations:
+        if e.target != s.target:
+            raise ValueError(f"explanation target {e.target} is not the set's target {s.target}")
+        if not 0 <= e.predicted_class < s.class_count:
+            raise ValueError(f"explanation class {e.predicted_class} is outside "
+                             f"0..{s.class_count - 1}")
+    if not len(s.ranks_used) == len(s.errors_per_rank) == len(s.explanations):
+        raise ValueError(f"{len(s.explanations)} explanations, but {len(s.ranks_used)} "
+                         f"ranks and {len(s.errors_per_rank)} errors")
+    return s
 
 
 def save_creset(s: CreSet, path: str | Path) -> None:

@@ -5,8 +5,8 @@ is optimized so that the masked graph keeps the model's prediction while
 the mask stays small and close to binary:
 
     L = -log P(predicted class | masked graph)
-        + size_penalty * sum(sigmoid(mask))
-        + entropy_penalty * sum(binary_entropy(sigmoid(mask)))
+        + SIZE_PENALTY * sum(sigmoid(mask))
+        + ENTROPY_PENALTY * sum(binary_entropy(sigmoid(mask)))
 
 Masked edges carry weight sigmoid(mask) symmetrically in the adjacency.
 The GCN has two layers, so the target's logits read only the nodes
@@ -31,8 +31,8 @@ call, and ``explain`` is that call with one problem, so there is one
 mask loop.  Problems whose balls share their node count and
 masked-edge count are optimised in lockstep, as one (P, b, b) stack:
 an evaluation writes, normalizes and forwards all P masked balls at
-once.  Each problem keeps its own seed and penalties, and its own line
-search: the steps it has left, the halvings since its last accepted
+once.  Each problem keeps its own seed and step count, and its own
+line search: the steps it has left, the halvings since its last accepted
 step, and its step size.  Balls of other shapes never share a stack
 and none is padded, and no sum or product mixes two problems, so every
 explanation equals explaining its problem alone, bit for bit.
@@ -57,14 +57,14 @@ class SingleNodeExplanation(ValueError):
 
 
 MASK_LR = 1.0  # each mask step's line search starts here, halving up to 20 times
+SIZE_PENALTY = 0.05    # the loss's weight on sum(sigmoid(mask))
+ENTROPY_PENALTY = 0.1  # and on the masks' summed binary entropy
 
 
 @dataclass
 class ExplainConfig:
     hops: int = 2
     mask_steps: int = 300
-    size_penalty: float = 0.05
-    entropy_penalty: float = 0.1
     top_k: int = 6
     seed: int = 0
 
@@ -75,8 +75,6 @@ class ExplainConfig:
             raise ValueError("mask_steps must be >= 0")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.size_penalty < 0 or self.entropy_penalty < 0:
-            raise ValueError("penalties must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,8 @@ class _MaskProblem:
     model's in ``_forward``'s layouts, ``features`` (P, b, d) the balls'
     features, and ``features_w0_t`` (P, h, b) those times W0, transposed,
     which no mask changes.  ``predicted`` holds the argmax of each
-    target's unmasked logits, ``onehot`` (P, C) that class as a one-hot
-    row, and the penalties (P, E) each problem's, repeated along its
-    masked edges, so that the gradient's products need no broadcast.
+    target's unmasked logits, and ``onehot`` (P, C) that class as a
+    one-hot row.
 
     The rest are flat positions, built once, so that an evaluation reads
     and writes every problem's entries with one ``take`` or ``put``.
@@ -194,8 +191,6 @@ class _MaskProblem:
     weights: tuple
     predicted: np.ndarray
     onehot: np.ndarray
-    size_penalty: np.ndarray
-    entropy_penalty: np.ndarray
     pairs: np.ndarray
     diagonal: np.ndarray
     target_row: np.ndarray
@@ -206,13 +201,11 @@ class _MaskProblem:
 
 
 def _mask_problem(model: GcnModel,
-                  problems: Sequence[tuple[RelationalGraph, _Ball, ExplainConfig]]
-                  ) -> _MaskProblem:
-    """The stacked mask problem of (graph, ball, config) triples whose
-    balls share their node and masked-edge counts."""
-    graphs, balls, cfgs = zip(*problems)
+                  problems: Sequence[tuple[RelationalGraph, _Ball]]) -> _MaskProblem:
+    """The stacked mask problem of (graph, ball) pairs whose balls share
+    their node and masked-edge counts."""
+    graphs, balls = zip(*problems)
     count, b, c = len(balls), len(balls[0].nodes), model.class_count
-    edges = len(balls[0].edges)
     features = np.stack([g.features[ball.nodes] for g, ball in zip(graphs, balls)])
     a_tilde = np.stack([ball.adjacency for ball in balls])
     a_tilde.reshape(count, b * b)[:, ::b + 1] = 1.0
@@ -234,8 +227,6 @@ def _mask_problem(model: GcnModel,
         a_tilde=a_tilde, outside=outside, features=features,
         features_w0_t=(features @ model.w0).transpose(0, 2, 1), w1=model.w1,
         weights=weights, predicted=predicted, onehot=onehot,
-        size_penalty=np.repeat([[cfg.size_penalty] for cfg in cfgs], edges, axis=1),
-        entropy_penalty=np.repeat([[cfg.entropy_penalty] for cfg in cfgs], edges, axis=1),
         pairs=np.stack([cells + rows * b + cols, cells + cols * b + rows]),
         diagonal=cells + line * (b + 1),
         target_row=cells + target[:, None] * b + line,
@@ -249,7 +240,7 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     """The GCN forward pass on each problem's masked ball, one mask per row
     of ``mask``, and the loss each gives.
 
-    A loss is -log P(predicted) + size_penalty * sum(s) + entropy_penalty
+    A loss is -log P(predicted) + SIZE_PENALTY * sum(s) + ENTROPY_PENALTY
     * sum(H(s)), with s = sigmoid(mask) and H(s) = -(s log s + (1 - s)
     log(1 - s)).  Negation is exact in floating point, so the two minus
     signs come out of the sums as subtractions, and each loss is that
@@ -265,9 +256,9 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     h1, probs, hw = _forward(a_hat, a_hat @ p.features, *p.weights)
     s_log_s, r_log_r = s_r * np.log(s_r + 1e-12)
     xlogx = s_log_s + r_log_r
-    loss = (p.size_penalty[:, 0] * np.add.reduce(s, axis=-1)
+    loss = (SIZE_PENALTY * np.add.reduce(s, axis=-1)
             - np.log(probs.take(p.predicted_prob) + 1e-12)
-            - p.entropy_penalty[:, 0] * np.add.reduce(xlogx, axis=-1))
+            - ENTROPY_PENALTY * np.add.reduce(xlogx, axis=-1))
     return loss, s, r, a_hat, h1, probs, hw
 
 
@@ -304,8 +295,8 @@ def _masked_grad(p: _MaskProblem, mask: np.ndarray, fwd) -> np.ndarray:
 
     ds_dm = s * r
     grad = grad_s * ds_dm
-    grad += p.size_penalty * ds_dm
-    grad += p.entropy_penalty * (-mask) * ds_dm  # d binary_entropy(sigmoid(m))/dm
+    grad += SIZE_PENALTY * ds_dm
+    grad += ENTROPY_PENALTY * (-mask) * ds_dm  # d binary_entropy(sigmoid(m))/dm
     return grad
 
 
@@ -388,13 +379,13 @@ def explain_all(model: GcnModel,
 
     out: list[Explanation | None] = [None] * len(problems)
     for members in shapes.values():
-        group = [(problems[i][0], balls[i], problems[i][2]) for i in members]
-        p = _mask_problem(model, group)
+        group = [(balls[i], problems[i][2]) for i in members]
+        p = _mask_problem(model, [(problems[i][0], balls[i]) for i in members])
         masks = np.stack([np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(ball.edges))
-                          for _, ball, cfg in group])
-        masks = _descend(p, masks, [cfg.mask_steps for _, _, cfg in group])
+                          for ball, cfg in group])
+        masks = _descend(p, masks, [cfg.mask_steps for _, cfg in group])
         confidences = np.clip(_sigmoid(masks), 1e-12, 1.0 - 1e-12)
-        for k, (i, (_, ball, cfg)) in enumerate(zip(members, group)):
+        for k, (i, (ball, cfg)) in enumerate(zip(members, group)):
             edges = ball.edges
             order = sorted(range(len(edges)), key=lambda j: (-confidences[k, j], edges[j]))
             relations = tuple((edges[j], float(confidences[k, j]))

@@ -131,25 +131,6 @@ def validate_boolean_matrix(a: np.ndarray) -> np.ndarray:
     return a.astype(np.int8)
 
 
-def graph_from_adjacency(a: np.ndarray, template: RelationalGraph) -> RelationalGraph:
-    """Rebuild a graph from a (possibly asymmetric) 0/1 matrix.
-
-    Asymmetric reconstructions are symmetrized by union (a OR a.T); the
-    diagonal is ignored.  Features, labels and class count come from the
-    template.
-    """
-    a = validate_boolean_matrix(a)
-    n = template.node_count
-    if a.shape != (n, n):
-        raise ValueError(f"adjacency shape {a.shape} does not match node count {n}")
-    sym = a | a.T
-    iu, ju = np.triu_indices(n, k=1)
-    present = sym[iu, ju] == 1
-    edges = frozenset(zip(iu[present].tolist(), ju[present].tolist()))
-    return RelationalGraph(node_count=n, edges=edges, features=template.features,
-                           labels=template.labels, class_count=template.class_count)
-
-
 def remove_edges(g: RelationalGraph,
                  victims: Iterable[tuple[int, int]]) -> tuple[RelationalGraph, int]:
     """Drop edges from the graph; returns (new graph, ignored count).

@@ -310,8 +310,10 @@ def edge_count_warnings(removed_counts: Mapping[str, int], g_max: int) -> list[s
 # Report emission
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = ("scorer", "i", "class", "b", "c", "statistic", "p_value",
-                  "reported_statistic")
+# each results row's columns, in file order, with the JSON type of each value
+RESULT_KINDS = {"scorer": str, "i": int, "class": int, "b": int, "c": int,
+                "statistic": float, "p_value": float, "reported_statistic": float}
+RESULT_COLUMNS = tuple(RESULT_KINDS)
 
 
 def _fmt(value) -> str:
@@ -379,8 +381,14 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a bo
 
 
 def _typed(value, kind: type, name: str):
-    """``value``, which must be the JSON container ``kind`` (dict or
-    list); else ValueError naming it."""
+    """``value``, which must be of the JSON type ``kind``; else ValueError
+    naming it.  An integer or a number is read with ``read_int`` or
+    ``read_float``, which reject a boolean; any other kind must match
+    exactly."""
+    if kind is int:
+        return read_int(value, name)
+    if kind is float:
+        return read_float(value, name)
     if not isinstance(value, kind):
         found = _JSON_KINDS.get(type(value), type(value).__name__)
         raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, not {found}")
@@ -402,10 +410,11 @@ def _target_key(key: str, name: str) -> int:
 
 def bundle_from_dict(blob: dict) -> VerificationBundle:
     """The bundle that ``bundle_to_dict`` wrote.  A missing key, in the
-    bundle or in one of its result rows, raises KeyError; a key or row
-    that holds another JSON container than the one written, an id, count
-    or target key that is not an integer, or a score, confidence or delta
-    that is not a JSON number, raises ValueError naming it."""
+    bundle or in one of its result rows, raises KeyError; a key, row or
+    value that holds another JSON type than the one written (an id,
+    count or target key that is not an integer, a score, statistic,
+    confidence or delta that is not a JSON number, a name or warning
+    that is not a string), raises ValueError naming it."""
     _typed(blob, dict, "the bundle")
 
     def key(name: str, kind: type):
@@ -426,23 +435,29 @@ def bundle_from_dict(blob: dict) -> VerificationBundle:
         target = _target_key(t, "key 'reports'")
         r = _typed(r, dict, f"key 'reports' {t}")
         reports[target] = UncertaintyReport(
-            target=r["target"], converged=r["converged"],
+            target=read_int(r["target"], "report target"),
+            converged=_typed(r["converged"], bool, "report converged"),
             entries=[RelationUncertainty((read_int(u, "report u"), read_int(v, "report v")),
                                          read_float(gc, "report gc"),
                                          read_float(delta, "report delta"),
                                          read_float(nld, "report neg_log_delta"))
                      for (u, v, gc, delta, nld)
                      in _typed(r["entries"], list, f"key 'reports' {t} entries")],
-            skipped=[(u, v) for (u, v) in _typed(r["skipped"], list, f"key 'reports' {t} skipped")])
-    results = [{c: _typed(r, dict, f"key 'results' row {i}")[c] for c in RESULT_COLUMNS}
-               for i, r in enumerate(key("results", list))]
+            skipped=[(read_int(u, "skipped u"), read_int(v, "skipped v")) for (u, v)
+                     in _typed(r["skipped"], list, f"key 'reports' {t} skipped")])
+    results = []
+    for i, r in enumerate(key("results", list)):
+        r = _typed(r, dict, f"key 'results' row {i}")
+        results.append({c: _typed(r[c], kind, f"key 'results' row {i} {c}")
+                        for c, kind in RESULT_KINDS.items()})
     return VerificationBundle(
-        dataset=blob["dataset"], seed=read_int(blob["seed"], "seed"),
+        dataset=key("dataset", str), seed=read_int(blob["seed"], "seed"),
         targets=[read_int(t, "target") for t in key("targets", list)],
         base_predictions=[read_int(p, "base prediction") for p in key("base_predictions", list)],
         results=results,
-        removed_counts=dict(key("removed_counts", dict)),
-        warnings=list(key("warnings", list)),
+        removed_counts={k: read_int(n, f"removed count {k}")
+                        for k, n in key("removed_counts", dict).items()},
+        warnings=[_typed(w, str, "warning") for w in key("warnings", list)],
         reports=reports,
         rankings=rankings,
     )

@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import relex.boolfact
 from relex.boolfact import (CreGenerationFailed, CreSet, EmptyCreSet,
                             RankSearchConfig, bmf_factorize, boolean_error,
                             boolean_product, creset_from_dict, creset_to_dict,
                             generate_cre_sets, generate_cres, rank_ladder)
 from relex.explainer import ExplainConfig, Explanation
 from relex.gcn import TrainConfig, train_gcn
-from relex.graphs import NodeSplit, adjacency, graph_from_adjacency, make_graph, split_nodes
+from relex.graphs import NodeSplit, adjacency, make_graph, split_nodes
 from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
 
 
@@ -219,8 +220,8 @@ def explained_rank_one_error(g) -> int:
     """Independent oracle: the least error of a graph that generate_cres
     could explain at rank 1, over every (u, b) pair of 0/1 vectors.
 
-    The explained graph of the block u·bᵀ is graph_from_adjacency's
-    union u·bᵀ | b·uᵀ without its diagonal.  Feasible up to 7 nodes.
+    The explained graph of the block u·bᵀ is the union u·bᵀ | b·uᵀ
+    without its diagonal.  Feasible up to 7 nodes.
     """
     p = adjacency(g).astype(bool)
     n = g.node_count
@@ -276,13 +277,38 @@ class TestRankLadder:
         np.testing.assert_array_equal(fresh.r, ladder[-1].r)
 
     @pytest.mark.parametrize("kind", GENERATORS)
-    def test_error_is_that_of_the_explained_graph(self, kind):
-        g = DatasetSpec(kind=kind).build(1)
-        p = adjacency(g)
-        for fact in rank_ladder(p, g.edge_count, RankSearchConfig(stop_fraction=0.01)):
-            explained = adjacency(graph_from_adjacency(fact.reconstruction, g))
-            assert fact.error == int((p != explained).sum()), fact.rank
-            assert fact.error == boolean_error(p, fact.reconstruction)
+    def test_error_is_that_of_the_explained_graph(self, kind, monkeypatch):
+        """generate_cre_sets explains each rank on the graph of its dense
+        reconstruction, symmetrized, without its diagonal; the rank's error
+        counts each input edge the reconstruction leaves out twice, and the
+        rank is skipped exactly when its error is 0.  Seeds 0-3."""
+        explained = []
+
+        def record(model, problems):
+            explained.extend(graph for graph, _, _ in problems)
+            return [None] * len(problems)
+
+        monkeypatch.setattr(relex.boolfact, "explain_all", record)
+        for seed in range(4):
+            g = DatasetSpec(kind=kind).build(seed)
+            p = adjacency(g)
+            # every rank of the walk up to the first with error 0, which
+            # holds the ranks of any ladder
+            walk = [bmf_factorize(p, 1)]
+            while walk[-1].error and walk[-1].rank < 256:
+                walk.append(bmf_factorize(p, walk[-1].rank + 1, prefix=walk[-1]))
+            explained.clear()
+            generate_cre_sets(g, None, [(0, ExplainConfig())], RankSearchConfig(), walk)
+            graphs = iter(explained)
+            for fact in walk:
+                dense = fact.reconstruction
+                edges = {tuple(e) for e in np.argwhere(np.triu(dense | dense.T, k=1)).tolist()}
+                uncovered = g.edges - edges
+                assert fact.error == boolean_error(p, dense) == 2 * len(uncovered), fact.rank
+                if fact.error:
+                    assert next(graphs).edges == edges, (seed, fact.rank)
+            assert next(graphs, None) is None, seed
+            assert walk[-1].error == 0
 
     def test_no_worse_than_the_penalty_solver_on_ba_shapes(self):
         # the explained-graph errors of the former penalty solver's

@@ -406,10 +406,21 @@ class TestValueOfWrongType:
                                                 "t": 1.2}]}),
         ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "class_count": 2.5}),
         ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "ranks": [1.0]}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "class_count": -5}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "class_count": 0}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "class_count": 1}),
+        ("learn-fg", "cres.json",
+         {**TestMissingJsonKey.CRES,
+          "explanations": [{**TestMissingJsonKey.EXPLANATION, "class": -1}]}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "target": 3}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "ranks": [1, 2]}),
+        ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "errors": []}),
     ], ids=["factor-weight", "relation-u", "cre-explanations", "explanation-target-float",
             "explanation-class-float", "explanation-class-bool", "explanation-hops-float",
             "fg-target-card-float", "fg-target-card-whole-float", "factor-t-float",
-            "cre-class-count-float", "cre-rank-float"])
+            "cre-class-count-float", "cre-rank-float", "cre-class-count-negative",
+            "cre-class-count-zero", "cre-class-above-count", "cre-class-negative",
+            "cre-other-target", "cre-ranks-longer", "cre-errors-shorter"])
     def test_exits_2_and_names_the_file(self, tmp_path, capsys, command, broken, blob):
         files = {"cres.json": TestMissingJsonKey.CRES, "fg.json": TestMissingJsonKey.FG,
                  "expl.json": TestMissingJsonKey.EXPLANATION, broken: blob}
@@ -698,13 +709,26 @@ class TestVerifyAndReport:
         (["reports"], [], "key 'reports' must be an object, not an array"),
         (["targets"], 5, "key 'targets' must be an array, not a number"),
         (["removed_counts"], [], "key 'removed_counts' must be an object, not an array"),
-    ], ids=["results", "results-row", "rankings", "reports", "targets", "removed_counts"])
+        # row 0's i is 1, so the rows would sort an integer against a string
+        (["results", 1, "i"], "1", "key 'results' row 1 i '1' is not an integer"),
+        (["results", 0, "b"], "x", "key 'results' row 0 b 'x' is not an integer"),
+        (["results", 0, "p_value"], None, "key 'results' row 0 p_value None is not a number"),
+        (["results", 0, "scorer"], 5, "key 'results' row 0 scorer must be a string, not a number"),
+        (["removed_counts", "bp/1"], 1.5, "removed count bp/1 1.5 is not an integer"),
+        (["warnings"], [5], "warning must be a string, not a number"),
+        (["dataset"], None, "key 'dataset' must be a string, not null"),
+        (["reports", None, "target"], "x", "report target 'x' is not an integer"),
+        (["reports", None, "converged"], "maybe", "report converged must be a boolean, not a string"),
+        (["reports", None, "skipped"], [[0.5, 1]], "skipped u 0.5 is not an integer"),
+    ], ids=["results", "results-row", "rankings", "reports", "targets", "removed_counts",
+            "result-i-mixed", "result-b", "result-p-value", "result-scorer", "removed-count",
+            "warning", "dataset", "report-target", "report-converged", "report-skipped"])
     def test_report_on_value_of_wrong_type_validation_error(
             self, verify_out, tmp_path, capsys, path, value, message):
         blob = json.loads((verify_out / "bundle.json").read_text())
         holder = blob
-        for step in path[:-1]:
-            holder = holder[step]
+        for step in path[:-1]:  # None steps into the first report
+            holder = next(iter(holder.values())) if step is None else holder[step]
         holder[path[-1]] = value
         bundle = tmp_path / "bundle.json"
         bundle.write_text(json.dumps(blob))

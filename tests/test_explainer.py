@@ -3,22 +3,21 @@ import pytest
 
 import relex.explainer
 from relex.boolfact import RankSearchConfig, rank_ladder
-from relex.explainer import (MASK_LR, ExplainConfig, Explanation,
-                             SingleNodeExplanation, _ball, _mask_problem,
-                             _masked_forward, _masked_grad, _sigmoid,
+from relex.explainer import (ENTROPY_PENALTY, MASK_LR, SIZE_PENALTY, ExplainConfig,
+                             Explanation, SingleNodeExplanation, _ball, _descend,
+                             _mask_problem, _masked_forward, _masked_grad, _sigmoid,
                              explain, explain_all, explanation_from_dict,
                              explanation_to_dict, is_scores, load_explanation,
                              save_explanation)
 from relex.gcn import (GcnModel, TrainConfig, _forward, _one_model, gcn_forward,
                        normalize_adjacency, predict, train_gcn)
-from relex.graphs import (NodeSplit, adjacency, graph_from_adjacency, make_graph,
-                          remove_edges, split_nodes)
+from relex.graphs import NodeSplit, adjacency, make_graph, remove_edges, split_nodes
 from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
 
 
 def one_problem(g, model, target, cfg):
     """The stacked mask problem of one target."""
-    return _mask_problem(model, [(g, _ball(g, target, cfg.hops), cfg)])
+    return _mask_problem(model, [(g, _ball(g, target, cfg.hops))])
 
 
 def ball_positions(p):
@@ -182,8 +181,7 @@ class TestSoftAdjacency:
         np.testing.assert_array_equal(p1, p2)
 
 
-def reference_loss_and_grad(g, model, target, predicted, masked_edges, mask,
-                            size_penalty, entropy_penalty):
+def reference_loss_and_grad(g, model, target, predicted, masked_edges, mask):
     """The mask gradient as derived before the explainer shared the GCN's
     forward pass: its own normalization and forward pass, and the degree
     terms through d^-1/2 edge by edge."""
@@ -224,9 +222,9 @@ def reference_loss_and_grad(g, model, target, predicted, masked_edges, mask,
         grad_s[idx] = (m_hat[u, v] + m_hat[v, u]) * w_deg[u] * w_deg[v] - t[u] - t[v]
 
     ds_dm = s * (1.0 - s)
-    grad = grad_s * ds_dm + size_penalty * ds_dm + entropy_penalty * (-mask) * ds_dm
+    grad = grad_s * ds_dm + SIZE_PENALTY * ds_dm + ENTROPY_PENALTY * (-mask) * ds_dm
     ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
-    loss = pred_loss + size_penalty * s.sum() + entropy_penalty * ent.sum()
+    loss = pred_loss + SIZE_PENALTY * s.sum() + ENTROPY_PENALTY * ent.sum()
     return loss, grad
 
 
@@ -274,8 +272,7 @@ class TestMaskGradient:
             for scale in (0.1, 1.0, 4.0):
                 mask = rng.normal(scale=scale, size=len(edges))
                 ref_loss, ref_grad = reference_loss_and_grad(
-                    g, model, target, predicted, edges, mask,
-                    cfg.size_penalty, cfg.entropy_penalty)
+                    g, model, target, predicted, edges, mask)
                 loss, grad = masked_loss_and_grad(p, mask)
                 worst = np.abs(grad - ref_grad).max() / np.abs(ref_grad).max()
                 assert worst < 1e-10, (kind, target, scale, worst)
@@ -346,8 +343,7 @@ class TestExplain:
 
     def test_confidences_strictly_inside_unit_interval(self, bridge_setup):
         g, model = bridge_setup
-        e = explain(model, g, 4, ExplainConfig(mask_steps=300,
-                                               entropy_penalty=0.5, seed=0))
+        e = explain(model, g, 4, ExplainConfig(mask_steps=300, seed=0))
         for _, gc in e.relations:
             assert 0.0 < gc < 1.0
 
@@ -438,11 +434,10 @@ def dense_reference_explain(model, g, target, cfg):
         probs = gcn_forward(model, g.features, a_hat)
         ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
         return (-np.log(probs[target, predicted] + 1e-12)
-                + cfg.size_penalty * s.sum() + cfg.entropy_penalty * ent.sum())
+                + SIZE_PENALTY * s.sum() + ENTROPY_PENALTY * ent.sum())
 
     def loss_and_grad(mask):
-        return reference_loss_and_grad(g, model, target, predicted, edges, mask,
-                                       cfg.size_penalty, cfg.entropy_penalty)
+        return reference_loss_and_grad(g, model, target, predicted, edges, mask)
 
     mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(edges))
     mask, _, _ = line_search(mask, cfg.mask_steps, loss_and_grad, loss)
@@ -515,8 +510,8 @@ def reference_explain(model, g, target, cfg):
         h1, probs, _ = _forward(a_hat, (a_hat @ features)[None], *weights)
         probs = probs[0].T
         ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
-        loss = (-np.log(probs[t, predicted] + 1e-12) + cfg.size_penalty * s.sum()
-                + cfg.entropy_penalty * ent.sum())
+        loss = (-np.log(probs[t, predicted] + 1e-12) + SIZE_PENALTY * s.sum()
+                + ENTROPY_PENALTY * ent.sum())
         return loss, s, a_hat, h1[0], probs
 
     def gradient(mask, fwd):
@@ -532,8 +527,8 @@ def reference_explain(model, g, target, cfg):
         grad_s = (m_hat[u, v] + m_hat[v, u]) * np.sqrt(inv_d[u] * inv_d[v]) - tt[u] - tt[v]
         ds_dm = s * (1.0 - s)
         grad = grad_s * ds_dm
-        grad += cfg.size_penalty * ds_dm
-        grad += cfg.entropy_penalty * (-mask) * ds_dm
+        grad += SIZE_PENALTY * ds_dm
+        grad += ENTROPY_PENALTY * (-mask) * ds_dm
         return grad
 
     mask = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(ball.edges))
@@ -620,7 +615,8 @@ class TestExplainAllOracle:
     def test_targets_on_a_ladders_reconstructions(self, trained_generators):
         for kind, (g, model) in trained_generators.items():
             ladder = rank_ladder(adjacency(g), g.edge_count, RankSearchConfig(stop_fraction=0.1))
-            graphs = [graph_from_adjacency(f.reconstruction, g) for f in ladder]
+            graphs = [make_graph(g.node_count, np.argwhere(f.reconstruction).tolist(),
+                                 g.features, g.labels, g.class_count) for f in ladder]
             self.check(model, seeded_problems(graphs, eligible_targets(g, True),
                                               mask_steps=60))
 
@@ -641,16 +637,29 @@ class TestExplainAllOracle:
     def test_a_problem_that_gives_up_while_the_others_go_on(self, bridge_setup):
         g, model = bridge_setup
         # at 1000 times the weights the softmax saturates to exactly one-hot,
-        # so without penalties the gradient is exactly 0: no halving lowers
-        # the loss, and the line search gives up at the first step
+        # so the prediction's gradient is exactly 0; at the mask
+        # SIZE_PENALTY / ENTROPY_PENALTY the penalties' gradient is exactly 0
+        # too, so no halving lowers the loss, and the line search gives up
+        # at the first step
         saturated = GcnModel(w0=model.w0 * 1e3, w1=model.w1 * 1e3, b0=model.b0 * 1e3,
                              b1=model.b1 * 1e3, seed=0)
-        problems = [(g, 4, ExplainConfig(seed=1)),
-                    (g, 4, ExplainConfig(seed=2, size_penalty=0.0, entropy_penalty=0.0)),
-                    (g, 4, ExplainConfig(seed=3, mask_steps=40))]
-        refs, _ = self.check(saturated, problems)
-        assert [(steps, gave_up) for (_, steps, gave_up, _) in refs] == \
-            [(300, False), (0, True), (40, False)]
+        ball = _ball(g, 4, 2)
+        size = len(ball.edges)
+        starts = np.stack([np.random.default_rng(1).uniform(-0.1, 0.1, size=size),
+                           np.full(size, SIZE_PENALTY / ENTROPY_PENALTY),
+                           np.random.default_rng(3).uniform(-0.1, 0.1, size=size)])
+        steps = [300, 300, 40]
+        p = _mask_problem(saturated, [(g, ball)] * 3)
+        final = _descend(p, starts.copy(), steps)
+        alone = one_problem(g, saturated, 4, ExplainConfig())
+        taken = []
+        for k in range(3):
+            mask, losses, _ = line_search(starts[k], steps[k],
+                                          lambda m: masked_loss_and_grad(alone, m),
+                                          lambda m: masked_loss(alone, m))
+            assert final[k].tolist() == mask.tolist(), k
+            taken.append(len(losses))
+        assert taken == [300, 0, 40]
 
     def test_explain_is_explain_all_with_one_problem(self, trained_generators):
         g, model = trained_generators["tree-cycles"]

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from relex.graphs import (GraphFormatError, RelationalGraph, adjacency,
-                          graph_from_adjacency, load_graph, make_graph,
-                          normalize_edge, remove_edges, save_graph, split_nodes)
+from relex.graphs import (GraphFormatError, RelationalGraph, adjacency, load_graph,
+                          make_graph, normalize_edge, remove_edges, save_graph,
+                          split_nodes)
 
 
 def path_graph(n=3, labels=None, classes=2):
@@ -69,38 +69,6 @@ class TestAdjacency:
         a = adjacency(g)
         np.testing.assert_array_equal(a, a.T)
         assert a.trace() == 0
-
-
-class TestGraphFromAdjacency:
-    def test_round_trip_identity(self):
-        g = path_graph(5)
-        assert graph_from_adjacency(adjacency(g), g).edges == g.edges
-
-    def test_symmetrize_by_union(self):
-        g = make_graph(2, [])
-        a = np.array([[0, 1], [0, 0]])
-        assert graph_from_adjacency(a, g).edges == {(0, 1)}
-
-    def test_diagonal_ignored(self):
-        g = make_graph(2, [])
-        a = np.eye(2, dtype=int)
-        assert graph_from_adjacency(a, g).edges == set()
-
-    def test_size_mismatch(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError, match="does not match"):
-            graph_from_adjacency(np.zeros((2, 2), dtype=int), g)
-
-    def test_round_trip_random_symmetric(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            a = (rng.random((n, n)) < 0.4).astype(np.int8)
-            a = np.triu(a, k=1)
-            a = a | a.T
-            g = make_graph(n, [])
-            rebuilt = graph_from_adjacency(a, g)
-            np.testing.assert_array_equal(adjacency(rebuilt), a)
 
 
 class TestRemoveEdges:
