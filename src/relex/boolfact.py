@@ -110,16 +110,25 @@ def _best_block(p: np.ndarray, residual: np.ndarray,
     matrix products over the 2n candidates, so no candidate block is
     ever materialised.
     """
-    bases = np.vstack([p, residual]).astype(np.int64)
-    usages = (bases @ p.T == bases.sum(axis=1, keepdims=True)).astype(np.int64)
-    gain = ((usages @ residual) * bases).sum(axis=1)
+    gain, usages, bases = _block_gains(p, residual, symmetric)
+    best = int(np.argmax(gain))
+    return usages[best], bases[best]
+
+
+def _block_gains(p: np.ndarray, residual: np.ndarray, symmetric: bool):
+    """The residual cells each candidate block covers, and the candidates'
+    usages and bases, one row each.  The products run in float64, which
+    BLAS multiplies and numpy's integer matmul does not; every count is
+    an integer below n^2, far below 2^53, so each is exact."""
+    bases = np.vstack([p, residual]).astype(np.float64)
+    usages = (bases @ bases[:len(p)].T == bases.sum(axis=1, keepdims=True)).astype(np.float64)
+    gain = ((usages @ bases[len(p):]) * bases).sum(axis=1)
     if symmetric:
         # u·bᵀ and b·uᵀ each cover `gain` cells; they share the cells of
         # w·wᵀ with w = u AND b
         shared = usages * bases
-        gain = 2 * gain - ((shared @ residual) * shared).sum(axis=1)
-    best = int(np.argmax(gain))
-    return usages[best], bases[best]
+        gain = 2 * gain - ((shared @ bases[len(p):]) * shared).sum(axis=1)
+    return gain, usages, bases
 
 
 def bmf_factorize(p: np.ndarray, k: int,
@@ -269,10 +278,10 @@ def creset_to_dict(s: CreSet) -> dict:
 
 
 def creset_from_dict(blob: dict) -> CreSet:
-    """The set that ``creset_to_dict`` wrote; a class count below 1, an
-    explanation of another target or of a class outside
-    0..class_count-1, or ranks or errors that do not pair one to one
-    with the explanations raise ValueError."""
+    """The set that ``creset_to_dict`` wrote; a class count below 1, no
+    explanation at all, an explanation of another target or of a class
+    outside 0..class_count-1, or ranks or errors that do not pair one to
+    one with the explanations raise ValueError."""
     s = CreSet(target=read_int(blob["target"], "target"),
                class_count=read_int(blob["class_count"], "class_count"),
                explanations=[explanation_from_dict(e) for e in blob["explanations"]],
@@ -280,6 +289,8 @@ def creset_from_dict(blob: dict) -> CreSet:
                errors_per_rank=[read_int(e, "error") for e in blob["errors"]])
     if s.class_count < 1:
         raise ValueError(f"class_count {s.class_count} is below 1")
+    if not s.explanations:
+        raise ValueError("the set holds no explanation")
     for e in s.explanations:
         if e.target != s.target:
             raise ValueError(f"explanation target {e.target} is not the set's target {s.target}")

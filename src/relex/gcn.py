@@ -27,13 +27,24 @@ the graphs' matrices.  Layer 1 runs on every node, node-major: a
 graph's restarts' hidden units sit side by side in one (n, R h) matrix,
 stacked to (K, n, R h), so A_hat . X . W0 is one batched product.  The
 probabilities are class-major, (K R, C, rows), so the softmax's max
-reduces over C rows.  Every weight stays bit-identical to training each
-graph's restarts one by one on every row.
+reduces over C rows, and its denominator is summed over the class rows
+in the order numpy sums a contiguous row, with no node-major copy.
 
-scipy.sparse is imported inside the functions that build or combine CSR
-matrices (normalize_adjacency, sparse_a_hat, _block_diag), not with the
-module: its import takes longer than the rest of relex's, and the
-commands that only explain or calibrate never make a CSR matrix.
+An epoch allocates nothing the size of a layer.  The weights, their
+gradients and Adam's two moments are rows of one buffer, each row viewed
+in the layouts the forward pass reads, so no weight is copied into a
+layout and no gradient out of one.  The forward and backward passes are
+bound once per training to arrays they write in place, the CSR products
+call scipy's own kernel into them, and Adam updates the rows in place;
+a model's weights are copied out only when its accuracy pair improves.
+Every weight stays bit-identical to training each graph's restarts one
+by one on every row.
+
+scipy.sparse is imported inside the functions that build, combine or
+multiply CSR matrices (normalize_adjacency, sparse_a_hat, _block_diag,
+_product), not with the module: its import takes longer than the rest of
+relex's, and the commands that only explain or calibrate never make a
+CSR matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +187,50 @@ def sparse_a_hat(g: RelationalGraph) -> sp.csr_array:
     return normalize_adjacency(a)
 
 
+def _product(a, x: np.ndarray, out: np.ndarray):
+    """A function that writes a @ x to ``out``, from what ``x`` holds
+    when it runs; ``x`` and ``out`` are C-contiguous.  For a CSR ``a`` it
+    runs csr_matvecs, the kernel of scipy's ``a @ x``, on a zeroed
+    ``out``, so the result is the same bit for bit."""
+    if isinstance(a, np.ndarray):
+        return partial(np.matmul, a, x, out=out)
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    kernel = partial(csr_matvecs, *a.shape, x.shape[-1], a.indptr, a.indices, a.data,
+                     x.ravel(), out.ravel())
+
+    def run():
+        out.fill(0.0)
+        kernel()
+    return run
+
+
+def _class_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of ``p`` (M, C, S) over its C class rows, written to
+    ``out`` (M, 1, S) in the order np.add.reduce adds a contiguous axis:
+    one by one below 8 terms; up to 128 terms in 8 interleaved partial
+    sums, added pairwise, then the rest one by one; above 128 terms, the
+    sums of two halves split at a multiple of 8.  So a class-major softmax
+    divides by the denominator an (n, C) softmax computes."""
+    c = p.shape[1]
+    if c < 8:
+        return np.add.reduce(p, axis=1, keepdims=True, out=out)
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        _class_sum(p[:, :half], out)
+        out += _class_sum(p[:, half:], np.empty_like(out))
+        return out
+    acc = p[:, :8].copy()
+    for i in range(8, c - c % 8, 8):
+        acc += p[:, i:i + 8]
+    acc[:, ::2] += acc[:, 1::2]
+    acc[:, ::4] += acc[:, 2::4]
+    np.add(acc[:, :1], acc[:, 4:5], out=out)
+    for i in range(c - c % 8, c):
+        out += p[:, i:i + 1]
+    return out
+
+
 def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
              w1: np.ndarray, b1: np.ndarray):
     """Layer 1's activations h1 on every node of K graphs, the class
@@ -185,50 +241,75 @@ def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
     changes.  ``a_rows`` is A_hat or a subset of its rows, dense or CSR,
     for K = 1; the block-diagonal CSR matrix of the K graphs' row subsets
     for K > 1; or a dense (K, rows, n) stack of the K graphs' rows.  The
-    weights are R models per graph in ``_side_by_side``'s layouts, or
-    one graph's, which every graph then shares.  h1 is node-major,
-    (K, n, R h), with graph k's model r in columns r h .. (r + 1) h - 1
-    of h1[k]; the probabilities are class-major, (K R, C, rows), with
-    graph k's model r at k R + r, so the softmax's max reduces over C
-    rows.  h1 . W1 is (K, n, R C) for a dense stack, else (K n, R C).
+    weights are R models per graph in ``_layouts``'s layouts, or one
+    graph's, which every graph then shares.  h1 is node-major, (K, n,
+    R h), with graph k's model r in columns r h .. (r + 1) h - 1 of
+    h1[k]; the probabilities are class-major, (K R, C, rows), with graph
+    k's model r at k R + r, so the softmax's max reduces over C rows.
+    h1 . W1 is (K, n, R C) for a dense stack, else (K n, R C).
     """
-    h1 = ax @ w0
-    h1 += b0
-    np.maximum(h1, 0.0, out=h1)
-    k, n, _ = h1.shape
+    return _forward_pass(a_rows, ax, w0, b0, w1, b1)()
+
+
+def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
+                  w1: np.ndarray, b1: np.ndarray):
+    """``_forward`` on arrays allocated once: a function that runs the
+    pass on what its arguments hold when it is called, writes every
+    result in place, and returns the same three arrays each time.
+    Training calls it once per epoch, on weights it updates in place."""
+    k, n, _ = ax.shape
     _, r, h, c = w1.shape
-    # layer 2 multiplies by W1 before it propagates, so it moves C columns
-    hw = np.empty((k, n, r, c))
-    np.matmul(h1.reshape(k, n, r, h).transpose(0, 2, 1, 3), w1,
-              out=hw.transpose(0, 2, 1, 3))
     # a dense stack multiplies graph by graph, one matrix all graphs at once
-    hw = hw.reshape(k, n, r * c) if a_rows.ndim == 3 else hw.reshape(k * n, r * c)
-    z2 = (a_rows @ hw).reshape(k, -1, r, c)
-    probs = np.add(z2.transpose(0, 2, 3, 1), b1.reshape(-1, r, c, 1),
-                   order="C").reshape(k * r, c, -1)
-    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    # numpy sums a contiguous axis of 8 or more entries pairwise, so each
-    # row's denominator is summed node-major, as an (n, C) softmax sums it
-    probs /= np.add.reduce(np.ascontiguousarray(probs.transpose(0, 2, 1)), axis=-1)[:, None, :]
-    return h1, probs, hw
+    dense_stack = a_rows.ndim == 3
+    rows = a_rows.shape[-2] if dense_stack else a_rows.shape[0] // k
+    stack = (k, -1, r * c) if dense_stack else (-1, r * c)
+    h1, hw = np.empty((k, n, r * h)), np.empty((k, n, r, c))
+    z2, probs = np.empty((k, rows, r, c)), np.empty((k * r, c, rows))
+    top = np.empty((k * r, 1, rows))  # each column's max, then its denominator
+    h1_by_model = h1.reshape(k, n, r, h).transpose(0, 2, 1, 3)
+    hw_by_model = hw.transpose(0, 2, 1, 3)
+    hw = hw.reshape(stack)
+    propagate = _product(a_rows, hw, z2.reshape(stack))
+    logits, probs_by_model = z2.transpose(0, 2, 3, 1), probs.reshape(k, r, c, rows)
+
+    def run():
+        np.matmul(ax, w0, out=h1)
+        np.add(h1, b0, out=h1)
+        np.maximum(h1, 0.0, out=h1)
+        # layer 2 multiplies by W1 before it propagates, so it moves C columns
+        np.matmul(h1_by_model, w1, out=hw_by_model)
+        propagate()
+        np.add(logits, b1, out=probs_by_model)
+        np.subtract(probs, np.maximum.reduce(probs, axis=1, keepdims=True, out=top), out=probs)
+        np.exp(probs, out=probs)
+        np.divide(probs, _class_sum(probs, top), out=probs)
+        return h1, probs, hw
+    return run
 
 
-def _side_by_side(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
-    """K R models' weights, stacked as (K, R, d, h), (K, R, h, C),
-    (K, R, 1, h), (K, R, 1, C), in ``_forward``'s order and layouts: w0
-    (K, d, R h) and b0 (K, 1, R h), so layer 1 is one batched product
-    with a row-broadcast bias, then w1 (K, R, h, C) and b1 (K R, C, 1)."""
-    k, r, d, h = w0.shape
-    return (w0.transpose(0, 2, 1, 3).reshape(k, d, r * h), b0.reshape(k, 1, r * h),
-            w1, b1.reshape(k * r, -1, 1))
+def _layouts(flat: np.ndarray, k: int, r: int, d: int, h: int, c: int):
+    """Views of ``flat``, which holds K R models' w0, b0, w1 and b1 in
+    turn, in ``_forward``'s layouts: w0 (K, d, R h) and b0 (K, 1, R h),
+    so layer 1 is one batched product with a row-broadcast bias, then w1
+    (K, R, h, C) and b1 (K, R, C, 1), which broadcasts over the
+    class-major logits."""
+    w0, b0, w1, b1 = np.split(flat, np.cumsum([d, 1, c]) * (k * r * h))
+    return w0.reshape(k, d, r * h), b0.reshape(k, 1, r * h), w1.reshape(k, r, h, c), \
+        b1.reshape(k, r, c, 1)
+
+
+def _slots(layouts, k, r: int):
+    """Graph k's restart r's w0, w1, b0 and b1 in ``_layouts``'s views,
+    as views shaped (d, h), (h, C), (h,) and (C,); k may be a slice."""
+    w0, b0, w1, b1 = layouts
+    cols = slice(r * w1.shape[2], (r + 1) * w1.shape[2])
+    return w0[k, :, cols], w1[k, r], b0[k, 0, cols], b1[k, r, :, 0]
 
 
 def _one_model(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
     """One model's weights, shaped (d, h), (h, C), (h,), (C,), as
     ``_forward`` takes K = R = 1 models."""
-    return _side_by_side(w0[None, None], w1[None, None], b0[None, None, None],
-                         b1[None, None, None])
+    return w0[None], b0.reshape(1, 1, -1), w1[None, None], b1.reshape(1, 1, -1, 1)
 
 
 def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
@@ -298,33 +379,55 @@ def _targets(a_hats: list, y: np.ndarray, class_count: int, train_idx: np.ndarra
                     sizes=np.array([len(monitor_idx), len(train_idx)]))
 
 
-def _loss_and_grads(ax: np.ndarray, t: _Targets, w1: np.ndarray,
-                    h1: np.ndarray, probs: np.ndarray):
-    """Mean cross-entropy over the train nodes of each of K R models, shape
-    (K R,), and its gradients in ``_forward``'s layouts, one row per
-    graph, from those models' forward pass on ``t``'s scored rows."""
+def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarray,
+                   w1: np.ndarray, grads: tuple):
+    """The mean cross-entropy over the train nodes of each of K R models
+    and its gradients, from the forward pass that writes ``h1`` and
+    ``probs`` on ``t``'s scored rows, on arrays allocated once: a function
+    that returns the losses, shape (K R,), and writes the gradients into
+    ``grads``, views in ``_layouts``'s layouts, from what the inputs hold
+    when it is called."""
     k, n, _ = h1.shape
     _, r, h, c = w1.shape
-    loss = -np.log(probs.reshape(k * r, -1)[:, t.picks] + 1e-12).sum(axis=-1) / t.count
-
+    grad_w0, grad_b0, grad_w1, grad_b1 = grads
+    rows, models = len(t.onehot), k * r
+    # each model's loss sums its train nodes one by one, in train order
+    picks = t.picks[:, None] + np.arange(models) * probs[0].size
+    picked, loss, flat = np.empty(picks.shape), np.empty(models), probs.reshape(-1)
     # dL/dZ2 is nonzero only in the train rows, which lead the scored rows
-    rows = len(t.onehot)
-    g2 = np.ascontiguousarray(probs.reshape(k, r, c, -1)[..., :rows].transpose(0, 3, 1, 2))
-    g2 -= t.onehot
-    g2 /= t.count
-    g2 = g2.reshape(k, rows, r * c)
-
-    grad_b1 = g2.sum(axis=1)
-    ah_g2 = (t.a_train @ g2.reshape(k * rows, r * c)).reshape(k, n, r, c)  # A_hat = A_hat^T
+    train_probs = probs.reshape(k, r, c, -1)[..., :rows].transpose(0, 3, 1, 2)
+    g2, ah_g2, g1 = np.empty((k, rows, r, c)), np.empty((k, n, r, c)), np.empty((k, n, r, h))
+    active = np.empty(h1.shape, dtype=bool)  # the ReLU's open units
+    propagate = _product(t.a_train, g2.reshape(k * rows, r * c),  # A_hat = A_hat^T
+                         ah_g2.reshape(k * n, r * c))
+    g2_by_row, grad_b1 = g2.reshape(k, rows, r * c), grad_b1.reshape(k, r * c)
     ah_g2 = ah_g2.transpose(0, 2, 1, 3)
-    grad_w1 = h1.reshape(k, n, r, h).transpose(0, 2, 3, 1) @ ah_g2
-    g1 = np.empty((k, n, r, h))
-    np.matmul(ah_g2, w1.transpose(0, 1, 3, 2), out=g1.transpose(0, 2, 1, 3))
-    g1 = g1.reshape(k, n, r * h)
-    np.multiply(g1, h1 > 0, out=g1)
-    grad_b0 = g1.sum(axis=1)
-    grad_w0 = ax.transpose(0, 2, 1) @ g1
-    return loss, grad_w0, grad_b0, grad_w1, grad_b1
+    h1_t, w1_t = h1.reshape(k, n, r, h).transpose(0, 2, 3, 1), w1.transpose(0, 1, 3, 2)
+    g1_by_model, g1 = g1.transpose(0, 2, 1, 3), g1.reshape(k, n, r * h)
+    ax_t, grad_b0 = ax.transpose(0, 2, 1), grad_b0.reshape(k, r * h)
+
+    def run():
+        flat.take(picks, out=picked, mode="clip")
+        np.add(picked, 1e-12, out=picked)
+        np.log(picked, out=picked)
+        np.negative(np.add.reduce(picked, axis=0, out=loss), out=loss)
+        np.divide(loss, t.count, out=loss)
+        np.subtract(train_probs, t.onehot, out=g2)
+        np.divide(g2, t.count, out=g2)
+        np.add.reduce(g2_by_row, axis=1, out=grad_b1)
+        propagate()
+        np.matmul(h1_t, ah_g2, out=grad_w1)
+        np.matmul(ah_g2, w1_t, out=g1_by_model)
+        np.multiply(g1, np.greater(h1, 0.0, out=active), out=g1)
+        np.add.reduce(g1, axis=1, out=grad_b0)
+        np.matmul(ax_t, g1, out=grad_w0)
+        return loss
+    return run
+
+
+def _model_size(d: int, h: int, c: int) -> int:
+    """The number of weights of one model."""
+    return d * h + h + h * c + c
 
 
 def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
@@ -334,11 +437,13 @@ def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
     on a dense or CSR ``a_hat``: the training loop's computation with a
     single graph and restart."""
     ax = (a_hat @ x)[None]
-    t = _targets([a_hat], y, w1.shape[1], train_idx, train_idx)
+    (d, h), c = w0.shape, w1.shape[1]
+    t = _targets([a_hat], y, c, train_idx, train_idx)
     weights = _one_model(w0, w1, b0, b1)
-    loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(
-        ax, t, weights[2], *_forward(t.a_scored, ax, *weights)[:2])
-    return loss[0], grad_w0[0], grad_w1[0, 0], grad_b0[0], grad_b1[0]
+    grads = _layouts(np.empty(_model_size(d, h, c)), 1, 1, d, h, c)
+    h1, probs, _ = _forward(t.a_scored, ax, *weights)
+    loss = _backward_pass(ax, t, h1, probs, weights[2], grads)()
+    return loss[0], *_slots(grads, 0, 0)
 
 
 def init_weights(d: int, hidden: int, classes: int, seed: int):
@@ -348,16 +453,6 @@ def init_weights(d: int, hidden: int, classes: int, seed: int):
     b0 = rng.uniform(-0.1, 0.1, size=hidden)
     b1 = rng.uniform(-0.1, 0.1, size=classes)
     return w0, w1, b0, b1
-
-
-def _unstack(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of ``flat`` (K, R, P), one row of P per model, as stacked
-    (K, R, *shape) arrays, one array per shape, in order."""
-    views, start = [], 0
-    for rows, cols in shapes:
-        views.append(flat[..., start:start + rows * cols].reshape(*flat.shape[:2], rows, cols))
-        start += rows * cols
-    return views
 
 
 def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
@@ -374,59 +469,62 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     last one stops or cfg.max_epochs is reached; a model that stopped is
     still updated, but nothing reads its loss, its accuracy or its
     weights again.  The models share no sum, so one that stopped, even
-    with non-finite weights, changes no other model's result.
+    with non-finite weights, changes no other model's result.  Every
+    array an epoch writes is allocated before the first epoch.
     """
     n_graphs, n_restarts = len(a_hats), cfg.restarts
     ax = np.stack([a @ x for a in a_hats])
-    d, h = x.shape[1], cfg.hidden_dim
-    shapes = ((d, h), (h, class_count), (1, h), (1, class_count))
-    # one row of w0, w1, b0, b1 per model; the stacked weights are views
-    init = np.stack([np.concatenate([p.ravel() for p in
-                                     init_weights(d, h, class_count, cfg.seed + r)])
-                     for r in range(n_restarts)])
-    flat = np.repeat(init[None], n_graphs, axis=0)
-    mom = np.zeros_like(flat)
-    vel = np.zeros_like(flat)
+    (n, d), h = x.shape, cfg.hidden_dim
+    t = _targets(a_hats, y, class_count, train_idx, monitor_idx)
+    # the weights, their gradients, Adam's two moments and scratch, each in _layouts
+    state = np.zeros((5, n_graphs * n_restarts * _model_size(d, h, class_count)))
+    weights, grad, mom, vel, scratch = state
+    params, grads = (_layouts(row, n_graphs, n_restarts, d, h, class_count)
+                     for row in (weights, grad))
+    for r in range(n_restarts):
+        for slot, value in zip(_slots(params, slice(None), r),
+                               init_weights(d, h, class_count, cfg.seed + r)):
+            slot[...] = value
+    best = _layouts(weights.copy(), n_graphs, n_restarts, d, h, class_count)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # model m is graph m // R's restart m % R, row m of ``rows``
+    # model m is graph m // R's restart m % R
     models = n_graphs * n_restarts
-    rows = flat.reshape(models, -1)
     live = list(range(models))                    # models still training
-    best = rows.copy()
     best_acc = [(-1.0, -1.0)] * models            # (monitored, train) accuracy
     best_loss = [math.inf] * models
     stale = [0] * models
-    t = _targets(a_hats, y, class_count, train_idx, monitor_idx)
-    params = _unstack(flat, shapes)
-    fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
+    forward = _forward_pass(t.a_scored, ax, *params)
+    h1, probs, _ = forward()
+    backward = _backward_pass(ax, t, h1, probs, params[2], grads)
     for step in range(1, cfg.max_epochs + 1):
-        loss, grad_w0, grad_b0, grad_w1, grad_b1 = _loss_and_grads(ax, t, params[1], *fwd[:2])
-        losses = loss.tolist()
+        losses = backward().tolist()
         for m in live:
             if not math.isfinite(losses[m]):
                 raise TrainingDiverged(f"non-finite loss {losses[m]} at epoch {step} "
                                        f"on graph {m // n_restarts}", m // n_restarts)
-        grad = np.concatenate([grad_w0.reshape(n_graphs, d, n_restarts, h)
-                               .transpose(0, 2, 1, 3).reshape(n_graphs, n_restarts, -1),
-                               grad_w1.reshape(n_graphs, n_restarts, -1),
-                               grad_b0.reshape(n_graphs, n_restarts, -1),
-                               grad_b1.reshape(n_graphs, n_restarts, -1)], axis=-1)
+        # Adam, in place, in the reference's order of operations
         mom *= beta1
-        mom += (1 - beta1) * grad
+        mom += np.multiply(grad, 1 - beta1, out=scratch)
         vel *= beta2
-        vel += (1 - beta2) * grad * grad
-        m_hat = mom / (1 - beta1 ** step)
-        v_hat = vel / (1 - beta2 ** step)
-        flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        fwd = _forward(t.a_scored, ax, *_side_by_side(*params))
-        hits = fwd[1].argmax(axis=1) == t.labels
+        np.multiply(grad, 1 - beta2, out=scratch)
+        vel += np.multiply(scratch, grad, out=scratch)
+        np.divide(mom, 1 - beta1 ** step, out=scratch)
+        scratch *= cfg.learning_rate
+        np.divide(vel, 1 - beta2 ** step, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += eps
+        weights -= np.divide(scratch, grad, out=scratch)
+        forward()
+        hits = probs.argmax(axis=1) == t.labels
         accs = ((hits @ t.scored) / t.sizes).tolist()
         for m in live:
             acc = tuple(accs[m])
             improved = False
             if acc > best_acc[m]:
                 best_acc[m] = acc
-                best[m] = rows[m]
+                for slot, value in zip(_slots(best, *divmod(m, n_restarts)),
+                                       _slots(params, *divmod(m, n_restarts))):
+                    slot[...] = value
                 improved = True
             # patience also resets while the train loss improves; tiny
             # validation sets saturate long before the optimizer is done
@@ -437,7 +535,9 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
         live = [m for m in live if stale[m] < cfg.patience]
         if not live:
             break
-    stacked = _unstack(best.reshape(n_graphs, n_restarts, -1), shapes)
+    w0, b0, w1, b1 = best
+    stacked = (np.ascontiguousarray(w0.reshape(n_graphs, d, n_restarts, h).transpose(0, 2, 1, 3)),
+               w1, b0.reshape(n_graphs, n_restarts, 1, h), b1.reshape(n_graphs, n_restarts, 1, -1))
     return stacked, [best_acc[k * n_restarts:(k + 1) * n_restarts] for k in range(n_graphs)]
 
 

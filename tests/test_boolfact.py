@@ -167,6 +167,41 @@ class TestBmfFactorize:
                 assert before - fact.error == best, (trial, k)
                 prev = fact
 
+    def test_float_gains_equal_integer_gains(self):
+        """The float64 gains equal the gains as int64 products, and the
+        chosen block is the first int64 argmax, on random symmetric and
+        asymmetric matrices along their walks.  Distinct blocks tie at the
+        top gain on both kinds, so a tie broken elsewhere changes a
+        choice."""
+        rng = np.random.default_rng(11)
+        ties = set()
+        for trial in range(12):
+            n = int(rng.integers(4, 40))
+            p = (rng.random((n, n)) < rng.uniform(0.1, 0.6)).astype(np.int8)
+            if trial % 2:
+                p = p | p.T
+            symmetric = bool((p == p.T).all())
+            covered = np.zeros(p.shape, dtype=bool)
+            for _ in range(4):
+                residual = p & ~covered
+                bases = np.vstack([p, residual]).astype(np.int64)
+                usages = (bases @ p.T == bases.sum(axis=1, keepdims=True)).astype(np.int64)
+                want = ((usages @ residual) * bases).sum(axis=1)
+                if symmetric:
+                    shared = usages * bases
+                    want = 2 * want - ((shared @ residual) * shared).sum(axis=1)
+                gain, _, _ = relex.boolfact._block_gains(p, residual, symmetric)
+                assert gain.dtype == np.float64 and (gain == want).all()
+                top = np.flatnonzero(want == want.max())
+                if len({bases[i].tobytes() for i in top}) > 1:
+                    ties.add(symmetric)
+                usage, basis = relex.boolfact._best_block(p, residual, symmetric)
+                best = int(np.argmax(want))
+                assert (usage == usages[best]).all() and (basis == bases[best]).all()
+                block = np.outer(usage, basis) > 0
+                covered |= (block | block.T) if symmetric else block
+        assert ties == {False, True}
+
     def test_oracle_monotone_in_k(self):
         rng = np.random.default_rng(3)
         for _ in range(3):

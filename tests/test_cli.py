@@ -415,12 +415,14 @@ class TestValueOfWrongType:
         ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "target": 3}),
         ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "ranks": [1, 2]}),
         ("learn-fg", "cres.json", {**TestMissingJsonKey.CRES, "errors": []}),
+        ("learn-fg", "cres.json",
+         {**TestMissingJsonKey.CRES, "explanations": [], "ranks": [], "errors": []}),
     ], ids=["factor-weight", "relation-u", "cre-explanations", "explanation-target-float",
             "explanation-class-float", "explanation-class-bool", "explanation-hops-float",
             "fg-target-card-float", "fg-target-card-whole-float", "factor-t-float",
             "cre-class-count-float", "cre-rank-float", "cre-class-count-negative",
             "cre-class-count-zero", "cre-class-above-count", "cre-class-negative",
-            "cre-other-target", "cre-ranks-longer", "cre-errors-shorter"])
+            "cre-other-target", "cre-ranks-longer", "cre-errors-shorter", "cre-empty"])
     def test_exits_2_and_names_the_file(self, tmp_path, capsys, command, broken, blob):
         files = {"cres.json": TestMissingJsonKey.CRES, "fg.json": TestMissingJsonKey.FG,
                  "expl.json": TestMissingJsonKey.EXPLANATION, broken: blob}

@@ -8,10 +8,12 @@ import pytest
 import scipy.sparse as sp
 
 from relex.datasets import generate_ba_shapes, generate_tree_motif
-from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _train_restarts,
-                       gcn_forward, init_weights, load_model, loss_and_grads,
-                       normalize_adjacency, predict, save_model, sparse_a_hat,
-                       train_gcn, train_gcns)
+import relex.gcn
+from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _class_sum, _forward,
+                       _forward_pass, _layouts, _model_size, _one_model, _product,
+                       _targets, _train_restarts, gcn_forward, init_weights, load_model,
+                       loss_and_grads, normalize_adjacency, predict, save_model,
+                       sparse_a_hat, train_gcn, train_gcns)
 from relex.graphs import NodeSplit, adjacency, make_graph, remove_edges, split_nodes
 from relex.pipeline import GENERATORS, DatasetSpec
 
@@ -285,6 +287,118 @@ class TestSparsePath:
         assert g.node_count == 3000
         assert train_peak < limit, train_peak
         assert predict_peak < limit, predict_peak
+
+
+class TestEpochArrays:
+    """Training runs ``_forward`` and the backward pass on arrays it
+    allocates once, and writes every result into them."""
+
+    @staticmethod
+    def rerun_equals_fresh(a_rows, ax, weights, change):
+        """A pass bound to ``ax`` and ``weights`` gives, after ``change``
+        rewrites its inputs in place, what a fresh ``_forward`` gives on
+        them, bit for bit, in the same three arrays as its first run."""
+        bound = _forward_pass(a_rows, ax, *weights)
+        first = bound()
+        change()
+        again = bound()
+        assert all(a is b for a, b in zip(first, again))
+        for got, want in zip(again, _forward(a_rows, ax, *weights), strict=True):
+            assert got.shape == want.shape and (got == want).all()
+
+    def test_block_diagonal_models(self):
+        """K = 3 graphs with R = 2 models each, through the block-diagonal
+        CSR matrix of their scored rows, with every weight redrawn."""
+        g = generate_ba_shapes(25, 5, 1)
+        graphs = [g, *(remove_edges(g, sorted(g.edges)[j::5])[0] for j in range(2))]
+        a_hats = [sparse_a_hat(x) for x in graphs]
+        split = split_nodes(g, 1, (0.5, 0.1, 0.4))
+        t = _targets(a_hats, g.labels, g.class_count, np.asarray(split.train),
+                     np.asarray(split.validation))
+        d, h, c = g.features.shape[1], 8, g.class_count
+        rng = np.random.default_rng(0)
+        flat = rng.uniform(-1, 1, 3 * 2 * _model_size(d, h, c))
+        ax = np.stack([a @ g.features for a in a_hats])
+
+        def change():
+            flat[:] = rng.uniform(-1, 1, flat.size)
+        self.rerun_equals_fresh(t.a_scored, ax, _layouts(flat, 3, 2, d, h, c), change)
+
+    def test_dense_stack_of_balls(self):
+        """The explainer's layout: one model over a (P, b, b) stack, whose
+        A_hat and A_hat . X change between runs, as a mask loop's do."""
+        rng = np.random.default_rng(1)
+        a_hat = rng.random((4, 9, 9))
+        ax = rng.normal(size=(4, 9, 3))
+        weights = _one_model(*init_weights(3, 5, 8, seed=2))
+
+        def change():
+            a_hat[...] = rng.random(a_hat.shape)
+            ax[...] = rng.normal(size=ax.shape)
+        self.rerun_equals_fresh(a_hat, ax, weights, change)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_one_model(self, dense):
+        g = two_cliques()
+        a_hat = normalize_adjacency(adjacency(g)) if dense else sparse_a_hat(g)
+        w0, w1, b0, b1 = init_weights(2, 6, 2, seed=4)
+        weights = _one_model(w0, w1, b0, b1)
+
+        def change():
+            for w in (w0, w1, b0, b1):
+                w *= -1.5
+        self.rerun_equals_fresh(a_hat, (a_hat @ g.features)[None], weights, change)
+
+    def test_class_sum_is_a_contiguous_sum(self):
+        """The class-major denominator equals np.add.reduce over a
+        node-major copy at every class count from 2 to 130; numpy's order
+        changes at 8 and above 128 terms."""
+        rng = np.random.default_rng(5)
+        for classes in range(2, 131):
+            p = rng.random((3, classes, 17)) * 10.0 ** rng.integers(-8, 8, (3, classes, 17))
+            want = np.add.reduce(np.ascontiguousarray(p.transpose(0, 2, 1)), axis=-1)
+            got = _class_sum(p, np.full((3, 1, 17), np.nan))
+            assert (got[:, 0] == want).all(), classes
+
+    def test_csr_product_is_scipys(self):
+        """The CSR product calls scipy's csr_matvecs kernel itself, into an
+        array that already holds values; it equals ``a @ x``, so a scipy
+        that moves the kernel fails here."""
+        rng = np.random.default_rng(3)
+        for n, cols, density in ((40, 7, 0.1), (120, 12, 0.03), (5, 1, 0.5)):
+            a = sp.csr_array(rng.normal(size=(n, n)) * (rng.random((n, n)) < density))
+            a = sp.block_diag([a, a[::-1]], format="csr")
+            x = rng.normal(size=(2 * n, cols))
+            out = np.full((2 * n, cols), np.nan)
+            _product(a, x, out)()
+            assert (out == a @ x).all()
+
+    def test_an_epoch_allocates_no_layer_sized_array(self, monkeypatch):
+        """From the first backward pass on, every epoch of a two-graph
+        run together allocates less than half of one (K, n, R h) array."""
+        g = generate_ba_shapes(150, 30, 1)
+        split = split_nodes(g, 1, (0.5, 0.1, 0.4))
+        graphs = [g, remove_edges(g, sorted(g.edges)[::9])[0]]
+        real, start = relex.gcn._backward_pass, []
+
+        def traced(*args):
+            run = real(*args)
+
+            def first_resets_the_peak():
+                if not start:
+                    tracemalloc.reset_peak()
+                    start.append(tracemalloc.get_traced_memory()[0])
+                return run()
+            return first_resets_the_peak
+        monkeypatch.setattr(relex.gcn, "_backward_pass", traced)
+        cfg = TrainConfig(hidden_dim=32, max_epochs=20, restarts=3)
+        tracemalloc.start()
+        try:
+            train_gcns(graphs, split, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start[0]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(graphs) * g.node_count * 3 * 32 * 8 // 2, peak
 
 
 class TestTraining:
