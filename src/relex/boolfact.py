@@ -19,17 +19,19 @@ candidate bases are P's rows and the still-uncovered part of each row,
 each block's usage is every row that contains its basis, so a block never
 covers a zero of P, and rank k + 1 adds to rank k's blocks the candidate
 that covers the most uncovered cells.  The error therefore never rises
-with rank, and falls strictly until it reaches 0.  Exact Boolean rank is
-NP-hard; tests bound this heuristic's slack against exhaustive oracles on
-small instances.
+with rank, and falls strictly until it reaches 0.  One walk serves
+`bmf_factorize` and `rank_ladder`: a rank costs one block search, O(n³),
+plus O(n² + nk) bookkeeping.  Exact Boolean rank is NP-hard; tests
+bound this heuristic's slack against exhaustive oracles on small instances.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -104,7 +106,8 @@ def boolean_error(p: np.ndarray, p_hat: np.ndarray) -> int:
 def _best_block(p: np.ndarray, residual: np.ndarray,
                 symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     """(usage, basis) of the candidate block that covers the most residual
-    cells; ties go to the first candidate (P's rows, then the residual's).
+    cells, as int8 copies that let the (2n, n) candidate arrays go; ties
+    go to the first candidate (P's rows, then the residual's).
 
     A usage holds every row of P that contains the basis.  The gains are
     matrix products over the 2n candidates, so no candidate block is
@@ -112,7 +115,7 @@ def _best_block(p: np.ndarray, residual: np.ndarray,
     """
     gain, usages, bases = _block_gains(p, residual, symmetric)
     best = int(np.argmax(gain))
-    return usages[best], bases[best]
+    return usages[best].astype(np.int8), bases[best].astype(np.int8)
 
 
 def _block_gains(p: np.ndarray, residual: np.ndarray, symmetric: bool):
@@ -131,33 +134,31 @@ def _block_gains(p: np.ndarray, residual: np.ndarray, symmetric: bool):
     return gain, usages, bases
 
 
-def bmf_factorize(p: np.ndarray, k: int,
-                  prefix: BooleanFactorization | None = None) -> BooleanFactorization:
-    """Greedy Boolean factorization at rank k.
-
-    Starts from ``prefix``'s blocks (none by default) and adds the block
-    that covers the most uncovered cells of P until there are k, so
-    rank k is the first k steps of one walk and its error is at most
-    that of any lower rank.  Blocks never cover a zero of P, so the
-    error counts P's uncovered ones.  Deterministic.
-    """
+def _walk(p: np.ndarray) -> Iterator[BooleanFactorization]:
+    """Every rank of the greedy walk, from rank 1 on, without end.  P is
+    validated and its symmetry tested once; the uncovered cells, usages
+    and bases carry over from rank to rank."""
     p = validate_boolean_matrix(p)
-    done = 0 if prefix is None else prefix.rank
-    if k < max(1, done):
-        raise ValueError("rank must be >= 1 and >= the prefix's rank")
     symmetric = p.shape[0] == p.shape[1] and bool((p == p.T).all())
-    usages = [] if prefix is None else list(prefix.q[:, :done].T)
-    bases = [] if prefix is None else list(prefix.r[:done])
-    covered = np.zeros(p.shape, dtype=bool) if prefix is None else prefix.reconstruction > 0
-    for _ in range(done, k):
-        u, b = _best_block(p, p & ~covered, symmetric)
+    residual = p.copy()  # P's ones that no block covers yet
+    usages, bases = [], []
+    for rank in itertools.count(1):
+        u, b = _best_block(p, residual, symmetric)
         usages.append(u)
         bases.append(b)
         block = np.outer(u, b) > 0
-        covered |= (block | block.T) if symmetric else block
-    u, b = np.array(usages, dtype=np.int8).T, np.array(bases, dtype=np.int8)
-    q, r = (np.hstack([u, b.T]), np.vstack([b, u.T])) if symmetric else (u, b)
-    return BooleanFactorization(q=q, r=r, rank=k, error=boolean_error(p, covered))
+        residual[(block | block.T) if symmetric else block] = 0
+        u, b = np.array(usages).T, np.array(bases)
+        q, r = (np.hstack([u, b.T]), np.vstack([b, u.T])) if symmetric else (u, b)
+        yield BooleanFactorization(q=q, r=r, rank=rank, error=int(np.count_nonzero(residual)))
+
+
+def bmf_factorize(p: np.ndarray, k: int) -> BooleanFactorization:
+    """Greedy Boolean factorization at rank k: the k-th rank of the walk,
+    so its error is at most that of any lower rank.  Deterministic."""
+    if k < 1:
+        raise ValueError("rank must be >= 1")
+    return next(itertools.islice(_walk(p), k - 1, None))
 
 
 def rank_ladder(p: np.ndarray, edge_count: int,
@@ -173,9 +174,7 @@ def rank_ladder(p: np.ndarray, edge_count: int,
     start_err = START_FRACTION * edge_count
     stop_err = cfg.stop_fraction * edge_count
     ladder: list[BooleanFactorization] = []
-    fact = None
-    for rank in range(1, cfg.max_rank + 1):
-        fact = bmf_factorize(p, rank, prefix=fact)
+    for fact in itertools.islice(_walk(p), cfg.max_rank):
         if fact.error < start_err:
             ladder.append(fact)
             if fact.error < stop_err:

@@ -39,7 +39,7 @@ import numpy as np
 from relex.boolfact import CreSet, EmptyCreSet
 from relex.bp import BpConfig, Cluster, propagate_all
 from relex.explainer import Explanation
-from relex.graphs import Edge, read_float, read_int
+from relex.graphs import Edge, normalize_edge, read_float, read_int
 
 TARGET = -1  # variable id of the target node T
 
@@ -454,14 +454,16 @@ def factorgraph_from_dict(blob: dict) -> FactorGraph:
     or repeated entity, a factor whose u and v are one entity, a weight
     that is not a JSON number, or outside [-WEIGHT_BOUND, WEIGHT_BOUND],
     or not finite, or a kind other than "learned" and "injected" raises
-    ValueError."""
+    ValueError.  Each factor's ends are put in (min, max) order, as
+    ``explanation_from_dict`` puts a relation's: the clause is symmetric
+    in them."""
     entities = tuple(read_int(x, "entity") for x in blob["entities"])
     for x in entities:
         if x < 0:  # TARGET is -1
             raise ValueError(f"entity {x} is negative")
     if len(set(entities)) < len(entities):
         raise ValueError(f"entities {list(entities)} repeat an id")
-    factors = [Factor(u=read_int(f["u"], "factor u"), v=read_int(f["v"], "factor v"),
+    factors = [Factor(*normalize_edge(read_int(f["u"], "factor u"), read_int(f["v"], "factor v")),
                       target_state=read_int(f["t"], "factor t"),
                       weight=read_float(f["weight"], "factor weight"), kind=str(f["kind"]))
                for f in blob["factors"]]

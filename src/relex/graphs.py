@@ -51,6 +51,9 @@ class RelationalGraph:
             raise GraphFormatError(
                 f"features must be (node_count, d); got {feats.shape}"
             )
+        nonfinite = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if nonfinite.size:
+            raise GraphFormatError(f"node {nonfinite[0]} has a non-finite feature")
         if labs.shape != (self.node_count,):
             raise GraphFormatError(f"labels must be ({self.node_count},); got {labs.shape}")
         if labs.min(initial=0) < 0 or (labs.size and labs.max() >= self.class_count):
@@ -238,7 +241,7 @@ def read_floats(values, what: str) -> np.ndarray:
 def load_graph(path: str | Path) -> RelationalGraph:
     """Read the JSON bundle representation; a node count, edge end, label
     or class count that is not a JSON integer, or a feature that is not a
-    JSON number, is a GraphFormatError."""
+    finite JSON number, is a GraphFormatError."""
     path = Path(path)
     if not path.exists():
         raise GraphFormatError(f"no such file: {path}")

@@ -150,8 +150,8 @@ class TestBmfFactorize:
                 p = p | p.T
             symmetric = bool((p == p.T).all())
             prev = None
-            for k in range(1, 7):
-                fact = bmf_factorize(p, k, prefix=prev)
+            for k, fact in zip(range(1, 7), relex.boolfact._walk(p)):
+                assert fact.rank == k
                 covered = (np.zeros_like(p) if prev is None
                            else prev.reconstruction).astype(bool)
                 residual = p.astype(bool) & ~covered
@@ -196,6 +196,8 @@ class TestBmfFactorize:
                 if len({bases[i].tobytes() for i in top}) > 1:
                     ties.add(symmetric)
                 usage, basis = relex.boolfact._best_block(p, residual, symmetric)
+                # copies, not views that would keep the (2n, n) candidates alive
+                assert usage.base is None and basis.base is None
                 best = int(np.argmax(want))
                 assert (usage == usages[best]).all() and (basis == bases[best]).all()
                 block = np.outer(usage, basis) > 0
@@ -306,10 +308,22 @@ class TestRankLadder:
         assert ranks == list(range(ranks[0], ranks[0] + len(ranks)))
         errors = [f.error for f in ladder]
         assert all(b <= a for a, b in zip(errors, errors[1:])), errors
-        # each rung is the walk's rank-k prefix, however it is reached
-        fresh = bmf_factorize(adjacency(g), ranks[-1])
-        np.testing.assert_array_equal(fresh.q, ladder[-1].q)
-        np.testing.assert_array_equal(fresh.r, ladder[-1].r)
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_every_rung_is_the_walks_rank(self, kind):
+        """Every rung's error is the XOR count of its Boolean product, and
+        the rung equals bmf_factorize at its rank bit for bit, however the
+        walk reaches it.  Seeds 0-3."""
+        for seed in range(4):
+            g = DatasetSpec(kind=kind).build(seed)
+            p = adjacency(g)
+            ladder = rank_ladder(p, g.edge_count, RankSearchConfig(stop_fraction=0.01))
+            for rung in ladder:
+                assert rung.error == boolean_error(p, boolean_product(rung.q, rung.r))
+                fresh = bmf_factorize(p, rung.rank)
+                assert (fresh.rank, fresh.error) == (rung.rank, rung.error)
+                for a, b in ((fresh.q, rung.q), (fresh.r, rung.r)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     @pytest.mark.parametrize("kind", GENERATORS)
     def test_error_is_that_of_the_explained_graph(self, kind, monkeypatch):
@@ -329,9 +343,11 @@ class TestRankLadder:
             p = adjacency(g)
             # every rank of the walk up to the first with error 0, which
             # holds the ranks of any ladder
-            walk = [bmf_factorize(p, 1)]
-            while walk[-1].error and walk[-1].rank < 256:
-                walk.append(bmf_factorize(p, walk[-1].rank + 1, prefix=walk[-1]))
+            walk = []
+            for fact in itertools.islice(relex.boolfact._walk(p), 256):
+                walk.append(fact)
+                if not fact.error:
+                    break
             explained.clear()
             generate_cre_sets(g, None, [(0, ExplainConfig())], RankSearchConfig(), walk)
             graphs = iter(explained)
@@ -350,9 +366,7 @@ class TestRankLadder:
         # factorizations at ranks 33-36 of ba-shapes(25, 5), seed 1
         g = DatasetSpec(kind="ba-shapes").build(1)
         before = {33: 24, 34: 22, 35: 20, 36: 26}
-        fact = None
-        for rank in range(1, 37):
-            fact = bmf_factorize(adjacency(g), rank, prefix=fact)
+        for rank, fact in zip(range(1, 37), relex.boolfact._walk(adjacency(g))):
             if rank in before:
                 assert fact.error <= before[rank], rank
 

@@ -257,6 +257,20 @@ class TestEvaluate:
                "(1, 7), (5, 6)" in err
         assert len((tmp_path / "u.csv").read_text().splitlines()) == 2
 
+    def test_factor_ends_in_either_order_give_one_report(self, tmp_path):
+        (tmp_path / "expl.json").write_text(json.dumps(
+            {"target": 0, "class": 1, "hops": 2,
+             "relations": [{"u": 0, "v": 1, "gc": 0.8}, {"u": 1, "v": 2, "gc": 0.3}]}))
+        for name, ends in (("sorted", [(0, 1), (1, 2)]), ("reversed", [(1, 0), (2, 1)])):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"entities": [0, 1, 2], "target_card": 2,
+                 "factors": [{"u": u, "v": v, "t": 1, "weight": w, "kind": "learned"}
+                             for (u, v), w in zip(ends, (0.5, 1.5))]}))
+            assert run(["evaluate", "--fg", str(tmp_path / f"{name}.json"),
+                        "--explanation", str(tmp_path / "expl.json"),
+                        "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "sorted.csv").read_bytes() == (tmp_path / "reversed.csv").read_bytes()
+
     @pytest.mark.parametrize("tol, code", [("-1", 2), ("nan", 2), ("inf", 2), ("0", 0)])
     def test_bp_tolerance_validated(self, tmp_path, tol, code):
         (tmp_path / "fg.json").write_text(json.dumps(
@@ -497,6 +511,23 @@ class TestValueOfWrongType:
         assert capsys.readouterr().err == \
             f"error: {tmp_path / 'g.json'}: malformed bundle ({message})\n"
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "infinity"])
+    @pytest.mark.parametrize("command", ["train", "explain", "verify"])
+    def test_rejects_graph_feature_non_finite(self, workspace, tmp_path, capsys, command,
+                                              value):
+        blob = json.loads((workspace / "graph.json").read_text())
+        blob["features"][13][0] = value
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(blob))
+        argv = {"train": ["train", "--graph", str(graph)],
+                "explain": ["explain", "--graph", str(graph), "--model",
+                            str(workspace / "model.json"), "--target", "13"],
+                "verify": ["verify", "--dataset", str(graph)]}[command]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {graph}: node 13 has a non-finite feature\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("w0", "0.8"), ("w1", True), ("b0", "1"), ("b1", False),
