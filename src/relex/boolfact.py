@@ -103,47 +103,58 @@ def boolean_error(p: np.ndarray, p_hat: np.ndarray) -> int:
     return int((p != p_hat).sum())
 
 
-def _best_block(p: np.ndarray, residual: np.ndarray,
+def _best_block(p: np.ndarray, own: np.ndarray, residual: np.ndarray,
                 symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     """(usage, basis) of the candidate block that covers the most residual
     cells, as int8 copies that let the (2n, n) candidate arrays go; ties
     go to the first candidate (P's rows, then the residual's).
 
-    A usage holds every row of P that contains the basis.  The gains are
-    matrix products over the 2n candidates, so no candidate block is
-    ever materialised.
+    A usage holds every row of P that contains the basis; ``own`` holds
+    the usages of P's rows (``_own_usages``).  The gains are matrix
+    products over the 2n candidates, so no candidate block is ever
+    materialised.
     """
-    gain, usages, bases = _block_gains(p, residual, symmetric)
+    gain, usages, bases = _block_gains(p, own, residual, symmetric)
     best = int(np.argmax(gain))
     return usages[best].astype(np.int8), bases[best].astype(np.int8)
 
 
-def _block_gains(p: np.ndarray, residual: np.ndarray, symmetric: bool):
+def _own_usages(p: np.ndarray) -> np.ndarray:
+    """The usages of the candidates that are P's own rows, which depend on
+    P alone: row i marks every row of P that contains row i."""
+    rows = p.astype(np.float64)
+    return (rows @ rows.T == rows.sum(axis=1, keepdims=True)).astype(np.float64)
+
+
+def _block_gains(p: np.ndarray, own: np.ndarray, residual: np.ndarray, symmetric: bool):
     """The residual cells each candidate block covers, and the candidates'
-    usages and bases, one row each.  The products run in float64, which
-    BLAS multiplies and numpy's integer matmul does not; every count is
-    an integer below n^2, far below 2^53, so each is exact."""
+    usages and bases, one row each; ``own`` is ``_own_usages(p)``.  The
+    products run in float64, which BLAS multiplies and numpy's integer
+    matmul does not; every count is an integer below n^2, far below
+    2^53, so each is exact."""
     bases = np.vstack([p, residual]).astype(np.float64)
-    usages = (bases @ bases[:len(p)].T == bases.sum(axis=1, keepdims=True)).astype(np.float64)
-    gain = ((usages @ bases[len(p):]) * bases).sum(axis=1)
+    left = bases[len(p):]
+    usages = np.vstack([own, left @ bases[:len(p)].T == left.sum(axis=1, keepdims=True)])
+    gain = ((usages @ left) * bases).sum(axis=1)
     if symmetric:
         # u·bᵀ and b·uᵀ each cover `gain` cells; they share the cells of
         # w·wᵀ with w = u AND b
         shared = usages * bases
-        gain = 2 * gain - ((shared @ bases[len(p):]) * shared).sum(axis=1)
+        gain = 2 * gain - ((shared @ left) * shared).sum(axis=1)
     return gain, usages, bases
 
 
 def _walk(p: np.ndarray) -> Iterator[BooleanFactorization]:
     """Every rank of the greedy walk, from rank 1 on, without end.  P is
-    validated and its symmetry tested once; the uncovered cells, usages
-    and bases carry over from rank to rank."""
+    validated, its symmetry tested and its own rows' usages found once;
+    the uncovered cells, usages and bases carry over from rank to rank."""
     p = validate_boolean_matrix(p)
     symmetric = p.shape[0] == p.shape[1] and bool((p == p.T).all())
     residual = p.copy()  # P's ones that no block covers yet
+    own = _own_usages(p)
     usages, bases = [], []
     for rank in itertools.count(1):
-        u, b = _best_block(p, residual, symmetric)
+        u, b = _best_block(p, own, residual, symmetric)
         usages.append(u)
         bases.append(b)
         block = np.outer(u, b) > 0

@@ -18,6 +18,12 @@ K graphs that differ only in their edges, as ``verify``'s reduced graphs
 do, in the same lockstep run: K R models advance in one Adam loop,
 all of them until the last one stops.
 
+``train_gcns`` splits those K R models across the CPUs the process may
+use (``relex.workers``): P = min(CPUs in its affinity mask, K R) parts
+in model order, by graphs when K >= P and otherwise by restarts, each
+part one lockstep run on a slice of the graphs and a range of restart
+seeds.  The models share no sum, so the split changes no bit.
+
 The loss reads only the train rows and the early stop only the train
 and monitored rows, so an epoch runs layer 2, the softmax and the
 accuracies on those scored rows alone, through A_hat[scored], and
@@ -51,22 +57,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from relex import workers
 from relex.graphs import NodeSplit, RelationalGraph, read_floats, read_int
 
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss becomes non-finite; ``graph`` is the
-    position of the graph whose model diverged in ``train_gcns``'s list."""
+    position of the graph whose model diverged in ``train_gcns``'s list,
+    and ``epoch`` the epoch whose loss was non-finite."""
 
-    def __init__(self, message: str, graph: int = 0):
+    def __init__(self, message: str, graph: int = 0, epoch: int = 0):
         super().__init__(message)
         self.graph = graph
+        self.epoch = epoch
 
 
 @dataclass
@@ -470,7 +479,9 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     still updated, but nothing reads its loss, its accuracy or its
     weights again.  The models share no sum, so one that stopped, even
     with non-finite weights, changes no other model's result.  Every
-    array an epoch writes is allocated before the first epoch.
+    array an epoch writes is allocated before the first epoch.  A live
+    model's non-finite loss raises TrainingDiverged with its graph's
+    position in ``a_hats`` and the epoch.
     """
     n_graphs, n_restarts = len(a_hats), cfg.restarts
     ax = np.stack([a @ x for a in a_hats])
@@ -500,8 +511,8 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
         losses = backward().tolist()
         for m in live:
             if not math.isfinite(losses[m]):
-                raise TrainingDiverged(f"non-finite loss {losses[m]} at epoch {step} "
-                                       f"on graph {m // n_restarts}", m // n_restarts)
+                raise TrainingDiverged(f"non-finite loss {losses[m]} at epoch {step}",
+                                       m // n_restarts, step)
         # Adam, in place, in the reference's order of operations
         mom *= beta1
         mom += np.multiply(grad, 1 - beta1, out=scratch)
@@ -541,13 +552,48 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     return stacked, [best_acc[k * n_restarts:(k + 1) * n_restarts] for k in range(n_graphs)]
 
 
+def _train_in_parts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
+                    cfg: TrainConfig):
+    """``_train_restarts``'s result, with the K R models split into
+    ``workers.grid_parts`` on every CPU the process may use, each part
+    one ``_train_restarts`` call on its graphs with its restarts' seeds.
+    The models share no sum, so each is bit-identical to lockstep's.  A
+    divergence raises the TrainingDiverged that lockstep raises first:
+    the earliest epoch's, then the lowest model's.
+    """
+    k, r, d, h, c = len(a_hats), cfg.restarts, x.shape[1], cfg.hidden_dim, class_count
+    parts = workers.grid_parts(k, r, min(workers.cpu_count(), k * r))
+
+    def train(part):
+        graphs, restarts = part
+        stacked, accs = _train_restarts(
+            a_hats[graphs.start:graphs.stop], x, y, c, train_idx, monitor_idx,
+            replace(cfg, seed=cfg.seed + restarts.start, restarts=len(restarts)))
+        return *stacked, np.array(accs)
+
+    def shapes(part):
+        kr = tuple(map(len, part))
+        return [kr + (d, h), kr + (h, c), kr + (1, h), kr + (1, c), kr + (2,)]
+
+    results = workers.run_parts(train, parts, shapes, TrainingDiverged)
+    diverged = [(exc.epoch, i, graphs.start + exc.graph, str(exc))
+                for i, ((graphs, _), exc) in enumerate(zip(parts, results))
+                if isinstance(exc, TrainingDiverged)]
+    if diverged:
+        epoch, _, graph, message = min(diverged)
+        raise TrainingDiverged(f"{message} on graph {graph}", graph, epoch)
+    *stacked, accs = workers.merge_grid(parts, results)
+    return stacked, [list(map(tuple, pairs)) for pairs in accs.tolist()]
+
+
 def train_gcns(graphs: list[RelationalGraph], split: NodeSplit,
                cfg: TrainConfig) -> list[GcnModel]:
     """One model per graph, each as ``train_gcn`` trains it alone; the
     graphs must share their nodes, features and labels, and may differ
     in their edges.
 
-    All graphs' restarts train in one lockstep run, and every model is
+    All graphs' restarts train in lockstep, split across the CPUs the
+    process may use (``_train_in_parts``), and every model is
     bit-identical to training its graph alone.  A non-finite loss raises
     TrainingDiverged, whose ``graph`` is that graph's position in
     ``graphs``.
@@ -566,7 +612,7 @@ def train_gcns(graphs: list[RelationalGraph], split: NodeSplit,
                 raise ValueError(f"graph {k} differs from graph 0 in its {what}")
     train_idx = np.asarray(split.train)
     monitor_idx = np.asarray(split.validation if split.validation else split.train)
-    (w0, w1, b0, b1), best_acc = _train_restarts(
+    (w0, w1, b0, b1), best_acc = _train_in_parts(
         [sparse_a_hat(g) for g in graphs], first.features, first.labels,
         first.class_count, train_idx, monitor_idx, cfg)
     models = []

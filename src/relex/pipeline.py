@@ -259,7 +259,7 @@ def run_verification(cfg: PipelineConfig) -> VerificationBundle:
             return train_gcns(list(reduced.values()), split, train_cfg)
         except TrainingDiverged as exc:
             scorer, i = list(reduced)[exc.graph]
-            raise TrainingDiverged(f"{scorer}/{i}: {exc}", exc.graph) from exc
+            raise TrainingDiverged(f"{scorer}/{i}: {exc}", exc.graph, exc.epoch) from exc
 
     retrained = stage("retrain", retrain)
     test_nodes = np.asarray(split.test, dtype=np.int64)

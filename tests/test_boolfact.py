@@ -182,6 +182,7 @@ class TestBmfFactorize:
                 p = p | p.T
             symmetric = bool((p == p.T).all())
             covered = np.zeros(p.shape, dtype=bool)
+            own = relex.boolfact._own_usages(p)
             for _ in range(4):
                 residual = p & ~covered
                 bases = np.vstack([p, residual]).astype(np.int64)
@@ -190,12 +191,12 @@ class TestBmfFactorize:
                 if symmetric:
                     shared = usages * bases
                     want = 2 * want - ((shared @ residual) * shared).sum(axis=1)
-                gain, _, _ = relex.boolfact._block_gains(p, residual, symmetric)
+                gain, _, _ = relex.boolfact._block_gains(p, own, residual, symmetric)
                 assert gain.dtype == np.float64 and (gain == want).all()
                 top = np.flatnonzero(want == want.max())
                 if len({bases[i].tobytes() for i in top}) > 1:
                     ties.add(symmetric)
-                usage, basis = relex.boolfact._best_block(p, residual, symmetric)
+                usage, basis = relex.boolfact._best_block(p, own, residual, symmetric)
                 # copies, not views that would keep the (2n, n) candidates alive
                 assert usage.base is None and basis.base is None
                 best = int(np.argmax(want))

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 import tracemalloc
 from dataclasses import replace
 
@@ -9,13 +11,15 @@ import scipy.sparse as sp
 
 from relex.datasets import generate_ba_shapes, generate_tree_motif
 import relex.gcn
+import relex.workers
 from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _class_sum, _forward,
                        _forward_pass, _layouts, _model_size, _one_model, _product,
-                       _targets, _train_restarts, gcn_forward, init_weights, load_model,
-                       loss_and_grads, normalize_adjacency, predict, save_model,
-                       sparse_a_hat, train_gcn, train_gcns)
+                       _targets, _train_in_parts, _train_restarts, gcn_forward,
+                       init_weights, load_model, loss_and_grads, normalize_adjacency,
+                       predict, save_model, sparse_a_hat, train_gcn, train_gcns)
 from relex.graphs import NodeSplit, adjacency, make_graph, remove_edges, split_nodes
 from relex.pipeline import GENERATORS, DatasetSpec
+from relex.workers import grid_parts
 
 
 def two_cliques(k=4):
@@ -675,6 +679,160 @@ class TestDivergence:
                 train_gcns(graphs, split, cfg)
             assert str(exc.value) == f"non-finite loss nan at epoch {epoch} on graph {graph}"
             assert exc.value.graph == graph
+
+
+CPU_COUNTS = [1, 2, 3, 4]
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture(params=CPU_COUNTS)
+def cpus(request, monkeypatch):
+    """Training split as if the affinity mask held 1 to 4 CPUs; no child
+    outlives the test."""
+    monkeypatch.setattr(relex.workers, "cpu_count", lambda: request.param)
+    yield request.param
+    assert no_child_left()
+
+
+class TestDivergenceAtEveryCpuCount(TestDivergence):
+    """TestDivergence's tests, unedited, with training split in 1 to 4
+    parts."""
+
+    @pytest.fixture(autouse=True)
+    def split_training(self, cpus):
+        return cpus
+
+
+def reduced_graphs(count):
+    """ba-shapes(25, 5) without 4 to 7 random edges each, as verify-bp
+    retrains it, and its split."""
+    g = generate_ba_shapes(25, 5, 1)
+    edges = sorted(g.edges)
+    rng = np.random.default_rng(0)
+    graphs = [remove_edges(g, [edges[j] for j in rng.choice(len(edges), 4 + i % 4,
+                                                            replace=False)])[0]
+              for i in range(count)]
+    return graphs, split_nodes(g, 1, (0.5, 0.1, 0.4))
+
+
+class TestTrainingInParts:
+    """Training split across processes against the in-process lockstep
+    run, with ==, and the clean-up of the children."""
+
+    def test_parts_follow_model_order(self):
+        assert grid_parts(1, 3, 2) == [(range(1), range(2)), (range(1), range(2, 3))]
+        assert grid_parts(3, 3, 2) == [(range(2), range(3)), (range(2, 3), range(3))]
+        assert grid_parts(3, 3, 4) == [(range(1), range(2)), (range(1), range(2, 3)),
+                                   (range(1, 2), range(3)), (range(2, 3), range(3))]
+        for k in range(1, 6):
+            for r in range(1, 5):
+                for p in range(1, k * r + 1):
+                    parts = grid_parts(k, r, p)
+                    models = [g * r + i for graphs, restarts in parts
+                              for g in graphs for i in restarts]
+                    assert len(parts) == p and models == list(range(k * r)), (k, r, p)
+
+    @pytest.mark.parametrize("count", [1, 3, 4])
+    def test_models_and_accuracies_match_in_process(self, cpus, count):
+        """K = 1 splits by restarts, K = 3 by graphs unevenly at 2 CPUs,
+        and K = 4 by graphs; at patience 5 restarts stop apart."""
+        graphs, split = reduced_graphs(count)
+        g = graphs[0]
+        cfg = TrainConfig(hidden_dim=8, max_epochs=150, patience=5, restarts=3, seed=3)
+        args = ([sparse_a_hat(graph) for graph in graphs], g.features, g.labels,
+                g.class_count, np.asarray(split.train), np.asarray(split.validation), cfg)
+        want_stacked, want_accs = _train_restarts(*args)
+        stacked, accs = _train_in_parts(*args)
+        assert accs == want_accs
+        for got, want in zip(stacked, want_stacked, strict=True):
+            assert got.shape == want.shape and (got == want).all()
+        w0, w1, b0, b1 = want_stacked
+        for k, model in enumerate(train_gcns(graphs, split, cfg)):
+            win = max(range(cfg.restarts), key=want_accs[k].__getitem__)
+            for got, want in ((model.w0, w0[k, win]), (model.w1, w1[k, win]),
+                              (model.b0, b0[k, win, 0]), (model.b1, b1[k, win, 0])):
+                assert (got == want).all()
+
+    @staticmethod
+    def fail_in_part(monkeypatch, part_seed, fail):
+        """Make the part whose first restart's seed is ``part_seed`` call
+        ``fail()`` instead of training."""
+        real = relex.gcn._train_restarts
+
+        def train(a_hats, x, y, class_count, train_idx, monitor_idx, cfg):
+            if cfg.seed == part_seed:
+                fail()
+            return real(a_hats, x, y, class_count, train_idx, monitor_idx, cfg)
+        monkeypatch.setattr(relex.gcn, "_train_restarts", train)
+
+    def check_raises(self, monkeypatch, tmp_path, part_seed, fail, expected, match):
+        """Training with part ``part_seed`` failing raises ``expected``;
+        only this process runs the caller's ``finally``, and no child is
+        left."""
+        self.fail_in_part(monkeypatch, part_seed, fail)
+        graphs, split = reduced_graphs(1)
+        ran = tmp_path / "finally"
+        try:
+            with pytest.raises(expected, match=match):
+                train_gcns(graphs, split, TrainConfig(hidden_dim=8, max_epochs=100,
+                                                      restarts=3, seed=3))
+        finally:
+            with ran.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+        assert ran.read_text().split() == [str(os.getpid())]
+        assert no_child_left()
+
+    class PartFailed(Exception):
+        pass
+
+    @pytest.mark.parametrize("kind", [ValueError, PartFailed, SystemExit])
+    def test_a_childs_exception_is_raised_in_the_parent(self, monkeypatch, tmp_path, kind):
+        """At 2 CPUs restart 2 trains in a child."""
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+
+        def fail():
+            raise kind("part 2\nfailed")
+        self.check_raises(monkeypatch, tmp_path, 5, fail, kind, "^part 2\nfailed$")
+
+    def test_an_exception_that_takes_no_message(self, monkeypatch, tmp_path):
+        """A child's exception whose type cannot be rebuilt from its
+        message comes back as a RuntimeError that names the type."""
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+
+        def fail():
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "part 2")
+        self.check_raises(monkeypatch, tmp_path, 5, fail, RuntimeError,
+                          "^builtins.UnicodeDecodeError: 'utf-8' codec can't decode")
+
+    def test_the_parents_exception_ends_the_children(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 3)
+
+        def fail():
+            raise KeyError("part 0")
+        self.check_raises(monkeypatch, tmp_path, 3, fail, KeyError, "part 0")
+
+    def test_a_child_killed_by_sigterm(self, monkeypatch, tmp_path):
+        """A child ends at SIGTERM even where the parent's handler raises
+        SystemExit, and the parent reports it."""
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+
+        def terminate(signum, frame):
+            raise SystemExit(128 + signum)
+        previous = signal.signal(signal.SIGTERM, terminate)
+        try:
+            self.check_raises(monkeypatch, tmp_path, 5,
+                              lambda: os.kill(os.getpid(), signal.SIGTERM),
+                              RuntimeError, "ended without sending its result")
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestTrainGcnsChecks:

@@ -7,6 +7,7 @@ module runs the full-size protocol.
 import pytest
 
 import relex.pipeline
+import relex.workers
 from relex.boolfact import RankSearchConfig
 from relex.explainer import ExplainConfig
 from relex.gcn import TrainConfig, TrainingDiverged
@@ -77,6 +78,15 @@ class TestDeterminism:
         for name in ("results.csv", "plotdata.csv", "bundle.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
+
+    def test_byte_identical_at_one_and_two_cpus(self, tmp_path, monkeypatch):
+        """Training split across two processes changes no output byte."""
+        for cpus in (1, 2):
+            monkeypatch.setattr(relex.workers, "cpu_count", lambda: cpus)
+            emit_report(run_verification(tiny_config()), tmp_path / str(cpus))
+        for name in ("results.csv", "bundle.json"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                   (tmp_path / "2" / name).read_bytes(), name
 
     def test_per_target_uncertainty_csvs_written(self, tmp_path, both_bundle):
         files = emit_report(both_bundle, tmp_path)
