@@ -273,19 +273,14 @@ def propagate(cards: dict[int, int], clusters: list[Cluster],
 
 
 def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:
-    order: list[tuple[int, int]] = []
     grouped: dict[tuple[int, int], list[int]] = {}
     for fid, f in enumerate(fg.factors):
-        key = (f.u, f.v)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(fid)
+        grouped.setdefault((f.u, f.v), []).append(fid)
     clusters: list[Cluster] = []
     factor_cluster: dict[int, int] = {}
-    for cid, key in enumerate(order):
+    for cid, (key, fids) in enumerate(grouped.items()):
         table = np.ones((2, 2, fg.target_card))
-        for fid in grouped[key]:
+        for fid in fids:
             f = fg.factors[fid]
             table[1, 1, f.target_state] *= math.exp(f.weight)
             factor_cluster[fid] = cid

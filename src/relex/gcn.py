@@ -557,33 +557,33 @@ def _train_in_parts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     """``_train_restarts``'s result, with the K R models split into
     ``workers.grid_parts`` on every CPU the process may use, each part
     one ``_train_restarts`` call on its graphs with its restarts' seeds.
-    The models share no sum, so each is bit-identical to lockstep's.  A
-    divergence raises the TrainingDiverged that lockstep raises first:
-    the earliest epoch's, then the lowest model's.
+    The parts hold the models in order, so their results are joined end
+    to end along the model axis.  The models share no sum, so each is
+    bit-identical to lockstep's.  A divergence raises the
+    TrainingDiverged that lockstep raises first: the earliest epoch's,
+    then the lowest model's.
     """
-    k, r, d, h, c = len(a_hats), cfg.restarts, x.shape[1], cfg.hidden_dim, class_count
+    k, r = len(a_hats), cfg.restarts
     parts = workers.grid_parts(k, r, min(workers.cpu_count(), k * r))
 
     def train(part):
         graphs, restarts = part
-        stacked, accs = _train_restarts(
-            a_hats[graphs.start:graphs.stop], x, y, c, train_idx, monitor_idx,
+        return _train_restarts(
+            a_hats[graphs.start:graphs.stop], x, y, class_count, train_idx, monitor_idx,
             replace(cfg, seed=cfg.seed + restarts.start, restarts=len(restarts)))
-        return *stacked, np.array(accs)
 
-    def shapes(part):
-        kr = tuple(map(len, part))
-        return [kr + (d, h), kr + (h, c), kr + (1, h), kr + (1, c), kr + (2,)]
-
-    results = workers.run_parts(train, parts, shapes, TrainingDiverged)
+    results = workers.run_parts(train, parts, TrainingDiverged)
     diverged = [(exc.epoch, i, graphs.start + exc.graph, str(exc))
                 for i, ((graphs, _), exc) in enumerate(zip(parts, results))
                 if isinstance(exc, TrainingDiverged)]
     if diverged:
         epoch, _, graph, message = min(diverged)
         raise TrainingDiverged(f"{message} on graph {graph}", graph, epoch)
-    *stacked, accs = workers.merge_grid(parts, results)
-    return stacked, [list(map(tuple, pairs)) for pairs in accs.tolist()]
+    models = [np.concatenate([a.reshape(-1, *a.shape[2:]) for a in arrays])
+              for arrays in zip(*(stacked for stacked, _ in results))]
+    pairs = [pair for _, accs in results for row in accs for pair in row]
+    return ([a.reshape(k, r, *a.shape[1:]) for a in models],
+            [pairs[m:m + r] for m in range(0, k * r, r)])
 
 
 def train_gcns(graphs: list[RelationalGraph], split: NodeSplit,

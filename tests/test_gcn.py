@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import signal
 import tracemalloc
 from dataclasses import replace
@@ -781,7 +782,7 @@ class TestTrainingInParts:
         graphs, split = reduced_graphs(1)
         ran = tmp_path / "finally"
         try:
-            with pytest.raises(expected, match=match):
+            with pytest.raises(expected, match=match) as raised:
                 train_gcns(graphs, split, TrainConfig(hidden_dim=8, max_epochs=100,
                                                       restarts=3, seed=3))
         finally:
@@ -789,9 +790,17 @@ class TestTrainingInParts:
                 f.write(f"{os.getpid()}\n")
         assert ran.read_text().split() == [str(os.getpid())]
         assert no_child_left()
+        return raised.value
 
     class PartFailed(Exception):
         pass
+
+    class TwoArguments(Exception):
+        """An exception pickle cannot rebuild: it pickles its message
+        alone, and its constructor takes two arguments."""
+
+        def __init__(self, part, reason):
+            super().__init__(f"part {part}: {reason}")
 
     @pytest.mark.parametrize("kind", [ValueError, PartFailed, SystemExit])
     def test_a_childs_exception_is_raised_in_the_parent(self, monkeypatch, tmp_path, kind):
@@ -802,15 +811,47 @@ class TestTrainingInParts:
             raise kind("part 2\nfailed")
         self.check_raises(monkeypatch, tmp_path, 5, fail, kind, "^part 2\nfailed$")
 
-    def test_an_exception_that_takes_no_message(self, monkeypatch, tmp_path):
-        """A child's exception whose type cannot be rebuilt from its
-        message comes back as a RuntimeError that names the type."""
+    @pytest.mark.parametrize("exc", [
+        KeyError("missing"), OSError(2, "No such file", "x.json"),
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "part 2")], ids=lambda e: type(e).__name__)
+    def test_a_childs_exception_arrives_whole(self, monkeypatch, tmp_path, exc):
+        """A child's exception reaches the parent with its type, its args
+        and its attributes."""
         monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
 
         def fail():
-            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "part 2")
+            raise exc
+        got = self.check_raises(monkeypatch, tmp_path, 5, fail, type(exc), None)
+        assert (type(got), got.args, vars(got)) == (type(exc), exc.args, vars(exc))
+        for name in ("errno", "filename"):
+            assert getattr(got, name, None) == getattr(exc, name, None), name
+
+    def test_an_exception_that_takes_no_message(self, monkeypatch, tmp_path):
+        """A child's exception whose type pickle cannot rebuild comes back
+        as a RuntimeError that names the type."""
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+
+        def fail():
+            raise self.TwoArguments(2, "failed")
         self.check_raises(monkeypatch, tmp_path, 5, fail, RuntimeError,
-                          "^builtins.UnicodeDecodeError: 'utf-8' codec can't decode")
+                          r"^[\w.]*\bTestTrainingInParts\.TwoArguments: part 2: failed$")
+
+    def test_a_payload_cut_short(self, monkeypatch):
+        """A child whose pickle ends early is reported as one that sent
+        nothing."""
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+
+        def cut_short(run, write, reads, mask):
+            try:
+                os.write(write, pickle.dumps(run())[:-1])
+            finally:
+                os._exit(0)
+        monkeypatch.setattr(relex.workers, "_run_child", cut_short)
+        graphs, split = reduced_graphs(1)
+        with pytest.raises(RuntimeError, match="ended without sending its result"):
+            train_gcns(graphs, split, TrainConfig(hidden_dim=8, max_epochs=100,
+                                                  restarts=3, seed=3))
+        assert no_child_left()
 
     def test_the_parents_exception_ends_the_children(self, monkeypatch, tmp_path):
         monkeypatch.setattr(relex.workers, "cpu_count", lambda: 3)
