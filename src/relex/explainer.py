@@ -36,6 +36,12 @@ line search: the steps it has left, the halvings since its last accepted
 step, and its step size.  Balls of other shapes never share a stack
 and none is padded, and no sum or product mixes two problems, so every
 explanation equals explaining its problem alone, bit for bit.
+
+The stacks share nothing either, so ``explain_all`` spreads them over
+the CPUs the process may use (``relex.workers``): P = min(CPUs in its
+affinity mask, stacks) parts of about equal estimated cost, one
+optimised in this process and each other in a forked child, which sends
+back its explanations.  The split changes no bit.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
+from relex import workers
 from relex.gcn import GcnModel, _forward, _one_model, normalize_self_looped
 from relex.graphs import Edge, RelationalGraph, normalize_edge, read_float, read_int
 
@@ -59,6 +66,9 @@ class SingleNodeExplanation(ValueError):
 MASK_LR = 1.0  # each mask step's line search starts here, halving up to 20 times
 SIZE_PENALTY = 0.05    # the loss's weight on sum(sigmoid(mask))
 ENTROPY_PENALTY = 0.1  # and on the masks' summed binary entropy
+# a lockstep round's cost, in units of one ball entry of one problem
+# (about 10 ns on one core): a fixed part, and a part per problem
+ROUND_COST, PROBLEM_COST = 7000, 250
 
 
 @dataclass
@@ -167,9 +177,11 @@ class _MaskProblem:
     buffer always holds the current masks' A + I.  ``weights`` are the
     model's in ``_forward``'s layouts, ``features`` (P, b, d) the balls'
     features, and ``features_w0_t`` (P, h, b) those times W0, transposed,
-    which no mask changes.  ``predicted`` holds the argmax of each
-    target's unmasked logits, and ``onehot`` (P, C) that class as a
-    one-hot row.
+    which no mask changes.  ``ax`` (P, b, d + 1) is ``_forward``'s input
+    [A_hat . X, 1]: each evaluation writes A_hat . X into its first d
+    columns, and the last column stays 1.  ``predicted`` holds the argmax
+    of each target's unmasked logits, and ``onehot`` (P, C) that class as
+    a one-hot row.
 
     The rest are flat positions, built once, so that an evaluation reads
     and writes every problem's entries with one ``take`` or ``put``.
@@ -187,6 +199,7 @@ class _MaskProblem:
     outside: np.ndarray
     features: np.ndarray
     features_w0_t: np.ndarray
+    ax: np.ndarray
     w1: np.ndarray
     weights: tuple
     predicted: np.ndarray
@@ -205,7 +218,7 @@ def _mask_problem(model: GcnModel,
     """The stacked mask problem of (graph, ball) pairs whose balls share
     their node and masked-edge counts."""
     graphs, balls = zip(*problems)
-    count, b, c = len(balls), len(balls[0].nodes), model.class_count
+    count, b, c, d = len(balls), len(balls[0].nodes), model.class_count, model.input_dim
     features = np.stack([g.features[ball.nodes] for g, ball in zip(graphs, balls)])
     a_tilde = np.stack([ball.adjacency for ball in balls])
     a_tilde.reshape(count, b * b)[:, ::b + 1] = 1.0
@@ -217,15 +230,17 @@ def _mask_problem(model: GcnModel,
     # before any mask is written, the balls' forward pass gives each target's
     # full-graph class probabilities; argmax ties go to the lower class
     a_hat = normalize_self_looped(a_tilde.copy(), outside)
+    ax = np.ones((count, b, d + 1))
+    np.matmul(a_hat, features, out=ax[..., :d])
     k = np.arange(count)
-    predicted = _forward(a_hat, a_hat @ features, *weights)[1][k, :, target].argmax(axis=1)
+    predicted = _forward(a_hat, ax, *weights)[1][k, :, target].argmax(axis=1)
     onehot = np.zeros((count, c))
     onehot[k, predicted] = 1.0
     cells, nodes = (k * b * b)[:, None], (k * b)[:, None]
     line = np.arange(b)
     return _MaskProblem(
         a_tilde=a_tilde, outside=outside, features=features,
-        features_w0_t=(features @ model.w0).transpose(0, 2, 1), w1=model.w1,
+        features_w0_t=(features @ model.w0).transpose(0, 2, 1), ax=ax, w1=model.w1,
         weights=weights, predicted=predicted, onehot=onehot,
         pairs=np.stack([cells + rows * b + cols, cells + cols * b + rows]),
         diagonal=cells + line * (b + 1),
@@ -253,7 +268,8 @@ def _masked_forward(p: _MaskProblem, mask: np.ndarray):
     # put repeats s, so each weight lands at both its (u, v) and (v, u) entry
     np.put(p.a_tilde, p.pairs, s)
     a_hat = normalize_self_looped(p.a_tilde.copy(), p.outside)
-    h1, probs, hw = _forward(a_hat, a_hat @ p.features, *p.weights)
+    np.matmul(a_hat, p.features, out=p.ax[..., :-1])
+    h1, probs, hw = _forward(a_hat, p.ax, *p.weights)
     s_log_s, r_log_r = s_r * np.log(s_r + 1e-12)
     xlogx = s_log_s + r_log_r
     loss = (SIZE_PENALTY * np.add.reduce(s, axis=-1)
@@ -351,6 +367,51 @@ def _descend(p: _MaskProblem, mask: np.ndarray, steps: Sequence[int]) -> np.ndar
     return final
 
 
+def _stack_cost(p: _MaskProblem, steps: Sequence[int]) -> int:
+    """A stack's estimated optimisation cost: its rounds, 1 + the most
+    steps any of its problems takes, times a round's cost, ROUND_COST +
+    (PROBLEM_COST + b^2) per problem.  A round's numpy work on a (P, b, b)
+    stack grows with P b^2; below a few dozen nodes its fixed cost and
+    the per-problem bookkeeping of the line search dominate."""
+    count, b, _ = p.a_tilde.shape
+    return (1 + max(steps)) * (ROUND_COST + count * (PROBLEM_COST + b * b))
+
+
+def _balanced_parts(costs: Sequence[int], parts: int) -> list[list[int]]:
+    """The indices of ``costs`` in ``parts`` lists of about equal summed
+    cost: each index, costliest first (ties to the lower index), joins
+    the list whose sum is lowest so far (ties to the shorter, then the
+    lower list), so no list is empty; each list is sorted."""
+    loads, members = [0] * parts, [[] for _ in range(parts)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        part = min(range(parts), key=lambda j: (loads[j], len(members[j])))
+        loads[part] += costs[i]
+        members[part].append(i)
+    return [sorted(part) for part in members]
+
+
+def _explain_stack(members: list[int], p: _MaskProblem, balls: list[_Ball],
+                   problems: Sequence[tuple[RelationalGraph, int, ExplainConfig]]
+                   ) -> list[tuple[int, Explanation]]:
+    """The explanation of each problem ``members[k]`` that the stack ``p``
+    holds at k, optimised from its seed's mask, with its position."""
+    cfgs = [problems[i][2] for i in members]
+    masks = np.stack([np.random.default_rng(cfg.seed).uniform(-0.1, 0.1,
+                                                              size=len(balls[i].edges))
+                      for i, cfg in zip(members, cfgs)])
+    masks = _descend(p, masks, [cfg.mask_steps for cfg in cfgs])
+    confidences = np.clip(_sigmoid(masks), 1e-12, 1.0 - 1e-12)
+    out = []
+    for k, (i, cfg) in enumerate(zip(members, cfgs)):
+        edges = balls[i].edges
+        order = sorted(range(len(edges)), key=lambda j: (-confidences[k, j], edges[j]))
+        relations = tuple((edges[j], float(confidences[k, j]))
+                          for j in sorted(order[:cfg.top_k]))
+        out.append((i, Explanation(target=problems[i][1], predicted_class=int(p.predicted[k]),
+                                   relations=relations, hop_radius=cfg.hops)))
+    return out
+
+
 def explain_all(model: GcnModel,
                 problems: Sequence[tuple[RelationalGraph, int, ExplainConfig]]
                 ) -> list[Explanation | None]:
@@ -361,37 +422,39 @@ def explain_all(model: GcnModel,
     optimised as one stack (``_descend``); balls of different shapes never
     share one, and none is padded.  Each explanation therefore equals
     explaining its problem alone, bit for bit, whatever else the call
-    holds.  A target out of range, or a model whose input dim differs
-    from a graph's feature dim, raises ValueError.
+    holds.  The stacks are built here, then optimised in
+    ``_balanced_parts`` of their ``_stack_cost`` on every CPU the process
+    may use (``workers.run_parts``); a child's exception is raised here.
+    A target out of range, or a model whose input dim differs from a
+    graph's feature dim, raises ValueError before any ball is built.
     """
-    balls = []
     for g, target, cfg in problems:
         if not (0 <= target < g.node_count):
             raise ValueError(f"target {target} out of range")
-        balls.append(_ball(g, target, cfg.hops))
-        if balls[-1].edges and g.features.shape[1] != model.input_dim:
+        if g.features.shape[1] != model.input_dim:
             raise ValueError(f"feature dim {g.features.shape[1]} != "
                              f"model input dim {model.input_dim}")
+    balls = [_ball(g, target, cfg.hops) for g, target, cfg in problems]
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, ball in enumerate(balls):
         if ball.edges:
             shapes.setdefault((len(ball.nodes), len(ball.edges)), []).append(i)
+    stacks = [(members, _mask_problem(model, [(problems[i][0], balls[i]) for i in members]))
+              for members in shapes.values()]
 
     out: list[Explanation | None] = [None] * len(problems)
-    for members in shapes.values():
-        group = [(balls[i], problems[i][2]) for i in members]
-        p = _mask_problem(model, [(problems[i][0], balls[i]) for i in members])
-        masks = np.stack([np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=len(ball.edges))
-                          for ball, cfg in group])
-        masks = _descend(p, masks, [cfg.mask_steps for _, cfg in group])
-        confidences = np.clip(_sigmoid(masks), 1e-12, 1.0 - 1e-12)
-        for k, (i, (ball, cfg)) in enumerate(zip(members, group)):
-            edges = ball.edges
-            order = sorted(range(len(edges)), key=lambda j: (-confidences[k, j], edges[j]))
-            relations = tuple((edges[j], float(confidences[k, j]))
-                              for j in sorted(order[:cfg.top_k]))
-            out[i] = Explanation(target=problems[i][1], predicted_class=int(p.predicted[k]),
-                                 relations=relations, hop_radius=cfg.hops)
+    if not stacks:
+        return out
+    costs = [_stack_cost(p, [problems[i][2].mask_steps for i in members])
+             for members, p in stacks]
+    parts = _balanced_parts(costs, min(workers.cpu_count(), len(stacks)))
+
+    def explain_part(part: list[int]) -> list[tuple[int, Explanation]]:
+        return [pair for s in part for pair in _explain_stack(*stacks[s], balls, problems)]
+
+    for pairs in workers.run_parts(explain_part, parts, ()):
+        for i, e in pairs:
+            out[i] = e
     return out
 
 

@@ -22,7 +22,10 @@ all of them until the last one stops.
 use (``relex.workers``): P = min(CPUs in its affinity mask, K R) parts
 in model order, by graphs when K >= P and otherwise by restarts, each
 part one lockstep run on a slice of the graphs and a range of restart
-seeds.  The models share no sum, so the split changes no bit.
+seeds.  The models share no sum, so the split changes no bit while
+d + 1 fits in one OpenBLAS k-block (see below); past it, a part with
+fewer restarts multiplies fewer columns, which OpenBLAS may block
+differently.
 
 The loss reads only the train rows and the early stop only the train
 and monitored rows, so an epoch runs layer 2, the softmax and the
@@ -31,10 +34,17 @@ carries only the train rows' gradient back, through A_hat[:, train];
 with K graphs each is one CSR product through the block-diagonal of
 the graphs' matrices.  Layer 1 runs on every node, node-major: a
 graph's restarts' hidden units sit side by side in one (n, R h) matrix,
-stacked to (K, n, R h), so A_hat . X . W0 is one batched product.  The
-probabilities are class-major, (K R, C, rows), so the softmax's max
-reduces over C rows, and its denominator is summed over the class rows
-in the order numpy sums a contiguous row, with no node-major copy.
+stacked to (K, n, R h).  Its bias rides in the product: A_hat . X
+carries a ones column, (K, n, d + 1), and each graph's W0 rows are
+followed by its b0 row in one (K, d + 1, R h) block, so A_hat . X . W0
++ b0 is one batched product, then the ReLU.  OpenBLAS adds the ones
+column's term last, so the product equals A_hat . X . W0 + b0 bit for
+bit while d + 1 fits in one of its k-blocks: up to 383 features on
+OpenBLAS 0.3.31's SkylakeX kernel, and not where R h = 1, for which
+numpy calls gemv.  The probabilities are class-major, (K R, C, rows),
+so the softmax's max reduces over C rows, and its denominator is summed
+over the class rows in the order numpy sums a contiguous row, with no
+node-major copy.
 
 An epoch allocates nothing the size of a layer.  The weights, their
 gradients and Adam's two moments are rows of one buffer, each row viewed
@@ -44,7 +54,7 @@ bound once per training to arrays they write in place, the CSR products
 call scipy's own kernel into them, and Adam updates the rows in place;
 a model's weights are copied out only when its accuracy pair improves.
 Every weight stays bit-identical to training each graph's restarts one
-by one on every row.
+by one on every row, as long as d + 1 fits in one k-block.
 
 scipy.sparse is imported inside the functions that build, combine or
 multiply CSR matrices (normalize_adjacency, sparse_a_hat, _block_diag,
@@ -240,28 +250,35 @@ def _class_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
-             w1: np.ndarray, b1: np.ndarray):
+def _with_ones(ax: np.ndarray) -> np.ndarray:
+    """``ax`` (..., n, d) with a ones column appended, (..., n, d + 1):
+    the input that ``_forward`` multiplies by its W0|b0 block."""
+    out = np.ones((*ax.shape[:-1], ax.shape[-1] + 1))
+    out[..., :-1] = ax
+    return out
+
+
+def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray, b1: np.ndarray):
     """Layer 1's activations h1 on every node of K graphs, the class
     probabilities of the rows of their A_hat that ``a_rows`` holds, and
     h1 . W1, which layer 2 propagates.
 
-    ``ax`` (K, n, d) holds each graph's A_hat . X, which no weight
-    changes.  ``a_rows`` is A_hat or a subset of its rows, dense or CSR,
-    for K = 1; the block-diagonal CSR matrix of the K graphs' row subsets
-    for K > 1; or a dense (K, rows, n) stack of the K graphs' rows.  The
-    weights are R models per graph in ``_layouts``'s layouts, or one
+    ``ax`` (K, n, d + 1) holds each graph's A_hat . X, which no weight
+    changes, and a ones column (``_with_ones``).  ``a_rows`` is A_hat or
+    a subset of its rows, dense or CSR, for K = 1; the block-diagonal CSR
+    matrix of the K graphs' row subsets for K > 1; or a dense (K, rows,
+    n) stack of the K graphs' rows.  The weights are R models per graph
+    in ``_layouts``'s layouts, W0 with b0 as its last row, or one
     graph's, which every graph then shares.  h1 is node-major, (K, n,
     R h), with graph k's model r in columns r h .. (r + 1) h - 1 of
     h1[k]; the probabilities are class-major, (K R, C, rows), with graph
     k's model r at k R + r, so the softmax's max reduces over C rows.
     h1 . W1 is (K, n, R C) for a dense stack, else (K n, R C).
     """
-    return _forward_pass(a_rows, ax, w0, b0, w1, b1)()
+    return _forward_pass(a_rows, ax, w0, w1, b1)()
 
 
-def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
-                  w1: np.ndarray, b1: np.ndarray):
+def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray, b1: np.ndarray):
     """``_forward`` on arrays allocated once: a function that runs the
     pass on what its arguments hold when it is called, writes every
     result in place, and returns the same three arrays each time.
@@ -282,8 +299,7 @@ def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
     logits, probs_by_model = z2.transpose(0, 2, 3, 1), probs.reshape(k, r, c, rows)
 
     def run():
-        np.matmul(ax, w0, out=h1)
-        np.add(h1, b0, out=h1)
+        np.matmul(ax, w0, out=h1)  # the ones column adds b0
         np.maximum(h1, 0.0, out=h1)
         # layer 2 multiplies by W1 before it propagates, so it moves C columns
         np.matmul(h1_by_model, w1, out=hw_by_model)
@@ -297,28 +313,27 @@ def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, b0: np.ndarray,
 
 
 def _layouts(flat: np.ndarray, k: int, r: int, d: int, h: int, c: int):
-    """Views of ``flat``, which holds K R models' w0, b0, w1 and b1 in
-    turn, in ``_forward``'s layouts: w0 (K, d, R h) and b0 (K, 1, R h),
-    so layer 1 is one batched product with a row-broadcast bias, then w1
-    (K, R, h, C) and b1 (K, R, C, 1), which broadcasts over the
-    class-major logits."""
-    w0, b0, w1, b1 = np.split(flat, np.cumsum([d, 1, c]) * (k * r * h))
-    return w0.reshape(k, d, r * h), b0.reshape(k, 1, r * h), w1.reshape(k, r, h, c), \
-        b1.reshape(k, r, c, 1)
+    """Views of ``flat``, which holds K R models' w0 and b0, w1 and b1 in
+    turn, in ``_forward``'s layouts: each graph's W0 rows then its b0 row
+    as one block (K, d + 1, R h), so layer 1 is one batched product with
+    its bias, then w1 (K, R, h, C) and b1 (K, R, C, 1), which broadcasts
+    over the class-major logits."""
+    w0, w1, b1 = np.split(flat, np.cumsum([d + 1, c]) * (k * r * h))
+    return w0.reshape(k, d + 1, r * h), w1.reshape(k, r, h, c), b1.reshape(k, r, c, 1)
 
 
 def _slots(layouts, k, r: int):
     """Graph k's restart r's w0, w1, b0 and b1 in ``_layouts``'s views,
     as views shaped (d, h), (h, C), (h,) and (C,); k may be a slice."""
-    w0, b0, w1, b1 = layouts
+    w0, w1, b1 = layouts
     cols = slice(r * w1.shape[2], (r + 1) * w1.shape[2])
-    return w0[k, :, cols], w1[k, r], b0[k, 0, cols], b1[k, r, :, 0]
+    return w0[k, :-1, cols], w1[k, r], w0[k, -1, cols], b1[k, r, :, 0]
 
 
 def _one_model(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
     """One model's weights, shaped (d, h), (h, C), (h,), (C,), as
     ``_forward`` takes K = R = 1 models."""
-    return w0[None], b0.reshape(1, 1, -1), w1[None, None], b1.reshape(1, 1, -1, 1)
+    return np.vstack([w0, b0])[None], w1[None, None], b1.reshape(1, 1, -1, 1)
 
 
 def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
@@ -327,7 +342,7 @@ def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != m.input_dim:
         raise ValueError(f"feature dim {features.shape[1]} != model input dim {m.input_dim}")
-    return _forward(a_hat, (a_hat @ features)[None],
+    return _forward(a_hat, _with_ones(a_hat @ features)[None],
                     *_one_model(m.w0, m.w1, m.b0, m.b1))[1][0].T
 
 
@@ -398,7 +413,8 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
     when it is called."""
     k, n, _ = h1.shape
     _, r, h, c = w1.shape
-    grad_w0, grad_b0, grad_w1, grad_b1 = grads
+    grad_w0b0, grad_w1, grad_b1 = grads
+    grad_w0, grad_b0 = grad_w0b0[:, :-1], grad_w0b0[:, -1]
     rows, models = len(t.onehot), k * r
     # each model's loss sums its train nodes one by one, in train order
     picks = t.picks[:, None] + np.arange(models) * probs[0].size
@@ -413,7 +429,7 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
     ah_g2 = ah_g2.transpose(0, 2, 1, 3)
     h1_t, w1_t = h1.reshape(k, n, r, h).transpose(0, 2, 3, 1), w1.transpose(0, 1, 3, 2)
     g1_by_model, g1 = g1.transpose(0, 2, 1, 3), g1.reshape(k, n, r * h)
-    ax_t, grad_b0 = ax.transpose(0, 2, 1), grad_b0.reshape(k, r * h)
+    ax_t = ax[..., :-1].transpose(0, 2, 1)  # the ones column's gradient is grad_b0
 
     def run():
         flat.take(picks, out=picked, mode="clip")
@@ -445,13 +461,13 @@ def loss_and_grads(a_hat, x: np.ndarray, y: np.ndarray,
     """Mean cross-entropy over train nodes and its gradients, for one model
     on a dense or CSR ``a_hat``: the training loop's computation with a
     single graph and restart."""
-    ax = (a_hat @ x)[None]
+    ax = _with_ones(a_hat @ x)[None]
     (d, h), c = w0.shape, w1.shape[1]
     t = _targets([a_hat], y, c, train_idx, train_idx)
     weights = _one_model(w0, w1, b0, b1)
     grads = _layouts(np.empty(_model_size(d, h, c)), 1, 1, d, h, c)
     h1, probs, _ = _forward(t.a_scored, ax, *weights)
-    loss = _backward_pass(ax, t, h1, probs, weights[2], grads)()
+    loss = _backward_pass(ax, t, h1, probs, weights[1], grads)()
     return loss[0], *_slots(grads, 0, 0)
 
 
@@ -484,7 +500,7 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     position in ``a_hats`` and the epoch.
     """
     n_graphs, n_restarts = len(a_hats), cfg.restarts
-    ax = np.stack([a @ x for a in a_hats])
+    ax = _with_ones(np.stack([a @ x for a in a_hats]))
     (n, d), h = x.shape, cfg.hidden_dim
     t = _targets(a_hats, y, class_count, train_idx, monitor_idx)
     # the weights, their gradients, Adam's two moments and scratch, each in _layouts
@@ -506,7 +522,7 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     stale = [0] * models
     forward = _forward_pass(t.a_scored, ax, *params)
     h1, probs, _ = forward()
-    backward = _backward_pass(ax, t, h1, probs, params[2], grads)
+    backward = _backward_pass(ax, t, h1, probs, params[1], grads)
     for step in range(1, cfg.max_epochs + 1):
         losses = backward().tolist()
         for m in live:
@@ -546,9 +562,11 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
         live = [m for m in live if stale[m] < cfg.patience]
         if not live:
             break
-    w0, b0, w1, b1 = best
-    stacked = (np.ascontiguousarray(w0.reshape(n_graphs, d, n_restarts, h).transpose(0, 2, 1, 3)),
-               w1, b0.reshape(n_graphs, n_restarts, 1, h), b1.reshape(n_graphs, n_restarts, 1, -1))
+    w0, w1, b1 = best
+    stacked = (np.ascontiguousarray(
+        w0[:, :-1].reshape(n_graphs, d, n_restarts, h).transpose(0, 2, 1, 3)),
+        w1, w0[:, -1].reshape(n_graphs, n_restarts, 1, h),
+        b1.reshape(n_graphs, n_restarts, 1, -1))
     return stacked, [best_acc[k * n_restarts:(k + 1) * n_restarts] for k in range(n_graphs)]
 
 

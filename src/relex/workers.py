@@ -7,7 +7,8 @@ is sent as a RuntimeError that names its type.  A child ends with
 os._exit, so it never returns into its caller's ``finally`` blocks or
 atexit handlers, and SIGINT and SIGTERM kill it outright.  No child
 outlives the call.  ``grid_parts`` splits a grid of tasks into such
-parts.
+parts.  GCN training (``relex.gcn``) and the explainer's stacks
+(``relex.explainer``) run this way.
 
 Where os.fork or os.sched_getaffinity is missing, ``cpu_count`` is 1,
 and callers run in process.
@@ -116,12 +117,13 @@ def _receive(read: int):
         raise RuntimeError("a worker process ended without sending its result") from None
 
 
-def run_parts(run, parts: list, expected: type[BaseException]) -> list:
+def run_parts(run, parts: list, expected: type[BaseException] | tuple[()]) -> list:
     """``run(part)`` for each of ``parts``: part 0 in this process, and
     each other part in a forked child.  Returns what each part returned,
-    or the ``expected`` exception it raised, once every part has ended.
-    Any other exception, raised here or in a child, SIGKILLs the children
-    and is raised; every child is reaped before the call ends."""
+    or the ``expected`` exception it raised, once every part has ended;
+    ``expected`` may be ``()``, which expects none.  Any other exception,
+    raised here or in a child, SIGKILLs the children and is raised; every
+    child is reaped before the call ends."""
     children = []
     try:
         for part in parts[1:]:

@@ -188,6 +188,22 @@ class TestExplainStage:
                     "--out", str(tmp_path / "e.json")])
         assert code == 3
 
+    def test_isolated_target_of_a_mismatched_model_validation_error(self, tmp_path, capsys):
+        """The feature-dim check comes before the empty subgraph."""
+        graph = {"n": 3, "edges": [[0, 1]], "labels": [0, 1, 0],
+                 "features": [[1.0] * 3] * 3, "classes": 2}
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        model = {"input_dim": 5, "hidden_dim": 4, "class_count": 2, "seed": 0,
+                 "w0": [[0.0] * 4] * 5, "w1": [[0.0] * 2] * 4, "b0": [0.0] * 4,
+                 "b1": [0.0] * 2}
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        code = run(["explain", "--graph", str(tmp_path / "g.json"),
+                    "--model", str(tmp_path / "m.json"), "--target", "2",
+                    "--out", str(tmp_path / "e.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: feature dim 3 != model input dim 5\n"
+        assert not (tmp_path / "e.json").exists()
+
 
 class TestCresLearnFgEvaluate:
     def test_full_single_target_chain(self, workspace, tmp_path):

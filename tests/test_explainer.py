@@ -1,16 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
 import relex.explainer
+import relex.workers
 from relex.boolfact import RankSearchConfig, rank_ladder
-from relex.explainer import (ENTROPY_PENALTY, MASK_LR, SIZE_PENALTY, ExplainConfig,
-                             Explanation, SingleNodeExplanation, _ball, _descend,
+from relex.explainer import (ENTROPY_PENALTY, MASK_LR, PROBLEM_COST, ROUND_COST,
+                             SIZE_PENALTY, ExplainConfig, Explanation,
+                             SingleNodeExplanation, _balanced_parts, _ball, _descend,
                              _mask_problem, _masked_forward, _masked_grad, _sigmoid,
+                             _stack_cost,
                              explain, explain_all, explanation_from_dict,
                              explanation_to_dict, is_scores, load_explanation,
                              save_explanation)
-from relex.gcn import (GcnModel, TrainConfig, _forward, _one_model, gcn_forward,
-                       normalize_adjacency, predict, train_gcn)
+from relex.gcn import (GcnModel, TrainConfig, _forward, _one_model, _with_ones,
+                       gcn_forward, normalize_adjacency, predict, train_gcn)
 from relex.graphs import NodeSplit, adjacency, make_graph, remove_edges, split_nodes
 from relex.pipeline import GENERATORS, DatasetSpec, eligible_targets
 
@@ -507,7 +512,7 @@ def reference_explain(model, g, target, cfg):
         a_soft[u, v] = s
         a_soft[v, u] = s
         a_hat = normalize_adjacency(a_soft, ball.outside)
-        h1, probs, _ = _forward(a_hat, (a_hat @ features)[None], *weights)
+        h1, probs, _ = _forward(a_hat, _with_ones(a_hat @ features)[None], *weights)
         probs = probs[0].T
         ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
         loss = (-np.log(probs[t, predicted] + 1e-12) + SIZE_PENALTY * s.sum()
@@ -666,6 +671,122 @@ class TestExplainAllOracle:
         for target in eligible_targets(g, True)[:4]:
             cfg = ExplainConfig(seed=target)
             assert explain(model, g, target, cfg) == reference_explain(model, g, target, cfg)[0]
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestExplainingInParts:
+    """explain_all's stacks split across processes against the
+    in-process call, with ==."""
+
+    def test_every_cpu_count_gives_the_in_process_result(self, trained_generators,
+                                                         monkeypatch):
+        """Tree-cycles' eligible targets, last first, so the shapes come
+        out of order, with a target that has no edge (None) and one that
+        takes no step."""
+        g, model = trained_generators["tree-cycles"]
+        n = g.node_count
+        lone = make_graph(n + 1, g.edges, features=np.vstack([g.features, g.features[:1]]),
+                          labels=[*g.labels, 0], class_count=g.class_count)
+        targets = eligible_targets(g, True)[::-1]
+        problems = seeded_problems([lone], targets, mask_steps=40)
+        problems.insert(3, (lone, n, ExplainConfig()))
+        problems.insert(5, (lone, targets[0], ExplainConfig(mask_steps=0, seed=2)))
+        shapes = [(len(b.nodes), len(b.edges))
+                  for b in (_ball(lone, t, cfg.hops) for _, t, cfg in problems) if b.edges]
+        stacks = len(set(shapes))
+        assert stacks >= 3 and shapes != sorted(shapes)
+
+        real = relex.workers.run_parts
+        parts = []
+
+        def recording(run, members, expected):
+            parts.append(len(members))
+            return real(run, members, expected)
+
+        monkeypatch.setattr(relex.workers, "run_parts", recording)
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 1)
+        want = explain_all(model, problems)
+        assert want[3] is None and sum(e is None for e in want) == 1
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(relex.workers, "cpu_count", lambda: cpus)
+            parts.clear()
+            assert explain_all(model, problems) == want, cpus
+            assert parts == [min(cpus, stacks)]
+            assert no_child_left()
+
+    def test_a_childs_exception_is_raised_here(self, bridge_setup, monkeypatch):
+        """Nodes 4 and 6 have balls of two shapes, so at 2 CPUs one stack
+        runs in a child; it fails there, its exception is raised in this
+        process, and no child is left."""
+        g, model = bridge_setup
+        problems = [(g, 6, ExplainConfig(mask_steps=5)), (g, 4, ExplainConfig(mask_steps=5))]
+        parent, real = os.getpid(), relex.explainer._descend
+
+        def descend(p, mask, steps):
+            if os.getpid() != parent:
+                raise ValueError("stack failed")
+            return real(p, mask, steps)
+
+        monkeypatch.setattr(relex.explainer, "_descend", descend)
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="^stack failed$"):
+            explain_all(model, problems)
+        assert no_child_left()
+
+    def test_parts_balance_the_estimated_cost(self):
+        # costliest first, each to the lightest part so far
+        assert _balanced_parts([5, 1, 4, 3, 2], 2) == [[0, 1, 4], [2, 3]]
+        assert _balanced_parts([3, 3, 3], 2) == [[0, 2], [1]]  # ties go to the lower
+        assert _balanced_parts([1, 9, 1, 1], 4) == [[1], [0], [2], [3]]
+        assert _balanced_parts([0, 0], 1) == [[0, 1]]
+        for count in range(1, 8):
+            for p in range(1, count + 1):
+                costs = [(7 * i) % 5 for i in range(count)]
+                parts = _balanced_parts(costs, p)
+                assert sorted(i for part in parts for i in part) == list(range(count))
+                assert all(parts) and len(parts) == p
+                loads = [sum(costs[i] for i in part) for part in parts]
+                assert max(loads) - min(loads) <= max(costs), (count, p)
+
+    def test_a_stacks_cost_is_its_rounds_times_a_rounds(self, bridge_setup):
+        g, model = bridge_setup
+        ball = _ball(g, 4, 2)
+        p = _mask_problem(model, [(g, ball)] * 3)
+        b = len(ball.nodes)
+        assert _stack_cost(p, [0, 40, 7]) == 41 * (ROUND_COST + 3 * (PROBLEM_COST + b * b))
+        assert _stack_cost(p, [0, 0, 0]) == ROUND_COST + 3 * (PROBLEM_COST + b * b)
+
+
+class TestFeatureDimCheck:
+    def test_every_problem_is_checked_before_any_ball(self, bridge_setup, monkeypatch):
+        """An isolated target of a graph whose features do not fit the
+        model raises the feature-dim error, not an empty subgraph, and
+        no ball is built."""
+        g, model = bridge_setup
+        narrow = make_graph(3, [(0, 1)], features=np.ones((3, 3)), labels=[0, 1, 0])
+        model = GcnModel(w0=np.zeros((5, 4)), w1=np.zeros((4, 2)), b0=np.zeros(4),
+                         b1=np.zeros(2), seed=0)
+
+        def no_ball(*args):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr(relex.explainer, "_ball", no_ball)
+        for call in (lambda: explain(model, narrow, 2, ExplainConfig()),
+                     lambda: explain_all(model, [(narrow, 2, ExplainConfig())]),
+                     lambda: explain_all(model, [(make_graph(3, [(0, 1)], features=np.ones((3, 5)),
+                                                             labels=[0, 1, 0]),
+                                                  0, ExplainConfig()),
+                                                 (narrow, 2, ExplainConfig())])):
+            with pytest.raises(ValueError, match="^feature dim 3 != model input dim 5$"):
+                call()
 
 
 class TestIsScores:

@@ -15,7 +15,8 @@ import relex.gcn
 import relex.workers
 from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _class_sum, _forward,
                        _forward_pass, _layouts, _model_size, _one_model, _product,
-                       _targets, _train_in_parts, _train_restarts, gcn_forward,
+                       _slots, _targets, _train_in_parts, _train_restarts, _with_ones,
+                       gcn_forward,
                        init_weights, load_model, loss_and_grads, normalize_adjacency,
                        predict, save_model, sparse_a_hat, train_gcn, train_gcns)
 from relex.graphs import NodeSplit, adjacency, make_graph, remove_edges, split_nodes
@@ -323,7 +324,7 @@ class TestEpochArrays:
         d, h, c = g.features.shape[1], 8, g.class_count
         rng = np.random.default_rng(0)
         flat = rng.uniform(-1, 1, 3 * 2 * _model_size(d, h, c))
-        ax = np.stack([a @ g.features for a in a_hats])
+        ax = _with_ones(np.stack([a @ g.features for a in a_hats]))
 
         def change():
             flat[:] = rng.uniform(-1, 1, flat.size)
@@ -334,25 +335,24 @@ class TestEpochArrays:
         A_hat and A_hat . X change between runs, as a mask loop's do."""
         rng = np.random.default_rng(1)
         a_hat = rng.random((4, 9, 9))
-        ax = rng.normal(size=(4, 9, 3))
+        ax = _with_ones(rng.normal(size=(4, 9, 3)))
         weights = _one_model(*init_weights(3, 5, 8, seed=2))
 
         def change():
             a_hat[...] = rng.random(a_hat.shape)
-            ax[...] = rng.normal(size=ax.shape)
+            ax[..., :-1] = rng.normal(size=(4, 9, 3))
         self.rerun_equals_fresh(a_hat, ax, weights, change)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_one_model(self, dense):
         g = two_cliques()
         a_hat = normalize_adjacency(adjacency(g)) if dense else sparse_a_hat(g)
-        w0, w1, b0, b1 = init_weights(2, 6, 2, seed=4)
-        weights = _one_model(w0, w1, b0, b1)
+        weights = _one_model(*init_weights(2, 6, 2, seed=4))
 
         def change():
-            for w in (w0, w1, b0, b1):
+            for w in weights:
                 w *= -1.5
-        self.rerun_equals_fresh(a_hat, (a_hat @ g.features)[None], weights, change)
+        self.rerun_equals_fresh(a_hat, _with_ones(a_hat @ g.features)[None], weights, change)
 
     def test_class_sum_is_a_contiguous_sum(self):
         """The class-major denominator equals np.add.reduce over a
@@ -874,6 +874,89 @@ class TestTrainingInParts:
                               RuntimeError, "ended without sending its result")
         finally:
             signal.signal(signal.SIGTERM, previous)
+
+
+class TestRunParts:
+    def test_expecting_nothing(self):
+        """With ``expected`` (), a child's ValueError is raised here rather
+        than returned, and no child is left."""
+        parent = os.getpid()
+
+        def run(part):
+            if os.getpid() != parent:
+                raise ValueError(f"part {part}")
+            return part
+
+        with pytest.raises(ValueError, match="^part 1$"):
+            relex.workers.run_parts(run, [0, 1], ())
+        assert no_child_left()
+        assert relex.workers.run_parts(lambda part: 2 * part, [0, 1, 2], ()) == [0, 2, 4]
+        assert no_child_left()
+
+
+class TestBiasFold:
+    """Layer 1 multiplies [A_hat . X, 1] by the W0|b0 block, so b0 is
+    added inside the product."""
+
+    @staticmethod
+    def pre_activations(a_rows, ax, weights):
+        """Layer 1 before its ReLU: h1 at the weights minus h1 at the
+        negated weights, exact, since negating W0|b0 negates every
+        product and one of the two ReLUs is 0."""
+        w0, w1, b1 = weights
+        return _forward(a_rows, ax, w0, w1, b1)[0] - _forward(a_rows, ax, -w0, w1, b1)[0]
+
+    @pytest.mark.parametrize("d", [1, 10, 383])
+    def test_folded_product_is_ax_w0_plus_b0(self, d):
+        """Bit for bit while d + 1 fits in one OpenBLAS k-block: K = 2
+        graphs of R = 3 models each in ``_layouts``'s views, and one model
+        over the explainer's (P, b, d + 1) stack, at verify-bp's n and h.
+        At d = 384 it differs from ax @ w0 + b0 in the last bit on
+        OpenBLAS 0.3.31's SkylakeX kernel."""
+        rng = np.random.default_rng(d)
+        k, r, n, h, c = 2, 3, 50, 32, 4
+        ax = rng.normal(size=(k, n, d))
+        weights = _layouts(rng.uniform(-1, 1, k * r * _model_size(d, h, c)), k, r, d, h, c)
+        z = self.pre_activations(rng.random((k, 5, n)), _with_ones(ax), weights)
+        for graph in range(k):
+            for model in range(r):
+                w0, _, b0, _ = _slots(weights, graph, model)
+                assert (z[graph, :, model * h:(model + 1) * h] == ax[graph] @ w0 + b0).all()
+        w0, w1, b0, b1 = init_weights(d, h, c, seed=d)
+        z = self.pre_activations(rng.random((k, n, n)), _with_ones(ax),
+                                 _one_model(w0, w1, b0, b1))
+        assert (z == ax @ w0 + b0).all()
+
+    def test_training_past_one_k_block_is_deterministic(self, monkeypatch):
+        """At d = 400 the folded product rounds unlike A_hat . X . W0 + b0
+        (OpenBLAS 0.3.31, SkylakeX kernel), yet training K = 2 graphs gives
+        the same models at 1 and 2 CPUs as training each graph alone.
+        Its restarts train in lockstep there: past one k-block, a
+        (n, d + 1) . (d + 1, h) product of one restart alone may round
+        unlike the same columns of the lockstep (d + 1, R h) product."""
+        graphs, split = reduced_graphs(2)
+        x = np.random.default_rng(4).normal(size=(graphs[0].node_count, 400))
+        graphs = [make_graph(g.node_count, g.edges, features=x, labels=g.labels,
+                             class_count=g.class_count) for g in graphs]
+        g = graphs[0]
+        cfg = TrainConfig(hidden_dim=32, max_epochs=40, patience=5, restarts=3, seed=3)
+        a_hats = [sparse_a_hat(graph) for graph in graphs]
+        rows = (x, g.labels, g.class_count, np.asarray(split.train),
+                np.asarray(split.validation))
+        alone = [_train_restarts([a], *rows, cfg) for a in a_hats]
+        models = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(relex.workers, "cpu_count", lambda: cpus)
+            stacked, accs = _train_in_parts(a_hats, *rows, cfg)
+            for k, (want, want_accs) in enumerate(alone):
+                assert accs[k] == want_accs[0], (cpus, k)
+                for got, one in zip(stacked, want, strict=True):
+                    assert (got[k] == one[0]).all(), (cpus, k)
+            models[cpus] = train_gcns(graphs, split, cfg)
+            assert no_child_left()
+        for one, two in zip(models[1], models[2], strict=True):
+            for key in ("w0", "w1", "b0", "b1"):
+                assert (getattr(one, key) == getattr(two, key)).all(), key
 
 
 class TestTrainGcnsChecks:
