@@ -292,7 +292,7 @@ def _masked_grad(p: _MaskProblem, mask: np.ndarray, fwd) -> np.ndarray:
     g2 = probs.take(p.target_probs)
     g2 -= p.onehot
 
-    g1 = ((a_hat.take(p.target_column)[:, :, None] * g2[:, None, :]) @ p.w1.T) * (h1 > 0)
+    g1 = ((a_hat.take(p.target_column)[:, :, None] * g2[:, None, :]) @ p.w1.T) * (h1[:, 0] > 0)
     m_hat = g1 @ p.features_w0_t                                   # A_hat in layer 1
     layer2 = (g2[:, None, :] @ hw.transpose(0, 2, 1))[:, 0]
     m_hat.put(p.target_row, m_hat.take(p.target_row) + layer2)    # A_hat in layer 2

@@ -22,28 +22,27 @@ all of them until the last one stops.
 use (``relex.workers``): P = min(CPUs in its affinity mask, K R) parts
 in model order, by graphs when K >= P and otherwise by restarts, each
 part one lockstep run on a slice of the graphs and a range of restart
-seeds.  The models share no sum, so the split changes no bit while
-d + 1 fits in one OpenBLAS k-block (see below); past it, a part with
-fewer restarts multiplies fewer columns, which OpenBLAS may block
-differently.
+seeds.  The models share no sum and every product is one model's, so
+the split changes no bit.
 
 The loss reads only the train rows and the early stop only the train
 and monitored rows, so an epoch runs layer 2, the softmax and the
 accuracies on those scored rows alone, through A_hat[scored], and
 carries only the train rows' gradient back, through A_hat[:, train];
 with K graphs each is one CSR product through the block-diagonal of
-the graphs' matrices.  Layer 1 runs on every node, node-major: a
-graph's restarts' hidden units sit side by side in one (n, R h) matrix,
-stacked to (K, n, R h).  Its bias rides in the product: A_hat . X
-carries a ones column, (K, n, d + 1), and each graph's W0 rows are
-followed by its b0 row in one (K, d + 1, R h) block, so A_hat . X . W0
-+ b0 is one batched product, then the ReLU.  OpenBLAS adds the ones
-column's term last, so the product equals A_hat . X . W0 + b0 bit for
-bit while d + 1 fits in one of its k-blocks: up to 383 features on
-OpenBLAS 0.3.31's SkylakeX kernel, and not where R h = 1, for which
-numpy calls gemv.  The probabilities are class-major, (K R, C, rows),
-so the softmax's max reduces over C rows, and its denominator is summed
-over the class rows in the order numpy sums a contiguous row, with no
+the graphs' matrices.  Layer 1 runs on every node and is model-major:
+each model's hidden units are one (n, h) matrix, stacked to (K, R, n,
+h), and each model is one product of its own, whose shapes are the same
+whether it trains alone, in lockstep or in any part.  Its bias rides in
+the product: A_hat . X carries a ones column, (K, n, d + 1), and each
+model's W0 rows are followed by its b0 row in one (d + 1, h) block, so
+A_hat . X . W0 + b0 is one product, then the ReLU.  OpenBLAS adds the
+ones column's term last, so the product equals A_hat . X . W0 + b0 bit
+for bit while d + 1 fits in one of its k-blocks: up to 383 features on
+OpenBLAS 0.3.31's SkylakeX kernel, and not where h = 1, for which numpy
+calls gemv.  The probabilities are class-major, (K R, C, rows), so the
+softmax's max reduces over C rows, and its denominator is summed over
+the class rows in the order numpy sums a contiguous row, with no
 node-major copy.
 
 An epoch allocates nothing the size of a layer.  The weights, their
@@ -54,7 +53,7 @@ bound once per training to arrays they write in place, the CSR products
 call scipy's own kernel into them, and Adam updates the rows in place;
 a model's weights are copied out only when its accuracy pair improves.
 Every weight stays bit-identical to training each graph's restarts one
-by one on every row, as long as d + 1 fits in one k-block.
+by one on every row.
 
 scipy.sparse is imported inside the functions that build, combine or
 multiply CSR matrices (normalize_adjacency, sparse_a_hat, _block_diag,
@@ -269,9 +268,8 @@ def _forward(a_rows, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray, b1: np.ndar
     matrix of the K graphs' row subsets for K > 1; or a dense (K, rows,
     n) stack of the K graphs' rows.  The weights are R models per graph
     in ``_layouts``'s layouts, W0 with b0 as its last row, or one
-    graph's, which every graph then shares.  h1 is node-major, (K, n,
-    R h), with graph k's model r in columns r h .. (r + 1) h - 1 of
-    h1[k]; the probabilities are class-major, (K R, C, rows), with graph
+    graph's, which every graph then shares.  h1 is model-major, (K, R,
+    n, h); the probabilities are class-major, (K R, C, rows), with graph
     k's model r at k R + r, so the softmax's max reduces over C rows.
     h1 . W1 is (K, n, R C) for a dense stack, else (K n, R C).
     """
@@ -289,20 +287,20 @@ def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray, b1: np
     dense_stack = a_rows.ndim == 3
     rows = a_rows.shape[-2] if dense_stack else a_rows.shape[0] // k
     stack = (k, -1, r * c) if dense_stack else (-1, r * c)
-    h1, hw = np.empty((k, n, r * h)), np.empty((k, n, r, c))
+    h1, hw = np.empty((k, r, n, h)), np.empty((k, n, r, c))
     z2, probs = np.empty((k, rows, r, c)), np.empty((k * r, c, rows))
     top = np.empty((k * r, 1, rows))  # each column's max, then its denominator
-    h1_by_model = h1.reshape(k, n, r, h).transpose(0, 2, 1, 3)
     hw_by_model = hw.transpose(0, 2, 1, 3)
     hw = hw.reshape(stack)
     propagate = _product(a_rows, hw, z2.reshape(stack))
     logits, probs_by_model = z2.transpose(0, 2, 3, 1), probs.reshape(k, r, c, rows)
+    ax_by_model = ax[:, None]
 
     def run():
-        np.matmul(ax, w0, out=h1)  # the ones column adds b0
+        np.matmul(ax_by_model, w0, out=h1)  # the ones column adds b0
         np.maximum(h1, 0.0, out=h1)
         # layer 2 multiplies by W1 before it propagates, so it moves C columns
-        np.matmul(h1_by_model, w1, out=hw_by_model)
+        np.matmul(h1, w1, out=hw_by_model)
         propagate()
         np.add(logits, b1, out=probs_by_model)
         np.subtract(probs, np.maximum.reduce(probs, axis=1, keepdims=True, out=top), out=probs)
@@ -314,26 +312,25 @@ def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray, b1: np
 
 def _layouts(flat: np.ndarray, k: int, r: int, d: int, h: int, c: int):
     """Views of ``flat``, which holds K R models' w0 and b0, w1 and b1 in
-    turn, in ``_forward``'s layouts: each graph's W0 rows then its b0 row
-    as one block (K, d + 1, R h), so layer 1 is one batched product with
-    its bias, then w1 (K, R, h, C) and b1 (K, R, C, 1), which broadcasts
-    over the class-major logits."""
+    turn, in ``_forward``'s layouts: each model's W0 rows then its b0 row
+    as one block (K, R, d + 1, h), so layer 1 is one product per model
+    with its bias, then w1 (K, R, h, C) and b1 (K, R, C, 1), which
+    broadcasts over the class-major logits."""
     w0, w1, b1 = np.split(flat, np.cumsum([d + 1, c]) * (k * r * h))
-    return w0.reshape(k, d + 1, r * h), w1.reshape(k, r, h, c), b1.reshape(k, r, c, 1)
+    return w0.reshape(k, r, d + 1, h), w1.reshape(k, r, h, c), b1.reshape(k, r, c, 1)
 
 
 def _slots(layouts, k, r: int):
     """Graph k's restart r's w0, w1, b0 and b1 in ``_layouts``'s views,
     as views shaped (d, h), (h, C), (h,) and (C,); k may be a slice."""
     w0, w1, b1 = layouts
-    cols = slice(r * w1.shape[2], (r + 1) * w1.shape[2])
-    return w0[k, :-1, cols], w1[k, r], w0[k, -1, cols], b1[k, r, :, 0]
+    return w0[k, r, :-1], w1[k, r], w0[k, r, -1], b1[k, r, :, 0]
 
 
 def _one_model(w0: np.ndarray, w1: np.ndarray, b0: np.ndarray, b1: np.ndarray):
     """One model's weights, shaped (d, h), (h, C), (h,), (C,), as
     ``_forward`` takes K = R = 1 models."""
-    return np.vstack([w0, b0])[None], w1[None, None], b1.reshape(1, 1, -1, 1)
+    return np.vstack([w0, b0])[None, None], w1[None, None], b1.reshape(1, 1, -1, 1)
 
 
 def gcn_forward(m: GcnModel, features: np.ndarray, a_hat) -> np.ndarray:
@@ -411,40 +408,42 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
     that returns the losses, shape (K R,), and writes the gradients into
     ``grads``, views in ``_layouts``'s layouts, from what the inputs hold
     when it is called."""
-    k, n, _ = h1.shape
-    _, r, h, c = w1.shape
+    k, r, n, h = h1.shape
+    c = w1.shape[-1]
     grad_w0b0, grad_w1, grad_b1 = grads
-    grad_w0, grad_b0 = grad_w0b0[:, :-1], grad_w0b0[:, -1]
+    grad_w0, grad_b0 = grad_w0b0[:, :, :-1], grad_w0b0[:, :, -1]
     rows, models = len(t.onehot), k * r
-    # each model's loss sums its train nodes one by one, in train order
     picks = t.picks[:, None] + np.arange(models) * probs[0].size
-    picked, loss, flat = np.empty(picks.shape), np.empty(models), probs.reshape(-1)
+    picked, flat = np.empty(picks.shape), probs.reshape(-1)
+    loss = picked[-1]  # the running sums' last row, once they are summed
     # dL/dZ2 is nonzero only in the train rows, which lead the scored rows
     train_probs = probs.reshape(k, r, c, -1)[..., :rows].transpose(0, 3, 1, 2)
-    g2, ah_g2, g1 = np.empty((k, rows, r, c)), np.empty((k, n, r, c)), np.empty((k, n, r, h))
+    g2, ah_g2, g1 = np.empty((k, rows, r, c)), np.empty((k, n, r, c)), np.empty(h1.shape)
     active = np.empty(h1.shape, dtype=bool)  # the ReLU's open units
     propagate = _product(t.a_train, g2.reshape(k * rows, r * c),  # A_hat = A_hat^T
                          ah_g2.reshape(k * n, r * c))
     g2_by_row, grad_b1 = g2.reshape(k, rows, r * c), grad_b1.reshape(k, r * c)
     ah_g2 = ah_g2.transpose(0, 2, 1, 3)
-    h1_t, w1_t = h1.reshape(k, n, r, h).transpose(0, 2, 3, 1), w1.transpose(0, 1, 3, 2)
-    g1_by_model, g1 = g1.transpose(0, 2, 1, 3), g1.reshape(k, n, r * h)
-    ax_t = ax[..., :-1].transpose(0, 2, 1)  # the ones column's gradient is grad_b0
+    h1_t, w1_t = h1.transpose(0, 1, 3, 2), w1.transpose(0, 1, 3, 2)
+    ax_t = ax[:, None, :, :-1].transpose(0, 1, 3, 2)  # the ones column's gradient is grad_b0
 
     def run():
         flat.take(picks, out=picked, mode="clip")
         np.add(picked, 1e-12, out=picked)
         np.log(picked, out=picked)
-        np.negative(np.add.reduce(picked, axis=0, out=loss), out=loss)
+        # each model's loss sums its train nodes one by one, in train order,
+        # which np.add.reduce does not do for a lone model's contiguous column
+        np.add.accumulate(picked, axis=0, out=picked)
+        np.negative(loss, out=loss)
         np.divide(loss, t.count, out=loss)
         np.subtract(train_probs, t.onehot, out=g2)
         np.divide(g2, t.count, out=g2)
         np.add.reduce(g2_by_row, axis=1, out=grad_b1)
         propagate()
         np.matmul(h1_t, ah_g2, out=grad_w1)
-        np.matmul(ah_g2, w1_t, out=g1_by_model)
+        np.matmul(ah_g2, w1_t, out=g1)
         np.multiply(g1, np.greater(h1, 0.0, out=active), out=g1)
-        np.add.reduce(g1, axis=1, out=grad_b0)
+        np.add.reduce(g1, axis=2, out=grad_b0)
         np.matmul(ax_t, g1, out=grad_w0)
         return loss
     return run
@@ -501,7 +500,7 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     """
     n_graphs, n_restarts = len(a_hats), cfg.restarts
     ax = _with_ones(np.stack([a @ x for a in a_hats]))
-    (n, d), h = x.shape, cfg.hidden_dim
+    d, h = x.shape[1], cfg.hidden_dim
     t = _targets(a_hats, y, class_count, train_idx, monitor_idx)
     # the weights, their gradients, Adam's two moments and scratch, each in _layouts
     state = np.zeros((5, n_graphs * n_restarts * _model_size(d, h, class_count)))
@@ -563,10 +562,7 @@ def _train_restarts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
         if not live:
             break
     w0, w1, b1 = best
-    stacked = (np.ascontiguousarray(
-        w0[:, :-1].reshape(n_graphs, d, n_restarts, h).transpose(0, 2, 1, 3)),
-        w1, w0[:, -1].reshape(n_graphs, n_restarts, 1, h),
-        b1.reshape(n_graphs, n_restarts, 1, -1))
+    stacked = w0[:, :, :-1], w1, w0[:, :, -1:], b1.reshape(n_graphs, n_restarts, 1, -1)
     return stacked, [best_acc[k * n_restarts:(k + 1) * n_restarts] for k in range(n_graphs)]
 
 
@@ -576,7 +572,8 @@ def _train_in_parts(a_hats: list, x, y, class_count, train_idx, monitor_idx,
     ``workers.grid_parts`` on every CPU the process may use, each part
     one ``_train_restarts`` call on its graphs with its restarts' seeds.
     The parts hold the models in order, so their results are joined end
-    to end along the model axis.  The models share no sum, so each is
+    to end along the model axis.  The models share no sum, and each
+    model's products have the same shapes in any part, so each is
     bit-identical to lockstep's.  A divergence raises the
     TrainingDiverged that lockstep raises first: the earliest epoch's,
     then the lowest model's.
@@ -612,7 +609,8 @@ def train_gcns(graphs: list[RelationalGraph], split: NodeSplit,
 
     All graphs' restarts train in lockstep, split across the CPUs the
     process may use (``_train_in_parts``), and every model is
-    bit-identical to training its graph alone.  A non-finite loss raises
+    bit-identical to training its graph alone, at any CPU count: no
+    product or sum mixes two models.  A non-finite loss raises
     TrainingDiverged, whose ``graph`` is that graph's position in
     ``graphs``.
     """

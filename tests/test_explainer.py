@@ -517,7 +517,7 @@ def reference_explain(model, g, target, cfg):
         ent = -(s * np.log(s + 1e-12) + (1 - s) * np.log(1 - s + 1e-12))
         loss = (-np.log(probs[t, predicted] + 1e-12) + SIZE_PENALTY * s.sum()
                 + ENTROPY_PENALTY * ent.sum())
-        return loss, s, a_hat, h1[0], probs
+        return loss, s, a_hat, h1[0, 0], probs
 
     def gradient(mask, fwd):
         _, s, a_hat, h1, probs = fwd

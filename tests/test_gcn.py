@@ -380,7 +380,7 @@ class TestEpochArrays:
 
     def test_an_epoch_allocates_no_layer_sized_array(self, monkeypatch):
         """From the first backward pass on, every epoch of a two-graph
-        run together allocates less than half of one (K, n, R h) array."""
+        run together allocates less than half of one (K, R, n, h) array."""
         g = generate_ba_shapes(150, 30, 1)
         split = split_nodes(g, 1, (0.5, 0.1, 0.4))
         graphs = [g, remove_edges(g, sorted(g.edges)[::9])[0]]
@@ -575,6 +575,37 @@ class TestLockstepTrainingOracle:
         assert [[t for _, _, t in reference_train(graph, split, cfg)[0]]
                 for graph in graphs] == last
 
+    def test_a_lone_models_loss_is_its_lockstep_loss(self, monkeypatch):
+        """Each model's loss sums its train nodes in train order, also when
+        it trains alone, as ``loss_and_grads`` and a one-restart part run
+        it: on tree-cycles(4, 5) at h = 32, numpy's pairwise sum of a lone
+        model's column gives restart 1 another first-epoch loss."""
+        g = generate_tree_motif(4, "cycle", 5, 1)
+        split = split_nodes(g, 1, (0.5, 0.1, 0.4))
+        train_idx = np.asarray(split.train)
+        args = ([sparse_a_hat(g)], g.features, g.labels, g.class_count, train_idx,
+                np.asarray(split.validation))
+        real, first = relex.gcn._backward_pass, []
+
+        def recorded(*pass_args):
+            run = real(*pass_args)
+
+            def record():
+                loss = run()
+                first.append(loss.copy())
+                return loss
+            return record
+        monkeypatch.setattr(relex.gcn, "_backward_pass", recorded)
+        cfg = TrainConfig(hidden_dim=32, max_epochs=1, restarts=3, seed=3)
+        _train_restarts(*args, cfg)
+        lockstep = first.pop().tolist()
+        for r in range(cfg.restarts):
+            _train_restarts(*args, replace(cfg, seed=cfg.seed + r, restarts=1))
+            assert first.pop().tolist() == [lockstep[r]], r
+            weights = init_weights(g.features.shape[1], 32, g.class_count, cfg.seed + r)
+            loss = loss_and_grads(args[0][0], g.features, g.labels, train_idx, *weights)[0]
+            assert loss == lockstep[r], r
+
     def test_cases_stop_apart_and_tie(self):
         """The grid holds restarts that stop at different epochs before
         max_epochs, and restarts whose best accuracies tie, so an early
@@ -722,6 +753,15 @@ def reduced_graphs(count):
                                                             replace=False)])[0]
               for i in range(count)]
     return graphs, split_nodes(g, 1, (0.5, 0.1, 0.4))
+
+
+def wide_graphs(count):
+    """``reduced_graphs`` with 400 seeded random features per node, past
+    one OpenBLAS k-block."""
+    graphs, split = reduced_graphs(count)
+    x = np.random.default_rng(4).normal(size=(graphs[0].node_count, 400))
+    return [make_graph(g.node_count, g.edges, features=x, labels=g.labels,
+                       class_count=g.class_count) for g in graphs], split
 
 
 class TestTrainingInParts:
@@ -921,42 +961,60 @@ class TestBiasFold:
         for graph in range(k):
             for model in range(r):
                 w0, _, b0, _ = _slots(weights, graph, model)
-                assert (z[graph, :, model * h:(model + 1) * h] == ax[graph] @ w0 + b0).all()
+                assert (z[graph, model] == ax[graph] @ w0 + b0).all()
         w0, w1, b0, b1 = init_weights(d, h, c, seed=d)
         z = self.pre_activations(rng.random((k, n, n)), _with_ones(ax),
                                  _one_model(w0, w1, b0, b1))
-        assert (z == ax @ w0 + b0).all()
+        assert (z[:, 0] == ax @ w0 + b0).all()
 
     def test_training_past_one_k_block_is_deterministic(self, monkeypatch):
         """At d = 400 the folded product rounds unlike A_hat . X . W0 + b0
-        (OpenBLAS 0.3.31, SkylakeX kernel), yet training K = 2 graphs gives
-        the same models at 1 and 2 CPUs as training each graph alone.
-        Its restarts train in lockstep there: past one k-block, a
-        (n, d + 1) . (d + 1, h) product of one restart alone may round
-        unlike the same columns of the lockstep (d + 1, R h) product."""
-        graphs, split = reduced_graphs(2)
-        x = np.random.default_rng(4).normal(size=(graphs[0].node_count, 400))
-        graphs = [make_graph(g.node_count, g.edges, features=x, labels=g.labels,
-                             class_count=g.class_count) for g in graphs]
+        (OpenBLAS 0.3.31, SkylakeX kernel), yet training K = 2 graphs at 1
+        and 2 CPUs gives each restart the weights and accuracy pair it
+        gets trained alone, and the same models at both counts: every
+        model's products have the same shapes alone and in lockstep."""
+        graphs, split = wide_graphs(2)
         g = graphs[0]
         cfg = TrainConfig(hidden_dim=32, max_epochs=40, patience=5, restarts=3, seed=3)
         a_hats = [sparse_a_hat(graph) for graph in graphs]
-        rows = (x, g.labels, g.class_count, np.asarray(split.train),
+        rows = (g.features, g.labels, g.class_count, np.asarray(split.train),
                 np.asarray(split.validation))
-        alone = [_train_restarts([a], *rows, cfg) for a in a_hats]
+        alone = [[_train_restarts([a], *rows, replace(cfg, seed=cfg.seed + r, restarts=1))
+                  for r in range(cfg.restarts)] for a in a_hats]
         models = {}
         for cpus in (1, 2):
             monkeypatch.setattr(relex.workers, "cpu_count", lambda: cpus)
             stacked, accs = _train_in_parts(a_hats, *rows, cfg)
-            for k, (want, want_accs) in enumerate(alone):
-                assert accs[k] == want_accs[0], (cpus, k)
-                for got, one in zip(stacked, want, strict=True):
-                    assert (got[k] == one[0]).all(), (cpus, k)
+            for k, restarts in enumerate(alone):
+                for r, (want, want_accs) in enumerate(restarts):
+                    assert accs[k][r] == want_accs[0][0], (cpus, k, r)
+                    for got, one in zip(stacked, want, strict=True):
+                        assert (got[k, r] == one[0, 0]).all(), (cpus, k, r)
             models[cpus] = train_gcns(graphs, split, cfg)
             assert no_child_left()
         for one, two in zip(models[1], models[2], strict=True):
             for key in ("w0", "w1", "b0", "b1"):
                 assert (getattr(one, key) == getattr(two, key)).all(), key
+
+    def test_train_gcn_past_one_k_block_at_every_cpu_count(self, monkeypatch):
+        """At d = 400, train_gcn's restarts, split 3, 2 + 1 and 1 + 1 + 1
+        across 1, 2 and 3 CPUs, come out the same, and so does the model."""
+        (g,), split = wide_graphs(1)
+        cfg = TrainConfig(hidden_dim=32, max_epochs=40, restarts=3, seed=3)
+        args = ([sparse_a_hat(g)], g.features, g.labels, g.class_count,
+                np.asarray(split.train), np.asarray(split.validation), cfg)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(relex.workers, "cpu_count", lambda: cpus)
+            runs.append((_train_in_parts(*args), train_gcn(g, split, cfg)))
+            assert no_child_left()
+        ((want_stacked, want_accs), want_model), *rest = runs
+        for (stacked, accs), model in rest:
+            assert accs == want_accs
+            for got, want in zip(stacked, want_stacked, strict=True):
+                assert (got == want).all()
+            for key in ("w0", "w1", "b0", "b1"):
+                assert (getattr(model, key) == getattr(want_model, key)).all(), key
 
 
 class TestTrainGcnsChecks:
