@@ -25,7 +25,7 @@ build_parser builds the parser once per process.
 
 Exit codes: 0 success, 2 validation error (an output path that cannot be
 written included; verify checks its --out before it runs), 3
-pipeline-stage failure.
+pipeline-stage failure (a worker process that died included).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from relex.graphs import GraphFormatError, load_graph, save_graph, split_nodes
 from relex.pipeline import (GENERATORS, DatasetSpec, PipelineConfig,
                             PipelineStageError, bundle_from_dict, emit_report,
                             run_verification, seeded)
+from relex.workers import WorkerLost
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -288,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (TrainingDiverged, CreGenerationFailed, EmptyCreSet,
-            SingleNodeExplanation) as exc:
+            SingleNodeExplanation, WorkerLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
     except (GraphFormatError, ValueError, OSError) as exc:

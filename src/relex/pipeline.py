@@ -1,15 +1,25 @@
 """End-to-end verification pipeline and report emission.
 
-Train a GCN, explain eligible targets, score each explained relation with
-the factor-graph path (BP) or the raw explainer confidences (IS), remove
-each target's i-th ranked relation to form a reduced graph, retrain from
-the identical seed, and compare predictions per class with McNemar's test
-over the test split.  Every eligible target is explained in one lockstep
-call (``explainer.explain_all``), and every target's counterfactual
-re-explanations in a second (``boolfact.generate_cre_sets``); the
-reduced graphs of every scorer and depth i retrain in one lockstep run
-(``gcn.train_gcns``).  Each explanation and model is bit-identical to
-making it alone.
+``run_verification`` runs ``STAGES`` in turn over one ``Run``.  Each
+stage's tag, and what it adds to the Run or to its ``bundle``:
+
+    dataset  graph
+    split    split, the train/validation/test nodes
+    train    model, the GCN; base_predictions, on every node
+    explain  explanations of the eligible targets, in one lockstep
+             ``explain_all`` call; targets, those of 2+ relations
+    cres     (BP) cre_sets, each target re-explained on the BMF rank ladder's
+             graphs in one ``generate_cre_sets`` call, else a warning
+    scores   (BP) factor_graphs, learned, and reports, calibrated by BP;
+             rankings by each scorer, of the targets with a report when BP runs
+    retrain  reduced, g less each target's i-th ranked relation per scorer
+             and i; retrained, in one lockstep ``train_gcns`` run from the
+             first model's seed; results, McNemar's test per class
+
+Each explanation and model is bit-identical to making it alone.  The
+stage loop alone turns an exception into a PipelineStageError naming
+the stage, with the bundle so far; ``relex verify`` writes that partial
+report and exits 3 (2 at ``dataset``, where nothing ran).
 """
 
 from __future__ import annotations
@@ -22,15 +32,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from relex.boolfact import EmptyCreSet, RankSearchConfig, generate_cre_sets, rank_ladder
-from relex.datasets import (generate_ba_community, generate_ba_shapes,
-                            generate_tree_motif)
+from relex.boolfact import CreSet, EmptyCreSet, RankSearchConfig, generate_cre_sets
+from relex.datasets import generate_ba_community, generate_ba_shapes, generate_tree_motif
 from relex.explainer import ExplainConfig, Explanation, explain_all, is_scores
-from relex.factorgraph import (RelationUncertainty, UncertaintyReport,
+from relex.factorgraph import (FactorGraph, RelationUncertainty, UncertaintyReport,
                                build_factor_graph, learn_weights,
                                quantify_uncertainty, report_to_csv)
-from relex.gcn import TrainConfig, TrainingDiverged, predict, train_gcn, train_gcns
-from relex.graphs import (SPLIT_FRACTIONS, Edge, RelationalGraph, adjacency,
+from relex.gcn import GcnModel, TrainConfig, TrainingDiverged, predict, train_gcn, train_gcns
+from relex.graphs import (SPLIT_FRACTIONS, Edge, NodeSplit, RelationalGraph,
                           check_split_fractions, load_graph, read_float, read_int,
                           remove_edges, split_nodes)
 from relex.mcnemar import mcnemar_test
@@ -43,8 +52,7 @@ GENERATORS = ("ba-shapes", "ba-community", "tree-cycles", "tree-grids")
 class PipelineStageError(RuntimeError):
     """A pipeline stage failed; carries the stage tag and partial results."""
 
-    def __init__(self, stage: str, cause: BaseException,
-                 partial: "VerificationBundle"):
+    def __init__(self, stage: str, cause: BaseException, partial: "VerificationBundle"):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
@@ -140,7 +148,7 @@ def seeded(stage_cfg, seed: int, target: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Relation selection and graph reduction
+# Pipeline
 # ---------------------------------------------------------------------------
 
 def select_removal_edges(rankings: Mapping[int, Sequence[tuple[Edge, float]]],
@@ -160,130 +168,137 @@ def select_removal_edges(rankings: Mapping[int, Sequence[tuple[Edge, float]]],
     return selected
 
 
-# ---------------------------------------------------------------------------
-# Pipeline
-# ---------------------------------------------------------------------------
-
 def eligible_targets(g: RelationalGraph, synthetic: bool) -> list[int]:
-    """Nodes whose predictions get explained.
-
-    Synthetic motif benchmarks explain only non-zero classes (class 0 is
-    the base structure); file datasets explain every node.
-    """
+    """Nodes whose predictions get explained: on synthetic motif benchmarks
+    those of non-zero classes (class 0 is the base structure), else all."""
     if synthetic:
         return [int(n) for n in np.flatnonzero(g.labels != 0)]
     return list(range(g.node_count))
 
 
-def run_verification(cfg: PipelineConfig) -> VerificationBundle:
-    """Run the full retrain-and-compare protocol; see module docstring.
+@dataclass
+class Run:
+    """One verification's state, stage by stage (see module docstring);
+    the reduced graphs and retrained models are keyed by (scorer, i)."""
+    cfg: PipelineConfig
+    bundle: VerificationBundle
+    graph: RelationalGraph | None = None
+    split: NodeSplit | None = None
+    model: GcnModel | None = None
+    explanations: dict[int, Explanation] = field(default_factory=dict)
+    cre_sets: dict[int, CreSet] = field(default_factory=dict)
+    factor_graphs: dict[int, FactorGraph] = field(default_factory=dict)
+    reduced: dict[tuple[str, int], RelationalGraph] = field(default_factory=dict)
+    retrained: dict[tuple[str, int], GcnModel] = field(default_factory=dict)
 
-    Deterministic for a fixed config: a re-run produces byte-identical
-    report files.  Stage failures raise PipelineStageError carrying the
-    partial bundle collected so far.
-    """
-    bundle = VerificationBundle(dataset=cfg.dataset.kind, seed=cfg.seed)
 
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - tag and propagate
-            raise PipelineStageError(name, exc, partial=bundle) from exc
+def _dataset(run: Run) -> None:
+    run.graph = run.cfg.dataset.build(run.cfg.seed)
 
-    g = stage("dataset", cfg.dataset.build, cfg.seed)
-    split = stage("split", split_nodes, g, cfg.seed, cfg.split_fractions)
-    train_cfg = seeded(cfg.train, cfg.seed)
-    model = stage("train", train_gcn, g, split, train_cfg)
-    base_pred = predict(model, g)
-    bundle.base_predictions = [int(x) for x in base_pred]
 
+def _split(run: Run) -> None:
+    run.split = split_nodes(run.graph, run.cfg.seed, run.cfg.split_fractions)
+
+
+def _train(run: Run) -> None:
+    run.model = train_gcn(run.graph, run.split, seeded(run.cfg.train, run.cfg.seed))
+    run.bundle.base_predictions = [int(x) for x in predict(run.model, run.graph)]
+
+
+def _explain(run: Run) -> None:
+    cfg, g = run.cfg, run.graph
     candidates = eligible_targets(g, cfg.dataset.synthetic)
     if cfg.max_targets is not None and len(candidates) > cfg.max_targets:
         rng = np.random.default_rng(derived_seed(cfg.seed, 2))
         candidates = sorted(rng.choice(candidates, size=cfg.max_targets,
                                        replace=False).tolist())
+    # None marks an empty computation subgraph; one-relation explanations are dropped
+    explained = explain_all(run.model, [(g, target, seeded(cfg.explain, cfg.seed, target))
+                                        for target in candidates])
+    run.explanations = {target: e for target, e in zip(candidates, explained)
+                        if e is not None and len(e.relations) > 1}
+    run.bundle.targets = sorted(run.explanations)
+    if not run.explanations:
+        raise RuntimeError("no eligible target survived filtering")
 
-    # targets with an empty computation subgraph get None, and single-edge
-    # explanations are filtered
-    explained = explain_all(model, [(g, target, seeded(cfg.explain, cfg.seed, target))
-                                    for target in candidates])
-    explanations: dict[int, Explanation] = {
-        target: e for target, e in zip(candidates, explained)
-        if e is not None and len(e.relations) > 1}
-    bundle.targets = sorted(explanations)
-    if not explanations:
-        raise PipelineStageError("explain", RuntimeError("no eligible target survived filtering"),
-                                 partial=bundle)
 
-    need_bp = "bp" in cfg.scorers
-    ladder = None
-    if need_bp:
-        rcfg = seeded(cfg.rank_search, cfg.seed)
-        ladder = stage("cres", rank_ladder, adjacency(g), g.edge_count, rcfg)
+def _cres(run: Run) -> None:
+    cfg, targets = run.cfg, run.bundle.targets
+    if "bp" not in cfg.scorers:
+        return
+    ecfgs = [(t, seeded(cfg.explain, cfg.seed, t)) for t in targets]
+    cre_sets = generate_cre_sets(run.graph, run.model, ecfgs, seeded(cfg.rank_search, cfg.seed))
+    for target, cres in zip(targets, cre_sets):
+        if isinstance(cres, EmptyCreSet):
+            run.bundle.warnings.append(f"target {target}: {cres}")
+        else:
+            run.cre_sets[target] = cres
 
-        targets = sorted(explanations)
-        cre_sets = generate_cre_sets(g, model, [(t, seeded(cfg.explain, cfg.seed, t))
-                                                for t in targets], rcfg, ladder=ladder)
-        for target, cres in zip(targets, cre_sets):
-            if isinstance(cres, EmptyCreSet):
-                bundle.warnings.append(f"target {target}: {cres}")
-                continue
-            fg = learn_weights(build_factor_graph(cres), cres)
-            # scores the explanation that explain_all made above
-            bundle.reports[target] = quantify_uncertainty(fg, explanations[target])
-        if not bundle.reports:
-            raise PipelineStageError(
-                "scores", RuntimeError("BP scoring failed for every target"),
-                partial=bundle)
 
-    rankings_by_scorer: dict[str, dict[int, list[tuple[Edge, float]]]] = {}
-    if need_bp:
-        rankings_by_scorer["bp"] = {t: r.ranking() for t, r in bundle.reports.items()}
-    if "is" in cfg.scorers:
-        targets = bundle.reports.keys() if need_bp else explanations.keys()
-        rankings_by_scorer["is"] = {
-            t: sorted(is_scores(explanations[t]).items(), key=lambda kv: (-kv[1], kv[0]))
-            for t in targets
-        }
-    bundle.rankings = rankings_by_scorer
+def _scores(run: Run) -> None:
+    bundle = run.bundle
+    for target, cres in run.cre_sets.items():
+        run.factor_graphs[target] = fg = learn_weights(build_factor_graph(cres), cres)
+        bundle.reports[target] = quantify_uncertainty(fg, run.explanations[target])
+    ranked = bundle.reports if "bp" in run.cfg.scorers else run.explanations
+    if not ranked:
+        raise RuntimeError("BP scoring failed for every target")
+    for scorer in run.cfg.scorers:
+        bundle.rankings[scorer] = {
+            t: bundle.reports[t].ranking() if scorer == "bp" else
+            sorted(is_scores(run.explanations[t]).items(), key=lambda kv: (-kv[1], kv[0]))
+            for t in ranked}
 
-    reduced: dict[tuple[str, int], RelationalGraph] = {}
+
+def _retrain(run: Run) -> None:
+    cfg, bundle, g = run.cfg, run.bundle, run.graph
     for scorer in cfg.scorers:
         for i in range(1, cfg.g_max + 1):
-            selected = select_removal_edges(rankings_by_scorer[scorer], i)
-            reduced[scorer, i], _ = remove_edges(g, selected)
+            selected = select_removal_edges(bundle.rankings[scorer], i)
+            run.reduced[scorer, i], _ = remove_edges(g, selected)
             bundle.removed_counts[f"{scorer}/{i}"] = len(selected & g.edges)
-
-    def retrain():
-        try:
-            return train_gcns(list(reduced.values()), split, train_cfg)
-        except TrainingDiverged as exc:
-            scorer, i = list(reduced)[exc.graph]
-            raise TrainingDiverged(f"{scorer}/{i}: {exc}", exc.graph, exc.epoch) from exc
-
-    retrained = stage("retrain", retrain)
-    test_nodes = np.asarray(split.test, dtype=np.int64)
-    classes = [c for c in range(g.class_count)
-               if not (cfg.dataset.synthetic and c == 0)]
-    for ((scorer, i), g_reduced), model_i in zip(reduced.items(), retrained):
-        pred_i = predict(model_i, g_reduced)
+    try:
+        models = train_gcns(list(run.reduced.values()), run.split, seeded(cfg.train, cfg.seed))
+    except TrainingDiverged as exc:
+        scorer, i = list(run.reduced)[exc.graph]
+        raise TrainingDiverged(f"{scorer}/{i}: {exc}", exc.graph, exc.epoch) from exc
+    run.retrained = dict(zip(run.reduced, models))
+    test_nodes = np.asarray(run.split.test, dtype=np.int64)
+    classes = [c for c in range(g.class_count) if c or not cfg.dataset.synthetic]
+    for (scorer, i), model_i in run.retrained.items():
+        pred_i = predict(model_i, run.reduced[scorer, i])
         for cls in classes:
             cls_nodes = test_nodes[g.labels[test_nodes] == cls]
             if cls_nodes.size < max(1, cfg.min_class_count):
                 continue
-            res = mcnemar_test(base_pred, pred_i, g.labels, cls_nodes)
-            bundle.results.append({
-                "scorer": scorer, "i": i, "class": cls,
-                "b": res.b, "c": res.c,
-                "statistic": res.statistic, "p_value": res.p_value,
-                "reported_statistic": res.reported_statistic,
-            })
+            res = mcnemar_test(bundle.base_predictions, pred_i, g.labels, cls_nodes)
+            bundle.results.append(dict(zip(RESULT_COLUMNS, (
+                scorer, i, cls, res.b, res.c, res.statistic, res.p_value,
+                res.reported_statistic))))
+    for msg in edge_count_warnings(bundle.removed_counts, cfg.g_max):
+        bundle.warnings.append(msg)
+        log.warning(msg)
 
-    if set(cfg.scorers) == {"bp", "is"}:
-        for msg in edge_count_warnings(bundle.removed_counts, cfg.g_max):
-            bundle.warnings.append(msg)
-            log.warning(msg)
-    return bundle
+
+# each stage's tag, which a PipelineStageError names, and its function
+STAGES = (("dataset", _dataset), ("split", _split), ("train", _train), ("explain", _explain),
+          ("cres", _cres), ("scores", _scores), ("retrain", _retrain))
+
+
+def verification_run(cfg: PipelineConfig) -> Run:
+    """The Run after every stage; a fixed config gives byte-identical reports."""
+    run = Run(cfg, VerificationBundle(dataset=cfg.dataset.kind, seed=cfg.seed))
+    for tag, stage in STAGES:
+        try:
+            stage(run)
+        except Exception as exc:  # noqa: BLE001 - tag and propagate
+            raise PipelineStageError(tag, exc, partial=run.bundle) from exc
+    return run
+
+
+def run_verification(cfg: PipelineConfig) -> VerificationBundle:
+    """The bundle of ``verification_run(cfg)``."""
+    return verification_run(cfg).bundle
 
 
 EDGE_COUNT_TOLERANCE = 0.10
@@ -295,8 +310,7 @@ def edge_count_warnings(removed_counts: Mapping[str, int], g_max: int) -> list[s
     more than EDGE_COUNT_TOLERANCE of the larger count."""
     warnings = []
     for i in range(1, g_max + 1):
-        n_bp = removed_counts.get(f"bp/{i}")
-        n_is = removed_counts.get(f"is/{i}")
+        n_bp, n_is = removed_counts.get(f"bp/{i}"), removed_counts.get(f"is/{i}")
         if n_bp is None or n_is is None:
             continue
         top = max(n_bp, n_is)

@@ -3,7 +3,8 @@
 ``run_parts`` runs part 0 in this process and forks one child for each
 other part.  A child pickles what its part returns, or the exception it
 raised, and writes it to a pipe; an exception that pickle cannot rebuild
-is sent as a RuntimeError that names its type.  A child ends with
+is sent as a RuntimeError that names its type, and a child that ends
+without sending its whole payload raises WorkerLost.  A child ends with
 os._exit, so it never returns into its caller's ``finally`` blocks or
 atexit handlers, and SIGINT and SIGTERM kill it outright.  No child
 outlives the call.  ``grid_parts`` splits a grid of tasks into such
@@ -20,6 +21,10 @@ import os
 import pickle
 import signal
 from functools import partial
+
+
+class WorkerLost(RuntimeError):
+    """A forked worker ended, or was killed, before it sent its result."""
 
 
 def cpu_count() -> int:
@@ -107,14 +112,14 @@ def _fork(run, children: list) -> None:
 
 def _receive(read: int):
     """What a child sent, read to the end of its pipe and unpickled; a
-    payload that is empty or cut short raises RuntimeError."""
+    payload that is empty or cut short raises WorkerLost."""
     chunks = []
     while chunk := os.read(read, 1 << 16):
         chunks.append(chunk)
     try:
         return pickle.loads(b"".join(chunks))
     except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError("a worker process ended without sending its result") from None
+        raise WorkerLost("a worker process ended without sending its result") from None
 
 
 def run_parts(run, parts: list, expected: type[BaseException] | tuple[()]) -> list:

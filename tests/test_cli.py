@@ -1,10 +1,14 @@
 import json
+import os
+import pickle
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relex.explainer
+import relex.workers
 from relex.cli import build_parser, main
 
 
@@ -82,6 +86,19 @@ def workspace(tmp_path_factory):
     return ws
 
 
+@pytest.fixture
+def cut_short(monkeypatch):
+    """Two CPUs, and a forked worker whose pickle ends one byte early."""
+    monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+
+    def cut_short(run, write, reads, mask):
+        try:
+            os.write(write, pickle.dumps(run())[:-1])
+        finally:
+            os._exit(0)
+    monkeypatch.setattr(relex.workers, "_run_child", cut_short)
+
+
 class TestGenerate:
     def test_writes_loadable_graph(self, workspace):
         blob = json.loads((workspace / "graph.json").read_text())
@@ -138,6 +155,16 @@ class TestTrain:
                         "--lr", "1e300", "--out", str(tmp_path / "m.json")])
         assert code == 3
         assert not (tmp_path / "m.json").exists()
+
+
+    def test_a_worker_that_ends_without_its_result_stage_failure(
+            self, workspace, tmp_path, capsys, cut_short):
+        out = tmp_path / "m.json"
+        assert run(["train", "--graph", str(workspace / "graph.json"), "--hidden-dim", "8",
+                    "--epochs", "50", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error: a worker process ended without sending its result\n"
+        assert not out.exists()
 
 
 class TestExplainStage:
@@ -238,6 +265,16 @@ class TestCresLearnFgEvaluate:
         assert lines[0] == "u,v,gc,delta,neg_log_delta,converged"
         assert len(lines) >= 2
 
+
+    def test_a_worker_that_ends_without_its_result_stage_failure(
+            self, workspace, tmp_path, capsys, cut_short):
+        out = tmp_path / "cres.json"
+        assert run(["cres", "--graph", str(workspace / "graph.json"),
+                    "--model", str(workspace / "model.json"), "--target", "13",
+                    "--steps", "20", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error: a worker process ended without sending its result\n"
+        assert not out.exists()
 
     def test_zero_max_rank_validation_error(self, workspace, tmp_path):
         assert run(["cres", "--graph", str(workspace / "graph.json"),
@@ -646,6 +683,31 @@ class TestVerifyAndReport:
         assert (out / "bundle.json").exists()
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "scorer,i,class,b,c,statistic,p_value,reported_statistic"
+
+    def test_explain_failure_in_a_worker_writes_the_partial_report(
+            self, tmp_path, monkeypatch, capsys):
+        """An exception in a forked explain worker fails the explain stage:
+        exit 3, with the bundle of the stages before it written."""
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 2)
+        parent, explain_stack = os.getpid(), relex.explainer._explain_stack
+
+        def fail_in_the_child(*args):
+            if os.getpid() != parent:
+                raise ValueError("the stack failed")
+            return explain_stack(*args)
+
+        monkeypatch.setattr(relex.explainer, "_explain_stack", fail_in_the_child)
+        out = tmp_path / "run"
+        assert run(["verify", "--dataset", "ba-shapes", "--base-nodes", "12",
+                    "--motifs", "2", "--seed", "5", "--hidden-dim", "16",
+                    "--epochs", "600", "--steps", "60", "--scorer", "is",
+                    "--min-class-count", "1", "--test-fraction", "0.3",
+                    "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error: stage 'explain' failed: the stack failed\n"
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert len(bundle["base_predictions"]) == 22
+        assert (bundle["targets"], bundle["results"]) == ([], [])
 
     @pytest.mark.parametrize("fraction", ["-0.1", "0.95", "1.5"])
     def test_bad_test_fraction_exits_2_before_the_graph(self, tmp_path, monkeypatch,

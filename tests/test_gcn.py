@@ -996,11 +996,10 @@ class TestBiasFold:
             for key in ("w0", "w1", "b0", "b1"):
                 assert (getattr(one, key) == getattr(two, key)).all(), key
 
-    def test_train_gcn_past_one_k_block_at_every_cpu_count(self, monkeypatch):
-        """At d = 400, train_gcn's restarts, split 3, 2 + 1 and 1 + 1 + 1
-        across 1, 2 and 3 CPUs, come out the same, and so does the model."""
-        (g,), split = wide_graphs(1)
-        cfg = TrainConfig(hidden_dim=32, max_epochs=40, restarts=3, seed=3)
+    @staticmethod
+    def assert_same_at_every_cpu_count(monkeypatch, g, split, cfg):
+        """train_gcn's restarts, split 3, 2 + 1 and 1 + 1 + 1 across 1, 2
+        and 3 CPUs, come out the same, and so does the model."""
         args = ([sparse_a_hat(g)], g.features, g.labels, g.class_count,
                 np.asarray(split.train), np.asarray(split.validation), cfg)
         runs = []
@@ -1015,6 +1014,22 @@ class TestBiasFold:
                 assert (got == want).all()
             for key in ("w0", "w1", "b0", "b1"):
                 assert (getattr(model, key) == getattr(want_model, key)).all(), key
+
+    def test_train_gcn_past_one_k_block_at_every_cpu_count(self, monkeypatch):
+        (g,), split = wide_graphs(1)
+        self.assert_same_at_every_cpu_count(
+            monkeypatch, g, split, TrainConfig(hidden_dim=32, max_epochs=40, restarts=3, seed=3))
+
+    def test_hidden_width_one_at_every_cpu_count(self, monkeypatch):
+        """At h = 1 numpy runs a model's W1-gradient product as gemv, whose
+        bits follow the row stride of A_hat dL/dZ2; that operand has one
+        layout in every part, so the restarts agree at any CPU count (when
+        it was read in the rows of all R models, restart 1 came out
+        otherwise at 3 CPUs here)."""
+        g = generate_tree_motif(4, "cycle", 5, 1)
+        split = split_nodes(g, 1, (0.5, 0.1, 0.4))
+        cfg = TrainConfig(hidden_dim=1, max_epochs=40, patience=5, restarts=3, seed=3)
+        self.assert_same_at_every_cpu_count(monkeypatch, g, split, cfg)
 
 
 class TestTrainGcnsChecks:

@@ -9,10 +9,10 @@ import pytest
 import relex.pipeline
 import relex.workers
 from relex.boolfact import RankSearchConfig
-from relex.explainer import ExplainConfig
-from relex.gcn import TrainConfig, TrainingDiverged
+from relex.explainer import ExplainConfig, explain
+from relex.gcn import TrainConfig, TrainingDiverged, train_gcn
 from relex.pipeline import (DatasetSpec, PipelineConfig, PipelineStageError,
-                            emit_report, run_verification)
+                            emit_report, run_verification, seeded, verification_run)
 
 
 def tiny_config(scorer="both", seed=5, g_max=1):
@@ -32,8 +32,47 @@ def tiny_config(scorer="both", seed=5, g_max=1):
 
 
 @pytest.fixture(scope="module")
-def both_bundle():
-    return run_verification(tiny_config())
+def both_run():
+    return verification_run(tiny_config())
+
+
+@pytest.fixture(scope="module")
+def both_bundle(both_run):
+    return both_run.bundle
+
+
+def same_model(got, want) -> bool:
+    return all((getattr(got, key) == getattr(want, key)).all()
+               for key in ("w0", "w1", "b0", "b1"))
+
+
+class TestRun:
+    """Each stage's result, read from the Run, equals making it alone."""
+
+    def test_first_model_is_train_gcn_at_the_training_seed(self, both_run):
+        cfg = both_run.cfg
+        alone = train_gcn(both_run.graph, both_run.split, seeded(cfg.train, cfg.seed))
+        assert same_model(both_run.model, alone)
+
+    def test_each_retrained_model_is_train_gcn_on_its_reduced_graph_alone(self, both_run):
+        cfg = both_run.cfg
+        assert list(both_run.retrained) == list(both_run.reduced) == [("bp", 1), ("is", 1)]
+        for key, model in both_run.retrained.items():
+            alone = train_gcn(both_run.reduced[key], both_run.split,
+                              seeded(cfg.train, cfg.seed))
+            assert same_model(model, alone), key
+
+    def test_each_explanation_is_explain_on_its_target_alone(self, both_run):
+        cfg = both_run.cfg
+        assert sorted(both_run.explanations) == both_run.bundle.targets
+        for target, e in both_run.explanations.items():
+            ecfg = seeded(cfg.explain, cfg.seed, target)
+            assert e == explain(both_run.model, both_run.graph, target, ecfg), target
+
+    def test_a_factor_graph_per_scored_target(self, both_run):
+        assert both_run.bundle.reports
+        assert both_run.cre_sets.keys() == both_run.factor_graphs.keys() == \
+               both_run.bundle.reports.keys()
 
 
 class TestRunVerification:
@@ -136,6 +175,29 @@ class TestDeskScaleExample:
 
 
 class TestStageErrors:
+    class Broken(Exception):
+        pass
+
+    @pytest.mark.parametrize("name, stage", [
+        ("split_nodes", "split"), ("train_gcn", "train"), ("predict", "train"),
+        ("explain_all", "explain"), ("generate_cre_sets", "cres"),
+        ("learn_weights", "scores"), ("quantify_uncertainty", "scores"),
+        ("remove_edges", "retrain"), ("train_gcns", "retrain"), ("mcnemar_test", "retrain"),
+    ])
+    def test_every_step_is_tagged(self, monkeypatch, name, stage):
+        """A failure in any step the pipeline calls is raised with the tag
+        of the stage that calls it, and carries the partial bundle."""
+        def broken(*args, **kwargs):
+            raise self.Broken(name)
+
+        monkeypatch.setattr(relex.pipeline, name, broken)
+        with pytest.raises(PipelineStageError) as exc:
+            run_verification(tiny_config())
+        assert exc.value.stage == stage
+        assert str(exc.value) == f"stage '{stage}' failed: {name}"
+        assert isinstance(exc.value.cause, self.Broken)
+        assert exc.value.partial.results == []
+
     def test_dataset_failure_tagged(self):
         cfg = tiny_config()
         cfg.dataset = DatasetSpec(kind="file", path="/nonexistent/g.json")
