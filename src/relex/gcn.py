@@ -423,12 +423,10 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
     propagate = _product(t.a_train, g2.reshape(k * rows, r * c),  # A_hat = A_hat^T
                          ah_g2.reshape(k * n, r * c))
     g2_by_row, grad_b1 = g2.reshape(k, rows, r * c), grad_b1.reshape(k, r * c)
-    # a model's products with its (n, C) block of A_hat dL/dZ2 read it in the
-    # rows that hold all R models' blocks side by side, R C apart; at h = 1
-    # numpy runs them as gemv, whose bits follow that stride, so there they
-    # read a copy of the block, whose layout is the same in any part
-    by_row = ah_g2.transpose(0, 2, 1, 3)
-    ah_g2 = np.empty((k, r, n, c)) if h == 1 else by_row
+    # a model's products read a copy of its (n, C) block of A_hat dL/dZ2,
+    # whose layout, unlike the R C stride of the rows that hold all R
+    # models' blocks side by side, is the same in any part
+    by_row, ah_g2 = ah_g2.transpose(0, 2, 1, 3), np.empty((k, r, n, c))
     h1_t, w1_t = h1.transpose(0, 1, 3, 2), w1.transpose(0, 1, 3, 2)
     ax_t = ax[:, None, :, :-1].transpose(0, 1, 3, 2)  # the ones column's gradient is grad_b0
 
@@ -445,8 +443,7 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
         np.divide(g2, t.count, out=g2)
         np.add.reduce(g2_by_row, axis=1, out=grad_b1)
         propagate()
-        if h == 1:
-            np.copyto(ah_g2, by_row)
+        np.copyto(ah_g2, by_row)
         np.matmul(h1_t, ah_g2, out=grad_w1)
         np.matmul(ah_g2, w1_t, out=g1)
         np.multiply(g1, np.greater(h1, 0.0, out=active), out=g1)

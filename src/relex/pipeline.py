@@ -1,25 +1,22 @@
 """End-to-end verification pipeline and report emission.
 
-``run_verification`` runs ``STAGES`` in turn over one ``Run``.  Each
-stage's tag, and what it adds to the Run or to its ``bundle``:
+``run_verification`` runs ``STAGES`` over one ``Run``.  Each stage's tag
+and what it adds to the Run or its ``bundle``:
 
     dataset  graph
     split    split, the train/validation/test nodes
-    train    model, the GCN; base_predictions, on every node
-    explain  explanations of the eligible targets, in one lockstep
-             ``explain_all`` call; targets, those of 2+ relations
-    cres     (BP) cre_sets, each target re-explained on the BMF rank ladder's
-             graphs in one ``generate_cre_sets`` call, else a warning
-    scores   (BP) factor_graphs, learned, and reports, calibrated by BP;
-             rankings by each scorer, of the targets with a report when BP runs
-    retrain  reduced, g less each target's i-th ranked relation per scorer
-             and i; retrained, in one lockstep ``train_gcns`` run from the
+    train    model; base_predictions, on every node
+    explain  explanations, in one lockstep ``explain_all`` call; targets
+    cres     (BP) cre_sets, in one ``generate_cre_sets`` call
+    scores   (BP) factor_graphs and reports; rankings by each scorer
+    retrain  reduced graphs, less each target's i-th ranked relation, and
+             retrained models, in one lockstep ``train_gcns`` run from the
              first model's seed; results, McNemar's test per class
 
-Each explanation and model is bit-identical to making it alone.  The
-stage loop alone turns an exception into a PipelineStageError naming
-the stage, with the bundle so far; ``relex verify`` writes that partial
-report and exits 3 (2 at ``dataset``, where nothing ran).
+Each explanation and model is bit-identical to making it alone.  Only the
+stage loop turns an exception into a PipelineStageError naming the stage,
+with the bundle so far; ``relex verify`` writes that partial report and
+exits 3 (2 at ``dataset``, where nothing ran).
 """
 
 from __future__ import annotations
@@ -33,7 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from relex.boolfact import CreSet, EmptyCreSet, RankSearchConfig, generate_cre_sets
-from relex.datasets import generate_ba_community, generate_ba_shapes, generate_tree_motif
+from relex.datasets import (generate_ba_community, generate_ba_shapes,
+                            generate_tree_motif)
 from relex.explainer import ExplainConfig, Explanation, explain_all, is_scores
 from relex.factorgraph import (FactorGraph, RelationUncertainty, UncertaintyReport,
                                build_factor_graph, learn_weights,
@@ -52,7 +50,8 @@ GENERATORS = ("ba-shapes", "ba-community", "tree-cycles", "tree-grids")
 class PipelineStageError(RuntimeError):
     """A pipeline stage failed; carries the stage tag and partial results."""
 
-    def __init__(self, stage: str, cause: BaseException, partial: "VerificationBundle"):
+    def __init__(self, stage: str, cause: BaseException,
+                 partial: "VerificationBundle"):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
@@ -148,7 +147,7 @@ def seeded(stage_cfg, seed: int, target: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Pipeline
+# Relation selection and graph reduction
 # ---------------------------------------------------------------------------
 
 def select_removal_edges(rankings: Mapping[int, Sequence[tuple[Edge, float]]],
@@ -168,9 +167,16 @@ def select_removal_edges(rankings: Mapping[int, Sequence[tuple[Edge, float]]],
     return selected
 
 
+# ---------------------------------------------------------------------------
+# Pipeline
+# ---------------------------------------------------------------------------
+
 def eligible_targets(g: RelationalGraph, synthetic: bool) -> list[int]:
-    """Nodes whose predictions get explained: on synthetic motif benchmarks
-    those of non-zero classes (class 0 is the base structure), else all."""
+    """Nodes whose predictions get explained.
+
+    Synthetic motif benchmarks explain only non-zero classes (class 0 is
+    the base structure); file datasets explain every node.
+    """
     if synthetic:
         return [int(n) for n in np.flatnonzero(g.labels != 0)]
     return list(range(g.node_count))
@@ -212,7 +218,8 @@ def _explain(run: Run) -> None:
         rng = np.random.default_rng(derived_seed(cfg.seed, 2))
         candidates = sorted(rng.choice(candidates, size=cfg.max_targets,
                                        replace=False).tolist())
-    # None marks an empty computation subgraph; one-relation explanations are dropped
+    # targets with an empty computation subgraph get None, and single-edge
+    # explanations are filtered
     explained = explain_all(run.model, [(g, target, seeded(cfg.explain, cfg.seed, target))
                                         for target in candidates])
     run.explanations = {target: e for target, e in zip(candidates, explained)
@@ -240,9 +247,9 @@ def _scores(run: Run) -> None:
     for target, cres in run.cre_sets.items():
         run.factor_graphs[target] = fg = learn_weights(build_factor_graph(cres), cres)
         bundle.reports[target] = quantify_uncertainty(fg, run.explanations[target])
-    ranked = bundle.reports if "bp" in run.cfg.scorers else run.explanations
-    if not ranked:
+    if "bp" in run.cfg.scorers and not bundle.reports:
         raise RuntimeError("BP scoring failed for every target")
+    ranked = bundle.reports if "bp" in run.cfg.scorers else run.explanations
     for scorer in run.cfg.scorers:
         bundle.rankings[scorer] = {
             t: bundle.reports[t].ranking() if scorer == "bp" else
@@ -264,7 +271,8 @@ def _retrain(run: Run) -> None:
         raise TrainingDiverged(f"{scorer}/{i}: {exc}", exc.graph, exc.epoch) from exc
     run.retrained = dict(zip(run.reduced, models))
     test_nodes = np.asarray(run.split.test, dtype=np.int64)
-    classes = [c for c in range(g.class_count) if c or not cfg.dataset.synthetic]
+    classes = [c for c in range(g.class_count)
+               if not (cfg.dataset.synthetic and c == 0)]
     for (scorer, i), model_i in run.retrained.items():
         pred_i = predict(model_i, run.reduced[scorer, i])
         for cls in classes:
@@ -272,9 +280,12 @@ def _retrain(run: Run) -> None:
             if cls_nodes.size < max(1, cfg.min_class_count):
                 continue
             res = mcnemar_test(bundle.base_predictions, pred_i, g.labels, cls_nodes)
-            bundle.results.append(dict(zip(RESULT_COLUMNS, (
-                scorer, i, cls, res.b, res.c, res.statistic, res.p_value,
-                res.reported_statistic))))
+            bundle.results.append({
+                "scorer": scorer, "i": i, "class": cls,
+                "b": res.b, "c": res.c,
+                "statistic": res.statistic, "p_value": res.p_value,
+                "reported_statistic": res.reported_statistic,
+            })
     for msg in edge_count_warnings(bundle.removed_counts, cfg.g_max):
         bundle.warnings.append(msg)
         log.warning(msg)
@@ -310,7 +321,8 @@ def edge_count_warnings(removed_counts: Mapping[str, int], g_max: int) -> list[s
     more than EDGE_COUNT_TOLERANCE of the larger count."""
     warnings = []
     for i in range(1, g_max + 1):
-        n_bp, n_is = removed_counts.get(f"bp/{i}"), removed_counts.get(f"is/{i}")
+        n_bp = removed_counts.get(f"bp/{i}")
+        n_is = removed_counts.get(f"is/{i}")
         if n_bp is None or n_is is None:
             continue
         top = max(n_bp, n_is)
