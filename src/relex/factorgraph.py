@@ -10,9 +10,12 @@ and 1 elsewhere; a binary target yields one factor per relation
 Weights are learned by a voted-perceptron-style rule: the gradient of the
 log-likelihood is approximated by replacing the intractable expected
 clause count with a count under the current MAP assignment, found exactly
-by max-sum bucket elimination.  Calibration runs damped sum-product
-message passing on a flooding schedule, over a stack of cluster graphs
-in one loop (relex.bp.propagate_all).
+by max-sum bucket elimination.  The elimination order, tables and buckets
+depend on the factors' scopes, not their weights, so a learning run plans
+them once (MapPlan) and solves that plan at each epoch's weights.
+Calibration runs damped sum-product message passing on a flooding
+schedule, over a stack of cluster graphs in one loop
+(relex.bp.propagate_all).
 
 The uncertainty of an explained relation is the drop in its
 clause-satisfying joint belief when the explanation is injected.
@@ -111,74 +114,116 @@ def build_factor_graph(s: CreSet) -> FactorGraph:
 # MAP inference
 # ---------------------------------------------------------------------------
 
-def _clause_satisfied(f: Factor, assignment: dict[int, int]) -> bool:
-    return (assignment[f.u] == 1 and assignment[f.v] == 1
-            and assignment[TARGET] == f.target_state)
+class MapPlan:
+    """The weight-free half of max-sum bucket elimination over one graph:
+    built once from its factors' scopes and target states, and solved at
+    any weights those factors carry.
+
+    Entities are eliminated in greedy min-degree order.  Tables are over
+    (entities..., T), T last, with their entities in elimination order,
+    so an entity leads every table it is in.  The factor tables lie end
+    to end in one buffer, and each factor's weight goes to cell (1, ...,
+    1, target_state) of its table.  Each bucket lists its input tables,
+    each with the shape that broadcasts it onto (entity, rest..., T), and
+    its output table over rest.  Tie-break ranks are int64 while
+    target_card * 2^n fits (card << n <= 1 << 63), and Python ints above
+    that, so MAP stays exact at any entity count.
+    """
+
+    def __init__(self, fg: FactorGraph):
+        n, card = len(fg.entities), fg.target_card
+        self.entities, self.card = fg.entities, card
+        self.rank_dtype = np.int64 if card << n <= 1 << 63 else object
+        pos = {ent: i for i, ent in enumerate(fg.entities)}
+        scopes = [{pos[f.u], pos[f.v]} for f in fg.factors]
+        nbrs: dict[int, set[int]] = {i: set() for i in range(n)}
+        for scope in scopes:
+            for i in scope:
+                nbrs[i] |= scope
+        order = []
+        while nbrs:
+            i = min(nbrs, key=lambda v: (len(nbrs[v]), v))
+            order.append(i)
+            rest = nbrs.pop(i) - {i}
+            for v in rest:
+                nbrs[v] = (nbrs[v] | rest) - {i}
+        step = {i: k for k, i in enumerate(order)}.get
+        keys: dict[tuple[int, ...], int] = {}
+        cells = []
+        for f, scope in zip(fg.factors, scopes):
+            key = tuple(sorted(scope, key=step))
+            cells.append((keys.setdefault(key, len(keys)), ((1 << len(key)) - 1) * card
+                          + f.target_state))
+        starts = [0]
+        for key in keys:
+            starts.append(starts[-1] + (card << len(key)))
+        self.size = starts[-1]
+        self.cells = np.array([starts[t] + cell for t, cell in cells], dtype=np.intp)
+        self.layout = [(a, b, (2,) * len(key) + (card,))
+                       for a, b, key in zip(starts, starts[1:], keys)]
+        live = list(keys.items())  # (key, table) of the tables not yet in a bucket
+        self.buckets = []  # (entity, inputs and their shapes, rest, base rank)
+        for i in order:
+            bucket = [t for t in live if t[0][:1] == (i,)]
+            live = [t for t in live if t[0][:1] != (i,)]
+            rest = tuple(sorted({v for key, _ in bucket for v in key[1:]}, key=step))
+            rank = np.zeros((2,) * (1 + len(rest)) + (card,), dtype=self.rank_dtype)
+            rank[1] = card << (n - 1 - i)
+            inputs = [(t, (2,) + tuple(2 if v in key else 1 for v in rest) + (card,))
+                      for key, t in bucket]
+            live.append((rest, len(self.layout) + len(self.buckets)))
+            self.buckets.append((i, inputs, rest, rank))
+        self.final = [t for _, t in live]
+
+    def solve(self, fg: FactorGraph) -> dict[int, int]:
+        """The MAP assignment of fg, whose factors are the plan's own, in
+        order, at any weights; see map_assignment."""
+        # bincount adds in factor order, each cell's sum starting at 0.0
+        weights = np.fromiter((f.weight for f in fg.factors), float, len(self.cells))
+        flat = np.bincount(self.cells, weights, self.size)
+        scores = [flat[a:b].reshape(shape) for a, b, shape in self.layout]
+        ranks: list = [None] * len(scores)  # a factor table's ranks are all 0
+        traceback = []
+        for i, inputs, rest, rank in self.buckets:
+            score = np.zeros(rank.shape)
+            for t, shape in inputs:
+                score = score + scores[t].reshape(shape)
+                if ranks[t] is not None:
+                    rank = rank + ranks[t].reshape(shape)
+            take = (score[1] > score[0]) | ((score[1] == score[0]) & (rank[1] < rank[0]))
+            scores.append(np.where(take, score[1], score[0]))
+            ranks.append(np.where(take, rank[1], rank[0]))
+            traceback.append((i, rest, take))
+        score = sum((scores[t] for t in self.final), np.zeros(self.card))
+        rank = sum((ranks[t] for t in self.final),
+                   np.arange(self.card).astype(self.rank_dtype))
+        state = min(range(self.card), key=lambda t: (-score[t], rank[t]))
+        bits: dict[int, int] = {}
+        for i, rest, take in reversed(traceback):
+            bits[i] = int(take[tuple(bits[v] for v in rest) + (state,)])
+        return {**{ent: bits[i] for i, ent in enumerate(self.entities)}, TARGET: state}
 
 
 def map_assignment(fg: FactorGraph) -> dict[int, int]:
-    """Most probable assignment, exact, by max-sum bucket elimination.
+    """Most probable assignment, exact, by max-sum bucket elimination:
+    a MapPlan built for fg and solved once.  learn_weights builds one
+    plan and solves it at every epoch's weights.
 
-    Tables are over (T, entities...), T first.  Entities are eliminated
-    in greedy min-degree order: an entity's bucket is summed and maximised
-    into one table over its neighbours, and a traceback reads off the
-    maximising states.  At elimination width w (the most neighbours an
-    entity has when eliminated) the cost is about entities * target_card
-    * 2^(w + 1), against 2^n * target_card for exhaustive search.
+    An entity's bucket is summed and maximised into one table over its
+    neighbours, and a traceback reads off the maximising states.  At
+    elimination width w (the most neighbours an entity has when
+    eliminated) the cost is about entities * target_card * 2^(w + 1),
+    against 2^n * target_card for exhaustive search.
 
     Of the assignments with the highest score (the sum of satisfied factor
     weights) it returns the first in itertools.product order over
     (entities in order..., T): each score carries the product-order rank
-    of the sub-assignment behind it, a Python int, and ties go to the
-    lower rank.  Scores are summed in elimination order, so sums that tie
-    in decimal arithmetic (0.1 + 0.2 against 0.3) can round apart and
-    pick another maximiser than sums in factor order would.
+    of the sub-assignment behind it, and ties go to the lower rank.
+    Scores are summed in elimination order, so sums that tie in decimal
+    arithmetic (0.1 + 0.2 against 0.3) can round apart and pick another
+    maximiser than sums in factor order would.
     """
-    n, card = len(fg.entities), fg.target_card
-    pos = {ent: i for i, ent in enumerate(fg.entities)}
-    scopes = [{pos[f.u], pos[f.v]} for f in fg.factors]
-    nbrs: dict[int, set[int]] = {i: set() for i in range(n)}
-    for scope in scopes:
-        for i in scope:
-            nbrs[i] |= scope
-    order = []
-    while nbrs:
-        i = min(nbrs, key=lambda v: (len(nbrs[v]), v))
-        order.append(i)
-        rest = nbrs.pop(i) - {i}
-        for v in rest:
-            nbrs[v] = (nbrs[v] | rest) - {i}
-    step = {i: k for k, i in enumerate(order)}.get
-    # scopes in elimination order: an entity leads every table it is in
-    scores: dict[tuple[int, ...], np.ndarray] = {}
-    for f, scope in zip(fg.factors, scopes):
-        key = tuple(sorted(scope, key=step))
-        table = scores.setdefault(key, np.zeros((card,) + (2,) * len(key)))
-        table[(f.target_state,) + (1,) * len(key)] += f.weight
-    tables = [(key, s, np.zeros(s.shape, dtype=object)) for key, s in scores.items()]
-    traceback = []
-    for i in order:
-        bucket = [t for t in tables if t[0][:1] == (i,)]
-        tables = [t for t in tables if t[0][:1] != (i,)]
-        rest = tuple(sorted({v for key, _, _ in bucket for v in key[1:]}, key=step))
-        score = np.zeros((card, 2) + (2,) * len(rest))
-        rank = np.zeros(score.shape, dtype=object)
-        rank[:, 1] = card << (n - 1 - i)
-        for key, s, r in bucket:
-            shape = (card, 2) + tuple(2 if v in key else 1 for v in rest)
-            score, rank = score + s.reshape(shape), rank + r.reshape(shape)
-        take = (score[:, 1] > score[:, 0]) | (
-            (score[:, 1] == score[:, 0]) & (rank[:, 1] < rank[:, 0]))
-        tables.append((rest, np.where(take, score[:, 1], score[:, 0]),
-                       np.where(take, rank[:, 1], rank[:, 0])))
-        traceback.append((i, rest, take))
-    score = sum((s for _, s, _ in tables), np.zeros(card))
-    rank = sum((r for _, _, r in tables), np.arange(card).astype(object))
-    state = min(range(card), key=lambda t: (-score[t], rank[t]))
-    bits: dict[int, int] = {}
-    for i, rest, take in reversed(traceback):
-        bits[i] = int(take[(state,) + tuple(bits[v] for v in rest)])
-    return {**{ent: bits[i] for i, ent in enumerate(fg.entities)}, TARGET: state}
+    return MapPlan(fg).solve(fg)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +253,12 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
         raise ValueError("epochs must be >= 0")
     n_expl = len(s.explanations)
     relations = s.relations
-    weights: dict[Edge, float] = {}
-    observed: dict[Edge, int] = {}
-    for rel in relations:
-        gcs = [e.confidence(rel) for e in s.explanations if rel in e.edges()]
-        weights[rel] = float(np.mean(gcs))
-        observed[rel] = len(gcs)
+    gcs: dict[Edge, list[float]] = {rel: [] for rel in relations}
+    for e in s.explanations:
+        # reversed, so each edge keeps its first confidence, as e.confidence reads it
+        for edge, gc in dict(reversed(e.relations)).items():
+            gcs[edge].append(gc)
+    weights = {rel: float(np.mean(gcs[rel])) for rel in relations}
 
     # one copy of fg's factors, whose learned weights each epoch rewrites
     factors = [replace(f, weight=weights[f.relation]) if f.kind == "learned" else replace(f)
@@ -221,21 +266,23 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
     current = FactorGraph(entities=fg.entities, target_card=fg.target_card,
                           factors=factors)
     by_relation = fg.learned_by_relation()
-    learned = {rel: by_relation.get(rel, []) for rel in relations}
+    clauses = []  # each relation's observed count, learned factors and their states
+    for rel in relations:
+        ids = by_relation.get(rel, [])
+        clauses.append((rel, len(gcs[rel]), ids, {factors[i].target_state for i in ids}))
+    plan = MapPlan(current)
     for _ in range(epochs):
-        assignment = map_assignment(current)
+        assignment = plan.solve(current)
+        state = assignment[TARGET]
         moved = False
-        for rel in relations:
-            sat = any(_clause_satisfied(current.factors[i], assignment)
-                      for i in learned[rel])
-            grad = observed[rel] - n_expl * (1 if sat else 0)
-            step = learning_rate * grad
+        for rel, observed, ids, states in clauses:
+            sat = state in states and assignment[rel[0]] == 1 and assignment[rel[1]] == 1
+            step = learning_rate * (observed - n_expl * sat)
             if step != 0.0:
                 moved = True
-            weights[rel] = float(np.clip(weights[rel] + step,
-                                         -WEIGHT_BOUND, WEIGHT_BOUND))
-            for i in learned[rel]:  # the MAP assignment above stays fixed
-                factors[i].weight = weights[rel]
+            weights[rel] = w = min(max(weights[rel] + step, -WEIGHT_BOUND), WEIGHT_BOUND)
+            for i in ids:  # the MAP assignment above stays fixed
+                factors[i].weight = w
         if not moved:
             break
     return current

@@ -22,7 +22,6 @@ exits 3 (2 at ``dataset``, where nothing ran).
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -41,8 +40,6 @@ from relex.graphs import (SPLIT_FRACTIONS, Edge, NodeSplit, RelationalGraph,
                           check_split_fractions, load_graph, read_float, read_int,
                           remove_edges, split_nodes)
 from relex.mcnemar import mcnemar_test
-
-log = logging.getLogger("relex")
 
 GENERATORS = ("ba-shapes", "ba-community", "tree-cycles", "tree-grids")
 
@@ -286,9 +283,7 @@ def _retrain(run: Run) -> None:
                 "statistic": res.statistic, "p_value": res.p_value,
                 "reported_statistic": res.reported_statistic,
             })
-    for msg in edge_count_warnings(bundle.removed_counts, cfg.g_max):
-        bundle.warnings.append(msg)
-        log.warning(msg)
+    bundle.warnings.extend(edge_count_warnings(bundle.removed_counts, cfg.g_max))
 
 
 # each stage's tag, which a PipelineStageError names, and its function

@@ -1,15 +1,17 @@
 """One computation's parts on every CPU the process may use.
 
 ``run_parts`` runs part 0 in this process and forks one child for each
-other part.  A child pickles what its part returns, or the exception it
-raised, and writes it to a pipe; an exception that pickle cannot rebuild
-is sent as a RuntimeError that names its type, and a child that ends
-without sending its whole payload raises WorkerLost.  A child ends with
-os._exit, so it never returns into its caller's ``finally`` blocks or
-atexit handlers, and SIGINT and SIGTERM kill it outright.  No child
-outlives the call.  ``grid_parts`` splits a grid of tasks into such
-parts.  GCN training (``relex.gcn``) and the explainer's stacks
-(``relex.explainer``) run this way.
+other part.  Part i runs on CPU i (mod their count) of the sorted
+affinity mask alone, since the kernel may keep a fresh child on its
+parent's CPU for the whole of a short part.  A child pickles what its
+part returns, or the exception it raised, and writes it to a pipe; an
+exception that pickle cannot rebuild is sent as a RuntimeError that
+names its type, and a child that ends without sending its whole payload
+raises WorkerLost.  A child ends with os._exit, so it never returns into
+its caller's ``finally`` blocks or atexit handlers, and SIGINT and
+SIGTERM kill it outright.  No child outlives the call.  ``grid_parts``
+splits a grid of tasks into such parts.  GCN training (``relex.gcn``)
+and the explainer's stacks (``relex.explainer``) run this way.
 
 Where os.fork or os.sched_getaffinity is missing, ``cpu_count`` is 1,
 and callers run in process.
@@ -64,6 +66,14 @@ def _pickled(exc: BaseException) -> bytes:
         kind = type(exc)
         return pickle.dumps(RuntimeError(f"{kind.__module__}.{kind.__qualname__}: {exc}"))
     return data
+
+
+def _on_cpu(cpus: list[int], i: int, run, part):
+    """``run(part)``, with this thread's affinity mask first set to CPU i
+    (mod their count) of ``cpus`` alone, if there are any."""
+    if cpus:
+        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+    return run(part)
 
 
 def _run_child(run, write: int, reads: list[int], mask) -> None:
@@ -128,13 +138,19 @@ def run_parts(run, parts: list, expected: type[BaseException] | tuple[()]) -> li
     or the ``expected`` exception it raised, once every part has ended;
     ``expected`` may be ``()``, which expects none.  Any other exception,
     raised here or in a child, SIGKILLs the children and is raised; every
-    child is reaped before the call ends."""
+    child is reaped before the call ends.  With more than one part, part
+    i runs on CPU i (mod their count) of the sorted affinity mask alone:
+    each child sets its mask before its part, and this process sets its
+    own before part 0 and gets its mask back in a finally."""
+    pinned = len(parts) > 1 and hasattr(os, "sched_setaffinity")
+    mask = os.sched_getaffinity(0) if pinned else set()
+    cpus = sorted(mask)
     children = []
     try:
-        for part in parts[1:]:
-            _fork(partial(run, part), children)
+        for i, part in enumerate(parts[1:], 1):
+            _fork(partial(_on_cpu, cpus, i, run, part), children)
         try:
-            results = [run(parts[0])]
+            results = [_on_cpu(cpus, 0, run, parts[0])]
         except expected as exc:
             results = [exc]
         for _, read in children:
@@ -150,4 +166,6 @@ def run_parts(run, parts: list, expected: type[BaseException] | tuple[()]) -> li
         for pid, read in children:
             os.waitpid(pid, 0)
             os.close(read)
+        if cpus:
+            os.sched_setaffinity(0, mask)
     return results

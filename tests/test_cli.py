@@ -2,6 +2,8 @@ import json
 import os
 import pickle
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -708,6 +710,22 @@ class TestVerifyAndReport:
         bundle = json.loads((out / "bundle.json").read_text())
         assert len(bundle["base_predictions"]) == 22
         assert (bundle["targets"], bundle["results"]) == ([], [])
+
+    def test_verify_prints_each_warning_once(self, tmp_path):
+        """In a fresh process, each removed-edge-count warning reaches
+        stderr once, from the bundle."""
+        src = Path(relex.workers.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "relex.cli", "verify", "--dataset", "ba-shapes",
+             "--base-nodes", "25", "--motifs", "5", "--scorer", "both", "--g-max", "2",
+             "--max-targets", "6", "--hops", "2", "--test-fraction", "0.4",
+             "--min-class-count", "1", "--seed", "1", "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        lines = done.stderr.splitlines()
+        assert any(line.startswith("warning: removed-edge counts diverge") for line in lines)
+        messages = [line.removeprefix("warning: ") for line in lines]
+        assert len(messages) == len(set(messages)), done.stderr
 
     @pytest.mark.parametrize("fraction", ["-0.1", "0.95", "1.5"])
     def test_bad_test_fraction_exits_2_before_the_graph(self, tmp_path, monkeypatch,

@@ -9,8 +9,8 @@ from relex import factorgraph
 from relex.boolfact import CreSet, EmptyCreSet
 from relex.explainer import Explanation
 from relex.factorgraph import (TARGET, BpConfig, Cluster, Factor, FactorGraph,
-                               _build_clusters, build_factor_graph, factorgraph_from_dict,
-                               factorgraph_to_dict, joint_distribution,
+                               MapPlan, _build_clusters, build_factor_graph,
+                               factorgraph_from_dict, factorgraph_to_dict, joint_distribution,
                                learn_weights, map_assignment, marginal,
                                propagate, propagate_all, quantify_uncertainty,
                                report_to_csv, run_bp)
@@ -409,9 +409,11 @@ class TestMapAssignment:
     def test_matches_reference_loop(self, relabel_seed):
         # seed 0 keeps the drawn labels; the others permute the entity labels
         # of the same graphs, so min-degree ties and product-order ranks
-        # fall on other positions
+        # fall on other positions.  Each graph's plan is then solved again
+        # at tie-prone weights, as weight learning solves one plan per epoch
         rng = np.random.default_rng(21)
         relabel = np.random.default_rng(relabel_seed)
+        reweight = np.random.default_rng(23)
         for trial in range(200):
             fg = random_factor_graph(rng, int(rng.integers(1, 8)),
                                      int(rng.choice([2, 3, 4, 5, 8])),
@@ -423,6 +425,10 @@ class TestMapAssignment:
                                       v=max(perm[f.u], perm[f.v]))
                               for f in fg.factors]
             assert map_assignment(fg) == loop_map(fg), trial
+            plan = MapPlan(fg)
+            for f in fg.factors:
+                f.weight = float(reweight.choice(TIE_WEIGHTS))
+            assert plan.solve(fg) == loop_map(fg), trial
 
     def test_zero_and_equal_weights(self):
         for w in (0.0, 0.7, -0.7):
@@ -491,7 +497,7 @@ class TestLearnWeights:
             gcs = {r: float(rng.choice([0.01, 0.2, 0.5, 0.95, 0.99])) for r in pool}
             sets.append(make_creset(expls, gcs=gcs, class_count=int(rng.choice([2, 3, 8]))))
         learned = [learn_weights(build_factor_graph(s), s) for s in sets]
-        monkeypatch.setattr(factorgraph, "map_assignment", loop_map)
+        monkeypatch.setattr(factorgraph.MapPlan, "solve", lambda plan, fg: loop_map(fg))
         for s, fg in zip(sets, learned):
             ref = learn_weights(build_factor_graph(s), s)
             assert [f.weight for f in fg.factors] == [f.weight for f in ref.factors]
@@ -572,6 +578,31 @@ class TestTractability:
         assert [expected[ent] for ent in range(8)] == [0, 0, 0, 0, 0, 0, 1, 1]
         assert map_assignment(fg) == expected
 
+    @pytest.mark.parametrize("n", [60, 61])
+    def test_zero_weights_either_side_of_int64_ranks(self, n):
+        # ranks reach 8 * 2^n - 1: int64 up to n = 60, Python ints past it
+        fg = FactorGraph(entities=tuple(range(n)), target_card=8, factors=[
+            Factor(u=u, v=u + 1, target_state=t, weight=0.0, kind="learned")
+            for u in range(n - 1) for t in range(8)])
+        assert MapPlan(fg).rank_dtype == (np.int64 if n == 60 else object)
+        assert map_assignment(fg) == {**{ent: 0 for ent in range(n)}, TARGET: 0}
+
+    @pytest.mark.parametrize("n", [60, 61])
+    def test_tie_goes_to_the_lower_rank(self, n):
+        # on a zero-weight path, x0 = x1 = 1 under T = t and x(n-2) = x(n-1)
+        # = 1 under T = 1 - t both score 1.  Entity 0 is product order's
+        # leading digit, so the second maximiser's rank, 8 * 3 + 1 - t, is
+        # the lower; the first's, 8 * (2^(n-1) + 2^(n-2)) + t, is past
+        # 2^63 at n = 61
+        for t in (0, 1):
+            fg = FactorGraph(entities=tuple(range(n)), target_card=8, factors=[
+                Factor(u=u, v=u + 1, target_state=0, weight=0.0, kind="learned")
+                for u in range(n - 1)] + [
+                Factor(u=0, v=1, target_state=t, weight=1.0, kind="learned"),
+                Factor(u=n - 2, v=n - 1, target_state=1 - t, weight=1.0, kind="learned")])
+            expected = {**{ent: 0 for ent in range(n)}, n - 2: 1, n - 1: 1, TARGET: 1 - t}
+            assert map_assignment(fg) == expected
+
     def test_learn_weights_at_forty_entities(self, monkeypatch):
         # ten blocks of 4 entities whose relations stay in their block, so
         # the blockwise oracle gives every epoch's MAP exactly
@@ -584,7 +615,7 @@ class TestTractability:
         s = make_creset(expls, gcs=gcs)
         learned = learn_weights(build_factor_graph(s), s)
         assert len(learned.entities) == 40
-        monkeypatch.setattr(factorgraph, "map_assignment", blockwise_map)
+        monkeypatch.setattr(factorgraph.MapPlan, "solve", lambda plan, fg: blockwise_map(fg))
         ref = learn_weights(build_factor_graph(s), s)
         assert [f.weight for f in learned.factors] == [f.weight for f in ref.factors]
         assert len({f.weight for f in learned.factors}) > 1

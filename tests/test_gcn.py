@@ -5,6 +5,7 @@ import pickle
 import signal
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -931,6 +932,27 @@ class TestRunParts:
             relex.workers.run_parts(run, [0, 1], ())
         assert no_child_left()
         assert relex.workers.run_parts(lambda part: 2 * part, [0, 1, 2], ()) == [0, 2, 4]
+        assert no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs an affinity mask of two or more CPUs")
+    def test_each_part_on_its_own_cpu(self):
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)[:4]
+        seen = relex.workers.run_parts(lambda part: os.sched_getaffinity(0),
+                                       list(range(len(cpus))), ())
+        assert seen == [{cpu} for cpu in cpus]
+        assert os.sched_getaffinity(0) == mask
+
+        def fail(part, failing):
+            if part == failing:
+                raise KeyError(f"part {part}")
+            return part
+        for failing in (0, 1):  # in this process, then in the child
+            with pytest.raises(KeyError, match=f"part {failing}"):
+                relex.workers.run_parts(partial(fail, failing=failing), [0, 1], ())
+            assert os.sched_getaffinity(0) == mask
         assert no_child_left()
 
 
