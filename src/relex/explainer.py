@@ -99,12 +99,6 @@ class Explanation:
     def edges(self) -> list[Edge]:
         return [e for (e, _) in self.relations]
 
-    def confidence(self, edge: Edge) -> float:
-        for (e, gc) in self.relations:
-            if e == edge:
-                return gc
-        raise KeyError(edge)
-
 
 @dataclass(frozen=True, eq=False)
 class _Ball:

@@ -10,9 +10,9 @@ and 1 elsewhere; a binary target yields one factor per relation
 Weights are learned by a voted-perceptron-style rule: the gradient of the
 log-likelihood is approximated by replacing the intractable expected
 clause count with a count under the current MAP assignment, found exactly
-by max-sum bucket elimination.  The elimination order, tables and buckets
-depend on the factors' scopes, not their weights, so a learning run plans
-them once (MapPlan) and solves that plan at each epoch's weights.
+by max-sum bucket elimination; a tie goes to entity state 0 and the lowest
+T state.  The plan (order, tables, buckets) depends on the factors' scopes
+alone, so a learning run builds it once (MapPlan) and solves it per epoch.
 Calibration runs damped sum-product message passing on a flooding
 schedule, over a stack of cluster graphs in one loop
 (relex.bp.propagate_all).
@@ -125,15 +125,12 @@ class MapPlan:
     to end in one buffer, and each factor's weight goes to cell (1, ...,
     1, target_state) of its table.  Each bucket lists its input tables,
     each with the shape that broadcasts it onto (entity, rest..., T), and
-    its output table over rest.  Tie-break ranks are int64 while
-    target_card * 2^n fits (card << n <= 1 << 63), and Python ints above
-    that, so MAP stays exact at any entity count.
+    its output table over rest, the max over the entity (state 0 on a tie).
     """
 
     def __init__(self, fg: FactorGraph):
         n, card = len(fg.entities), fg.target_card
         self.entities, self.card = fg.entities, card
-        self.rank_dtype = np.int64 if card << n <= 1 << 63 else object
         pos = {ent: i for i, ent in enumerate(fg.entities)}
         scopes = [{pos[f.u], pos[f.v]} for f in fg.factors]
         nbrs: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -162,17 +159,15 @@ class MapPlan:
         self.layout = [(a, b, (2,) * len(key) + (card,))
                        for a, b, key in zip(starts, starts[1:], keys)]
         live = list(keys.items())  # (key, table) of the tables not yet in a bucket
-        self.buckets = []  # (entity, inputs and their shapes, rest, base rank)
+        self.buckets = []  # (entity, inputs and their shapes, rest, summed shape)
         for i in order:
             bucket = [t for t in live if t[0][:1] == (i,)]
             live = [t for t in live if t[0][:1] != (i,)]
             rest = tuple(sorted({v for key, _ in bucket for v in key[1:]}, key=step))
-            rank = np.zeros((2,) * (1 + len(rest)) + (card,), dtype=self.rank_dtype)
-            rank[1] = card << (n - 1 - i)
             inputs = [(t, (2,) + tuple(2 if v in key else 1 for v in rest) + (card,))
                       for key, t in bucket]
             live.append((rest, len(self.layout) + len(self.buckets)))
-            self.buckets.append((i, inputs, rest, rank))
+            self.buckets.append((i, inputs, rest, (2,) * (1 + len(rest)) + (card,)))
         self.final = [t for _, t in live]
 
     def solve(self, fg: FactorGraph) -> dict[int, int]:
@@ -182,22 +177,16 @@ class MapPlan:
         weights = np.fromiter((f.weight for f in fg.factors), float, len(self.cells))
         flat = np.bincount(self.cells, weights, self.size)
         scores = [flat[a:b].reshape(shape) for a, b, shape in self.layout]
-        ranks: list = [None] * len(scores)  # a factor table's ranks are all 0
         traceback = []
-        for i, inputs, rest, rank in self.buckets:
-            score = np.zeros(rank.shape)
+        for i, inputs, rest, summed in self.buckets:
+            score = np.zeros(summed)
             for t, shape in inputs:
                 score = score + scores[t].reshape(shape)
-                if ranks[t] is not None:
-                    rank = rank + ranks[t].reshape(shape)
-            take = (score[1] > score[0]) | ((score[1] == score[0]) & (rank[1] < rank[0]))
+            take = score[1] > score[0]  # a tie keeps the entity at 0
             scores.append(np.where(take, score[1], score[0]))
-            ranks.append(np.where(take, rank[1], rank[0]))
             traceback.append((i, rest, take))
         score = sum((scores[t] for t in self.final), np.zeros(self.card))
-        rank = sum((ranks[t] for t in self.final),
-                   np.arange(self.card).astype(self.rank_dtype))
-        state = min(range(self.card), key=lambda t: (-score[t], rank[t]))
+        state = int(np.argmax(score))  # the lowest T state of the highest score
         bits: dict[int, int] = {}
         for i, rest, take in reversed(traceback):
             bits[i] = int(take[tuple(bits[v] for v in rest) + (state,)])
@@ -215,13 +204,13 @@ def map_assignment(fg: FactorGraph) -> dict[int, int]:
     eliminated) the cost is about entities * target_card * 2^(w + 1),
     against 2^n * target_card for exhaustive search.
 
-    Of the assignments with the highest score (the sum of satisfied factor
-    weights) it returns the first in itertools.product order over
-    (entities in order..., T): each score carries the product-order rank
-    of the sub-assignment behind it, and ties go to the lower rank.
-    Scores are summed in elimination order, so sums that tie in decimal
-    arithmetic (0.1 + 0.2 against 0.3) can round apart and pick another
-    maximiser than sums in factor order would.
+    It returns an assignment of the highest score (the sum of satisfied
+    factor weights).  Among tied maximisers, T takes its lowest state of
+    the highest score, and each entity, read back in reverse elimination
+    order, is 0 unless 1 scores strictly more given the states already
+    read.  Scores are summed in elimination order, so sums that tie in
+    decimal arithmetic (0.1 + 0.2 against 0.3) can round apart and pick
+    another maximiser than sums in factor order would.
     """
     return MapPlan(fg).solve(fg)
 
@@ -255,8 +244,7 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
     relations = s.relations
     gcs: dict[Edge, list[float]] = {rel: [] for rel in relations}
     for e in s.explanations:
-        # reversed, so each edge keeps its first confidence, as e.confidence reads it
-        for edge, gc in dict(reversed(e.relations)).items():
+        for edge, gc in e.relations:
             gcs[edge].append(gc)
     weights = {rel: float(np.mean(gcs[rel])) for rel in relations}
 

@@ -89,17 +89,25 @@ class NodeSplit:
             raise ValueError("split sets must be pairwise disjoint")
 
 
+def _edge_end(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise GraphFormatError(f"edge end {x!r} is not an integer")
+    return int(x)
+
+
 def make_graph(node_count: int,
                edges: Iterable[tuple[int, int]],
                features: np.ndarray | None = None,
                labels: Sequence[int] | np.ndarray | None = None,
                class_count: int | None = None) -> RelationalGraph:
     """Build a graph, canonicalizing and deduplicating the edge list.
+    Numpy integer edge ends are stored as Python ints; any other
+    non-integer end (0.5, even 1.0) is a GraphFormatError.
 
     Defaults: constant ones features (d=10), all-zero labels, inferred
     class count (max label + 1).
     """
-    canon = frozenset(normalize_edge(u, v) for (u, v) in edges)
+    canon = frozenset(normalize_edge(_edge_end(u), _edge_end(v)) for (u, v) in edges)
     if labels is None:
         labels = np.zeros(node_count, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)

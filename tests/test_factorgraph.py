@@ -118,10 +118,50 @@ def loop_map(fg):
     return best
 
 
-def blockwise_map(fg, size=4):
-    """MAP of a graph whose factors stay inside consecutive blocks of
-    ``size`` entities: loop_map per block and per T state, then the first
-    maximiser in product order, compared on Python int ranks."""
+def satisfied(fg, assignment):
+    """The factors of fg that ``assignment`` satisfies."""
+    return [f for f in fg.factors if assignment[f.u] == 1 and assignment[f.v] == 1
+            and assignment[TARGET] == f.target_state]
+
+
+def assignment_score(fg, assignment):
+    """The exact sum of the satisfied factors' weights, rounded once
+    (math.fsum), so that no summation order moves it."""
+    return math.fsum(f.weight for f in satisfied(fg, assignment))
+
+
+def loop_state_maxima(fg):
+    """Each T state's highest score, by enumeration over the entities."""
+    best = [-math.inf] * fg.target_card
+    for bits in itertools.product((0, 1), repeat=len(fg.entities)):
+        for t in range(fg.target_card):
+            best[t] = max(best[t], assignment_score(fg, {**dict(zip(fg.entities, bits)),
+                                                        TARGET: t}))
+    return best
+
+
+def assert_tie_rule_maximum(fg, assignment, state_maxima):
+    """``assignment`` is a maximiser of fg picked by map_assignment's tie
+    rule: it scores the highest of ``state_maxima`` (each T state's best
+    score), its T is the lowest state that reaches that score, and no
+    entity at 1 can drop to 0 without lowering the score: the satisfied
+    factors over it sum above 0.  The last holds in any elimination order:
+    every factor over an entity is summed into its bucket, whose traceback
+    leaves it at 0 unless 1 scores more."""
+    assert set(assignment) == set(fg.variables)
+    best = max(state_maxima)
+    assert assignment_score(fg, assignment) == best
+    assert assignment[TARGET] == state_maxima.index(best)
+    for ent in fg.entities:
+        if assignment[ent] == 1:
+            lost = [f.weight for f in satisfied(fg, assignment) if ent in (f.u, f.v)]
+            assert math.fsum(lost) > 0, ent
+
+
+def blockwise_states(fg, size=4):
+    """Each T state's highest score and one maximiser's entity bits, for a
+    graph whose factors stay inside consecutive blocks of ``size``
+    entities: loop_map per block and per T state."""
     blocks = [fg.entities[i:i + size] for i in range(0, len(fg.entities), size)]
     scores, bits = [0] * fg.target_card, [[] for _ in range(fg.target_card)]
     for block in blocks:
@@ -139,6 +179,14 @@ def blockwise_map(fg, size=4):
             bits[t] += [best[ent] for ent in block]
             scores[t] += sum(f.weight for f in factors
                              if f.target_state == t and best[f.u] == best[f.v] == 1)
+    return scores, bits
+
+
+def blockwise_map(fg, size=4):
+    """MAP of a graph whose factors stay inside consecutive blocks of
+    ``size`` entities (see blockwise_states): the first maximiser in
+    product order, compared on Python int ranks."""
+    scores, bits = blockwise_states(fg, size)
     state = min(range(fg.target_card), key=lambda t: (
         -scores[t], int("".join(map(str, bits[t])) or "0", 2) * fg.target_card + t))
     return {**dict(zip(fg.entities, bits[state])), TARGET: state}
@@ -408,9 +456,9 @@ class TestMapAssignment:
     @pytest.mark.parametrize("relabel_seed", [15, 2, 0])
     def test_matches_reference_loop(self, relabel_seed):
         # seed 0 keeps the drawn labels; the others permute the entity labels
-        # of the same graphs, so min-degree ties and product-order ranks
-        # fall on other positions.  Each graph's plan is then solved again
-        # at tie-prone weights, as weight learning solves one plan per epoch
+        # of the same graphs, so min-degree ties and elimination order fall
+        # on other positions.  Each graph's plan is then solved again at
+        # tie-prone weights, as weight learning solves one plan per epoch
         rng = np.random.default_rng(21)
         relabel = np.random.default_rng(relabel_seed)
         reweight = np.random.default_rng(23)
@@ -424,11 +472,11 @@ class TestMapAssignment:
                 fg.factors = [replace(f, u=min(perm[f.u], perm[f.v]),
                                       v=max(perm[f.u], perm[f.v]))
                               for f in fg.factors]
-            assert map_assignment(fg) == loop_map(fg), trial
+            assert_tie_rule_maximum(fg, map_assignment(fg), loop_state_maxima(fg))
             plan = MapPlan(fg)
             for f in fg.factors:
                 f.weight = float(reweight.choice(TIE_WEIGHTS))
-            assert plan.solve(fg) == loop_map(fg), trial
+            assert_tie_rule_maximum(fg, plan.solve(fg), loop_state_maxima(fg))
 
     def test_zero_and_equal_weights(self):
         for w in (0.0, 0.7, -0.7):
@@ -485,20 +533,41 @@ class TestLearnWeights:
             assert observed < 0, f"{rel}: update {observed} vs gradient {exact_grad}"
 
     def test_weights_match_reference_map(self, monkeypatch):
+        # confidences from a few round values tie clause sums, so every
+        # epoch's MAP is checked for the tie rule; continuous confidences
+        # leave one satisfied clause set among the maximisers, so the
+        # learned weights must match the loop reference's bit for bit
         rng = np.random.default_rng(22)
-        sets = []
-        for _ in range(6):
-            n = int(rng.integers(3, 8))
-            pool = sorted({tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False)))
-                           for _ in range(n + 2)})
-            expls = [[pool[i] for i in sorted(rng.choice(len(pool), min(4, len(pool)),
-                                                         replace=False))]
-                     for _ in range(int(rng.integers(3, 9)))]
-            gcs = {r: float(rng.choice([0.01, 0.2, 0.5, 0.95, 0.99])) for r in pool}
-            sets.append(make_creset(expls, gcs=gcs, class_count=int(rng.choice([2, 3, 8]))))
-        learned = [learn_weights(build_factor_graph(s), s) for s in sets]
+        tied, continuous = [], []
+        for sets in (tied, continuous):
+            for _ in range(6):
+                n = int(rng.integers(3, 8))
+                pool = sorted({tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False)))
+                               for _ in range(n + 2)})
+                expls = [[pool[i] for i in sorted(rng.choice(len(pool), min(4, len(pool)),
+                                                             replace=False))]
+                         for _ in range(int(rng.integers(3, 9)))]
+                gcs = {r: float(rng.choice([0.01, 0.2, 0.5, 0.95, 0.99]) if sets is tied
+                                else rng.uniform(0.01, 0.99)) for r in pool}
+                sets.append(make_creset(expls, gcs=gcs,
+                                        class_count=int(rng.choice([2, 3, 8]))))
+        solve = factorgraph.MapPlan.solve
+        checked = []
+
+        def checked_solve(plan, fg):
+            assignment = solve(plan, fg)
+            assert_tie_rule_maximum(fg, assignment, loop_state_maxima(fg))
+            checked.append(assignment)
+            return assignment
+
+        monkeypatch.setattr(factorgraph.MapPlan, "solve", checked_solve)
+        for s in tied:
+            learn_weights(build_factor_graph(s), s)
+        assert len(checked) > len(tied)
+        monkeypatch.setattr(factorgraph.MapPlan, "solve", solve)
+        learned = [learn_weights(build_factor_graph(s), s) for s in continuous]
         monkeypatch.setattr(factorgraph.MapPlan, "solve", lambda plan, fg: loop_map(fg))
-        for s, fg in zip(sets, learned):
+        for s, fg in zip(continuous, learned):
             ref = learn_weights(build_factor_graph(s), s)
             assert [f.weight for f in fg.factors] == [f.weight for f in ref.factors]
 
@@ -553,11 +622,10 @@ class TestTractability:
     def test_map_over_sixty_eight_entities(self):
         # 17 disjoint blocks of 4 entities.  Integer weights make every sum
         # exact.  Each block's T=1 clauses mirror its T=0 clauses with the
-        # entities reversed, so T=0 and T=1 tie on score and the tie falls
-        # to the rank, which exceeds 2^63.  Block 0 (entities 0-3, bits 67
-        # to 64 of the entity number) holds only zero weights: every one of
-        # its states ties.  Block 1 sets entities 4 and 5 (bits 63 and 62)
-        # under T=0 and 6 and 7 under T=1, so T=1 comes first.
+        # entities reversed, so T=0 and T=1 tie on score and the lower,
+        # T=0, wins.  Block 0 (entities 0-3) holds only zero weights: every
+        # one of its states ties, and all four stay 0.  Block 1 sets
+        # entities 4 and 5 under T=0 and 6 and 7 under T=1.
         rng = np.random.default_rng(43)
         n, card = 68, 3
         factors = [Factor(u=u, v=v, target_state=t, weight=0.0, kind="learned")
@@ -573,34 +641,36 @@ class TestTractability:
                 factors.append(Factor(u=base + 3 - v, v=base + 3 - u, target_state=1,
                                       weight=w, kind="learned"))
         fg = FactorGraph(entities=tuple(range(n)), target_card=card, factors=factors)
-        expected = blockwise_map(fg)
-        assert expected[TARGET] == 1
-        assert [expected[ent] for ent in range(8)] == [0, 0, 0, 0, 0, 0, 1, 1]
-        assert map_assignment(fg) == expected
+        maxima, _ = blockwise_states(fg)
+        assert maxima[0] == maxima[1] > maxima[2]
+        assignment = map_assignment(fg)
+        assert_tie_rule_maximum(fg, assignment, maxima)
+        assert assignment[TARGET] == 0
+        assert [assignment[ent] for ent in range(8)] == [0, 0, 0, 0, 1, 1, 0, 0]
 
     @pytest.mark.parametrize("n", [60, 61])
     def test_zero_weights_either_side_of_int64_ranks(self, n):
-        # ranks reach 8 * 2^n - 1: int64 up to n = 60, Python ints past it
+        # 8 * 2^n passes 2^63 between n = 60 and 61, so an int64 index of
+        # the 8 * 2^n assignments would overflow; every one of them ties,
+        # and the tie rule keeps every entity at 0 and T at 0
         fg = FactorGraph(entities=tuple(range(n)), target_card=8, factors=[
             Factor(u=u, v=u + 1, target_state=t, weight=0.0, kind="learned")
             for u in range(n - 1) for t in range(8)])
-        assert MapPlan(fg).rank_dtype == (np.int64 if n == 60 else object)
         assert map_assignment(fg) == {**{ent: 0 for ent in range(n)}, TARGET: 0}
 
     @pytest.mark.parametrize("n", [60, 61])
     def test_tie_goes_to_the_lower_rank(self, n):
         # on a zero-weight path, x0 = x1 = 1 under T = t and x(n-2) = x(n-1)
-        # = 1 under T = 1 - t both score 1.  Entity 0 is product order's
-        # leading digit, so the second maximiser's rank, 8 * 3 + 1 - t, is
-        # the lower; the first's, 8 * (2^(n-1) + 2^(n-2)) + t, is past
-        # 2^63 at n = 61
+        # = 1 under T = 1 - t both score 1.  The tie goes to the lower T
+        # state, 0, and every entity outside its clause stays 0
         for t in (0, 1):
             fg = FactorGraph(entities=tuple(range(n)), target_card=8, factors=[
                 Factor(u=u, v=u + 1, target_state=0, weight=0.0, kind="learned")
                 for u in range(n - 1)] + [
                 Factor(u=0, v=1, target_state=t, weight=1.0, kind="learned"),
                 Factor(u=n - 2, v=n - 1, target_state=1 - t, weight=1.0, kind="learned")])
-            expected = {**{ent: 0 for ent in range(n)}, n - 2: 1, n - 1: 1, TARGET: 1 - t}
+            ones = (0, 1) if t == 0 else (n - 2, n - 1)
+            expected = {**{ent: 0 for ent in range(n)}, **dict.fromkeys(ones, 1), TARGET: 0}
             assert map_assignment(fg) == expected
 
     def test_learn_weights_at_forty_entities(self, monkeypatch):

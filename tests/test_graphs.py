@@ -113,6 +113,22 @@ class TestInvariants:
         with pytest.raises(GraphFormatError):
             make_graph(2, [(0, 5)])
 
+    def test_fractional_edge_end_rejected(self):
+        with pytest.raises(GraphFormatError, match="edge end 0.5 is not an integer"):
+            make_graph(3, [(0.5, 1)])
+
+    def test_float_edge_ends_rejected_before_saving(self):
+        # a whole float would be written as 0.0, which load_graph rejects
+        with pytest.raises(GraphFormatError, match="edge end 0.0 is not an integer"):
+            make_graph(3, [(0.0, 1.0)])
+
+    def test_numpy_edge_ends_saved_as_ints(self, tmp_path):
+        g = make_graph(3, np.array([[0, 1], [2, 1]]))
+        assert all(type(x) is int for edge in g.edges for x in edge)
+        save_graph(g, tmp_path / "g.json")
+        assert json.loads((tmp_path / "g.json").read_text())["edges"] == [[0, 1], [1, 2]]
+        assert load_graph(tmp_path / "g.json").edges == g.edges
+
     def test_normalize_edge(self):
         assert normalize_edge(3, 1) == (1, 3)
         assert normalize_edge(1, 3) == (1, 3)
