@@ -36,14 +36,15 @@ h), and each model is one product of its own, whose shapes are the same
 whether it trains alone, in lockstep or in any part.  Its bias rides in
 the product: A_hat . X carries a ones column, (K, n, d + 1), and each
 model's W0 rows are followed by its b0 row in one (d + 1, h) block, so
-A_hat . X . W0 + b0 is one product, then the ReLU.  OpenBLAS adds the
-ones column's term last, so the product equals A_hat . X . W0 + b0 bit
-for bit while d + 1 fits in one of its k-blocks: up to 383 features on
-OpenBLAS 0.3.31's SkylakeX kernel, and not where h = 1, for which numpy
-calls gemv.  The probabilities are class-major, (K R, C, rows), so the
-softmax's max reduces over C rows, and its denominator is summed over
-the class rows in the order numpy sums a contiguous row, with no
-node-major copy.
+A_hat . X . W0 + b0 is one product, then the ReLU, and so is the block's
+gradient, whose ones row sums dL/dH1 over the nodes.  On OpenBLAS
+0.3.31's SkylakeX kernel the product equals A_hat . X . W0 + b0 bit for
+bit while d + 1 fits in one k-block (383 features), and the ones row the
+separate sum while (d + 1) h n <= 100^3, the small-matrix kernel's
+bound; neither holds where h = 1, for which numpy calls gemv.  The
+probabilities are class-major, (K R, C, rows), so the softmax's max
+reduces over C rows, and its denominator is summed over the class rows
+in the order numpy sums a contiguous row, with no node-major copy.
 
 An epoch allocates nothing the size of a layer.  The weights, their
 gradients and Adam's two moments are rows of one buffer, each row viewed
@@ -313,9 +314,9 @@ def _forward_pass(a_rows, ax: np.ndarray, w0: np.ndarray, w1: np.ndarray, b1: np
 def _layouts(flat: np.ndarray, k: int, r: int, d: int, h: int, c: int):
     """Views of ``flat``, which holds K R models' w0 and b0, w1 and b1 in
     turn, in ``_forward``'s layouts: each model's W0 rows then its b0 row
-    as one block (K, R, d + 1, h), so layer 1 is one product per model
-    with its bias, then w1 (K, R, h, C) and b1 (K, R, C, 1), which
-    broadcasts over the class-major logits."""
+    as one block (K, R, d + 1, h), so layer 1 and its gradient are one
+    product per model with the bias, then w1 (K, R, h, C) and b1 (K, R,
+    C, 1), which broadcasts over the class-major logits."""
     w0, w1, b1 = np.split(flat, np.cumsum([d + 1, c]) * (k * r * h))
     return w0.reshape(k, r, d + 1, h), w1.reshape(k, r, h, c), b1.reshape(k, r, c, 1)
 
@@ -407,11 +408,10 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
     ``probs`` on ``t``'s scored rows, on arrays allocated once: a function
     that returns the losses, shape (K R,), and writes the gradients into
     ``grads``, views in ``_layouts``'s layouts, from what the inputs hold
-    when it is called."""
+    when it is called, each model's W0|b0 gradient as one product."""
     k, r, n, h = h1.shape
     c = w1.shape[-1]
     grad_w0b0, grad_w1, grad_b1 = grads
-    grad_w0, grad_b0 = grad_w0b0[:, :, :-1], grad_w0b0[:, :, -1]
     rows, models = len(t.onehot), k * r
     picks = t.picks[:, None] + np.arange(models) * probs[0].size
     picked, flat = np.empty(picks.shape), probs.reshape(-1)
@@ -428,7 +428,7 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
     # models' blocks side by side, is the same in any part
     by_row, ah_g2 = ah_g2.transpose(0, 2, 1, 3), np.empty((k, r, n, c))
     h1_t, w1_t = h1.transpose(0, 1, 3, 2), w1.transpose(0, 1, 3, 2)
-    ax_t = ax[:, None, :, :-1].transpose(0, 1, 3, 2)  # the ones column's gradient is grad_b0
+    ax_t = ax[:, None].transpose(0, 1, 3, 2)  # the ones row sums dL/dH1: b0's gradient
 
     def run():
         flat.take(picks, out=picked, mode="clip")
@@ -447,8 +447,7 @@ def _backward_pass(ax: np.ndarray, t: _Targets, h1: np.ndarray, probs: np.ndarra
         np.matmul(h1_t, ah_g2, out=grad_w1)
         np.matmul(ah_g2, w1_t, out=g1)
         np.multiply(g1, np.greater(h1, 0.0, out=active), out=g1)
-        np.add.reduce(g1, axis=2, out=grad_b0)
-        np.matmul(ax_t, g1, out=grad_w0)
+        np.matmul(ax_t, g1, out=grad_w0b0)
         return loss
     return run
 

@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from relex.datasets import generate_ba_shapes, generate_tree_motif
 import relex.gcn
 import relex.workers
-from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _class_sum, _forward,
-                       _forward_pass, _layouts, _model_size, _one_model, _product,
+from relex.gcn import (GcnModel, TrainConfig, TrainingDiverged, _backward_pass, _class_sum,
+                       _forward, _forward_pass, _layouts, _model_size, _one_model, _product,
                        _slots, _targets, _train_in_parts, _train_restarts, _with_ones,
                        gcn_forward,
                        init_weights, load_model, loss_and_grads, normalize_adjacency,
@@ -988,6 +988,51 @@ class TestBiasFold:
         z = self.pre_activations(rng.random((k, n, n)), _with_ones(ax),
                                  _one_model(w0, w1, b0, b1))
         assert (z[:, 0] == ax @ w0 + b0).all()
+
+    @pytest.mark.parametrize("k, r", [(1, 1), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("n", [5, 50, 300, 1231])
+    @pytest.mark.parametrize("h", [2, 32])
+    def test_folded_gradient_is_ax_t_g1_and_its_node_sum(self, h, n, k, r):
+        """The backward pass writes each model's W0|b0 gradient with one
+        product, [A_hat . X, 1]^T dL/dH1, whose ones row sums dL/dH1 over
+        the nodes: bit for bit, its first d rows are (A_hat . X)^T dL/dH1
+        and its last row np.add.reduce of dL/dH1 over the nodes, at d = 10
+        (every generator's) up to n = 1,231 nodes (the largest generator
+        graph the paper uses).  Measured with random operands on OpenBLAS
+        0.3.31's SkylakeX kernel, the identity does not hold at h = 1,
+        where numpy runs gemv: the b0 row differed in 10 of 15 cases (n =
+        5, 20, 50, 300 and 1,231 at these K and R).  Nor past OpenBLAS's
+        small-matrix size, where the b0 row rounds otherwise: at d = 10,
+        h = 32 from n = 2,841 on, tested to 10,000 (at 2,841, 3,000 and
+        3,125 the W0 rows differ too), and at d = 50 or 383 with n =
+        1,231.  Every point measured fits one bound, (d + 1) h n <= 100^3:
+        it held at (d, h, n) = (10, 32, 2,840), (50, 32, 612), (10, 2,
+        45,454) and (383, 2, 1,302), and failed one node further on."""
+        d, c = 10, 4
+        rng = np.random.default_rng(n)
+        ends = rng.integers(0, n, size=(2, 2 * n))
+        ends = ends[:, ends[0] != ends[1]]
+        a = sp.csr_array((np.ones(ends.shape[1]), tuple(ends)), shape=(n, n))
+        a_hat = normalize_adjacency((a + a.T > 0).astype(float))
+        ax = rng.normal(size=(k, n, d))
+        train = rng.permutation(n)[:max(1, n // 2)]
+        t = _targets([a_hat] * k, rng.integers(0, c, n), c, train, train)
+        size = k * r * _model_size(d, h, c)
+        weights = _layouts(rng.uniform(-1, 1, size), k, r, d, h, c)
+        grads = _layouts(np.empty(size), k, r, d, h, c)
+        ax_ones = _with_ones(ax)
+        h1, probs, _ = _forward(t.a_scored, ax_ones, *weights)
+        backward = _backward_pass(ax_ones, t, h1, probs, weights[1], grads)
+        backward()
+        # the pass's own dL/dH1 buffer, ReLU mask applied, as its last product read it
+        cells = dict(zip(backward.__code__.co_freevars, backward.__closure__))
+        g1 = cells["g1"].cell_contents
+        assert (g1 != 0).any()
+        for graph in range(k):
+            for model in range(r):
+                block = grads[0][graph, model]
+                assert (block[:-1] == ax[graph].T @ g1[graph, model]).all(), (graph, model)
+                assert (block[-1] == np.add.reduce(g1[graph, model], axis=0)).all(), (graph, model)
 
     def test_training_past_one_k_block_is_deterministic(self, monkeypatch):
         """At d = 400 the folded product rounds unlike A_hat . X . W0 + b0
