@@ -69,7 +69,7 @@ class RankSearchConfig:
     def __post_init__(self):
         if not (0 < self.stop_fraction < START_FRACTION):
             raise ValueError(f"need 0 < stop_fraction < {START_FRACTION}")
-        if self.max_rank < 1:
+        if read_int(self.max_rank, "max_rank") < 1:
             raise ValueError("max_rank must be >= 1")
 
 

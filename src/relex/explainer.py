@@ -47,7 +47,7 @@ back its explanations.  The split changes no bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -79,11 +79,11 @@ class ExplainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hops < 1:
+        if read_int(self.hops, "hops") < 1:
             raise ValueError("hops must be >= 1")
-        if self.mask_steps < 0:
+        if read_int(self.mask_steps, "mask_steps") < 0:
             raise ValueError("mask_steps must be >= 0")
-        if self.top_k < 1:
+        if read_int(self.top_k, "top_k") < 1:
             raise ValueError("top_k must be >= 1")
 
 
@@ -416,7 +416,9 @@ def explain_all(model: GcnModel,
     optimised as one stack (``_descend``); balls of different shapes never
     share one, and none is padded.  Each explanation therefore equals
     explaining its problem alone, bit for bit, whatever else the call
-    holds.  The stacks are built here, then optimised in
+    holds, and a problem that repeats an earlier one's target, config,
+    ball and ball features is optimised once, with it.  The stacks are
+    built here, then optimised in
     ``_balanced_parts`` of their ``_stack_cost`` on every CPU the process
     may use (``workers.run_parts``); a child's exception is raised here.
     A target out of range, or a model whose input dim differs from a
@@ -429,9 +431,16 @@ def explain_all(model: GcnModel,
             raise ValueError(f"feature dim {g.features.shape[1]} != "
                              f"model input dim {model.input_dim}")
     balls = [_ball(g, target, cfg.hops) for g, target, cfg in problems]
+    # a problem whose target, config, ball and ball features repeat an
+    # earlier one's would be optimised to its bits: it takes that one's
+    first: dict[tuple, int] = {}
+    origin = [first.setdefault((target, astuple(cfg), ball.nodes.tobytes(), tuple(ball.edges),
+                                ball.adjacency.tobytes(), ball.outside.tobytes(),
+                                g.features[ball.nodes].tobytes()), i)
+              for i, ((g, target, cfg), ball) in enumerate(zip(problems, balls))]
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, ball in enumerate(balls):
-        if ball.edges:
+        if ball.edges and origin[i] == i:
             shapes.setdefault((len(ball.nodes), len(ball.edges)), []).append(i)
     stacks = [(members, _mask_problem(model, [(problems[i][0], balls[i]) for i in members]))
               for members in shapes.values()]
@@ -449,7 +458,7 @@ def explain_all(model: GcnModel,
     for pairs in workers.run_parts(explain_part, parts, ()):
         for i, e in pairs:
             out[i] = e
-    return out
+    return [out[i] for i in origin]
 
 
 def explain(model: GcnModel, g: RelationalGraph, target: int,

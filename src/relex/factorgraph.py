@@ -307,20 +307,27 @@ def propagate(cards: dict[int, int], clusters: list[Cluster],
     return propagate_all([(cards, clusters)], cfg)[0]
 
 
+def _cluster_tables(fg: FactorGraph, extra: list[Edge]) -> tuple[
+        dict[Edge, int], list[int], np.ndarray]:
+    """Each relation's cluster, numbered in first-seen order over fg's
+    factors and then ``extra``; each factor's cluster; and the clusters'
+    (k, 2, 2, target_card) tables: ones, times exp(weight) at [1, 1,
+    target_state] for every factor, in factor order."""
+    cluster_of: dict[Edge, int] = {}
+    cids = [cluster_of.setdefault((f.u, f.v), len(cluster_of)) for f in fg.factors]
+    for edge in extra:
+        cluster_of.setdefault(edge, len(cluster_of))
+    tables = np.ones((len(cluster_of), 2, 2, fg.target_card))
+    np.multiply.at(tables, (np.array(cids, dtype=np.intp), 1, 1,
+                            np.array([f.target_state for f in fg.factors], dtype=np.intp)),
+                   [math.exp(f.weight) for f in fg.factors])
+    return cluster_of, cids, tables
+
+
 def _build_clusters(fg: FactorGraph) -> tuple[list[Cluster], dict[int, int]]:
-    grouped: dict[tuple[int, int], list[int]] = {}
-    for fid, f in enumerate(fg.factors):
-        grouped.setdefault((f.u, f.v), []).append(fid)
-    clusters: list[Cluster] = []
-    factor_cluster: dict[int, int] = {}
-    for cid, (key, fids) in enumerate(grouped.items()):
-        table = np.ones((2, 2, fg.target_card))
-        for fid in fids:
-            f = fg.factors[fid]
-            table[1, 1, f.target_state] *= math.exp(f.weight)
-            factor_cluster[fid] = cid
-        clusters.append(Cluster(scope=(key[0], key[1], TARGET), table=table))
-    return clusters, factor_cluster
+    cluster_of, cids, tables = _cluster_tables(fg, [])
+    return ([Cluster(scope=(*edge, TARGET), table=table)
+             for edge, table in zip(cluster_of, tables)], dict(enumerate(cids)))
 
 
 def run_bp(fg: FactorGraph, cfg: BpConfig | None = None) -> MessageState:
@@ -352,17 +359,19 @@ def joint_distribution(fg: FactorGraph, ms: MessageState, fid: int) -> np.ndarra
     if fid not in ms.factor_cluster:
         raise KeyError(f"unknown factor {fid}")
     cid = ms.factor_cluster[fid]
-    return _scope_belief(ms.clusters[cid], ms.nu[cid])
+    return _scope_beliefs(ms.clusters[cid].table[None], [m[None] for m in ms.nu[cid]])[0]
 
 
-def _scope_belief(cluster: Cluster, nu: list[np.ndarray]) -> np.ndarray:
-    """The cluster's table times its incoming variable messages, normalized."""
-    belief = cluster.table
+def _scope_beliefs(tables: np.ndarray, nu: list[np.ndarray]) -> np.ndarray:
+    """Each of the stacked tables times its incoming variable messages,
+    normalized; nu[slot] stacks the tables' messages on that slot."""
+    belief = tables
     for slot, m in enumerate(nu):
-        shape = [1] * belief.ndim
-        shape[slot] = m.shape[0]
+        shape = [len(tables)] + [1] * (tables.ndim - 1)
+        shape[slot + 1] = tables.shape[slot + 1]
         belief = belief * m.reshape(shape)
-    return belief / belief.sum()
+    total = np.add.reduce(belief, axis=tuple(range(1, belief.ndim)))
+    return belief / total.reshape((-1,) + (1,) * (belief.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -426,43 +435,40 @@ def quantify_uncertainty(fg: FactorGraph, e: Explanation,
         raise ValueError(f"predicted class {e.predicted_class} outside "
                          f"0..{fg.target_card - 1}")
     state = e.predicted_class if fg.target_card > 2 else 1
-    before, _ = _build_clusters(fg)
-    cluster_of = {c.scope[:2]: cid for cid, c in enumerate(before)}
-    after = list(before)
     ents = set(fg.entities)
-    scored: list[tuple[Edge, float, int]] = []
-    skipped: list[Edge] = []
-    for (edge, gc) in e.relations:
-        if edge[0] not in ents or edge[1] not in ents:
-            skipped.append(edge)
-            continue
-        if edge not in cluster_of:
-            cluster_of[edge] = len(before)
-            before.append(Cluster(scope=(*edge, TARGET),
-                                  table=np.ones((2, 2, fg.target_card))))
-            after.append(before[-1])
-        cid = cluster_of[edge]
-        if after[cid] is before[cid]:
-            after[cid] = Cluster(scope=before[cid].scope, table=before[cid].table.copy())
-        after[cid].table[1, 1, state] *= math.exp(math.log(max(gc, _MIN_CONFIDENCE)))
-        scored.append((edge, gc, cid))
+    scored = [(edge, gc) for edge, gc in e.relations if edge[0] in ents and edge[1] in ents]
+    skipped = [edge for edge, _ in e.relations if edge[0] not in ents or edge[1] not in ents]
+    cluster_of, _, before = _cluster_tables(fg, [edge for edge, _ in scored])
+    cids = np.array([cluster_of[edge] for edge, _ in scored], dtype=np.intp)
+    after = before.copy()
+    np.multiply.at(after, (cids, 1, 1, state),
+                   [math.exp(math.log(max(gc, _MIN_CONFIDENCE))) for _, gc in scored])
     cards = {v: fg.card(v) for v in fg.variables}
-    (nu_pre, _, _, pre_converged, _), (nu_post, _, _, post_converged, _) = propagate_all(
-        [(cards, before), (cards, after)], bp or BpConfig())
+    scopes = [(*edge, TARGET) for edge in cluster_of]
+    runs = propagate_all([(cards, [Cluster(scope=scope, table=table)
+                                   for scope, table in zip(scopes, tables)])
+                          for tables in (before, after)], bp or BpConfig())
 
+    # every scored relation's satisfying beliefs before, then after, in one stack
+    beliefs = _scope_beliefs(
+        np.concatenate([before[cids], after[cids]]),
+        [np.array([nu[cid][slot] for nu, *_ in runs for cid in cids.tolist()])
+         for slot in range(3)])[:, 1, 1]
     learned = fg.learned_by_relation()
-    entries: list[RelationUncertainty] = []
-    for (edge, gc, cid) in scored:
-        states = [fg.factors[fid].target_state for fid in learned.get(edge, [])] or [state]
-        p = _scope_belief(before[cid], nu_pre[cid])[1, 1, states]
-        p_hat = _scope_belief(after[cid], nu_post[cid])[1, 1, states]
-        delta = float(np.mean(p) - np.mean(p_hat))
-        neg_log = math.inf if delta == 0.0 else -math.log(abs(delta))
-        entries.append(RelationUncertainty(edge=edge, gc=gc, delta=delta,
-                                           neg_log_delta=neg_log))
-    return UncertaintyReport(target=e.target, entries=entries,
-                             converged=pre_converged and post_converged,
-                             skipped=skipped)
+    states = [[fg.factors[fid].target_state for fid in learned.get(edge, [])] or [state]
+              for edge, _ in scored]
+    delta = np.empty(len(scored))
+    for count in set(map(len, states)):  # one mean per state count
+        rows = np.array([i for i, s in enumerate(states) if len(s) == count], dtype=np.intp)
+        cols = [states[i] for i in rows.tolist()]
+        p = np.mean(beliefs[np.concatenate([rows, len(scored) + rows])[:, None], cols + cols],
+                    axis=1)
+        delta[rows] = p[:len(rows)] - p[len(rows):]
+    return UncertaintyReport(
+        target=e.target, converged=runs[0][3] and runs[1][3], skipped=skipped,
+        entries=[RelationUncertainty(edge=edge, gc=gc, delta=d,
+                                     neg_log_delta=math.inf if d == 0.0 else -math.log(abs(d)))
+                 for (edge, gc), d in zip(scored, delta.tolist())])
 
 
 # ---------------------------------------------------------------------------

@@ -98,14 +98,9 @@ class TrainConfig:
     restarts: int = 3
 
     def __post_init__(self):
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("hidden_dim", "max_epochs", "restarts", "patience"):
+            if read_int(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
 

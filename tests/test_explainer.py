@@ -666,6 +666,33 @@ class TestExplainAllOracle:
             taken.append(len(losses))
         assert taken == [300, 0, 40]
 
+    def test_a_repeated_problem_is_optimised_once(self, bridge_setup, monkeypatch):
+        """Node 4's ball does not reach clique B, so removing a clique-B
+        edge leaves its problem as it was: explain_all optimises it once,
+        and every repeat gets its explanation.  Another seed, or a feature
+        changed inside the ball, makes another problem."""
+        g, model = bridge_setup
+        far, _ = remove_edges(g, [(5, 6)])
+        features = g.features.copy()
+        features[0, 1] = 0.5
+        moved = make_graph(9, g.edges, features=features, labels=g.labels)
+        cfg = ExplainConfig(mask_steps=30)
+        problems = [(g, 4, cfg), (far, 4, cfg), (g, 6, cfg), (far, 6, cfg), (g, 4, cfg),
+                    (g, 4, ExplainConfig(mask_steps=30, seed=1)), (moved, 4, cfg)]
+        seen, real = [], relex.explainer._descend
+
+        def descend(p, mask, steps):
+            seen.append(len(steps))
+            return real(p, mask, steps)
+
+        monkeypatch.setattr(relex.explainer, "_descend", descend)
+        monkeypatch.setattr(relex.workers, "cpu_count", lambda: 1)
+        refs, stacks = self.check(model, problems, monkeypatch)
+        assert sum(seen) == sum(stacks) == 5
+        got = [ref[0] for ref in refs]
+        assert got[0] == got[1] == got[4]
+        assert got[5] != got[0] and got[6] != got[0] and got[2] != got[3]
+
     def test_explain_is_explain_all_with_one_problem(self, trained_generators):
         g, model = trained_generators["tree-cycles"]
         for target in eligible_targets(g, True)[:4]:

@@ -69,11 +69,24 @@ def reference_inject(fg, e):
                        factors=fg.factors + injected)
 
 
+def loop_scope_belief(ms, fid):
+    """The scope belief at a factor, one cluster at a time: its table
+    times each incoming variable message in slot order, normalized."""
+    cid = ms.factor_cluster[fid]
+    belief = ms.clusters[cid].table
+    for slot, m in enumerate(ms.nu[cid]):
+        shape = [1] * belief.ndim
+        shape[slot] = m.shape[0]
+        belief = belief * m.reshape(shape)
+    return belief / belief.sum()
+
+
 def reference_deltas(fg, e):
     """Each scored relation's delta from run_bp on the reference-injected
     graphs, before (every GC at 1) and after: the mean over the relation's
     learned factors, or its injected factor when it has none, of the
-    satisfying belief at the factor's own target state."""
+    satisfying belief at the factor's own target state, each read off
+    its own cluster (loop_scope_belief)."""
     ones = replace(e, relations=tuple((r, 1.0) for r, _ in e.relations))
     fg_pre, fg_post = reference_inject(fg, ones), reference_inject(fg, e)
     ms_pre, ms_post = run_bp(fg_pre), run_bp(fg_post)
@@ -85,9 +98,9 @@ def reference_deltas(fg, e):
         if edge not in injected:
             continue
         fids = learned.get(edge) or [injected[edge]]
-        before = [float(joint_distribution(fg_pre, ms_pre, fid)
+        before = [float(loop_scope_belief(ms_pre, fid)
                         [1, 1, fg_pre.factors[fid].target_state]) for fid in fids]
-        after = [float(joint_distribution(fg_post, ms_post, fid)
+        after = [float(loop_scope_belief(ms_post, fid)
                        [1, 1, fg_pre.factors[fid].target_state]) for fid in fids]
         deltas.append(float(np.mean(before) - np.mean(after)))
     return deltas
@@ -860,6 +873,50 @@ class TestPropagateAll:
         assert_stack_matches_loop(problems, cfg)
         assert_stack_matches_loop(problems[::-1], cfg)
 
+    def test_the_benchmarks_shape(self, monkeypatch):
+        """A CRE set of the fg-learn-eval shape: 12 entities on a path plus
+        3 chords, 19 explanations of 6 relations, 8 classes.  Each
+        explanation is calibrated as one stack of two problems of 14 or 15
+        clusters, and one more names a relation with no learned factor and
+        one outside the entities."""
+        rng = np.random.default_rng(12)
+        nodes = sorted(rng.choice(60, size=12, replace=False).tolist())
+        order = rng.permutation(nodes).tolist()
+        pool = {tuple(sorted(p)) for p in zip(order, order[1:])}
+        while len(pool) < 14:
+            pool.add(tuple(sorted(rng.choice(nodes, size=2, replace=False).tolist())))
+        pool = sorted(pool)
+        expls = [Explanation(target=nodes[0], predicted_class=int(rng.integers(8)),
+                             hop_radius=2, relations=tuple(
+                                 (pool[i], float(rng.uniform(0.005, 1.0)))
+                                 for i in sorted(rng.choice(len(pool), 6, replace=False))))
+                 for _ in range(19)]
+        s = CreSet(target=nodes[0], class_count=8, explanations=expls,
+                   ranks_used=list(range(1, 20)), errors_per_rank=list(range(19, 0, -1)))
+        fg = learn_weights(build_factor_graph(s), s)
+        unlearned = next((u, v) for u, v in itertools.combinations(nodes, 2)
+                         if (u, v) not in pool)
+        expls.append(replace(expls[0], relations=expls[0].relations + (
+            (unlearned, 0.3), ((nodes[-1], 99), 0.6))))
+        clusters, _ = _build_clusters(fg)
+        assert len(clusters) == 14
+        assert_propagate_matches_loop({v: fg.card(v) for v in fg.variables}, clusters,
+                                      BpConfig())
+        calls = []
+
+        def recording(problems, cfg=None):
+            calls.append((problems, cfg))
+            return propagate_all(problems, cfg)
+
+        monkeypatch.setattr(factorgraph, "propagate_all", recording)
+        for e in expls:
+            calls.clear()
+            report = quantify_uncertainty(fg, e)
+            assert_stack_matches_loop(*calls[0])
+            assert [r.delta for r in report.entries] == reference_deltas(fg, e)
+        assert report.skipped == [(nodes[-1], 99)]
+        assert [r.edge for r in report.entries][-1] == unlearned
+
     @pytest.mark.parametrize("target_card", [2, 8])
     def test_quantify_uncertainty_stacks_pre_and_post(self, monkeypatch, target_card):
         rng = np.random.default_rng(43 + target_card)
@@ -955,6 +1012,15 @@ class TestJointDistribution:
                     table = table * m.reshape(shape)
                 np.testing.assert_allclose(table / table.sum(), beliefs[cid],
                                            atol=1e-9)
+
+    def test_every_factor_reads_its_cluster_loop(self):
+        rng = np.random.default_rng(19)
+        for target_card in (2, 3, 8):
+            fg = random_factor_graph(rng, 5, target_card, 9)
+            ms = run_bp(fg)
+            for fid in range(len(fg.factors)):
+                assert np.array_equal(joint_distribution(fg, ms, fid),
+                                      loop_scope_belief(ms, fid)), fid
 
     def test_unknown_factor(self):
         fg = single_factor_graph(1.0)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from relex.boolfact import RankSearchConfig
+from relex.bp import BpConfig
 from relex.explainer import ExplainConfig
 from relex.factorgraph import RelationUncertainty, UncertaintyReport
 from relex.gcn import TrainConfig
@@ -144,6 +145,18 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="split fractions"):
                 PipelineConfig(dataset=DatasetSpec(kind="ba-shapes"),
                                split_fractions=fractions)
+
+    @pytest.mark.parametrize("config, field", [
+        (BpConfig, "max_iters"), (ExplainConfig, "hops"), (ExplainConfig, "mask_steps"),
+        (ExplainConfig, "top_k"), (TrainConfig, "hidden_dim"), (TrainConfig, "max_epochs"),
+        (TrainConfig, "patience"), (TrainConfig, "restarts"), (RankSearchConfig, "max_rank")])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_a_count_that_is_not_an_integer(self, config, field, value):
+        """A float count never ends a loop that counts down to it or up
+        to it, and a bool passes for 0 or 1: both are refused up front."""
+        with pytest.raises(ValueError, match=f"^{field} {value!r} is not an integer$"):
+            config(**{field: value})
+        config(**{field: 3})
 
     def test_scorers_tuple(self):
         cfg = PipelineConfig(dataset=DatasetSpec(kind="ba-shapes"), scorer="both")
