@@ -7,19 +7,17 @@ such graphs in one loop (Murphy, Weiss & Jordan, UAI 1999): every
 problem gets the floats of a run on its own, and the loop's array
 operations per iteration do not grow with the number of problems.
 
-An iteration allocates nothing.  The messages are views of one flat
-buffer, and every array an iteration writes (the gather's scratch, each
-(group, slot) product's, the pools' row sums and their copy per element,
-the residual's gather) is allocated once per call, before the loop;
-every ufunc writes through ``out=``.  A problem's messages are copied
-out only when it stops while another runs on.
+An iteration allocates nothing the size of a phase's messages: every
+array it writes is allocated once per call and every ufunc writes through
+``out=``, so only numpy's buffer for a broadcast product (at most 8,192
+elements) and the residuals' list come and go.  A problem's messages are
+copied out only when it stops while another runs on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -82,90 +80,102 @@ def propagate_all(problems: list[tuple[dict[int, int], list[Cluster]]],
     element indexes whose self and padding entries point at ones.
     """
     cfg = cfg or BpConfig()
-    clusters = [cluster for _, cs in problems for cluster in cs]
-    shapes = [cluster.table.shape for cluster in clusters]
-    groups: dict[tuple[int, ...], list[int]] = {}  # table shape -> its clusters, in order
-    for j, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(j)
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for p, (_, clusters) in enumerate(problems):
+        for cid, cluster in enumerate(clusters):
+            groups.setdefault(cluster.table.shape, []).append((p, cid))
     size: dict[int, int] = {}  # card -> rows in use
-    runs = []  # per group, each slot's (card, first row): in group then slot order
+    # rows[p][cid][slot] is the (card, row) that holds that slot's messages
+    rows: list[list[list[tuple[int, int]]]] = [[[] for _ in c] for _, c in problems]
+    layout = []  # (stacked tables, (card, first row, end row) per slot)
     for shape, members in groups.items():
-        runs.append([])
+        runs = []
         for c in shape:
-            runs[-1].append((c, size.get(c, 0)))
-            size[c] = runs[-1][-1][1] + len(members)
-    pools, n, row = [], 0, 0  # (card, first and end element, first row) per pool
-    base = np.zeros(max(size, default=0) + 1, dtype=np.intp)  # card -> first element
+            lo = size.get(c, 0)
+            for k, (p, cid) in enumerate(members):
+                rows[p][cid].append((c, lo + k))
+            runs.append((c, lo, lo + len(members)))
+            size[c] = lo + len(members)
+        layout.append((np.stack([problems[p][1][cid].table for p, cid in members]), runs))
+    base, n = {}, 0  # card -> first element of its pool; elements per phase
     for c in sorted(size):
-        pools.append((c, n, n + size[c] * c, row))
-        base[c], n, row = n, n + size[c] * c, row + size[c]
+        base[c], n = n, n + size[c] * c
 
     # buf holds the variable-to-factor pools, the factor-to-variable pools
     # at offset n, and ones at offset 2n for the gather
-    buf = np.ones(2 * n + base.size)
+    buf = np.ones(2 * n + max(size, default=0))
     raw, diff = np.empty(2 * n), np.zeros(2 * n + 1)
-    sums, scale = np.empty(row), np.empty(n)  # each pool row's sum, and each element's row's
-    for c, lo, hi, _ in pools:
+    pools = [(c, base[c], base[c] + size[c] * c) for c in base]
+    for c, lo, hi in pools:
         buf[lo:hi] = buf[n + lo:n + hi] = 1.0 / c
-    # per edge, that is per (problem, cluster, slot) in order: its problem,
-    # variable, card and the first element of its message in a phase
-    slots = np.fromiter(map(len, shapes), np.intp, len(shapes))
-    var = np.fromiter(chain.from_iterable(c.scope for c in clusters), np.intp, slots.sum())
-    card = np.fromiter(chain.from_iterable(shapes), np.intp, var.size)
-    problem = np.repeat(np.repeat(np.arange(len(problems)), [len(cs) for _, cs in problems]),
-                        slots)
-    start, first_edge = np.empty_like(var), np.cumsum(slots) - slots
-    updates = []  # (stacked tables, inputs, its scratch, summed axes, output view)
-    for members, group_runs in zip(groups.values(), runs):
-        tables, k = np.array([clusters[j].table for j in members]), len(members)
-        c, lo = np.array(group_runs, dtype=np.intp).reshape(-1, 2).T
-        start[first_edge[members][:, None] + np.arange(len(c))] = (
-            base[c] + c * lo + c * np.arange(k)[:, None])
-        firsts = list(zip(c.tolist(), (base[c] + c * lo).tolist()))  # each slot's card, element
-        inputs = [buf[a:a + k * co].reshape((k,) + (1,) * o + (co,) + (1,) * (len(c) - o - 1))
-                  for o, (co, a) in enumerate(firsts)]
-        for j, (cj, a) in enumerate(firsts):
-            updates.append((tables, inputs[:j] + inputs[j + 1:], np.empty(tables.shape),
-                            tuple(o + 1 for o in range(len(c)) if o != j),
-                            raw[n + a:n + a + k * cj].reshape(k, cj)))
-    # the edges by (problem, variable), each variable's in (cluster, slot) order
-    by_var = np.lexsort((var, problem))
-    at, c, owner, var = start[by_var], card[by_var], problem[by_var], var[by_var]
-    head = np.ones(at.size, dtype=bool)
-    head[1:] = (owner[1:] != owner[:-1]) | (var[1:] != var[:-1])
-    var_of = np.cumsum(head) - 1  # per edge, its variable
-    deg = np.bincount(var_of)
-    first, d = np.flatnonzero(head)[var_of], deg[var_of]  # per edge, its variable's
-    # sources[pos, e]: the factor-to-variable row at that position of
-    # edge e's variable, or the ones at 2n at e's own and padding positions
-    pos = np.arange(deg.max(initial=0))[:, None]
-    sources = np.where((pos < d) & (pos != np.arange(at.size) - first),
-                       n + at[np.minimum(first + pos, at.size - 1)], 2 * n)
-    order = np.argsort(at, kind="stable")  # the edges in element order: the pools' rows
-    row_of = np.repeat(np.arange(at.size), c[order])  # per element, its row
-    edge = order[row_of]  # per element, its edge
-    gather = sources.take(edge, axis=1, out=np.empty((len(pos), n), np.intp), mode="clip")
-    np.add(gather, np.arange(n) - at[edge], out=gather)  # indexes into buf
-    # per problem, its elements of both phases in diff, then the zero at 2n
-    owner = owner[edge]
-    residual_at = np.argsort(np.concatenate([owner, owner, np.arange(len(problems))]),
-                             kind="stable")
-    np.minimum(residual_at, 2 * n, out=residual_at)
-    count = 2 * np.bincount(owner, minlength=len(problems)) + 1
-    residual_from = np.cumsum(count) - count
-    gathered, residuals = np.empty(gather.shape), np.empty(residual_at.size)
-    residual = np.empty(len(problems))
-    # per phase: its raw, damped and changed values, and each pool's rows and row sums
-    phases = [(raw[lo:lo + n], buf[lo:lo + n], diff[lo:lo + n],
-               [(raw[lo + a:lo + b].reshape(-1, c), sums[r:r + size[c]]) for c, a, b, r in pools])
-              for lo in (0, n)]
+    ats: list[int] = []  # every edge's row offset, by variable, each in (cluster, slot) order
+    var_degree, var_card, var_problem = [], [], []  # per variable with edges
+    spans = []  # spans[p][cid][slot]: the (first, end) elements of that slot's row
+    for p, (cards, clusters) in enumerate(problems):
+        ats_of: dict[int, list[int]] = {v: [] for v in cards}
+        spans.append([[(base[c] + row * c, base[c] + row * c + c) for c, row in slots]
+                      for slots in rows[p]])
+        for cluster, slots in zip(clusters, spans[p]):
+            for var, (a, _) in zip(cluster.scope, slots):
+                ats_of[var].append(a)
+        for var, var_ats in ats_of.items():
+            if var_ats:
+                ats += var_ats
+                var_degree.append(len(var_ats))
+                var_card.append(cards[var])
+                var_problem.append(p)
+    at, deg, var_card, var_problem = (np.array(x, dtype=np.intp) for x in
+                                      (ats, var_degree, var_card, var_problem))
+    first = np.repeat(np.cumsum(deg) - deg, deg)  # per edge, its variable's first edge
+    d = np.repeat(deg, deg)  # per edge, its variable's degree
+    pair = np.cumsum(d) - d  # per edge, its first (edge, position) pair
+    i = np.repeat(np.arange(at.size), d)  # every (edge, position) pair
+    k = np.arange(i.size) - pair[i]
+    src = n + at[first[i] + k]  # the factor-to-variable row at that position
+    src[pair + np.arange(at.size) - first] = 2 * n  # an edge's own position
+    sources = np.full((max(var_degree, default=0), at.size), 2 * n)
+    sources[k, i] = src
+    c = np.repeat(var_card, deg)
+    edge = np.empty(n, dtype=np.intp)  # per element, its edge
+    edge[np.repeat(at - (np.cumsum(c) - c), c) + np.arange(n)] = np.repeat(
+        np.arange(at.size), c)
+    gather = sources.take(edge, axis=1) + (np.arange(n) - at[edge])  # into buf, C order
+    # per problem, its elements of both phases in diff, padded with a zero
+    owner = np.repeat(var_problem, deg)[edge]
+    mine = [np.flatnonzero(owner == p) for p in range(len(problems))]
+    residual_at = np.full((len(problems), 2 * max(map(len, mine), default=0) + 1), 2 * n)
+    for p, elements in enumerate(mine):
+        residual_at[p, :2 * len(elements)] = np.concatenate([elements, n + elements])
+    if gather.max(initial=-1) >= buf.size or residual_at.max(initial=-1) >= diff.size:
+        raise IndexError("a plan index is outside its buffer, where the loop's takes clip")
+    gathered, residuals, residual = map(np.empty, (gather.shape, residual_at.shape, len(problems)))
 
-    def settle(new, old, change, rows):
-        """Normalize the phase's messages, damp them into old and write |new - old|."""
+    # the message computations, each writing one view of raw
+    updates = []  # (stacked tables, input views, product scratch, summed axes, output view)
+    for tables, runs in layout:
+        for slot, (c, lo, hi) in enumerate(runs):
+            inputs = []
+            for other, (co, lo_o, hi_o) in enumerate(runs):
+                if other != slot:
+                    shape = [len(tables)] + [1] * len(runs)
+                    shape[other + 1] = co
+                    inputs.append(buf[base[co] + lo_o * co:base[co] + hi_o * co].reshape(shape))
+            out = raw[n + base[c] + lo * c:n + base[c] + hi * c].reshape(-1, c)
+            updates.append((tables, inputs, np.empty(tables.shape),
+                            tuple(j + 1 for j in range(len(runs)) if j != slot), out))
+    row_card = np.repeat(np.fromiter(base, np.intp), [size[c] for c in base])  # the pools' rows
+    row_of = np.repeat(np.arange(row_card.size), row_card)  # per element, its row
+    sums, scale = np.empty(row_card.size), np.empty(n)  # row sums, and per element its row's
+    # per phase: its computed, damped and changed values, and each pool's rows and row sums
+    phases = [(raw[lo:lo + n], buf[lo:lo + n], diff[lo:lo + n],
+               [(raw[lo + a:lo + b].reshape(-1, c), sums[row_of[a]:row_of[a] + size[c]])
+                for c, a, b in pools]) for lo in (0, n)]
+
+    def settle(new, old, change, rows):  # normalize, damp into old, write |new - old|
         for msg, total in rows:
             np.add.reduce(msg, axis=1, out=total)
-        sums.take(row_of, out=scale, mode="clip")
-        np.divide(new, scale, out=new)
+        # mode="clip" lets take write into out= without a buffered copy
+        np.divide(new, sums.take(row_of, out=scale, mode="clip"), out=new)
         np.multiply(new, 1.0 - cfg.damping, out=new)
         np.multiply(old, cfg.damping, out=change)
         np.add(new, change, out=new)
@@ -178,28 +188,22 @@ def propagate_all(problems: list[tuple[dict[int, int], list[Cluster]]],
     iteration = 0
     while active:
         iteration += 1
-        buf.take(gather, out=gathered, mode="clip")
-        np.multiply.reduce(gathered, axis=0, out=raw[:n])
+        np.multiply.reduce(buf.take(gather, out=gathered, mode="clip"), axis=0, out=raw[:n])
         settle(*phases[0])
-        for tables, inputs, prod, axes, out in updates:
-            if inputs:
-                np.multiply(tables, inputs[0], out=prod)
-                for m in inputs[1:]:
-                    np.multiply(prod, m, out=prod)
-            np.add.reduce(prod if inputs else tables, axis=axes, out=out)
+        for tables, inputs, scratch, axes, out in updates:
+            prod = tables
+            for m in inputs:
+                prod = np.multiply(prod, m, out=scratch)
+            np.add.reduce(prod, axis=axes, out=out)
         settle(*phases[1])
         diff.take(residual_at, out=residuals, mode="clip")
-        np.maximum.reduceat(residuals, residual_from, out=residual)
-        res = residual.tolist()
+        res = np.maximum.reduce(residuals, axis=1, out=residual).tolist()
         stop = [p for p in active if res[p] < cfg.tol or iteration == cfg.max_iters]
         if stop:
             active = [p for p in active if p not in stop]
             snap = buf.copy() if active else buf
             for p in stop:
                 results[p] = (snap, iteration, res[p] < cfg.tol, res[p])
-    bounds = iter(zip(start.tolist(), (start + card).tolist()))
-    spans = [[list(islice(bounds, len(cluster.table.shape))) for cluster in cs]
-             for _, cs in problems]
     return [([[snap[a:b] for a, b in slots] for slots in spans[p]],
              [[snap[n + a:n + b] for a, b in slots] for slots in spans[p]],
              iteration, converged, res)

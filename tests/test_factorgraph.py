@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -855,6 +856,38 @@ class TestPropagateAll:
 
     def test_empty_stack(self):
         assert propagate_all([]) == []
+
+    def test_an_iteration_allocates_no_phase_sized_array(self):
+        """From the first stop check on, the loop's iterations together
+        allocate less than half of one phase's messages, on a stack where
+        that half is larger than numpy's 8,192-element iterator buffer."""
+
+        class PeakFromTheFirstCheck:
+            """A config that resets the traced peak when the loop first reads
+            max_iters and keeps the peak at every later read."""
+            damping, tol = 0.5, 0.0
+            start = peak = None
+
+            @property
+            def max_iters(self):
+                if self.start is None:
+                    tracemalloc.reset_peak()
+                    self.start = tracemalloc.get_traced_memory()[0]
+                self.peak = tracemalloc.get_traced_memory()[1] - self.start
+                return 20
+
+        rng = np.random.default_rng(44)
+        problems = [random_cluster_graph(rng) for _ in range(800)]
+        n = sum(sum(c.table.shape) for _, clusters in problems for c in clusters)
+        cfg = PeakFromTheFirstCheck()
+        tracemalloc.start()
+        try:
+            runs = propagate_all(problems, cfg)
+        finally:
+            tracemalloc.stop()
+        assert {run[2] for run in runs} == {20}
+        assert n > 2 * 8192
+        assert cfg.peak < n * 8 // 2, (cfg.peak, n)
 
     @pytest.mark.parametrize("damping", [0.0, 0.9])
     def test_one_problem_stops_at_max_iters_while_another_converged(self, damping):
