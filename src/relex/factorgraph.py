@@ -238,7 +238,7 @@ def learn_weights(fg: FactorGraph, s: CreSet, learning_rate: float = LEARN_RATE,
     """
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ValueError("learning_rate must be finite and >= 0")
-    if epochs < 0:
+    if read_int(epochs, "epochs") < 0:
         raise ValueError("epochs must be >= 0")
     n_expl = len(s.explanations)
     relations = s.relations

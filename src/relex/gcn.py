@@ -42,9 +42,14 @@ gradient, whose ones row sums dL/dH1 over the nodes.  On OpenBLAS
 bit while d + 1 fits in one k-block (383 features), and the ones row the
 separate sum while (d + 1) h n <= 100^3, the small-matrix kernel's
 bound; neither holds where h = 1, for which numpy calls gemv.  The
-probabilities are class-major, (K R, C, rows), so the softmax's max
-reduces over C rows, and its denominator is summed over the class rows
-in the order numpy sums a contiguous row, with no node-major copy.
+paper's largest graph, tree-grids(9, 80) of 1,231 nodes, gives
+(d + 1) h n = 433,312 at d = 10 and h = 32.  Past either bound the fold
+rounds otherwise than a separate bias would, but each model's products
+keep their shapes in every part, so training stays deterministic at any
+CPU count.  The probabilities are class-major, (K R, C, rows), so the
+softmax's max reduces over C rows, and its denominator is summed over
+the class rows in the order numpy sums a contiguous row, with no
+node-major copy.
 
 An epoch allocates nothing the size of a layer.  The weights, their
 gradients and Adam's two moments are rows of one buffer, each row viewed

@@ -97,12 +97,14 @@ class PipelineConfig:
     max_targets: int | None = None
 
     def __post_init__(self):
-        if self.g_max < 1:
+        if read_int(self.g_max, "g_max") < 1:
             raise ValueError("g_max must be >= 1")
+        if read_int(self.min_class_count, "min_class_count") < 0:
+            raise ValueError("min_class_count must be >= 0")
         if self.scorer not in ("bp", "is", "both"):
             raise ValueError("scorer must be 'bp', 'is' or 'both'")
         check_split_fractions(self.split_fractions)
-        if self.max_targets is not None and self.max_targets < 1:
+        if self.max_targets is not None and read_int(self.max_targets, "max_targets") < 1:
             raise ValueError("max_targets must be >= 1")
 
     @property
@@ -241,6 +243,8 @@ def _cres(run: Run) -> None:
 
 def _scores(run: Run) -> None:
     bundle = run.bundle
+    # one calibration per target: a stack of all targets would run every
+    # one of them until the slowest to converge stops
     for target, cres in run.cre_sets.items():
         run.factor_graphs[target] = fg = learn_weights(build_factor_graph(cres), cres)
         bundle.reports[target] = quantify_uncertainty(fg, run.explanations[target])

@@ -9,9 +9,12 @@ exception that pickle cannot rebuild is sent as a RuntimeError that
 names its type, and a child that ends without sending its whole payload
 raises WorkerLost.  A child ends with os._exit, so it never returns into
 its caller's ``finally`` blocks or atexit handlers, and SIGINT and
-SIGTERM kill it outright.  No child outlives the call.  ``grid_parts``
-splits a grid of tasks into such parts.  GCN training (``relex.gcn``)
-and the explainer's stacks (``relex.explainer``) run this way.
+SIGTERM kill it outright.  No child outlives the call, unless this
+process is SIGKILLed: its children then run on and exit after their
+next pipe write, which lands in the pipe's buffer or fails with no
+reader left.  ``grid_parts`` splits a grid of tasks into such parts.
+GCN training (``relex.gcn``) and the explainer's stacks
+(``relex.explainer``) run this way.
 
 Where os.fork or os.sched_getaffinity is missing, ``cpu_count`` is 1,
 and callers run in process.

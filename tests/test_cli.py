@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import shlex
 import subprocess
 import sys
@@ -12,6 +13,9 @@ import pytest
 import relex.explainer
 import relex.workers
 from relex.cli import build_parser, main
+
+
+COMMANDS = ("generate", "train", "explain", "cres", "learn-fg", "evaluate", "verify", "report")
 
 
 def run(args):
@@ -64,6 +68,13 @@ class TestInterface:
     ], ids=lambda x: x[0] if isinstance(x, list) else "")
     def test_required_flags_only(self, argv, options):
         assert parsed_options(argv) == options
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0_with_a_usage_line(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: relex {command} ")
 
     def test_no_value_carries_over_between_parses(self):
         assert parsed_options(["train", "--graph", "g.json", "--epochs", "5",
@@ -297,20 +308,23 @@ class TestCresLearnFgEvaluate:
 
 class TestEvaluate:
     def test_skipped_relations_reported_on_stderr(self, tmp_path, capsys):
+        """(1, 2) joins two entities but no factor, so it is scored after
+        (0, 1); (1, 7) and (5, 6) leave the entities and are skipped."""
         (tmp_path / "fg.json").write_text(json.dumps(
-            {"entities": [0, 1], "target_card": 2,
+            {"entities": [0, 1, 2], "target_card": 2,
              "factors": [{"u": 0, "v": 1, "t": 1, "weight": 0.5, "kind": "learned"}]}))
         (tmp_path / "expl.json").write_text(json.dumps(
             {"target": 0, "class": 1, "hops": 2,
              "relations": [{"u": 0, "v": 1, "gc": 0.8}, {"u": 1, "v": 7, "gc": 0.9},
-                           {"u": 5, "v": 6, "gc": 0.4}]}))
+                           {"u": 1, "v": 2, "gc": 0.3}, {"u": 5, "v": 6, "gc": 0.4}]}))
         assert run(["evaluate", "--fg", str(tmp_path / "fg.json"),
                     "--explanation", str(tmp_path / "expl.json"),
                     "--out", str(tmp_path / "u.csv")]) == 0
         err = capsys.readouterr().err
         assert "skipped relations outside the factor graph's entities: " \
                "(1, 7), (5, 6)" in err
-        assert len((tmp_path / "u.csv").read_text().splitlines()) == 2
+        rows = (tmp_path / "u.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0", "1"], ["1", "2"]]
 
     def test_factor_ends_in_either_order_give_one_report(self, tmp_path):
         (tmp_path / "expl.json").write_text(json.dumps(
@@ -740,15 +754,16 @@ class TestVerifyAndReport:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flags", [["--top-k", "0"], ["--steps", "-5"],
-                                       ["--max-targets", "0"]])
+                                       ["--max-targets", "0"], ["--min-class-count", "-3"]])
     def test_senseless_setting_exits_2_before_the_graph(self, tmp_path, monkeypatch,
-                                                        flags):
+                                                        capsys, flags):
         def build(spec, seed):
             raise AssertionError("the graph was built")
 
         monkeypatch.setattr("relex.pipeline.DatasetSpec.build", build)
         assert run(["verify", "--dataset", "ba-shapes", *flags,
                     "--out", str(tmp_path / "run")]) == 2
+        assert "the graph was built" not in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("dataset, message", [
@@ -1030,6 +1045,24 @@ class TestStagedChainReproducesVerify:
 
 
 class TestReadmeExample:
+    def test_readme_command_lines_parse(self):
+        """Every ``relex …`` and ``python -m relex.cli …`` line of the
+        README's code blocks parses: no flag, choice or command in it is
+        one the CLI does not have, and every command is shown."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        code = "\n".join(readme.split("```")[1::2]).replace("\\\n", " ")
+        command = re.compile(r"(?:^|\s)(?:relex|python -m relex\.cli)\s+(.*)")
+        shown = set()
+        for line in code.splitlines():
+            if match := command.search(line):
+                argv = shlex.split(match[1])
+                try:
+                    build_parser().parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"README line does not parse: {line}")
+                shown.add(argv[0])
+        assert shown == set(COMMANDS)
+
     def test_readme_verify_line_writes_results(self, tmp_path):
         """The README's `relex verify` line, run as written (its output
         directory moved under tmp_path), reports McNemar rows."""

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from relex.boolfact import RankSearchConfig
+from relex.boolfact import CreSet, RankSearchConfig
 from relex.bp import BpConfig
-from relex.explainer import ExplainConfig
-from relex.factorgraph import RelationUncertainty, UncertaintyReport
+from relex.explainer import ExplainConfig, Explanation
+from relex.factorgraph import (RelationUncertainty, UncertaintyReport, build_factor_graph,
+                               learn_weights)
 from relex.gcn import TrainConfig
 from relex.graphs import make_graph, remove_edges
 from relex.pipeline import (DatasetSpec, PipelineConfig, VerificationBundle,
@@ -131,6 +132,18 @@ class TestDatasetSpec:
         assert spec.build(4).edges == spec.build(4).edges
 
 
+def pipeline_config(**count):
+    return PipelineConfig(dataset=DatasetSpec(kind="ba-shapes"), **count)
+
+
+def learn_weights_run(epochs):
+    explanation = Explanation(target=0, predicted_class=1, hop_radius=2,
+                              relations=(((0, 1), 0.8),))
+    cres = CreSet(target=0, class_count=2, explanations=[explanation], ranks_used=[1],
+                  errors_per_rank=[2])
+    return learn_weights(build_factor_graph(cres), cres, epochs=epochs)
+
+
 class TestConfigValidation:
     def test_bad_scorer(self):
         with pytest.raises(ValueError):
@@ -149,7 +162,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("config, field", [
         (BpConfig, "max_iters"), (ExplainConfig, "hops"), (ExplainConfig, "mask_steps"),
         (ExplainConfig, "top_k"), (TrainConfig, "hidden_dim"), (TrainConfig, "max_epochs"),
-        (TrainConfig, "patience"), (TrainConfig, "restarts"), (RankSearchConfig, "max_rank")])
+        (TrainConfig, "patience"), (TrainConfig, "restarts"), (RankSearchConfig, "max_rank"),
+        (pipeline_config, "g_max"), (pipeline_config, "max_targets"),
+        (pipeline_config, "min_class_count"), (learn_weights_run, "epochs")])
     @pytest.mark.parametrize("value", [2.5, 3.0, True])
     def test_a_count_that_is_not_an_integer(self, config, field, value):
         """A float count never ends a loop that counts down to it or up
